@@ -28,6 +28,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError
+from .numerics import _ordered_minor_sums, ordered_minor_sum
 from .passage_densities import _boundary_det_grid, _norm_inner_grid, norm_boundary
 from .rect_kernels import RectConfig, boundary_poisson_rect
 
@@ -102,35 +103,6 @@ def exit_right(strip, a):
     return 0.25 * g[(strip.cols - 1) * strip.rows :]
 
 
-def ordered_minor_sum(mat):
-    """Sum of det mat[:, (b_1..b_n)] over strictly increasing column tuples.
-
-    Columns are scanned once; the state holds, per subset of rows already
-    placed, the signed sum over all ways of assigning them to an increasing
-    column prefix.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2:
-        raise DomainError("ordered_minor_sum needs a matrix")
-    n, k = mat.shape
-    if n > k:
-        return 0.0
-    f = np.zeros(1 << n)
-    f[0] = 1.0
-    for b in range(k):
-        g = f.copy()
-        for used in range(1 << n):
-            if f[used] == 0.0:
-                continue
-            for r in range(n):
-                if used >> r & 1:
-                    continue
-                sign = -1.0 if bin(used >> (r + 1)).count("1") % 2 else 1.0
-                g[used | 1 << r] += sign * f[used] * mat[r, b]
-        f = g
-    return float(f[-1])
-
-
 def first_passage_decomposition(strip, cut, starts):
     """Matrices of the exact cut decomposition for walks from left-boundary
     rows `starts` to the right edge.
@@ -193,12 +165,7 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
     )
     left = np.linalg.det(np.swapaxes(lm[:, combos], 0, 1))
     if ends is None:
-        if n_paths == 2:
-            prefix = np.cumsum(rm, axis=1) - rm
-            cross = rm @ prefix.T
-            right = cross[combos[:, 1], combos[:, 0]] - cross[combos[:, 0], combos[:, 1]]
-        else:
-            right = np.array([ordered_minor_sum(rm[list(c), :]) for c in combos])
+        right = _ordered_minor_sums(rm[combos])
     else:
         right = np.linalg.det(rm[combos[:, :, None], cols[None, None, :]])
     out = np.zeros((strip.rows,) * n_paths)

@@ -1,9 +1,11 @@
 """Shared numerical infrastructure.
 
 Quadrature rules on (0, pi), chamber integration, pivoted-LU determinants,
-overflow-safe sinh ratios, and certified tail bounds for geometric and
-polynomial-times-geometric series.  Everything downstream (rectangle kernels,
-passage densities, correlation kernels) builds on these primitives.
+batched Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber
+norms and free-end minor sums reduce to), overflow-safe sinh ratios, and
+certified tail bounds for polynomial-times-geometric series.  Everything
+downstream (rectangle kernels, passage densities, correlation kernels,
+lattice checks) builds on these primitives.
 """
 
 import math
@@ -175,13 +177,6 @@ def sinh_ratio(n, num, den):
     return out
 
 
-def geometric_tail(coeff, ratio, n_start):
-    """Upper bound for sum_{n >= n_start} coeff * ratio**n, for 0 <= ratio < 1."""
-    if not (0.0 <= ratio < 1.0):
-        raise DomainError("ratio must lie in [0, 1)")
-    return coeff * ratio**n_start / (1.0 - ratio)
-
-
 def poly_geom_tail(q, factors, n_start):
     """Upper bound for sum_{n >= n_start} q**n * prod_i (n + c_i)**p_i.
 
@@ -214,35 +209,102 @@ def poly_geom_tail(q, factors, n_start):
         t = term(n)
 
 
+def pfaffian(a, border=None):
+    """Pfaffian of the skew-symmetric matrices stacked on the leading axes of a.
+
+    Pivoted Parlett-Reid elimination (Wimmer 2012, arXiv:1102.3440),
+    vectorized over the stack; the Python loop runs over the matrix size
+    only.  For odd size N the Pfaffian vanishes, unless `border` (shape
+    (..., N)) is given: then the result is Pf[[A, v], [-v^T, 0]] of the
+    matrix bordered by v.  Returns a float for a single matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError("pfaffian needs square matrices")
+    batch, n = a.shape[:-2], a.shape[-1]
+    if n % 2:
+        if border is None:
+            out = np.zeros(batch)
+            return float(out) if out.ndim == 0 else out
+        bordered = np.zeros(batch + (n + 1, n + 1))
+        bordered[..., :n, :n] = a
+        bordered[..., :n, n] = border
+        bordered[..., n, :n] = -np.asarray(border, dtype=float)
+        a, n = bordered, n + 1
+    a = a.reshape((math.prod(batch), n, n)).copy()
+    out = np.ones(a.shape[0])
+    rows = np.arange(a.shape[0])
+    for k in range(0, n - 1, 2):
+        # bring the largest entry of column k below the diagonal to row k+1
+        kp = k + 1 + np.argmax(np.abs(a[:, k + 1 :, k]), axis=1)
+        out[kp != k + 1] *= -1.0
+        swap = a[rows, kp].copy()
+        a[rows, kp] = a[:, k + 1]
+        a[:, k + 1] = swap
+        swap = a[rows, :, kp].copy()
+        a[rows, :, kp] = a[:, :, k + 1]
+        a[:, :, k + 1] = swap
+        pivot = a[:, k, k + 1]
+        out *= pivot
+        if k + 2 < n:
+            # a zero pivot means a zero column; its Pfaffian is already 0
+            tau = a[:, k, k + 2 :] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+            col = a[:, k + 2 :, k + 1]
+            a[:, k + 2 :, k + 2 :] += (
+                tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+            )
+    out = out.reshape(batch)
+    return float(out) if out.ndim == 0 else out
+
+
+def graded_pfaffian(b, apply_x, border):
+    """Pf(B^T X B) for K x N matrices B stacked on the leading axes of b.
+
+    X is a skew-symmetric K x K matrix given through apply_x(q) = X @ q
+    (for q of shape (..., K, N)), so it is never formed by this function.
+    For odd N the Pfaffian is bordered by B^T v with v = `border` (length
+    K), i.e. by one extra unit column of B and row v of X.
+
+    B = QR (Householder) turns this into det R * Pf(Q^T X Q): the scale and
+    the near-dependence of B's columns go into the triangular factor, and
+    the Pfaffian only sees an orthonormal frame.  Forming B^T X B directly
+    instead cancels catastrophically when B's rows decay geometrically or
+    its columns are nearly parallel.
+    """
+    b = np.asarray(b, dtype=float)
+    q, r = np.linalg.qr(b)
+    core = np.swapaxes(q, -1, -2) @ apply_x(q)
+    core = 0.5 * (core - np.swapaxes(core, -1, -2))
+    edge = np.asarray(border, dtype=float) @ q if b.shape[-1] % 2 else None
+    return np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1) * pfaffian(core, edge)
+
+
+def _apply_sign(q):
+    """J @ q along axis -2 for J[b, b'] = sgn(b' - b), by prefix sums."""
+    c = np.cumsum(q, axis=-2)
+    return c[..., -1:, :] - 2.0 * c + q
+
+
+def _ordered_minor_sums(m):
+    """ordered_minor_sum over matrices stacked on the leading axes of m
+    (shape (..., N, K) with N <= K)."""
+    m = np.asarray(m, dtype=float)
+    return graded_pfaffian(np.swapaxes(m, -1, -2), _apply_sign, np.ones(m.shape[-1]))
+
+
 def ordered_minor_sum(m):
     """Sum of det M[:, (c_1..c_N)] over all strictly increasing column tuples.
 
-    m has shape (N, K) with N <= 12.  Dynamic programming over columns with
-    row-subset states; O(K * 2**N * N) time, exact up to rounding.
+    Ishikawa-Wakayama minor summation (Stembridge 1990): the sum equals
+    Pf(M J M^T) with J[b, b'] = sgn(b' - b), bordered by M @ 1 for odd N.
+    m has shape (N, K); N > K has no minors and gives exactly 0.0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
-        raise DomainError("need a 2-d array")
+        raise DomainError("ordered_minor_sum needs a matrix")
     nrows, ncols = m.shape
-    if nrows > 12:
-        raise DomainError("ordered_minor_sum is limited to 12 rows")
-    # acc[s] = sum over ordered column tuples (within processed columns) of the
-    # minor on the row subset encoded by bitmask s.
-    acc = np.zeros(1 << nrows)
-    acc[0] = 1.0
-    rows_of = [[r for r in range(nrows) if s >> r & 1] for s in range(1 << nrows)]
-    for k in range(ncols):
-        new = acc.copy()
-        for s in range(1, 1 << nrows):
-            rows = rows_of[s]
-            # expand det along the appended (last) column; the cofactor of the
-            # bottom-most row is +1 and signs alternate upward
-            val = 0.0
-            sign = 1.0
-            for idx in range(len(rows) - 1, -1, -1):
-                r = rows[idx]
-                val += sign * m[r, k] * acc[s & ~(1 << r)]
-                sign = -sign
-            new[s] += val
-        acc = new
-    return float(acc[(1 << nrows) - 1])
+    if nrows > ncols:
+        return 0.0
+    if nrows == 0:
+        return 1.0
+    return float(_ordered_minor_sums(m))

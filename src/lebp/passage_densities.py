@@ -6,23 +6,26 @@ erasures mutually avoiding.  The density of their ordered first-passage
 points on a vertical cut is a ratio of boundary determinants and chamber
 integrals of interior determinants.
 
-The chamber integrals (norms) are evaluated by expanding the kernel
-determinant in its separable sine series and integrating each antisymmetric
-sine determinant over the ordered chamber in closed form.  A single
-determinant is antisymmetric, so symmetrized cube quadrature would pick up a
-non-smooth sign factor; the series route keeps spectral accuracy and yields
-certified geometric tails.
+The chamber integrals (norms) integrate a kernel determinant over the
+ordered chamber.  The kernel is a separable sine series, so by de Bruijn
+(1955) each norm is one Pfaffian, Pf(Phi^T S Phi): Phi[m, j] = c_m
+sin(m theta_j) holds the series coefficients at the fixed angles, and S is
+the closed-form sine sign kernel (bordered by the single-sine integrals for
+odd N).  A single determinant is antisymmetric, so symmetrized cube
+quadrature would pick up a non-smooth sign factor; the Pfaffian route keeps
+spectral accuracy, costs polynomial time in N, and its truncation carries a
+certified bound.  It is evaluated in graded form (numerics.graded_pfaffian)
+so that exponentially small norms keep their relative accuracy.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import poly_geom_tail
+from .numerics import graded_pfaffian, pfaffian, poly_geom_tail
 from .rect_kernels import (
     RectConfig,
     WeylPoint,
@@ -62,160 +65,125 @@ class ChamberSequence:
 # --- exact ordered integrals of sine determinants ---------------------------
 
 
-@lru_cache(maxsize=None)
-def _iterated_sine_integral(freqs):
-    """I(m_1..m_k) = integral over 0 < t_1 < ... < t_k < pi of prod_i sin(m_i t_i).
+def _sine_sign_kernel(m, n):
+    """S[m, n] = double integral over (0, pi)^2 of sgn(t - s) sin(m s) sin(n t).
 
-    The running antiderivative stays a cosine polynomial with integer
-    frequencies (sin times cos never produces secular terms), so the iterated
-    integral is exact up to rounding.
+    Closed form for positive integer frequencies (broadcast): zero unless
+    m + n is odd, and otherwise +-4e / (o (o^2 - e^2)) with o the odd and e
+    the even frequency, the sign + when m is the odd one.
     """
-    poly = {0: 1.0}  # F(t) = sum_w poly[w] * cos(w t)
-    for m in freqs:
-        nxt = {}
-        for w, cw in poly.items():
-            # integral_0^t sin(m s) cos(w s) ds, split by product-to-sum
-            for freq in (m + w, m - w):
-                if freq == 0:
-                    continue  # the sin(0 * s) piece vanishes
-                half = 0.5 * cw / freq
-                nxt[0] = nxt.get(0, 0.0) + half
-                af = abs(freq)
-                nxt[af] = nxt.get(af, 0.0) - half
-        poly = nxt
-    return sum(c * (1.0 if w % 2 == 0 else -1.0) for w, c in poly.items())
+    m = np.asarray(m, dtype=float)
+    n = np.asarray(n, dtype=float)
+    m_odd = m % 2.0 == 1.0
+    o = np.where(m_odd, m, n)
+    e = np.where(m_odd, n, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 4.0 * e / (o * (o * o - e * e))
+    return np.where((m + n) % 2.0 == 1.0, np.where(m_odd, val, -val), 0.0)
 
 
-def _permutation_sign(perm):
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1.0 if inv % 2 else 1.0
+def _sine_integrals(m):
+    """int_0^pi sin(m t) dt for positive integer frequencies m."""
+    m = np.asarray(m, dtype=float)
+    return np.where(m % 2.0 == 1.0, 2.0 / m, 0.0)
+
+
+def _apply_sine_sign(q):
+    """S @ q along axis -2, S the (K, K) sine sign kernel for frequencies
+    1..K; S is built in row blocks of at most ~4e6 entries."""
+    k = q.shape[-2]
+    freqs = np.arange(1, k + 1)
+    out = np.empty(q.shape)
+    step = max(1, int(4e6 // k))
+    for start in range(0, k, step):
+        rows = freqs[start : start + step, None]
+        out[..., start : start + step, :] = _sine_sign_kernel(rows, freqs[None, :]) @ q
+    return out
 
 
 @lru_cache(maxsize=None)
 def ordered_sine_det_integral(freqs):
-    """Integral of det[sin(freqs_i * t_k)] over the ordered chamber in (0, pi)^k."""
-    k = len(freqs)
-    total = 0.0
-    for perm in permutations(range(k)):
-        total += _permutation_sign(perm) * _iterated_sine_integral(
-            tuple(freqs[p] for p in perm)
-        )
-    return total
+    """Integral of det[sin(freqs_i * t_k)] over the ordered chamber in (0, pi)^k.
+
+    de Bruijn (1955): the Pfaffian of the sine sign kernel on the
+    frequencies, bordered by the single-sine integrals for odd k.
+    """
+    f = np.asarray(freqs, dtype=float)
+    return pfaffian(_sine_sign_kernel(f[:, None], f[None, :]), _sine_integrals(f))
 
 
-# --- separable series for the norms -----------------------------------------
-
-
-def _distinct_tuples(total, parts, minimum=1):
-    """Strictly increasing tuples of `parts` integers >= minimum summing to total."""
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    rest_min = (parts - 1) * (minimum + 1) + (parts - 1) * (parts - 2) // 2
-    first = minimum
-    while first + rest_min + (parts - 1) * (first - minimum) <= total:
-        # remaining parts are > first; their minimal sum given that is
-        remaining = total - first
-        for tail in _distinct_tuples(remaining, parts - 1, first + 1):
-            yield (first,) + tail
-        first += 1
+# --- chamber norms as one Pfaffian -------------------------------------------
 
 
 @lru_cache(maxsize=64)
 def _norm_series(kind, L, x, n, tol, n_max):
-    """Series data for a chamber norm: frequency tuples and coefficients.
+    """Truncated kernel coefficients for an N-path chamber norm.
 
-    Enumerates strictly increasing frequency tuples graded by total s, with
-    per-tuple coefficient prod_i coeff(n_i) * T(tuple), where T is the
-    ordered chamber integral of the sine determinant.  Stops once the
-    certified tail (geometric in the total, polynomial corrections from
-    tuple counting and coefficient growth) is below the target.
+    The kernel is sum_m c_m sin(m theta) sin(m rho).  Dropping every m > M
+    changes the norm by at most
+
+        N^N pi^N / (N! (N-1)!) * sum_{m>M} c_m * (sum_m c_m)^(N-1)
+
+    (Cauchy-Binet over frequency sets: Hadamard bounds both sine
+    determinants, and the sets using some m > M carry at most that tail
+    times the elementary symmetric sum of the rest).  M is the first
+    truncation whose bound meets the policy tol, sharpened toward machine
+    relative precision of the leading term so exponentially small norms
+    keep their relative accuracy.
 
     kind "boundary" uses the boundary-kernel coefficients (x ignored); kind
-    "inner" the interior ones at cut x.  Returns (freq_tuples, coefficients,
-    tail_bound); the arrays are cached, callers must not mutate them.
+    "inner" the interior ones at cut x.  Returns (c_1..c_M, bound); the
+    array is cached, callers must not mutate it.
     """
     if kind == "boundary":
-        gap_rate = L
+        q, factors = math.exp(-L), [(0.0, 1)]
 
         def coeff(f):
-            return _TWO_OVER_PI * 2.0 * f * math.exp(-f * L) / -math.expm1(-2.0 * f * L)
+            return _TWO_OVER_PI * 2.0 * f * np.exp(-f * L) / -np.expm1(-2.0 * f * L)
 
-        extra_power = 1  # the factor n in the coefficient
     else:
-        gap_rate = L - x
+        q, factors = math.exp(-(L - x)), []
 
         def coeff(f):
-            return _TWO_OVER_PI * math.exp(-f * (L - x)) * (
-                -math.expm1(-2.0 * f * x)
-            ) / -math.expm1(-2.0 * f * L)
+            return (
+                _TWO_OVER_PI
+                * np.exp(-f * (L - x))
+                * -np.expm1(-2.0 * f * x)
+                / -np.expm1(-2.0 * f * L)
+            )
 
-        extra_power = 0
-    q = math.exp(-gap_rate)
-    cw = 2.0 / -math.expm1(-2.0 * L)  # bound on the sinh-denominator factor
-    const = (_TWO_OVER_PI * cw) ** n * math.pi**n * math.factorial(n)
-    factors = [(1.0, n - 1)]
-    if extra_power:
-        factors.append((0.0, n * extra_power))
+    # c_m <= majorant * m^(1 or 0) * q^m for both kinds
+    majorant = _TWO_OVER_PI * 2.0 / -math.expm1(-2.0 * L)
+    const = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
 
-    def tail(s_done):
-        return const * poly_geom_tail(q, factors, s_done + 1)
+    def bound(m_max):
+        tail = majorant * poly_geom_tail(q, factors, m_max + 1)
+        total = float(coeff(np.arange(1.0, m_max + 1)).sum()) + tail
+        return const * tail * total ** (n - 1)
 
-    s_min = n * (n + 1) // 2
-    # absolute target from the policy, sharpened toward the leading term's
-    # own scale so exponentially small norms keep relative accuracy for free
     lead = abs(
-        math.prod(coeff(i) for i in range(1, n + 1))
+        float(np.prod(coeff(np.arange(1.0, n + 1))))
         * ordered_sine_det_integral(tuple(range(1, n + 1)))
     )
     target = min(tol, max(lead * 1e-15, 5e-324)) if lead > 0.0 else tol
-
-    freqs, coefs = [], []
-    s = s_min
-    while tail(s - 1) > target:
-        if s > n_max:
+    m_max = n
+    achieved = bound(m_max)
+    while achieved > target:
+        if m_max >= n_max:
             raise TruncationError(
-                f"norm series reached frequency budget {n_max}",
-                achieved=tail(s - 1),
+                f"norm series reached frequency budget {n_max}", achieved=achieved
             )
-        for tup in _distinct_tuples(s, n):
-            t_val = ordered_sine_det_integral(tup)
-            if t_val == 0.0:
-                continue
-            c = t_val
-            for f in tup:
-                c *= coeff(f)
-            freqs.append(tup)
-            coefs.append(c)
-        s += 1
-    return tuple(freqs), np.asarray(coefs), tail(s - 1)
+        m_max = min(n_max, m_max + max(1, m_max // 4))
+        achieved = bound(m_max)
+    return coeff(np.arange(1.0, m_max + 1)), achieved
 
 
-def _sine_det_grid(freq_tuples, theta):
-    """det[sin(f_i * theta_k)] for each frequency tuple, vectorized over a
-    (..., N) angle array.  Returns shape (len(freq_tuples),) + theta.shape[:-1]."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[-1]
-    flat = theta.reshape(-1, n)
-    all_freqs = sorted({f for tup in freq_tuples for f in tup})
-    index = {f: i for i, f in enumerate(all_freqs)}
-    # sines[i, p, k] = sin(f_i * theta[p, k])
-    sines = np.sin(np.asarray(all_freqs, float)[:, None, None] * flat[None, :, :])
-    out = np.zeros((len(freq_tuples), flat.shape[0]))
-    perms = [(p, _permutation_sign(p)) for p in permutations(range(n))]
-    for t, tup in enumerate(freq_tuples):
-        acc = out[t]
-        for perm, sign in perms:
-            prod = sines[index[tup[perm[0]]], :, 0].copy()
-            for k in range(1, n):
-                prod *= sines[index[tup[perm[k]]], :, k]
-            acc += sign * prod
-    return out.reshape((len(freq_tuples),) + theta.shape[:-1])
+def _chamber_norm(coefs, angles):
+    """Pf(Phi^T S Phi) with Phi[m, j] = c_m sin(m angles_j), for every (..., N)
+    angle tuple; bordered by the single-sine integrals for odd N."""
+    freqs = np.arange(1.0, coefs.size + 1)
+    phi = coefs[:, None] * np.sin(freqs[:, None] * np.asarray(angles)[..., None, :])
+    return graded_pfaffian(phi, _apply_sine_sign, _sine_integrals(freqs))
 
 
 def norm_boundary(cfg, pol, phi):
@@ -227,9 +195,8 @@ def norm_boundary(cfg, pol, phi):
     carries full relative accuracy even when it is exponentially small.
     """
     phi = as_weyl(phi)
-    freqs, coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.n, pol.tol, pol.n_max)
-    dets = _sine_det_grid(freqs, phi.angles[None, :])[:, 0]
-    return float(coefs @ dets)
+    coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.n, pol.tol, pol.n_max)
+    return float(_chamber_norm(coefs, phi.angles))
 
 
 def _check_cut(cfg, pol, x):
@@ -247,9 +214,8 @@ def norm_inner(cfg, pol, x, theta):
     """
     theta = as_weyl(theta)
     _check_cut(cfg, pol, x)
-    freqs, coefs, _ = _norm_series("inner", cfg.L, x, theta.n, pol.tol, pol.n_max)
-    dets = _sine_det_grid(freqs, theta.angles[None, :])[:, 0]
-    return float(coefs @ dets)
+    coefs, _ = _norm_series("inner", cfg.L, x, theta.n, pol.tol, pol.n_max)
+    return float(_chamber_norm(coefs, theta.angles))
 
 
 def _norm_inner_grid(cfg, pol, x, theta):
@@ -257,9 +223,8 @@ def _norm_inner_grid(cfg, pol, x, theta):
     angle tuples; antisymmetric continuation off the ordered chamber."""
     theta = np.asarray(theta, dtype=float)
     _check_cut(cfg, pol, x)
-    freqs, coefs, _ = _norm_series("inner", cfg.L, x, theta.shape[-1], pol.tol, pol.n_max)
-    dets = _sine_det_grid(freqs, theta)
-    return np.tensordot(coefs, dets, axes=(0, 0))
+    coefs, _ = _norm_series("inner", cfg.L, x, theta.shape[-1], pol.tol, pol.n_max)
+    return _chamber_norm(coefs, theta)
 
 
 def _boundary_det_grid(cfg, pol, phi, theta):
@@ -274,14 +239,7 @@ def _boundary_det_grid(cfg, pol, phi, theta):
     entries = boundary_poisson_rect(
         cfg, pol, phi.angles[:, None, None], flat[None, :, :]
     ).value
-    out = np.zeros(flat.shape[0])
-    for perm in permutations(range(n)):
-        sign = _permutation_sign(perm)
-        prod = entries[perm[0], :, 0].copy()
-        for k in range(1, n):
-            prod *= entries[perm[k], :, k]
-        out += sign * prod
-    return out.reshape(theta.shape[:-1])
+    return np.linalg.det(np.moveaxis(entries, 1, 0)).reshape(theta.shape[:-1])
 
 
 # --- densities ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from lebp.lattice_validation import (
     first_passage_decomposition,
     ordered_minor_sum,
 )
+from lebp import numerics
 from lebp.lattice_validation import _green_columns
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.passage_densities import pdf_first_passage_finite
@@ -126,6 +127,24 @@ def test_ordered_minor_sum_against_brute_force():
     assert ordered_minor_sum(np.ones((3, 2))) == 0.0
     with pytest.raises(DomainError):
         ordered_minor_sum(np.ones(4))
+    assert ordered_minor_sum is numerics.ordered_minor_sum
+
+
+def test_free_end_minor_sum_matches_mpmath_oracle():
+    # adjacent start rows make the rows of f nearly parallel, so the sum
+    # cancels; the reference sums all C(31, 3) minors at 60 digits
+    import mpmath as mp
+
+    strip = LatticeStrip(31, 31)
+    for starts in [(1, 2, 3), (29, 30, 31)]:
+        _, _, f = first_passage_decomposition(strip, 16, starts)
+        with mp.workdps(60):
+            rows = [[mp.mpf(float(v)) for v in row] for row in f]
+            ref = mp.fsum(
+                mp.det(mp.matrix([[row[c] for c in cols] for row in rows]))
+                for cols in itertools.combinations(range(strip.rows), 3)
+            )
+            assert abs(ordered_minor_sum(f) - ref) <= 5e-11 * abs(ref)
 
 
 def test_cut_decomposition_is_exact():

@@ -14,8 +14,9 @@ from lebp.numerics import (
     chamber_integrate,
     det_lu,
     gauss_legendre,
-    geometric_tail,
+    graded_pfaffian,
     ordered_minor_sum,
+    pfaffian,
     poly_geom_tail,
     sinh_ratio,
 )
@@ -175,13 +176,6 @@ def test_sinh_ratio_vectorized_and_validated():
         sinh_ratio(1, -1.0, 2.0)
 
 
-def test_geometric_tail_bounds_true_sum():
-    q = 0.9
-    for n0 in (1, 5, 50):
-        actual = q**n0 / (1 - q)
-        assert geometric_tail(1.0, q, n0) >= actual * (1 - 1e-15)
-
-
 def test_poly_geom_tail_is_a_valid_and_reasonable_bound():
     cases = [
         (0.7, [(0.0, 2)], 5),
@@ -208,6 +202,38 @@ def test_ordered_minor_sum_matches_brute_force():
             np.linalg.det(m[:, list(c)]) for c in itertools.combinations(range(ncols), nrows)
         )
         assert abs(ordered_minor_sum(m) - brute) <= 1e-12 * max(1.0, abs(brute))
+
+
+def test_pfaffian_against_expansion_and_determinant():
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(4, 4))
+    a -= a.T
+    expansion = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+    assert pfaffian(a) == pytest.approx(expansion, rel=1e-13)
+    for n in (2, 6, 8):
+        stack = rng.normal(size=(5, n, n))
+        stack -= np.swapaxes(stack, -1, -2)
+        pf = pfaffian(stack)
+        assert pf.shape == (5,)
+        assert np.allclose(pf**2, np.linalg.det(stack), rtol=1e-12)
+    # odd size: zero, or the Pfaffian of the bordered matrix
+    b = a[:3, :3]
+    v = rng.normal(size=3)
+    bordered = np.block([[b, v[:, None]], [-v[None, :], np.zeros((1, 1))]])
+    assert pfaffian(b) == 0.0
+    assert pfaffian(b, v) == pytest.approx(pfaffian(bordered), rel=1e-13)
+    assert pfaffian(np.zeros((0, 0))) == 1.0
+
+
+def test_graded_pfaffian_matches_plain_form():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(7, 7))
+    x -= x.T
+    v = rng.normal(size=7)
+    for n in (2, 3, 4):
+        b = rng.normal(size=(7, n))
+        plain = pfaffian(b.T @ x @ b, b.T @ v)
+        assert graded_pfaffian(b, lambda q: x @ q, v) == pytest.approx(plain, rel=1e-12)
 
 
 def test_tail_bounded_value_fields():

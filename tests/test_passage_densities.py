@@ -9,9 +9,10 @@ from lebp.numerics import DEFAULT_POLICY, SeriesPolicy, gauss_legendre
 from lebp.passage_densities import (
     ChamberSequence,
     _boundary_det_grid,
-    _iterated_sine_integral,
+    _chamber_norm,
     _norm_inner_grid,
     _norm_series,
+    _sine_sign_kernel,
     joint_pdf,
     norm_boundary,
     norm_inner,
@@ -69,14 +70,14 @@ def chamber_points(order, n):
 # --- ordered sine-determinant integrals --------------------------------------
 
 
-def test_iterated_integral_matches_closed_form():
+def test_sine_sign_kernel_matches_pair_integrals():
+    # S[m, n] = 2 * (ordered pair integral) - (product of single integrals)
     for m in range(1, 9):
         for n in range(1, 9):
-            if m == n:
-                continue
-            assert _iterated_sine_integral((m, n)) == pytest.approx(
-                _pair_lower_integral(n, m), abs=1e-14
-            )
+            ref = 2.0 * _pair_lower_integral(n, m) - _single_sine_integral(
+                m
+            ) * _single_sine_integral(n)
+            assert _sine_sign_kernel(m, n) == pytest.approx(ref, abs=1e-14)
 
 
 def test_ordered_integral_frozen_rationals():
@@ -167,18 +168,93 @@ def test_norm_inner_matches_chamber_quadrature():
 
 
 def test_norm_series_tail_bound_is_honest():
-    # the default run stops at machine-relative accuracy of the leading term;
-    # a much tighter tolerance forces extra terms, whose total weight must sit
-    # under the default run's certified tail bound
+    # the certified bound covers the truncation error of the default run
+    # (against a much tighter run), and of every shorter truncation, whose
+    # bound the budget error reports
     tight = SeriesPolicy(tol=1e-22)
-    for kind, L, x, n in [("boundary", 2.0, 0.0, 2), ("inner", 2.0, 0.8, 2)]:
-        fl, _, bl = _norm_series(kind, L, x, n, POL.tol, POL.n_max)
-        ft, ct, bt = _norm_series(kind, L, x, n, tight.tol, tight.n_max)
-        # the default run's terms are a prefix of the tight run's terms
-        assert len(ft) > len(fl)
-        assert ft[: len(fl)] == fl
-        dropped = float(np.abs(ct[len(fl) :]).sum())
-        assert dropped * math.factorial(n) <= bl * (1 + 1e-12)
+    for kind, L, x, theta in [
+        ("boundary", 2.0, 0.0, [0.9, 2.1]),
+        ("inner", 2.0, 0.8, [0.9, 2.1]),
+        ("inner", 3.0, 1.5, [0.7, 1.5, 2.5]),
+    ]:
+        n = len(theta)
+        full, _ = _norm_series(kind, L, x, n, tight.tol, tight.n_max)
+        exact = _chamber_norm(full, theta)
+        coefs, bound = _norm_series(kind, L, x, n, POL.tol, POL.n_max)
+        assert coefs.size < full.size
+        assert abs(_chamber_norm(coefs, theta) - exact) <= bound
+        for m_max in range(n, coefs.size // 2 + 1, 2):
+            with pytest.raises(TruncationError) as exc:
+                _norm_series(kind, L, x, n, POL.tol, m_max)
+            assert abs(_chamber_norm(full[:m_max], theta) - exact) <= exc.value.achieved
+
+
+def _exact_single(k):
+    return Fraction(1 - (-1) ** k, k)
+
+
+def _exact_sine_sign(m, n):
+    # S[m, n] = 2 * (ordered pair integral) - (product of single integrals)
+    cross = 0 if m == n else Fraction((1 - (-1) ** (n + m)) * n, n * n - m * m)
+    return 2 * (_exact_single(n) - cross) / m - _exact_single(m) * _exact_single(n)
+
+
+def _expanded_pfaffian(a):
+    # expansion along the first row
+    if not a:
+        return 1
+    total = 0
+    for j in range(1, len(a)):
+        keep = [k for k in range(1, len(a)) if k != j]
+        minor = [[a[r][c] for c in keep] for r in keep]
+        total += (-1) ** (j - 1) * a[0][j] * _expanded_pfaffian(minor)
+    return total
+
+
+def _mp_chamber_norm(mp, coef, angles, size=60):
+    """Plain Pf(Phi^T S Phi), bordered for odd N, in the working precision."""
+
+    def frac(x):
+        return mp.mpf(x.numerator) / x.denominator
+
+    freqs = range(1, size + 1)
+    phi = mp.matrix([[coef(m) * mp.sin(m * mp.mpf(a)) for a in angles] for m in freqs])
+    sign = mp.matrix([[frac(_exact_sine_sign(m, k)) for k in freqs] for m in freqs])
+    gram = phi.T * sign * phi
+    n = len(angles)
+    rows = [[gram[i, j] for j in range(n)] for i in range(n)]
+    if n % 2:
+        edge = phi.T * mp.matrix([frac(_exact_single(m)) for m in freqs])
+        rows = [row + [edge[i]] for i, row in enumerate(rows)]
+        rows.append([-edge[i] for i in range(n)] + [0])
+    return _expanded_pfaffian(rows)
+
+
+def test_norm_matches_mpmath_pfaffian_oracle():
+    # 50-digit de Bruijn Pfaffian with a longer series; the last two cases
+    # are exponentially small (about 3e-31 and 8e-31), where forming
+    # Phi^T S Phi in double precision cancels away most digits
+    import mpmath as mp
+
+    def boundary(L):
+        return lambda m: 2 / mp.pi * m / mp.sinh(m * L)
+
+    def inner(L, x):
+        return lambda m: 2 / mp.pi * mp.sinh(m * x) / mp.sinh(m * L)
+
+    cases = []
+    for n in (2, 3, 4, 5):
+        phi = [0.3 + 2.5 * (j + 0.5) / n for j in range(n)]
+        cases.append((norm_boundary(RectConfig(2.0), POL, phi), boundary(2), phi))
+    theta = [0.2 + 2.7 * j / 7 for j in range(8)]
+    cases.append((norm_inner(RectConfig(3.0), POL, 1.0, theta), inner(3, 1), theta))
+    theta = [0.4, 1.1, 1.9, 2.7]
+    cases.append((norm_inner(RectConfig(8.0), POL, 1.0, theta), inner(8, 1), theta))
+    with mp.workdps(50):
+        for value, coef, angles in cases:
+            ref = _mp_chamber_norm(mp, coef, angles)
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+    assert 8e-31 < cases[-1][0] < 9e-31
 
 
 def test_norm_inner_grid_matches_scalar():
