@@ -20,8 +20,9 @@ Conventions
   subcommand, raw parameters, series policy, quadrature orders, output
   path and tool version; ``lebp --manifest FILE`` replays the record and
   reproduces the output byte for byte.
-* Grid evaluations can be spread over threads by setting LEBP_THREADS;
-  the output row order does not depend on the thread count.
+* Grids are evaluated one broadcast library call per cut pair (x, x')
+  or radius pair (r, r') over the whole angle grid; every row prints
+  exactly what the per-point library call returns.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -139,24 +139,6 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _thread_count():
-    raw = os.environ.get("LEBP_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"LEBP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_csv(stream, header, rows):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -176,43 +158,44 @@ def _policy_from(ns):
 # --- subcommand handlers -------------------------------------------------------------
 
 
+def _pair_grid_rows(first, theta, second, theta_p, evaluate):
+    """CSV rows over first x theta x second x theta_p, in that order.
+
+    evaluate(u, v) returns the TailBoundedValue of one (first, second)
+    pair on the theta x theta_p grid, from one broadcast call.
+    """
+    shape = (len(first), len(second), len(theta), len(theta_p))
+    value, bound = np.empty(shape), np.empty(shape)
+    for i, u in enumerate(first):
+        for k, v in enumerate(second):
+            value[i, k], bound[i, k] = evaluate(float(u), float(v))
+    cells = zip(
+        map(_fmt, value.transpose(0, 2, 1, 3).ravel().tolist()),
+        map(_fmt, bound.transpose(0, 2, 1, 3).ravel().tolist()),
+    )
+    coords = itertools.product(*([_fmt(t) for t in g] for g in (first, theta, second, theta_p)))
+    return [[*c, v, b] for c, (v, b) in zip(coords, cells)]
+
+
 def _cmd_kernel(ns, stream):
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     if ns.domain == "strip":
-        missing = [f for f in ("x", "theta", "xp", "thetap") if getattr(ns, f) is None]
-        if missing:
-            raise UsageError("strip kernel needs --" + ", --".join(missing))
-        grids = [
-            parse_grid(ns.x, "--x"),
-            parse_grid(ns.theta, "--theta"),
-            parse_grid(ns.xp, "--xp"),
-            parse_grid(ns.thetap, "--thetap"),
-        ]
-        header = ["x", "theta", "xp", "thetap", "value", "tail_bound"]
-        evaluate = lambda p: kernel_strip(pol, n_paths, *p)  # noqa: E731
+        names, kernel = ("x", "theta", "xp", "thetap"), kernel_strip
     else:
-        missing = [f for f in ("r", "theta", "rp", "thetap") if getattr(ns, f) is None]
-        if missing:
-            raise UsageError("semicircle kernel needs --" + ", --".join(missing))
-        grids = [
-            parse_grid(ns.r, "--r"),
-            parse_grid(ns.theta, "--theta"),
-            parse_grid(ns.rp, "--rp"),
-            parse_grid(ns.thetap, "--thetap"),
-        ]
-        header = ["r", "theta", "rp", "thetap", "value", "tail_bound"]
-        evaluate = lambda p: kernel_semicircle(pol, n_paths, *p)  # noqa: E731
-
-    points = [
-        (a, b, c, d) for a in grids[0] for b in grids[1] for c in grids[2] for d in grids[3]
-    ]
-    values = _parallel_map(evaluate, points)
-    rows = [
-        [_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(v.value), _fmt(v.bound)]
-        for (a, b, c, d), v in zip(points, values)
-    ]
-    _write_csv(stream, header, rows)
+        names, kernel = ("r", "theta", "rp", "thetap"), kernel_semicircle
+    missing = [f for f in names if getattr(ns, f) is None]
+    if missing:
+        raise UsageError(f"{ns.domain} kernel needs --" + ", --".join(missing))
+    first, theta, second, theta_p = (parse_grid(getattr(ns, f), "--" + f) for f in names)
+    rows = _pair_grid_rows(
+        first,
+        theta,
+        second,
+        theta_p,
+        lambda u, v: kernel(pol, n_paths, u, theta[:, None], v, theta_p[None, :]),
+    )
+    _write_csv(stream, [*names, "value", "tail_bound"], rows)
     return 0
 
 
@@ -230,46 +213,20 @@ def _cmd_density(ns, stream):
     return 0
 
 
-def _two_point_with_bound(pol, n_paths, r, theta, r_prime, theta_prime):
-    """Two-point function value and a certified truncation bound.
-
-    Equal radii use the closed form (bound 0); distinct radii assemble the
-    2x2 kernel determinant, so the bound combines the two kernel tails.
-    """
-    if r == r_prime:
-        return two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime), 0.0
-    k12 = kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime)
-    k21 = kernel_semicircle(pol, n_paths, r_prime, theta_prime, r, theta)
-    value = (
-        density_semicircle(n_paths, r, theta)
-        * density_semicircle(n_paths, r_prime, theta_prime)
-        - k12.value * k21.value
-    )
-    bound = abs(k12.value) * k21.bound + abs(k21.value) * k12.bound + k12.bound * k21.bound
-    return value, bound
-
-
 def _cmd_two_point(ns, stream):
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
-    grids = [
-        parse_grid(ns.r, "--r"),
-        parse_grid(ns.theta, "--theta"),
-        parse_grid(ns.rp, "--rp"),
-        parse_grid(ns.thetap, "--thetap"),
-    ]
-    points = [
-        (float(a), float(b), float(c), float(d))
-        for a in grids[0]
-        for b in grids[1]
-        for c in grids[2]
-        for d in grids[3]
-    ]
-    values = _parallel_map(lambda p: _two_point_with_bound(pol, n_paths, *p), points)
-    rows = [
-        [_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(v), _fmt(bound)]
-        for (a, b, c, d), (v, bound) in zip(points, values)
-    ]
+    radii = parse_grid(ns.r, "--r")
+    theta = parse_grid(ns.theta, "--theta")
+    radii_p = parse_grid(ns.rp, "--rp")
+    theta_p = parse_grid(ns.thetap, "--thetap")
+    rows = _pair_grid_rows(
+        radii,
+        theta,
+        radii_p,
+        theta_p,
+        lambda r, rp: two_point_semicircle(pol, n_paths, r, theta[:, None], rp, theta_p[None, :]),
+    )
     _write_csv(stream, ["r", "theta", "rp", "thetap", "value", "tail_bound"], rows)
     return 0
 
@@ -479,7 +436,7 @@ def _cmd_figure(ns, stream):
     if fig in ("8", "9"):
         n_paths = 5 if fig == "8" else 20
         thetas = np.linspace(0.0, math.pi, 2001)
-        values = two_point_semicircle(pol, n_paths, 4.0, math.pi / 2, 4.0, thetas)
+        values = two_point_semicircle(pol, n_paths, 4.0, math.pi / 2, 4.0, thetas).value
         rows = [[_fmt(th), _fmt(v)] for th, v in zip(thetas, values)]
         _write_csv(stream, ["theta_prime", "value"], rows)
         return 0
@@ -490,19 +447,14 @@ def _cmd_figure(ns, stream):
         # gap snap onto it, where the closed equal-radius form applies
         radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
         thetas = np.linspace(0.0, math.pi, 121)
-        points = [(float(r), float(th)) for r in radii for th in thetas]
-        values = _parallel_map(
-            lambda p: _two_point_with_bound(pol, 3, r0, th0, p[0], p[1]), points
-        )
-        rows = [
-            [
-                _fmt(r * math.cos(th)),
-                _fmt(r * math.sin(th)),
-                _fmt(v),
-                _fmt(bound),
-            ]
-            for (r, th), (v, bound) in zip(points, values)
-        ]
+        rows = []
+        for r in radii.tolist():
+            g2 = two_point_semicircle(pol, 3, r0, th0, r, thetas)
+            bounds = np.broadcast_to(g2.bound, thetas.shape)
+            for th, v, bound in zip(thetas.tolist(), g2.value.tolist(), bounds.tolist()):
+                rows.append(
+                    [_fmt(r * math.cos(th)), _fmt(r * math.sin(th)), _fmt(v), _fmt(bound)]
+                )
         _write_csv(stream, ["x_prime", "y_prime", "value", "tail_bound"], rows)
         return 0
     raise UsageError("--id must be one of 7, 8, 9, 10")

@@ -111,20 +111,24 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
     kernel matrix over all listed points.
 
     cuts is a sequence of positive positions, angle_lists one angle sequence
-    per cut.  A single point returns the one-point density.
+    per cut.  A single point returns the one-point density.  The matrix is
+    built one broadcast kernel_strip call per pair of cuts.
     """
     if len(cuts) != len(angle_lists):
         raise DomainError("need one angle list per cut")
-    points = [
-        (float(x), float(t)) for x, angles in zip(cuts, angle_lists) for t in angles
+    groups = [
+        (float(x), np.asarray(angles, dtype=float).reshape(-1))
+        for x, angles in zip(cuts, angle_lists)
     ]
-    if not points:
+    groups = [(x, t) for x, t in groups if t.size]
+    if not groups:
         raise DomainError("need at least one point")
-    m = len(points)
-    mat = np.empty((m, m))
-    for i, (xi, ti) in enumerate(points):
-        for j, (xj, tj) in enumerate(points):
-            mat[i, j] = kernel_strip(pol, n_paths, xi, ti, xj, tj).value
+    mat = np.block(
+        [
+            [kernel_strip(pol, n_paths, x, t[:, None], xp, tp[None, :]).value for xp, tp in groups]
+            for x, t in groups
+        ]
+    )
     return det_lu(mat)
 
 
@@ -247,8 +251,10 @@ def kernel_semicircle_equal_radius(n_paths, r, theta, theta_prime):
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = num / (math.pi * r * denom)
     if np.any(near):
-        n = np.arange(1.0, n_paths + 1.0).reshape((-1,) + (1,) * th.ndim)
-        series = 2.0 / (math.pi * r) * np.sum(np.sin(n * th) * np.sin(n * tp), axis=0)
+        # frequencies on the last axis: every entry sums as a scalar call does
+        n = np.arange(1.0, n_paths + 1.0)
+        th_n, tp_n = th[..., None] * n, tp[..., None] * n
+        series = 2.0 / (math.pi * r) * np.sum(np.sin(th_n) * np.sin(tp_n), axis=-1)
         closed = np.where(near, series, closed)
     if closed.ndim == 0:
         return float(closed)
@@ -273,8 +279,9 @@ def density_semicircle(n_paths, r, theta):
             + s * np.sin(n_paths * th) ** 2
         ) / (math.pi * r * s)
     if np.any(small):
-        n = np.arange(1.0, n_paths + 1.0).reshape((-1,) + (1,) * th.ndim)
-        series = 2.0 / (math.pi * r) * np.sum(np.sin(n * th) ** 2, axis=0)
+        # frequencies on the last axis: every entry sums as a scalar call does
+        n = np.arange(1.0, n_paths + 1.0)
+        series = 2.0 / (math.pi * r) * np.sum(np.sin(th[..., None] * n) ** 2, axis=-1)
         closed = np.where(small, series, closed)
     if closed.ndim == 0:
         return float(closed)
@@ -282,13 +289,12 @@ def density_semicircle(n_paths, r, theta):
 
 
 def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
-    """Two-point correlation function on the arcs.
+    """Two-point correlation function on the arcs, rho rho' - K(w, w') K(w', w).
 
-    Equal radii: rho rho' - K^2 with the closed-form equal-radius kernel.
-    Distinct radii: rho rho' + (4 / (pi^2 r r')) S_fin S_tail, where S_fin is
-    the finite kernel sum from the inner point to the outer and S_tail the
-    truncated tail sum back.  theta_prime may be an array in the equal-radius
-    case.
+    Equal radii use the closed-form equal-radius kernel and carry bound 0.
+    Distinct radii take both kernels from kernel_semicircle; one of them is
+    a truncated tail, and the bound |K| b' + |K'| b + b b' covers each
+    returned entry.  Angles broadcast.  Returns TailBoundedValue.
     """
     _check_paths(n_paths)
     _check_radius(r)
@@ -297,31 +303,12 @@ def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     rho_p = density_semicircle(n_paths, r_prime, theta_prime)
     if r == r_prime:
         k = kernel_semicircle_equal_radius(n_paths, r, theta, theta_prime)
-        return rho * rho_p - k * k
-    if r < r_prime:
-        x_lo, t_lo, x_hi, t_hi = math.log(r), theta, math.log(r_prime), theta_prime
-    else:
-        x_lo, t_lo, x_hi, t_hi = math.log(r_prime), theta_prime, math.log(r), theta
-    gap = x_hi - x_lo
-    if gap < pol.min_gap:
-        raise PrecisionError(f"radius gap {gap:.3g} below policy min_gap")
-    n = np.arange(1, n_paths + 1)
-    s_fin = float(
-        sinh_ratio(n, x_hi, x_lo) @ (np.sin(n * t_lo) * np.sin(n * t_hi))
-    )
-    q = math.exp(-gap)
-    c = 1.0 / -math.expm1(-2.0 * x_hi)
-    n0 = max(n_paths, int(math.ceil(math.log(c / (pol.tol * (1.0 - q))) / gap)) - 1)
-    if n0 > pol.n_max:
-        raise TruncationError(
-            f"two-point tail needs {n0} terms, budget {pol.n_max}",
-            achieved=c * q ** (pol.n_max + 1) / (1.0 - q),
-        )
-    n = np.arange(n_paths + 1, n0 + 1)
-    s_tail = float(
-        sinh_ratio(n, x_lo, x_hi) @ (np.sin(n * t_lo) * np.sin(n * t_hi))
-    )
-    return rho * rho_p + 4.0 / (math.pi**2 * r * r_prime) * s_fin * s_tail
+        return TailBoundedValue(rho * rho_p - k * k, 0.0)
+    k12 = kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime)
+    k21 = kernel_semicircle(pol, n_paths, r_prime, theta_prime, r, theta)
+    value = rho * rho_p - k12.value * k21.value
+    bound = abs(k12.value) * k21.bound + abs(k21.value) * k12.bound + k12.bound * k21.bound
+    return TailBoundedValue(value, bound)
 
 
 # --- large-N limit --------------------------------------------------------------

@@ -28,7 +28,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError
-from .numerics import _ordered_minor_sums, ordered_minor_sum
+from .numerics import _ordered_minor_sums, block_rows, ordered_minor_sum
 from .passage_densities import _boundary_det_grid, _norm_inner_grid, norm_boundary
 from .rect_kernels import RectConfig, boundary_poisson_rect
 
@@ -163,13 +163,16 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
     combos = np.array(
         list(itertools.combinations(range(strip.rows), n_paths)), dtype=int
     )
-    left = np.linalg.det(np.swapaxes(lm[:, combos], 0, 1))
-    if ends is None:
-        right = _ordered_minor_sums(rm[combos])
-    else:
-        right = np.linalg.det(rm[combos[:, :, None], cols[None, None, :]])
     out = np.zeros((strip.rows,) * n_paths)
-    out[tuple(combos.T)] = left * right / norm
+    step = block_rows(strip.rows * n_paths)
+    for start in range(0, len(combos), step):
+        block = combos[start : start + step]
+        left = np.linalg.det(np.swapaxes(lm[:, block], 0, 1))
+        if ends is None:
+            right = _ordered_minor_sums(rm[block])
+        else:
+            right = np.linalg.det(rm[block[:, :, None], cols[None, None, :]])
+        out[tuple(block.T)] = left * right / norm
     return out
 
 

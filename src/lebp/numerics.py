@@ -59,6 +59,17 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 
+# entries (8 MB) of one working array in the blocked evaluators: sine
+# series, sine sign kernel rows, free-end minor sums.  It bounds memory; the
+# series and minor sums return the same bits at any value.  The graded
+# Pfaffian of a block of combos holds about five such arrays at once
+BLOCK_ENTRIES = 1_000_000
+
+
+def block_rows(width):
+    """Rows of `width` entries that fit in one block of BLOCK_ENTRIES (at least 1)."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
+
 
 @dataclass(frozen=True)
 class QuadratureRule:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import graded_pfaffian, pfaffian, poly_geom_tail
+from .numerics import block_rows, graded_pfaffian, pfaffian, poly_geom_tail
 from .rect_kernels import (
     RectConfig,
     WeylPoint,
@@ -90,11 +90,11 @@ def _sine_integrals(m):
 
 def _apply_sine_sign(q):
     """S @ q along axis -2, S the (K, K) sine sign kernel for frequencies
-    1..K; S is built in row blocks of at most ~4e6 entries."""
+    1..K; S is built in row blocks of at most BLOCK_ENTRIES entries."""
     k = q.shape[-2]
     freqs = np.arange(1, k + 1)
     out = np.empty(q.shape)
-    step = max(1, int(4e6 // k))
+    step = block_rows(k)
     for start in range(0, k, step):
         rows = freqs[start : start + step, None]
         out[..., start : start + step, :] = _sine_sign_kernel(rows, freqs[None, :]) @ q

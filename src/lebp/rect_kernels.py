@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import TailBoundedValue, det_lu, poly_geom_tail, sinh_ratio
+from .numerics import TailBoundedValue, block_rows, det_lu, poly_geom_tail, sinh_ratio
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -76,24 +76,26 @@ def _check_angles(*arrays):
 
 
 def _sine_series(coeffs, theta, rho):
-    """sum_n coeffs[n-1] * sin(n*theta) * sin(n*rho), broadcast over angles."""
+    """sum_n coeffs[n-1] * sin(n*theta) * sin(n*rho), broadcast over angles.
+
+    Each point's whole series is one contiguous dot product over a
+    (points x terms) block, chunked over points, so an entry has the same
+    bits however many other points share the call.
+    """
     th, rh = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(rho, dtype=float)
     )
     _check_angles(th, rh)
-    shape = th.shape
     ft = th.reshape(-1)
     fr = rh.reshape(-1)
-    total = np.zeros(ft.size)
-    n_terms = coeffs.size
-    # chunk the frequency axis so huge series at many points stay in memory
-    chunk = max(1, int(4e6 // max(1, ft.size)))
-    for start in range(0, n_terms, chunk):
-        n = np.arange(start + 1, min(start + chunk, n_terms) + 1)
-        block = np.sin(np.outer(n, ft))
-        block *= np.sin(np.outer(n, fr))
-        total += coeffs[start : start + n.size] @ block
-    out = total.reshape(shape)
+    n = np.arange(1, coeffs.size + 1)
+    total = np.empty(ft.size)
+    step = block_rows(coeffs.size)
+    for start in range(0, ft.size, step):
+        block = np.sin(np.outer(ft[start : start + step], n))
+        block *= np.sin(np.outer(fr[start : start + step], n))
+        total[start : start + step] = np.vecdot(block, coeffs)
+    out = total.reshape(th.shape)
     if out.ndim == 0:
         return float(out)
     return out

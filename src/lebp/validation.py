@@ -339,7 +339,7 @@ def check_figure_shapes(pol=DEFAULT_POLICY):
     inner = rho[1:-1]
     ridges = int(np.sum((inner > rho[:-2]) & (inner > rho[2:])))
 
-    g2 = two_point_semicircle(pol, 5, 4.0, math.pi / 2, 4.0, th)
+    g2 = two_point_semicircle(pol, 5, 4.0, math.pi / 2, 4.0, th).value
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
 
@@ -347,7 +347,7 @@ def check_figure_shapes(pol=DEFAULT_POLICY):
         abs(
             two_point_semicircle(
                 pol, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
-            )
+            ).value
         )
         for sign in (1.0, -1.0)
     )

@@ -2,6 +2,7 @@
 determinism, manifest replay, figure data properties, and exit codes."""
 
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -10,8 +11,14 @@ import numpy as np
 import pytest
 from contextlib import redirect_stderr, redirect_stdout
 
-from lebp.cli import UsageError, main, parse_grid, parse_pi_literal
-from lebp.correlation import pdf_special_start, two_point_semicircle
+from lebp import numerics
+from lebp.cli import UsageError, _fmt, main, parse_grid, parse_pi_literal
+from lebp.correlation import (
+    kernel_semicircle,
+    kernel_strip,
+    pdf_special_start,
+    two_point_semicircle,
+)
 from lebp.numerics import DEFAULT_POLICY as POL
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,7 +135,7 @@ def test_two_point_equal_and_cross_radius():
     assert code == 0
     _, rows = rows_of(out)
     assert float(rows[0][4]) == pytest.approx(
-        two_point_semicircle(POL, 3, 2.0, 1.0, 2.0, 2.0), rel=1e-14
+        two_point_semicircle(POL, 3, 2.0, 1.0, 2.0, 2.0).value, rel=1e-14
     )
     assert float(rows[0][5]) == 0.0
 
@@ -137,8 +144,8 @@ def test_two_point_equal_and_cross_radius():
     )
     assert code == 0
     _, rows = rows_of(out)
-    # 40-digit reference for the product route; the determinant assembly
-    # emitted here must agree to well inside its own tail bound
+    # 40-digit reference; the kernel determinant emitted here must agree to
+    # well inside its own tail bound
     assert float(rows[0][4]) == pytest.approx(0.1565720742434987580453, rel=1e-12)
     assert 0.0 < float(rows[0][5]) < 1e-12
 
@@ -262,13 +269,57 @@ def test_figure_10_snaps_probe_radius():
 # --- determinism and manifests -------------------------------------------------------
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
-    args = ["kernel", "--domain", "strip", "--N", "2", "--x", "0.3:1.1:4",
-            "--theta", "0.5:2.5:3", "--xp", "1.5", "--thetap", "1.1"]
-    _, base, _ = run_cli(args)
-    monkeypatch.setenv("LEBP_THREADS", "4")
-    _, threaded, _ = run_cli(args)
-    assert threaded == base
+def _scalar_grid_rows(grids, evaluate):
+    rows = []
+    for a, b, c, d in itertools.product(*(parse_grid(g, "grid") for g in grids)):
+        value, bound = evaluate(float(a), float(b), float(c), float(d))
+        rows.append(",".join(map(_fmt, (a, b, c, d, value, bound))))
+    return rows
+
+
+def test_grid_output_is_scalar_library_calls(monkeypatch):
+    # every grid row is what the per-point library call prints, and the
+    # output does not depend on how the series are blocked
+    strip = ("0.4:1.4:3", "0.2:2.9:4", "0.9", "0.3:3.0:5")  # x <, = and > x'
+    semi = ("1.5:3:3", "0.2:2.9:4", "2", "0.3:3.0:5")
+    pair = ("2:3:2", "0.2:2.9:4", "2", "0.3:3.0:5")  # equal and distinct radii
+    cases = [
+        (["kernel", "--domain", "strip", "--N", "3"], ("--x", "--theta", "--xp", "--thetap"),
+         strip, lambda *p: kernel_strip(POL, 3, *p)),
+        (["kernel", "--domain", "semicircle", "--N", "4"], ("--r", "--theta", "--rp", "--thetap"),
+         semi, lambda *p: kernel_semicircle(POL, 4, *p)),
+        (["two-point", "--N", "4"], ("--r", "--theta", "--rp", "--thetap"),
+         pair, lambda *p: two_point_semicircle(POL, 4, *p)),
+    ]
+    outputs = []
+    for head, flags, grids, evaluate in cases:
+        args = head + [x for f, g in zip(flags, grids) for x in (f, g)]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        assert out.split("\n")[1:-1] == _scalar_grid_rows(grids, evaluate)
+        outputs.append((args, out))
+
+    code, fig10, _ = run_cli(["figure", "--id", "10"])
+    assert code == 0
+    _, rows = rows_of(fig10)
+    radii = np.linspace(1.05, 4.0, 60)
+    radii = np.where(np.abs(np.log(radii / 2.0)) < POL.min_gap, 2.0, radii)
+    thetas = np.linspace(0.0, math.pi, 121)
+    probed = 0
+    for i, r in enumerate(radii.tolist()):
+        if i % 6 and r != 2.0:
+            continue
+        for row, th in zip(rows[121 * i : 121 * (i + 1)], thetas.tolist()):
+            value, bound = two_point_semicircle(POL, 3, 2.0, math.pi / 2, r, th)
+            want = [_fmt(r * math.cos(th)), _fmt(r * math.sin(th)), _fmt(value), _fmt(bound)]
+            assert row == want
+            probed += 1
+    assert probed == 121 * 11
+    outputs.append((["figure", "--id", "10"], fig10))
+
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 7)
+    for args, out in outputs:
+        assert run_cli(args)[1] == out
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -96,6 +96,17 @@ def test_kernel_angle_broadcast():
         assert got[i] == kernel_strip(POL, 3, 0.6, float(t), 1.1, 1.9).value
 
 
+def test_kernel_tail_grid_matches_scalar_calls_bitwise():
+    # x > x' with a 0.05 gap: a tail of several hundred terms
+    theta = np.linspace(0.05, 3.05, 13)
+    theta_p = np.linspace(0.1, 3.0, 17)
+    got = kernel_strip(POL, 3, 1.05, theta[:, None], 1.0, theta_p[None, :])
+    assert got.value.shape == (13, 17) and got.bound > 0.0
+    for i, t in enumerate(theta):
+        for j, tp in enumerate(theta_p):
+            assert got.value[i, j] == kernel_strip(POL, 3, 1.05, float(t), 1.0, float(tp)).value
+
+
 def test_kernel_trace_counts_paths():
     for n in (1, 2, 5):
         diag = kernel_strip(POL, n, 0.7, RULE.nodes, 0.7, RULE.nodes).value
@@ -145,6 +156,21 @@ def test_corr_strip_matches_explicit_determinant():
     k = lambda xa, ta, xb, tb: kernel_strip(POL, 2, xa, ta, xb, tb).value
     det = k(x1, t1, x1, t1) * k(x2, t2, x2, t2) - k(x1, t1, x2, t2) * k(x2, t2, x1, t1)
     assert got == pytest.approx(det, rel=1e-12)
+
+
+def test_corr_strip_matrix_matches_scalar_construction(monkeypatch):
+    import lebp.correlation as correlation
+
+    seen = []
+    monkeypatch.setattr(correlation, "det_lu", lambda m: seen.append(m) or 0.0)
+    cuts = [0.6, 1.1, 0.6, 0.9]
+    angle_lists = [[0.4, 2.0], [1.3], [2.7, 0.9, 1.8], [1.1, 2.2]]
+    corr_strip(POL, 3, cuts, angle_lists)
+    points = [(x, t) for x, angles in zip(cuts, angle_lists) for t in angles]
+    want = np.array(
+        [[kernel_strip(POL, 3, xi, ti, xj, tj).value for xj, tj in points] for xi, ti in points]
+    )
+    assert np.array_equal(seen[0], want)
 
 
 def test_corr_strip_repeated_point_vanishes():
@@ -342,6 +368,18 @@ def test_equal_radius_diagonal_switch():
     assert near == pytest.approx(diag, rel=1e-7)
 
 
+def test_series_branches_match_scalar_calls_bitwise():
+    # the near-diagonal and small-angle sums, with enough paths (9) that a
+    # sum over the wrong axis would change the last bits
+    th = np.concatenate([np.linspace(0.0, 9e-4, 7), np.linspace(1.0, 1.0 + 1e-7, 5), [math.pi]])
+    dens = density_semicircle(9, 2.0, th)
+    kern = kernel_semicircle_equal_radius(9, 2.0, th[:, None], th[None, :])
+    for i, t in enumerate(th.tolist()):
+        assert dens[i] == density_semicircle(9, 2.0, t)
+        for j, tp in enumerate(th.tolist()):
+            assert kern[i, j] == kernel_semicircle_equal_radius(9, 2.0, t, tp)
+
+
 def test_density_matches_kernel_diagonal():
     for n in (1, 3, 7):
         for th in (0.4, 1.234, 2.8):
@@ -398,29 +436,29 @@ def test_two_point_matches_kernel_determinant():
             kernel_semicircle(POL, n, r, th, rp, tp).value
             * kernel_semicircle(POL, n, rp, tp, r, th).value
         )
-        got = two_point_semicircle(POL, n, r, th, rp, tp)
+        got = two_point_semicircle(POL, n, r, th, rp, tp).value
         assert got == pytest.approx(det, abs=1e-10)
-        swapped = two_point_semicircle(POL, n, rp, tp, r, th)
+        swapped = two_point_semicircle(POL, n, rp, tp, r, th).value
         assert got == pytest.approx(swapped, rel=1e-12)
 
 
 def test_two_point_frozen_oracle():
     # 40-digit reference: N=3, (r, theta) = (2, 1), (r', theta') = (3, 2)
-    got = two_point_semicircle(POL, 3, 2.0, 1.0, 3.0, 2.0)
+    got = two_point_semicircle(POL, 3, 2.0, 1.0, 3.0, 2.0).value
     assert math.isclose(got, 0.1565720742434987580453, rel_tol=1e-11)
 
 
 def test_two_point_repulsion_peaks():
     # five paths, probe at i*4: four peaks left for the other four paths
     tp = np.linspace(0.0, math.pi, 4001)
-    g2 = two_point_semicircle(POL, 5, 4.0, math.pi / 2, 4.0, tp)
+    g2 = two_point_semicircle(POL, 5, 4.0, math.pi / 2, 4.0, tp).value
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
     assert peaks == 4
     for sign in (+1.0, -1.0):
         near = two_point_semicircle(
             POL, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
-        )
+        ).value
         assert abs(near) < 1e-6
 
 

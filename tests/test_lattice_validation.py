@@ -183,6 +183,17 @@ def test_density_normalization_and_sign():
     assert swapped.sum() == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_density_combo_blocks_do_not_change_bits(monkeypatch):
+    # the benchmark shape: 31 rows, cut 16, three paths, one block by default
+    strip = LatticeStrip(31, 31)
+    for ends in (None, (5, 17, 29)):
+        whole = discrete_first_passage_density(strip, 3, 16, (7, 15, 26), ends)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "BLOCK_ENTRIES", 31 * 3 * 97)
+            blocked = discrete_first_passage_density(strip, 3, 16, (7, 15, 26), ends)
+        assert np.array_equal(blocked, whole)
+
+
 def test_density_rejects_degenerate_input():
     strip = LatticeStrip(15, 15)
     with pytest.raises(DomainError):

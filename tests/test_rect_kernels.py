@@ -60,6 +60,23 @@ def test_poisson_rect_broadcasts():
     assert abs(out.value[2, 5] - single) < 1e-15
 
 
+def test_matrix_grids_match_scalar_calls_bitwise():
+    # a broadcast grid returns the scalar call's bits at every entry, on
+    # series of a few hundred terms
+    th = np.linspace(0.05, 3.0, 9)
+    rho = np.linspace(0.2, 3.1, 11)
+    grids = [
+        (poisson_rect, (RectConfig(2.0), POL, 1.9)),
+        (boundary_poisson_rect, (RectConfig(0.3), POL)),
+    ]
+    for kernel, args in grids:
+        got = kernel(*args, th[:, None], rho[None, :]).value
+        assert got.shape == (9, 11)
+        for i, t in enumerate(th):
+            for j, r in enumerate(rho):
+                assert got[i, j] == kernel(*args, float(t), float(r)).value
+
+
 def test_poisson_rect_domain_checks():
     cfg = RectConfig(2.0)
     with pytest.raises(DomainError):
