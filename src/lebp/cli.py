@@ -57,13 +57,8 @@ from .passage_densities import (
     pdf_first_passage,
     pdf_first_passage_finite,
 )
-from .rect_kernels import (
-    RectConfig,
-    boundary_poisson_rect,
-    crossing_decay_rate,
-    fomin_expansion,
-)
-from .validation import SUITES, suite_report
+from .rect_kernels import CROSSING_CASES, RectConfig, crossing_decay_rate, crossing_exponent_fit
+from .validation import QUADRATURE_ORDERS, SUITES, suite_report
 
 
 class UsageError(Exception):
@@ -345,22 +340,15 @@ def _cmd_fomin_check(ns, stream):
     return 0 if diff <= bound else 1
 
 
-_CROSSING_DEFAULTS = {
-    2: ((1.0, 2.0), (1.2, 1.9)),
-    3: ((0.8, 1.6, 2.4), (0.9, 1.7, 2.5)),
-}
-
-
 def _cmd_crossing(ns, stream):
-    pol = _policy_from(ns)
     n_paths = _parse_int(ns.paths, "--paths")
     if ns.phi is None or ns.rho is None:
-        if n_paths not in _CROSSING_DEFAULTS:
+        if n_paths not in CROSSING_CASES:
             raise UsageError(
                 "built-in start/end angles exist only for --paths 2 or 3;"
                 " give --phi and --rho explicitly"
             )
-        phi, rho = _CROSSING_DEFAULTS[n_paths]
+        phi, rho = CROSSING_CASES[n_paths]
     else:
         phi = parse_tuple(ns.phi, "--phi")
         rho = parse_tuple(ns.rho, "--rho")
@@ -370,15 +358,7 @@ def _cmd_crossing(ns, stream):
     if len(lengths) < 2:
         raise UsageError("--lengths needs at least two rectangle lengths to fit a slope")
     cap = _parse_int(ns.cap, "--cap")
-    ratios = []
-    for length in lengths:
-        cfg = RectConfig(float(length))
-        ratio = fomin_expansion(cfg, phi, rho, cap).value
-        for p, r in zip(phi, rho):
-            ratio /= boundary_poisson_rect(cfg, pol, p, r).value
-        ratios.append(ratio)
-    logs = np.log(np.array(ratios))
-    slope = -float(np.polyfit(np.array(lengths), logs, 1)[0])
+    ratios, slope = crossing_exponent_fit(phi, rho, lengths, cap)
     target = float(crossing_decay_rate(n_paths))
     rel = abs(slope - target) / target
     rows = [
@@ -390,7 +370,7 @@ def _cmd_crossing(ns, stream):
             _fmt(target),
             _fmt(rel),
         ]
-        for length, ratio in zip(lengths, ratios)
+        for length, ratio in zip(lengths, ratios.tolist())
     ]
     _write_csv(
         stream,
@@ -486,24 +466,11 @@ _HANDLERS = {
     "validate": _cmd_validate,
 }
 
-# orders of the fixed quadrature rules each subcommand relies on (recorded
-# in manifests; everything else is series evaluation with explicit bounds)
-_ORDERS = {
-    "validate": {
-        "composition": 200,
-        "marginal": 200,
-        "rectangle_mass": 64,
-        "midpoint_mass": 120,
-        "joint_mass": 48,
-    }
-}
-
 _POLICY_COMMANDS = {
     "kernel",
     "two-point",
     "pdf",
     "joint-pdf",
-    "crossing-exponent",
     "lattice-validate",
     "figure",
     "validate",
@@ -582,7 +549,7 @@ def build_parser():
     p.add_argument("--phi", default=None, help="comma tuple of start angles")
     p.add_argument("--rho", default=None, help="comma tuple of end angles")
     p.add_argument("--cap", default="8", help="partition expansion cap")
-    _add_common(p, policy=True)
+    _add_common(p, policy=False)
 
     p = sub.add_parser("lattice-validate", help="random-walk refinement table")
     p.add_argument("--levels", default="15,31,63", help="comma tuple of strip heights")
@@ -615,7 +582,7 @@ def _manifest_payload(ns):
         "version": __version__,
         "subcommand": ns.subcommand,
         "arguments": arguments,
-        "orders": _ORDERS.get(ns.subcommand, {}),
+        "orders": dict(QUADRATURE_ORDERS) if ns.subcommand == "validate" else {},
         "output": ns.output,
     }
     if ns.subcommand in _POLICY_COMMANDS:

@@ -5,16 +5,15 @@ boundary vertices, where walks stop on arrival.  The weight of a walk is the
 product of its edge weights, the walk matrix entry W(a, b) is the sum of walk
 weights over all walks from a to b, and minors of W built from boundary
 vertices equal sums over tuples of walks whose earlier loop erasures avoid all
-later walks (Fomin's identity).  This module evaluates both sides: W via
-linear solves, the combinatorial side by explicit enumeration with a certified
-bound on the truncated-away mass.
+later walks (Fomin's identity).  This module evaluates both sides: W as one
+cached linear solve over all vertices, the combinatorial side by explicit
+enumeration with a certified bound on the truncated-away mass.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DomainError, EnumerationBudgetError
 from .numerics import det_lu
@@ -72,24 +71,21 @@ class Network:
             out[tail].append((head, weight))
         self.out_edges = {v: tuple(lst) for v, lst in out.items()}
 
-        n_int = len(interior)
-        q = np.zeros((n_int, n_int))
-        r = np.zeros((n_int, len(boundary)))
-        for v in interior:
-            i = self._int_index[v]
-            for head, weight in self.out_edges[v]:
-                if head in self._int_index:
-                    q[i, self._int_index[head]] = weight
-                else:
-                    r[i, self._bnd_index[head]] = weight
-        self._q = q
-        self._r = r
-        self._green_lu = None
+        # one step matrix over all vertices, boundary out-edges included
+        p = np.zeros((vertex_count, vertex_count))
+        for tail, lst in self.out_edges.items():
+            for head, weight in lst:
+                p[tail, head] = weight
+        self._p = p
+        self._interior_mask = np.zeros(vertex_count)
+        self._interior_mask[list(interior)] = 1.0
+        self._walk = None
 
-        if n_int:
+        if interior:
             # power iteration on I + Q keeps the vector strictly positive, so
             # max((v + Qv) / v) - 1 is a rigorous upper bound for rho(Q)
-            v = np.ones(n_int)
+            q = p[np.ix_(interior, interior)]
+            v = np.ones(len(interior))
             for _ in range(_POWER_ITERATIONS):
                 v2 = v + q @ v
                 v = v2 / v2.max()
@@ -112,21 +108,19 @@ class Network:
     def is_interior(self, v):
         return v in self._int_index
 
-    def _green_solve(self, rhs):
-        if self._green_lu is None:
-            n = len(self.interior)
-            self._green_lu = lu_factor(np.eye(n) - self._q)
-        return lu_solve(self._green_lu, rhs)
+    def walk_matrix(self):
+        """W = I + P (I - D P)^{-1} over all vertices, computed once and cached.
 
-    def _green_row(self, a):
-        """Row a of (I - Q)^{-1}, i.e. walk weights from interior a to each interior vertex."""
-        n = len(self.interior)
-        e = np.zeros(n)
-        e[self._int_index[a]] = 1.0
-        # (I - Q) is not symmetric in general; the row needs the transpose solve
-        if self._green_lu is None:
-            self._green_solve(e)
-        return lu_solve(self._green_lu, e, trans=1)
+        P is the step matrix and D the interior indicator: every step but the
+        last lands in the interior.  By push-through, P (I - D P)^{-1} equals
+        (I - P D)^{-1} P, one linear solve.
+        """
+        if self._walk is None:
+            eye = np.eye(self.vertex_count)
+            walk = eye + np.linalg.solve(eye - self._p * self._interior_mask, self._p)
+            walk.setflags(write=False)
+            self._walk = walk
+        return self._walk
 
 
 @dataclass(frozen=True)
@@ -166,31 +160,14 @@ def _as_boundary_tuple(ab):
 def walk_green(net, a, b):
     """Total weight of walks from a to b (absorbing at the boundary).
 
-    Interior-to-interior entries are Green function values (I - Q)^{-1}[a, b],
-    including the empty walk when a == b.  Walks from a boundary vertex leave
-    through its out-edges on the first step; walks reaching a boundary vertex
-    stop there.
+    Entry W[a, b] of the cached walk matrix: the empty walk when a == b, and
+    every walk whose intermediate vertices are interior.  Walks from a
+    boundary vertex leave through its out-edges on the first step; walks
+    reaching a boundary vertex stop there.
     """
     if not (0 <= a < net.vertex_count and 0 <= b < net.vertex_count):
         raise DomainError("vertex id out of range")
-    a_int, b_int = net.is_interior(a), net.is_interior(b)
-    n = len(net.interior)
-    if a_int and b_int:
-        e = np.zeros(n)
-        e[net._int_index[b]] = 1.0
-        return float(net._green_solve(e)[net._int_index[a]])
-    if a_int and not b_int:
-        row = net._green_row(a)
-        return float(row @ net._r[:, net._bnd_index[b]])
-    # a is a boundary start: sum over first steps; walk_green(head, b) already
-    # counts the empty walk when head == b is interior
-    total = 1.0 if a == b else 0.0
-    for head, weight in net.out_edges.get(a, ()):
-        if net.is_interior(head):
-            total += weight * walk_green(net, head, b)
-        elif head == b:
-            total += weight  # one-step walk, absorbed at b
-    return total
+    return float(net.walk_matrix()[a, b])
 
 
 def loop_erase(walk):
@@ -234,46 +211,20 @@ def _truncated_walk_sum(net, a, b, max_len, forbidden=frozenset()):
     `forbidden` vertices entirely (a and b must not be forbidden)."""
     if a in forbidden or b in forbidden:
         raise DomainError("walk endpoints may not be forbidden")
-    n = len(net.interior)
-    mask = np.ones(n)
-    for v in forbidden:
-        if net.is_interior(v):
-            mask[net._int_index[v]] = 0.0
-    b_int = net.is_interior(b)
-    b_idx = net._int_index[b] if b_int else None
-    r_col = None if b_int else net._r[:, net._bnd_index[b]]
-
+    allowed = np.ones(net.vertex_count)
+    allowed[list(forbidden)] = 0.0
     total = 1.0 if a == b else 0.0  # the empty walk
-    cur = np.zeros(n)  # masked distribution of walk endpoints over the interior
-    steps_left = max_len
-    if net.is_interior(a):
-        cur[net._int_index[a]] = 1.0
-    else:
-        if steps_left < 1:
-            return total
-        # explicit first step out of the boundary start
-        for head, weight in net.out_edges.get(a, ()):
-            if head in forbidden:
-                continue
-            if head == b:
-                total += weight
-            if net.is_interior(head):
-                # mass at an interior b stays live so longer walks through b
-                # continue correctly; the length-1 arrival was counted above
-                cur[net._int_index[head]] += weight
-        steps_left -= 1
-
-    for _ in range(steps_left):
-        if not b_int:
-            total += float(cur @ r_col)
-        cur = net._q.T @ cur
-        cur *= mask
-        if b_int:
-            total += float(cur[b_idx])
-    return total
+    cur = np.zeros(net.vertex_count)  # weights of live walks by endpoint
+    cur[a] = 1.0
+    for _ in range(max_len):
+        cur = (cur @ net._p) * allowed
+        total += cur[b]
+        # walks at the boundary are absorbed; an interior b stays live
+        cur *= net._interior_mask
+    return float(total)
 
 
-def _walk_tail_bound(net, a, b, max_len, forbidden=frozenset()):
+def _walk_tail_bound(net, a, b, max_len):
     """Certified upper bound on the total weight of walks a -> b longer than
     max_len.  Exact discarded mass of the unconstrained walk sum; dropping the
     avoidance constraint only enlarges it, so it also covers constrained walks."""
@@ -291,8 +242,7 @@ def fomin_det(net, ab):
     """
     ab = _as_boundary_tuple(ab)
     ab.validate(net)
-    m = np.array([[walk_green(net, a, b) for b in ab.b] for a in ab.a])
-    return det_lu(m)
+    return det_lu(net.walk_matrix()[np.ix_(ab.a, ab.b)])
 
 
 def _walks_to_boundary(net, a, b, max_len, forbidden, budget, handle):

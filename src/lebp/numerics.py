@@ -116,9 +116,10 @@ def gauss_legendre(order, a=0.0, b=math.pi):
 def chamber_integrate(f, rule, ndim):
     """Integrate a symmetric function over the ordered chamber 0 < t_1 < ... < t_ndim < b.
 
-    The integrand is evaluated on the full tensor-product grid and the cube
-    integral is divided by ndim!; the two agree exactly when f is invariant
-    under coordinate permutations (the only supported use).
+    The integrand is evaluated on the full tensor-product grid, in blocks of
+    block_rows(ndim) points, and the cube integral is divided by ndim!; the
+    two agree exactly when f is invariant under coordinate permutations (the
+    only supported use).
 
     Parameters
     ----------
@@ -131,15 +132,19 @@ def chamber_integrate(f, rule, ndim):
     """
     if ndim < 1:
         raise DomainError("ndim must be at least 1")
-    grids = np.meshgrid(*([rule.nodes] * ndim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wt = rule.weights
-    for _ in range(ndim - 1):
-        wt = np.multiply.outer(wt, rule.weights)
-    vals = np.asarray(f(pts), dtype=float).ravel()
-    if vals.shape != (pts.shape[0],):
-        raise DomainError("integrand must return one value per point")
-    return float(wt.ravel() @ vals) / math.factorial(ndim)
+    shape = (rule.order,) * ndim
+    count = rule.order**ndim
+    step = block_rows(ndim)
+    total = 0.0
+    for start in range(0, count, step):
+        idx = np.unravel_index(np.arange(start, min(start + step, count)), shape)
+        pts = np.stack([rule.nodes[i] for i in idx], axis=-1)
+        wt = np.prod([rule.weights[i] for i in idx], axis=0)
+        vals = np.asarray(f(pts), dtype=float).ravel()
+        if vals.shape != (pts.shape[0],):
+            raise DomainError("integrand must return one value per point")
+        total += float(wt @ vals)
+    return total / math.factorial(ndim)
 
 
 def det_lu(a):

@@ -270,22 +270,40 @@ def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
     return TailBoundedValue(total, bound)
 
 
-def crossing_ratio(cfg, pol, phi, rho):
+def crossing_ratio(cfg, phi, rho, partition_cap=8):
     """Boundary determinant divided by the product of its diagonal entries.
 
     Measures the cost of keeping N paths mutually avoiding: decays like
-    exp(-N(N-1)/2 * L) as the rectangle stretches.
+    exp(-N(N-1)/2 * L) as the rectangle stretches.  Numerator and diagonal
+    entries are all partition expansions with the same cap, so the ratio
+    keeps its relative accuracy where the plain determinant cancels.
     """
     phi, rho = as_weyl(phi), as_weyl(rho)
-    if phi.n != rho.n:
-        raise DomainError("phi and rho must have equal length")
-    num = fomin_boundary_det(cfg, pol, phi, rho)
+    num = fomin_expansion(cfg, phi, rho, partition_cap).value
     den = 1.0
     for p, r in zip(phi.angles, rho.angles):
-        den *= boundary_poisson_rect(cfg, pol, float(p), float(r)).value
+        den *= fomin_expansion(cfg, (p,), (r,), partition_cap).value
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
     return num / den
+
+
+# start and end angles of the built-in crossing fits, by number of paths
+CROSSING_CASES = {
+    2: ((1.0, 2.0), (1.2, 1.9)),
+    3: ((0.8, 1.6, 2.4), (0.9, 1.7, 2.5)),
+}
+
+
+def crossing_exponent_fit(phi, rho, lengths, partition_cap=8):
+    """Crossing ratios at each rectangle length and the decay exponent
+    -d log(ratio)/dL of their least-squares line; returns (ratios, slope)."""
+    lengths = np.asarray(lengths, dtype=float)
+    ratios = np.array(
+        [crossing_ratio(RectConfig(float(L)), phi, rho, partition_cap) for L in lengths]
+    )
+    slope = -float(np.polyfit(lengths, np.log(ratios), 1)[0])
+    return ratios, slope
 
 
 def crossing_decay_rate(n):

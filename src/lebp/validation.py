@@ -33,13 +33,24 @@ from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
 from .passage_densities import _boundary_det_grid, _norm_inner_grid, norm_boundary
 from .rect_kernels import (
+    CROSSING_CASES,
     RectConfig,
     boundary_poisson_rect,
     crossing_decay_rate,
-    fomin_expansion,
+    crossing_exponent_fit,
     hat_h,
     poisson_rect,
 )
+
+# orders of the fixed Gauss-Legendre rules the checks integrate with; the
+# command line records this table in every validate manifest
+QUADRATURE_ORDERS = {
+    "composition": 200,
+    "marginal": 200,
+    "rectangle_mass": 64,
+    "midpoint_mass": 120,
+    "joint_mass": 48,
+}
 
 
 @dataclass
@@ -116,7 +127,8 @@ def _semigroup_sample(seed=7, count=10):
 def check_semigroup(pol=DEFAULT_POLICY):
     """Interior and edge-start kernels composed across an intermediate cut
     reproduce the single-step kernel (quadrature over the cut)."""
-    rule = gauss_legendre(200)
+    order = QUADRATURE_ORDERS["composition"]
+    rule = gauss_legendre(order)
     nodes, weights = rule.nodes, rule.weights
     err_int = 0.0
     err_bdy = 0.0
@@ -141,13 +153,13 @@ def check_semigroup(pol=DEFAULT_POLICY):
             "interior kernel composition across a cut",
             err_int,
             1e-10,
-            f"10-point sample, 200-node quadrature, elapsed={t_int:.2f}s",
+            f"10-point sample, {order}-node quadrature, elapsed={t_int:.2f}s",
         ),
         _within(
             "edge-start kernel composition across a cut",
             err_bdy,
             1e-10,
-            f"10-point sample, 200-node quadrature, elapsed={t_bdy:.2f}s",
+            f"10-point sample, {order}-node quadrature, elapsed={t_bdy:.2f}s",
         ),
     ]
 
@@ -181,23 +193,10 @@ def check_kernel_dual(pol=DEFAULT_POLICY):
 def check_crossing_exponent(pol=DEFAULT_POLICY):
     """Least-squares slope of the log nonintersection ratio over rectangle
     lengths 6, 8, 10, 12 against the exact decay rate n(n-1)/2."""
-    lengths = np.array([6.0, 8.0, 10.0, 12.0])
-    cases = [
-        (2, (1.0, 2.0), (1.2, 1.9)),
-        (3, (0.8, 1.6, 2.4), (0.9, 1.7, 2.5)),
-    ]
+    del pol  # partition expansions only; no series policy involved
     out = []
-    for n, phi, rho in cases:
-        logs = []
-        for length in lengths:
-            cfg = RectConfig(float(length))
-            # partition expansion: free of the cancellation that sinks the
-            # naive determinant once the ratio falls below machine epsilon
-            ratio = fomin_expansion(cfg, phi, rho, 8).value
-            for p, r in zip(phi, rho):
-                ratio /= boundary_poisson_rect(cfg, pol, p, r).value
-            logs.append(math.log(ratio))
-        slope = -float(np.polyfit(lengths, np.array(logs), 1)[0])
+    for n, (phi, rho) in CROSSING_CASES.items():
+        _, slope = crossing_exponent_fit(phi, rho, (6.0, 8.0, 10.0, 12.0))
         target = float(crossing_decay_rate(n))
         rel = abs(slope - target) / target
         out.append(
@@ -222,7 +221,8 @@ def check_normalization(pol=DEFAULT_POLICY):
 
     length, x, phi = 2.0, 0.8, (0.9, 2.1)
     cfg = RectConfig(length)
-    rule = gauss_legendre(64)
+    order = QUADRATURE_ORDERS["rectangle_mass"]
+    rule = gauss_legendre(order)
     w = rule.weights
     grid = np.stack(np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), axis=-1)
     fb = _boundary_det_grid(RectConfig(x), pol, phi, grid)
@@ -235,11 +235,12 @@ def check_normalization(pol=DEFAULT_POLICY):
             "two-path density mass, finite rectangle",
             abs(mass - 1.0),
             1e-6,
-            f"length={length} cut={x} starts={phi} order=64",
+            f"length={length} cut={x} starts={phi} order={order}",
         )
     )
 
-    rule = gauss_legendre(120)
+    order = QUADRATURE_ORDERS["midpoint_mass"]
+    rule = gauss_legendre(order)
     for n in (2, 3):
         scale = 2.0 ** (n * n) / math.pi**n
 
@@ -252,13 +253,14 @@ def check_normalization(pol=DEFAULT_POLICY):
                 f"midpoint-start density mass, {n} paths",
                 abs(mass - 1.0),
                 1e-8,
-                "order=120 chamber quadrature",
+                f"order={order} chamber quadrature",
             )
         )
 
     length, x1, x2, phi = 2.0, 0.7, 1.2, (0.9, 2.0)
     cfg = RectConfig(length)
-    rule = gauss_legendre(48)
+    order = QUADRATURE_ORDERS["joint_mass"]
+    rule = gauss_legendre(order)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
     first = _boundary_det_grid(RectConfig(x1), pol, phi, grid) * np.outer(w, w)
@@ -272,7 +274,7 @@ def check_normalization(pol=DEFAULT_POLICY):
             "two-cut two-path joint mass, finite rectangle",
             abs(mass - 1.0),
             1e-4,
-            f"cuts=({x1}, {x2}) starts={phi} order=48",
+            f"cuts=({x1}, {x2}) starts={phi} order={order}",
         )
     )
     return out
@@ -281,7 +283,7 @@ def check_normalization(pol=DEFAULT_POLICY):
 def check_kernel_marginal(pol=DEFAULT_POLICY):
     """One-point function of the two-path determinantal kernel against the
     direct quadrature marginal of the midpoint-start density."""
-    rule = gauss_legendre(200)
+    rule = gauss_legendre(QUADRATURE_ORDERS["marginal"])
     worst = 0.0
     for th in (0.7, 1.3, 2.9):
         hh = math.sin(th) * np.sin(rule.nodes) * (np.cos(rule.nodes) - math.cos(th))

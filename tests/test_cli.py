@@ -20,6 +20,7 @@ from lebp.correlation import (
     two_point_semicircle,
 )
 from lebp.numerics import DEFAULT_POLICY as POL
+from lebp.rect_kernels import CROSSING_CASES, RectConfig, crossing_ratio
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -203,6 +204,25 @@ def test_crossing_exponent_fit_columns():
     assert all(r[header.index("fitted_exponent")] == rows[0][header.index("fitted_exponent")] for r in rows)
 
 
+def test_crossing_exponent_rows_are_library_ratios():
+    code, out, _ = run_cli(["crossing-exponent", "--paths", "3", "--cap", "12"])
+    assert code == 0
+    header, rows = rows_of(out)
+    phi, rho = CROSSING_CASES[3]
+    for row in rows:
+        length = float(row[header.index("length")])
+        want = crossing_ratio(RectConfig(length), phi, rho, 12)
+        assert row[header.index("ratio")] == _fmt(want)
+
+
+def test_crossing_exponent_takes_no_series_policy():
+    # the partition expansion has no series policy; its old flags are gone
+    for flag in ("--tol", "--n-max", "--min-gap"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["crossing-exponent", "--paths", "2", flag, "1"])
+        assert exc.value.code == 2
+
+
 def test_lattice_validate_ratios_fall():
     code, out, _ = run_cli(["lattice-validate", "--levels", "15,31"])
     assert code == 0
@@ -340,6 +360,25 @@ def test_manifest_roundtrip(tmp_path):
     code = main(["--manifest", str(manifest), "--output", str(replayed)])
     assert code == 0
     assert replayed.read_bytes() == first.read_bytes()
+
+
+def test_manifest_orders_are_the_orders_validate_uses(tmp_path, monkeypatch):
+    from lebp import validation
+
+    used = []
+
+    def recording_rule(order, *args):
+        used.append(order)
+        return numerics.gauss_legendre(order, *args)
+
+    monkeypatch.setattr(validation, "gauss_legendre", recording_rule)
+    manifest = tmp_path / "run.json"
+    code = main(["validate", "--suite", "all", "--output", str(tmp_path / "report.json"),
+                 "--save-manifest", str(manifest)])
+    assert code == 0
+    orders = json.loads(manifest.read_text())["orders"]
+    assert sorted(orders.values()) == sorted(used)
+    assert orders == validation.QUADRATURE_ORDERS
 
 
 def test_manifest_rejects_garbage(tmp_path):

@@ -21,6 +21,7 @@ from lebp.graph_fomin import (
     walk_green,
     walk_weight,
 )
+from lebp.numerics import det_lu
 
 
 @pytest.fixture
@@ -73,6 +74,43 @@ def test_truncated_sum_monotone_in_length(two_leg_net):
     vals = [_truncated_walk_sum(two_leg_net, 1, 0, m) for m in range(1, 30)]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert abs(vals[-1] - walk_green(two_leg_net, 1, 0)) < 1e-9
+
+
+@pytest.fixture
+def mixed_net():
+    # boundary {0, 4, 5} with boundary-to-boundary edges 0 -> 4 and 5 -> 0,
+    # an interior self-loop, and a boundary vertex (5) that steps back inside
+    edges = [
+        (0, 1, 0.4),
+        (0, 4, 0.3),
+        (1, 1, 0.1),
+        (1, 2, 0.3),
+        (1, 0, 0.2),
+        (2, 1, 0.2),
+        (2, 3, 0.3),
+        (2, 5, 0.1),
+        (3, 2, 0.25),
+        (3, 4, 0.35),
+        (5, 3, 0.5),
+        (5, 0, 0.2),
+    ]
+    return Network(6, edges, interior=[1, 2, 3], boundary=[0, 4, 5])
+
+
+def test_walk_green_matches_truncated_sum_on_mixed_network(mixed_net):
+    # every (start, target) pair, interior targets included; forbidding a
+    # boundary vertex other than the endpoints removes no walk, because a
+    # walk that reaches it is absorbed there
+    for a in range(6):
+        for b in range(6):
+            full = walk_green(mixed_net, a, b)
+            assert abs(_truncated_walk_sum(mixed_net, a, b, 400) - full) <= 1e-14 * max(1.0, full)
+            for c in set(mixed_net.boundary) - {a, b}:
+                trunc = _truncated_walk_sum(mixed_net, a, b, 400, frozenset({c}))
+                assert abs(trunc - full) <= 1e-14 * max(1.0, full), (a, b, c)
+    # the one-step boundary-to-boundary walk is the whole sum from 0 to 4
+    assert walk_green(mixed_net, 0, 4) > 0.3
+    assert _truncated_walk_sum(mixed_net, 0, 4, 1) == 0.3
 
 
 def test_walk_green_stochastic_grid_exits_sum_to_one():
@@ -262,6 +300,14 @@ def test_boundary_tuple_validation(path_net):
 
 def test_fomin_det_single_pair_is_walk_green(path_net):
     assert abs(fomin_det(path_net, ((0,), (4,))) - walk_green(path_net, 0, 4)) < 1e-14
+
+
+def test_fomin_det_is_det_of_walk_green_entries():
+    net, id_of = square_grid_network(3, 3)
+    a = (id_of[(0, -1)], id_of[(1, -1)], id_of[(2, -1)])
+    b = (id_of[(0, 3)], id_of[(1, 3)], id_of[(2, 3)])
+    explicit = det_lu(np.array([[walk_green(net, u, v) for v in b] for u in a]))
+    assert fomin_det(net, (a, b)) == explicit
 
 
 def test_fomin_det_column_swap_negates():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebp.errors import DomainError, PrecisionError
+from lebp.rect_kernels import hat_h
 from lebp.numerics import (
     QuadratureRule,
     SeriesPolicy,
@@ -84,6 +85,20 @@ def test_chamber_product_of_sines_squared():
     rule = gauss_legendre(64)
     got = chamber_integrate(lambda p: np.prod(np.sin(p) ** 2, axis=1), rule, 2)
     assert abs(got - math.pi**2 / 8) <= 1e-12
+
+
+def test_chamber_blocks_do_not_change_the_value(monkeypatch):
+    from lebp import numerics
+
+    def f(p):
+        return hat_h(p) ** 2 * np.exp(np.cos(p).sum(axis=1))
+
+    rule = gauss_legendre(16)
+    want = [chamber_integrate(f, rule, ndim) for ndim in (1, 2, 3)]
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 7)
+    got = [chamber_integrate(f, rule, ndim) for ndim in (1, 2, 3)]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
 
 
 def test_chamber_matches_monte_carlo():

@@ -261,10 +261,9 @@ def test_crossing_decay_rate_values():
 
 def test_crossing_ratio_converges_to_prefactor():
     phi, rho = WeylPoint((1.0, 2.0)), WeylPoint((1.2, 1.9))
-    pol = SeriesPolicy(tol=1e-22)
     pref = crossing_prefactor(phi, rho)
     rel = [
-        crossing_ratio(RectConfig(L), pol, phi, rho) * math.exp(L) / pref - 1.0
+        crossing_ratio(RectConfig(L), phi, rho) * math.exp(L) / pref - 1.0
         for L in (6.0, 10.0, 14.0)
     ]
     assert abs(rel[0]) > abs(rel[1]) > abs(rel[2])
@@ -272,5 +271,37 @@ def test_crossing_ratio_converges_to_prefactor():
 
 
 def test_crossing_ratio_single_path_is_one():
-    val = crossing_ratio(RectConfig(3.0), POL, (1.0,), (2.0,))
+    val = crossing_ratio(RectConfig(3.0), (1.0,), (2.0,))
     assert abs(val - 1.0) < 1e-14
+
+
+def _mp_crossing_ratio(length, phi, rho):
+    """det[H_b(phi_j, rho_k)] / prod_j H_b(phi_j, rho_j) at 40 digits, each
+    entry summed directly until its terms fall below 1e-45."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        big_l = mp.mpf(length)
+        last = int(45 * math.log(10) / length) + 10
+
+        def h_b(p, r):
+            p, r = mp.mpf(p), mp.mpf(r)
+            s = mp.fsum(
+                n * mp.sin(n * p) * mp.sin(n * r) / mp.sinh(n * big_l) for n in range(1, last + 1)
+            )
+            return 2 * s / mp.pi
+
+        m = mp.matrix([[h_b(p, r) for r in rho] for p in phi])
+        return float(mp.det(m) / mp.fprod(m[j, j] for j in range(len(phi))))
+
+
+@pytest.mark.parametrize(
+    "phi, rho", [((1.0, 2.0), (1.2, 1.9)), ((0.8, 1.6, 2.4), (0.9, 1.7, 2.5))]
+)
+def test_crossing_ratio_matches_mpmath_oracle(phi, rho):
+    # the ratio falls to 5e-14 at L = 12 (N = 3), far below the cancellation
+    # floor of a determinant of double-precision kernel values
+    for length in (6.0, 8.0, 10.0, 12.0):
+        want = _mp_crossing_ratio(length, phi, rho)
+        got = crossing_ratio(RectConfig(length), phi, rho, 12)
+        assert abs(got - want) <= 1e-13 * abs(want), (length, got, want)
