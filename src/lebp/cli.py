@@ -466,16 +466,6 @@ _HANDLERS = {
     "validate": _cmd_validate,
 }
 
-_POLICY_COMMANDS = {
-    "kernel",
-    "two-point",
-    "pdf",
-    "joint-pdf",
-    "lattice-validate",
-    "figure",
-    "validate",
-}
-
 
 def _add_common(parser, policy):
     if policy:
@@ -585,7 +575,9 @@ def _manifest_payload(ns):
         "orders": dict(QUADRATURE_ORDERS) if ns.subcommand == "validate" else {},
         "output": ns.output,
     }
-    if ns.subcommand in _POLICY_COMMANDS:
+    # a subcommand takes a series policy exactly when _add_common gave its
+    # parser the policy flags
+    if hasattr(ns, "tol"):
         pol = _policy_from(ns)
         payload["policy"] = {"tol": pol.tol, "n_max": pol.n_max, "min_gap": pol.min_gap}
     else:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError
 from .numerics import _ordered_minor_sums, block_rows, ordered_minor_sum
@@ -67,6 +65,10 @@ class LatticeStrip:
 
 @lru_cache(maxsize=32)
 def _factorization(rows, cols):
+    # imported here so that only the lattice solves load scipy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import splu
+
     n = rows * cols
     entries = [(k, k, 1.0) for k in range(n)]
     for i in range(1, cols + 1):

@@ -9,13 +9,11 @@ lattice checks) builds on these primitives.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import DomainError, PrecisionError
 
@@ -148,13 +146,15 @@ def chamber_integrate(f, rule, ndim):
 
 
 def det_lu(a):
-    """Determinant via LU with partial pivoting.
+    """Determinant via LU with partial pivoting: sign times the product of pivots.
 
-    Singular input returns exactly 0.0.  Matrices larger than 64 x 64 are
+    A zero pivot returns exactly 0.0.  Matrices larger than 64 x 64 are
     rejected; the library never needs them and the restriction keeps the
-    plain product of pivots safe from gratuitous overflow.
+    plain product of pivots safe from gratuitous overflow.  The product is
+    formed directly, never as exp(log|det|), so a tiny determinant keeps its
+    relative accuracy.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("det_lu needs a square matrix")
     n = a.shape[0]
@@ -164,14 +164,21 @@ def det_lu(a):
         raise DomainError("det_lu is limited to 64 x 64")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact singularity
-        lu, piv = lu_factor(a, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0.0
-    sign = -1.0 if (np.sum(piv != np.arange(n)) % 2) else 1.0
-    return float(sign * np.prod(diag))
+    det = 1.0
+    for k in range(n):
+        col = a[k:, k]
+        p = int(np.abs(col).argmax())
+        pivot = float(col[p])
+        if pivot == 0.0:
+            return 0.0
+        if p:
+            row = a[k + p, k:].copy()
+            a[k + p, k:] = a[k, k:]
+            a[k, k:] = row
+            det = -det
+        det *= pivot
+        a[k + 1 :, k + 1 :] -= np.multiply.outer(a[k + 1 :, k] / pivot, a[k, k + 1 :])
+    return det
 
 
 def sinh_ratio(n, num, den):

@@ -12,7 +12,16 @@ import pytest
 from contextlib import redirect_stderr, redirect_stdout
 
 from lebp import numerics
-from lebp.cli import UsageError, _fmt, main, parse_grid, parse_pi_literal
+from lebp.cli import (
+    _HANDLERS,
+    UsageError,
+    _fmt,
+    _manifest_payload,
+    build_parser,
+    main,
+    parse_grid,
+    parse_pi_literal,
+)
 from lebp.correlation import (
     kernel_semicircle,
     kernel_strip,
@@ -362,6 +371,36 @@ def test_manifest_roundtrip(tmp_path):
     assert replayed.read_bytes() == first.read_bytes()
 
 
+# the fewest arguments each subcommand parses with
+_MINIMAL_ARGV = {
+    "kernel": ["--domain", "strip", "--N", "2", "--theta", "1", "--thetap", "1"],
+    "density": ["--N", "2", "--r", "2", "--theta", "1"],
+    "two-point": ["--N", "2", "--r", "2", "--theta", "1", "--rp", "3", "--thetap", "1"],
+    "pdf": ["--theta", "1"],
+    "joint-pdf": ["--cuts", "1", "--theta", "1"],
+    "fomin-check": [],
+    "crossing-exponent": [],
+    "lattice-validate": [],
+    "figure": ["--id", "7"],
+    "validate": ["--suite", "fomin"],
+}
+
+
+def test_manifest_policy_exactly_when_the_parser_takes_tol():
+    assert set(_MINIMAL_ARGV) == set(_HANDLERS)
+    parser = build_parser()
+    for name, args in _MINIMAL_ARGV.items():
+        payload = _manifest_payload(parser.parse_args([name] + args))
+        try:
+            with redirect_stderr(io.StringIO()):
+                ns = parser.parse_args([name] + args + ["--tol", "1e-9"])
+        except SystemExit:
+            assert payload["policy"] is None, name
+        else:
+            assert payload["policy"]["tol"] == 1e-12, name
+            assert _manifest_payload(ns)["policy"]["tol"] == 1e-9, name
+
+
 def test_manifest_orders_are_the_orders_validate_uses(tmp_path, monkeypatch):
     from lebp import validation
 
@@ -399,6 +438,15 @@ def test_validate_suite_passes():
     assert report["suite"] == "crossing"
     assert report["passed"] is True
     assert all(c["measured"] <= c["tolerance"] for c in report["checks"])
+
+
+def test_validate_report_carries_elapsed():
+    # the timed checks report their wall time as a number, not in free text
+    code, out, _ = run_cli(["validate", "--suite", "fomin"])
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert isinstance(check["elapsed"], float) and check["elapsed"] > 0.0
+    assert "elapsed" not in check["detail"]
 
 
 def test_validate_failure_sets_exit_code(monkeypatch):

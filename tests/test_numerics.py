@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebp.errors import DomainError, PrecisionError
-from lebp.rect_kernels import hat_h
+from lebp.rect_kernels import _staircase_det, hat_h
 from lebp.numerics import (
     QuadratureRule,
     SeriesPolicy,
@@ -152,6 +152,50 @@ def test_det_lu_singular_returns_zero():
     assert det_lu(np.ones((3, 3))) == 0.0
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert det_lu(a) == 0.0
+
+
+def _mp_det_rel_err(got, a):
+    """|got - det a| / |det a|, with det a taken at 40 digits from the exact
+    double entries of a."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ref = mp.det(mp.matrix([[mp.mpf(float(v)) for v in row] for row in a]))
+        return float(abs(mp.mpf(got) - ref) / abs(ref))
+
+
+def test_det_lu_matches_mpmath_oracle():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 13):
+        a = rng.normal(size=(n, n))
+        assert _mp_det_rel_err(det_lu(a), a) <= 1e-14, n
+
+    # an odd row permutation flips the sign and nothing else
+    a = rng.normal(size=(6, 6))
+    perm = [3, 0, 5, 1, 4, 2]
+    assert det_lu(a[perm]) == -det_lu(a)
+    assert _mp_det_rel_err(det_lu(a[perm]), a[perm]) <= 1e-14
+
+    # eight pivots of 1e-2.5 .. 1e-4 multiply to about 1e-27: the product of
+    # pivots keeps a few ulps, where sign * exp(log|det|) loses about 2e-15
+    rng = np.random.default_rng(1)
+    d = 10.0 ** -rng.uniform(2.5, 4.0, 8)
+    a = 1e-3 * np.sqrt(np.outer(d, d)) * rng.uniform(-1.0, 1.0, (8, 8))
+    a[np.diag_indices(8)] = d
+    assert 1e-28 < det_lu(a) < 1e-26
+    assert _mp_det_rel_err(det_lu(a), a) <= 1e-15
+
+
+def test_staircase_det_at_close_angles_matches_mpmath_oracle():
+    # det[sin(m_k angle_j)] at angles 1e-3 and 1e-4 apart is ill-conditioned;
+    # LU keeps the error within n * eps * cond of the exact determinant of
+    # the rounded sine matrix
+    for angles in ([1.0, 1.001, 1.002], [1.2, 1.2001, 1.2003], [0.5, 0.51, 0.52, 0.53, 0.54]):
+        angles = np.array(angles)
+        m = np.arange(1.0, angles.size + 1)
+        mat = np.sin(np.outer(angles, m))
+        err = _mp_det_rel_err(_staircase_det(m, angles), mat)
+        assert err <= angles.size * np.finfo(float).eps * np.linalg.cond(mat), angles
 
 
 def test_det_lu_rejects_oversize_and_nonfinite():

@@ -1,0 +1,66 @@
+"""Start-up imports: the CLI and the series routes load numpy and the
+standard library only; scipy is loaded by the lattice solves and the
+validation quadrature alone.  Each check runs in a fresh interpreter,
+because the test process itself may already hold scipy."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import lebp
+
+_SRC = str(pathlib.Path(lebp.__file__).resolve().parents[1])
+
+_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import lebp.cli
+seen = {"import": scipy_modules()}
+for args in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = lebp.cli.main(args)
+    seen[args[0]] = {"code": code, "scipy": scipy_modules()}
+print(json.dumps(seen))
+"""
+
+
+def _probe(runs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_and_series_routes_import_no_scipy():
+    seen = _probe(
+        [
+            ["kernel", "--domain", "strip", "--N", "3", "--x", "0.5", "--theta", "0.4:2.4:5",
+             "--xp", "1.5", "--thetap", "1.1"],
+            ["pdf", "--x", "0.8", "--theta", "0.5,1.6,2.5", "--phi", "0.35,1.55,2.7",
+             "--L", "1.6"],
+            ["fomin-check", "--size", "3", "--paths", "2", "--max-len", "10"],
+        ]
+    )
+    assert seen.pop("import") == []
+    for name, run in seen.items():
+        assert run == {"code": 0, "scipy": []}, name
+
+
+def test_lattice_validate_still_loads_scipy_sparse():
+    seen = _probe([["lattice-validate", "--levels", "15"]])
+    assert seen["import"] == []
+    run = seen["lattice-validate"]
+    assert run["code"] == 0
+    assert "scipy.sparse" in run["scipy"]
