@@ -7,12 +7,16 @@ validation suites.
 
 Conventions
 -----------
-* Output is RFC-4180 CSV with a mandatory header row; floats are printed
-  with 17 significant digits so they round-trip exactly.  ``validate``
-  emits a JSON report instead.
+* Output is CSV with a mandatory header row; floats are printed with 17
+  significant digits so they round-trip exactly.  Handlers return
+  columns and one writer formats every CSV; no field holds a comma, a
+  quote or a newline, so none needs quoting.  ``validate`` emits a JSON
+  report instead.
 * Angle-valued flags accept rational multiples of pi ("pi/2", "3pi/4",
   "2*pi/3") as well as plain decimals; grid-valued flags accept either a
-  single literal or "start:stop:count".
+  single literal or "start:stop:count".  A literal with a zero
+  denominator or a non-finite value (inf, nan), or a grid that
+  overflows, exits 2.
 * Every CSV row whose value came from a truncated series carries a
   ``tail_bound`` column with the certified truncation bound; closed-form
   rows either omit the column or report 0.
@@ -28,7 +32,6 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -76,7 +79,9 @@ def parse_pi_literal(text):
     """Parse a number that may be a rational multiple of pi.
 
     Accepts "pi", "pi/2", "3pi/4", "2*pi/3", "-pi/6" and plain decimals;
-    the multiple is applied to math.pi in one rounding step.
+    the multiple is applied to math.pi in one rounding step.  A zero
+    denominator and a non-finite value (inf, nan, overflow) raise
+    UsageError.
     """
     s = str(text).strip()
     m = _PI_LITERAL.fullmatch(s)
@@ -84,13 +89,19 @@ def parse_pi_literal(text):
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise UsageError(
-            f"{text!r} is not a number or a rational multiple of pi (like pi/2)"
-        ) from None
+        if den == 0.0:
+            raise UsageError(f"{text!r} divides by zero")
+        value = sign * num * math.pi / den
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise UsageError(
+                f"{text!r} is not a number or a rational multiple of pi (like pi/2)"
+            ) from None
+    if not math.isfinite(value):
+        raise UsageError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_grid(text, flag):
@@ -105,7 +116,11 @@ def parse_grid(text, flag):
             raise UsageError(f"{flag}: grid count {parts[2]!r} must be an integer") from None
         if count < 1:
             raise UsageError(f"{flag}: grid count must be at least 1")
-        return np.linspace(parse_pi_literal(parts[0]), parse_pi_literal(parts[1]), count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(parse_pi_literal(parts[0]), parse_pi_literal(parts[1]), count)
+        if not np.isfinite(grid).all():
+            raise UsageError(f"{flag}: grid {text!r} overflows")
+        return grid
     raise UsageError(f"{flag}: expected a single value or start:stop:count, got {text!r}")
 
 
@@ -134,11 +149,21 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _write_csv(stream, header, rows):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _write_csv(stream, header, columns):
+    """Write the header line, then one line per row of `columns`.
+
+    A column is a numeric array, or a sequence whose cells are numbers or
+    preformatted strings (coordinates, integer fields, flags, names, an
+    empty cell); _fmt formats every numeric cell.  No field can hold a
+    comma, a quote or a newline, so no field needs RFC-4180 quoting.
+    """
+    cells = [
+        map(_fmt, c.ravel().tolist())
+        if isinstance(c, np.ndarray)
+        else [v if isinstance(v, str) else _fmt(v) for v in c]
+        for c in columns
+    ]
+    stream.write("".join(",".join(line) + "\n" for line in (header, *zip(*cells))))
 
 
 def _policy_from(ns):
@@ -151,113 +176,110 @@ def _policy_from(ns):
 
 
 # --- subcommand handlers -------------------------------------------------------------
+#
+# A CSV handler returns (header, columns), or (header, columns, exit_code);
+# main() hands them to _write_csv.
 
 
-def _pair_grid_rows(first, theta, second, theta_p, evaluate):
-    """CSV rows over first x theta x second x theta_p, in that order.
+def _names(prefix, count):
+    return [f"{prefix}_{j + 1}" for j in range(count)]
 
-    evaluate(u, v) returns the TailBoundedValue of one (first, second)
-    pair on the theta x theta_p grid, from one broadcast call.
+
+def _coordinates(*axes):
+    """Preformatted coordinate columns of the product grid of `axes`, last
+    axis fastest; each axis value is formatted once."""
+    return list(zip(*itertools.product(*([_fmt(t) for t in a] for a in axes))))
+
+
+def _stack(evaluate, axes, inner):
+    """evaluate(*point) over the product grid of `axes`, each call one
+    broadcast call over the `inner` grid; one array per output of
+    evaluate, shaped (*axis lengths, *inner)."""
+    points = itertools.product(*(np.asarray(a).tolist() for a in axes))
+    outputs = zip(*(evaluate(*p) for p in points))
+    shape = (*map(len, axes), *inner)
+    return [np.reshape([np.broadcast_to(x, inner) for x in out], shape) for out in outputs]
+
+
+def _pair_grid(ns, names, evaluate):
+    """Header and columns over the grid flags `names` (first, theta, second,
+    theta_p), in that order: the four coordinates, the value and its tail
+    bound.
+
+    evaluate(u, theta, v, theta_p) returns a TailBoundedValue; it is called
+    once per (first, second) pair, broadcast over the theta x theta_p grid.
     """
-    shape = (len(first), len(second), len(theta), len(theta_p))
-    value, bound = np.empty(shape), np.empty(shape)
-    for i, u in enumerate(first):
-        for k, v in enumerate(second):
-            value[i, k], bound[i, k] = evaluate(float(u), float(v))
-    cells = zip(
-        map(_fmt, value.transpose(0, 2, 1, 3).ravel().tolist()),
-        map(_fmt, bound.transpose(0, 2, 1, 3).ravel().tolist()),
+    first, theta, second, theta_p = (parse_grid(getattr(ns, f), "--" + f) for f in names)
+    grids = _stack(
+        lambda u, v: evaluate(u, theta[:, None], v, theta_p[None, :]),
+        (first, second),
+        (len(theta), len(theta_p)),
     )
-    coords = itertools.product(*([_fmt(t) for t in g] for g in (first, theta, second, theta_p)))
-    return [[*c, v, b] for c, (v, b) in zip(coords, cells)]
+    columns = _coordinates(first, theta, second, theta_p)
+    columns += [g.transpose(0, 2, 1, 3) for g in grids]
+    return [*names, "value", "tail_bound"], columns
 
 
-def _cmd_kernel(ns, stream):
+def _cartesian(radii, thetas):
+    """x and y of every (r, theta) in radii x thetas, as r * math.cos(theta)
+    and r * math.sin(theta)."""
+    trig = (np.array([f(t) for t in thetas.tolist()]) for f in (math.cos, math.sin))
+    return [np.multiply.outer(radii, t) for t in trig]
+
+
+def _cmd_kernel(ns):
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     if ns.domain == "strip":
-        names, kernel = ("x", "theta", "xp", "thetap"), kernel_strip
+        names, kernel = ["x", "theta", "xp", "thetap"], kernel_strip
     else:
-        names, kernel = ("r", "theta", "rp", "thetap"), kernel_semicircle
+        names, kernel = ["r", "theta", "rp", "thetap"], kernel_semicircle
     missing = [f for f in names if getattr(ns, f) is None]
     if missing:
         raise UsageError(f"{ns.domain} kernel needs --" + ", --".join(missing))
-    first, theta, second, theta_p = (parse_grid(getattr(ns, f), "--" + f) for f in names)
-    rows = _pair_grid_rows(
-        first,
-        theta,
-        second,
-        theta_p,
-        lambda u, v: kernel(pol, n_paths, u, theta[:, None], v, theta_p[None, :]),
-    )
-    _write_csv(stream, [*names, "value", "tail_bound"], rows)
-    return 0
+    return _pair_grid(ns, names, lambda *p: kernel(pol, n_paths, *p))
 
 
-def _cmd_density(ns, stream):
+def _cmd_density(ns):
     n_paths = _parse_int(ns.N, "--N")
     radii = parse_grid(ns.r, "--r")
     thetas = parse_grid(ns.theta, "--theta")
-    rows = []
-    for r in radii:
-        values = density_semicircle(n_paths, float(r), thetas)
-        values = np.atleast_1d(values)
-        for th, v in zip(thetas, values):
-            rows.append([_fmt(r), _fmt(th), _fmt(v)])
-    _write_csv(stream, ["r", "theta", "value"], rows)
-    return 0
+    (value,) = _stack(lambda r: (density_semicircle(n_paths, r, thetas),), [radii], thetas.shape)
+    return ["r", "theta", "value"], [*_coordinates(radii, thetas), value]
 
 
-def _cmd_two_point(ns, stream):
+def _cmd_two_point(ns):
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
-    radii = parse_grid(ns.r, "--r")
-    theta = parse_grid(ns.theta, "--theta")
-    radii_p = parse_grid(ns.rp, "--rp")
-    theta_p = parse_grid(ns.thetap, "--thetap")
-    rows = _pair_grid_rows(
-        radii,
-        theta,
-        radii_p,
-        theta_p,
-        lambda r, rp: two_point_semicircle(pol, n_paths, r, theta[:, None], rp, theta_p[None, :]),
-    )
-    _write_csv(stream, ["r", "theta", "rp", "thetap", "value", "tail_bound"], rows)
-    return 0
+    names = ["r", "theta", "rp", "thetap"]
+    return _pair_grid(ns, names, lambda *p: two_point_semicircle(pol, n_paths, *p))
 
 
-def _cmd_pdf(ns, stream):
+def _cmd_pdf(ns):
     theta = parse_tuple(ns.theta, "--theta")
     if ns.phi is None:
         if ns.L is not None:
             raise UsageError("the midpoint start lives in the infinite strip; drop --L")
         x = parse_pi_literal(ns.x) if ns.x is not None else 1.0
-        value = pdf_special_start(x, theta)
-        header = [f"theta_{j + 1}" for j in range(len(theta))] + ["value"]
-        _write_csv(stream, header, [[*map(_fmt, theta), _fmt(value)]])
-        return 0
+        fields = [*theta, pdf_special_start(x, theta)]
+        return [*_names("theta", len(theta)), "value"], [[v] for v in fields]
     pol = _policy_from(ns)
     phi = parse_tuple(ns.phi, "--phi")
     if ns.x is None:
         raise UsageError("--x (the cut position) is required with --phi")
     x = parse_pi_literal(ns.x)
-    header = ["x"]
-    header += [f"theta_{j + 1}" for j in range(len(theta))]
-    header += [f"phi_{j + 1}" for j in range(len(phi))]
+    header = ["x", *_names("theta", len(theta)), *_names("phi", len(phi))]
+    fields = [x, *theta, *phi]
     if ns.L is not None:
         length = parse_pi_literal(ns.L)
-        value = pdf_first_passage_finite(RectConfig(length), pol, x, theta, phi)
-        header += ["length", "value"]
-        row = [_fmt(x), *map(_fmt, theta), *map(_fmt, phi), _fmt(length), _fmt(value)]
+        header.append("length")
+        fields += [length, pdf_first_passage_finite(RectConfig(length), pol, x, theta, phi)]
     else:
-        value = pdf_first_passage(pol, x, theta, phi)
-        header += ["value"]
-        row = [_fmt(x), *map(_fmt, theta), *map(_fmt, phi), _fmt(value)]
-    _write_csv(stream, header, [row])
-    return 0
+        fields.append(pdf_first_passage(pol, x, theta, phi))
+    return [*header, "value"], [[v] for v in fields]
 
 
-def _cmd_joint_pdf(ns, stream):
+def _cmd_joint_pdf(ns):
     pol = _policy_from(ns)
     cuts = parse_tuple(ns.cuts, "--cuts")
     groups = [g for g in str(ns.theta).split("/") if g.strip()]
@@ -267,37 +289,31 @@ def _cmd_joint_pdf(ns, stream):
             f" ({len(cuts)} cuts, {len(groups)} tuples given)"
         )
     thetas = [parse_tuple(g, "--theta") for g in groups]
-    header = [f"cut_{m + 1}" for m in range(len(cuts))]
+    header = _names("cut", len(cuts))
+    fields = list(cuts)
     for m, t in enumerate(thetas):
-        header += [f"theta_{m + 1}_{j + 1}" for j in range(len(t))]
-    row = [*map(_fmt, cuts)]
-    for t in thetas:
-        row += [*map(_fmt, t)]
+        header += _names(f"theta_{m + 1}", len(t))
+        fields += t
     if ns.phi is None:
         if ns.L is not None:
             raise UsageError("the midpoint start lives in the infinite strip; drop --L")
-        seq = ChamberSequence(cuts)
-        value = joint_pdf_special_start(pol, seq, thetas)
+        value = joint_pdf_special_start(pol, ChamberSequence(cuts), thetas)
     else:
         phi = parse_tuple(ns.phi, "--phi")
-        header += [f"phi_{j + 1}" for j in range(len(phi))]
-        row += [*map(_fmt, phi)]
+        header += _names("phi", len(phi))
+        fields += phi
         if ns.L is not None:
             length = parse_pi_literal(ns.L)
             seq = ChamberSequence(cuts, L=length)
             value = joint_pdf(RectConfig(length), pol, seq, thetas, phi)
-            header += ["length"]
-            row += [_fmt(length)]
+            header.append("length")
+            fields.append(length)
         else:
-            seq = ChamberSequence(cuts)
-            value = joint_pdf(None, pol, seq, thetas, phi)
-    header += ["value"]
-    row += [_fmt(value)]
-    _write_csv(stream, header, [row])
-    return 0
+            value = joint_pdf(None, pol, ChamberSequence(cuts), thetas, phi)
+    return [*header, "value"], [[v] for v in (*fields, value)]
 
 
-def _cmd_fomin_check(ns, stream):
+def _cmd_fomin_check(ns):
     size = _parse_int(ns.size, "--size")
     n_paths = _parse_int(ns.paths, "--paths")
     max_len = _parse_int(ns.max_len, "--max-len")
@@ -312,35 +328,13 @@ def _cmd_fomin_check(ns, stream):
     det = fomin_det(net, (a, b))
     brute, bound = brute_force_fomin(net, (a, b), max_len)
     diff = abs(det - brute)
-    _write_csv(
-        stream,
-        [
-            "size",
-            "paths",
-            "max_len",
-            "determinant",
-            "enumeration",
-            "tail_bound",
-            "abs_diff",
-            "within_bound",
-        ],
-        [
-            [
-                str(size),
-                str(n_paths),
-                str(max_len),
-                _fmt(det),
-                _fmt(brute),
-                _fmt(bound),
-                _fmt(diff),
-                "1" if diff <= bound else "0",
-            ]
-        ],
-    )
-    return 0 if diff <= bound else 1
+    within = diff <= bound
+    header = ["size", "paths", "max_len", "determinant", "enumeration", "tail_bound"]
+    fields = [str(size), str(n_paths), str(max_len), det, brute, bound, diff, str(int(within))]
+    return [*header, "abs_diff", "within_bound"], [[v] for v in fields], 0 if within else 1
 
 
-def _cmd_crossing(ns, stream):
+def _cmd_crossing(ns):
     n_paths = _parse_int(ns.paths, "--paths")
     if ns.phi is None or ns.rho is None:
         if n_paths not in CROSSING_CASES:
@@ -355,100 +349,63 @@ def _cmd_crossing(ns, stream):
     if len(phi) != n_paths or len(rho) != n_paths:
         raise UsageError("--phi and --rho must each list one angle per path")
     lengths = parse_tuple(ns.lengths, "--lengths")
-    if len(lengths) < 2:
-        raise UsageError("--lengths needs at least two rectangle lengths to fit a slope")
     cap = _parse_int(ns.cap, "--cap")
     ratios, slope = crossing_exponent_fit(phi, rho, lengths, cap)
     target = float(crossing_decay_rate(n_paths))
     rel = abs(slope - target) / target
-    rows = [
-        [
-            _fmt(length),
-            _fmt(ratio),
-            _fmt(math.log(ratio)),
-            _fmt(slope),
-            _fmt(target),
-            _fmt(rel),
-        ]
-        for length, ratio in zip(lengths, ratios.tolist())
-    ]
-    _write_csv(
-        stream,
-        ["length", "ratio", "log_ratio", "fitted_exponent", "expected_exponent", "relative_error"],
-        rows,
-    )
-    return 0
+    fit = [[v] * len(lengths) for v in (slope, target, rel)]
+    header = ["length", "ratio", "log_ratio", "fitted_exponent", "expected_exponent"]
+    log_ratio = [math.log(q) for q in ratios.tolist()]
+    return [*header, "relative_error"], [lengths, ratios, log_ratio, *fit]
 
 
-def _cmd_lattice_validate(ns, stream):
+def _cmd_lattice_validate(ns):
     pol = _policy_from(ns)
     levels = tuple(_parse_int(v, "--levels") for v in str(ns.levels).split(","))
-    rows = []
-    boundary = boundary_refinement(pol, levels=levels)
-    errs = [max(e) for _, e in boundary]
-    for i, ((h, _), err) in enumerate(zip(boundary, errs)):
-        ratio = "" if i == 0 else _fmt(err / errs[i - 1])
-        rows.append(["boundary_kernel", _fmt(h), _fmt(err), ratio])
-    density = density_refinement(pol, levels=levels)
-    errs = [e for _, e in density]
-    for i, ((h, _), err) in enumerate(zip(density, errs)):
-        ratio = "" if i == 0 else _fmt(err / errs[i - 1])
-        rows.append(["two_path_density", _fmt(h), _fmt(err), ratio])
-    _write_csv(stream, ["quantity", "h", "error", "ratio"], rows)
-    return 0
+    tables = {
+        "boundary_kernel": [(h, max(e)) for h, e in boundary_refinement(pol, levels=levels)],
+        "two_path_density": density_refinement(pol, levels=levels),
+    }
+    quantity, steps, errors, ratios = [], [], [], []
+    for name, table in tables.items():
+        errs = [e for _, e in table]
+        quantity += [name] * len(table)
+        steps += [h for h, _ in table]
+        errors += errs
+        ratios += ["", *(e / prev for prev, e in zip(errs, errs[1:]))]
+    return ["quantity", "h", "error", "ratio"], [quantity, steps, errors, ratios]
 
 
-def _cmd_figure(ns, stream):
+def _cmd_figure(ns):
     pol = _policy_from(ns)
-    fig = str(ns.id)
-    if fig == "7":
+    if ns.id == "7":
         radii = np.linspace(1.05, 3.0, 40)
         thetas = np.linspace(0.0, math.pi, 181)
-        rows = []
-        for r in radii:
-            values = density_semicircle(3, float(r), thetas)
-            for th, v in zip(thetas, values):
-                rows.append(
-                    [_fmt(r * math.cos(th)), _fmt(r * math.sin(th)), _fmt(v)]
-                )
-        _write_csv(stream, ["x", "y", "value"], rows)
-        return 0
-    if fig in ("8", "9"):
-        n_paths = 5 if fig == "8" else 20
+        (value,) = _stack(lambda r: (density_semicircle(3, r, thetas),), [radii], thetas.shape)
+        return ["x", "y", "value"], [*_cartesian(radii, thetas), value]
+    if ns.id in ("8", "9"):
+        n_paths = 5 if ns.id == "8" else 20
         thetas = np.linspace(0.0, math.pi, 2001)
         values = two_point_semicircle(pol, n_paths, 4.0, math.pi / 2, 4.0, thetas).value
-        rows = [[_fmt(th), _fmt(v)] for th, v in zip(thetas, values)]
-        _write_csv(stream, ["theta_prime", "value"], rows)
-        return 0
-    if fig == "10":
-        r0, th0 = 2.0, math.pi / 2
-        radii = np.linspace(1.05, 4.0, 60)
-        # radii indistinguishable from the probe radius within the policy
-        # gap snap onto it, where the closed equal-radius form applies
-        radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
-        thetas = np.linspace(0.0, math.pi, 121)
-        rows = []
-        for r in radii.tolist():
-            g2 = two_point_semicircle(pol, 3, r0, th0, r, thetas)
-            bounds = np.broadcast_to(g2.bound, thetas.shape)
-            for th, v, bound in zip(thetas.tolist(), g2.value.tolist(), bounds.tolist()):
-                rows.append(
-                    [_fmt(r * math.cos(th)), _fmt(r * math.sin(th)), _fmt(v), _fmt(bound)]
-                )
-        _write_csv(stream, ["x_prime", "y_prime", "value", "tail_bound"], rows)
-        return 0
-    raise UsageError("--id must be one of 7, 8, 9, 10")
+        return ["theta_prime", "value"], [thetas, values]
+    r0, th0 = 2.0, math.pi / 2
+    radii = np.linspace(1.05, 4.0, 60)
+    # radii indistinguishable from the probe radius within the policy
+    # gap snap onto it, where the closed equal-radius form applies
+    radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
+    thetas = np.linspace(0.0, math.pi, 121)
+    g2 = _stack(lambda r: two_point_semicircle(pol, 3, r0, th0, r, thetas), [radii], thetas.shape)
+    return ["x_prime", "y_prime", "value", "tail_bound"], [*_cartesian(radii, thetas), *g2]
 
 
-def _cmd_validate(ns, stream):
+def _cmd_validate(ns):
+    """The JSON report of the named suites and the exit code."""
     pol = _policy_from(ns)
     names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
     reports = [suite_report(name, pol) for name in names]
     passed = all(r["passed"] for r in reports)
     payload = reports[0] if len(reports) == 1 else {"passed": passed, "suites": reports}
-    stream.write(json.dumps(payload, indent=2))
-    stream.write("\n")
-    return 0 if passed else 1
+    return json.dumps(payload, indent=2) + "\n", 0 if passed else 1
 
 
 # --- parser / manifest ---------------------------------------------------------------
@@ -619,29 +576,27 @@ def main(argv=None):
             rns = replay.parse_args(argv[1:])
             return _replay(rns.manifest, rns.output)
         ns = build_parser().parse_args(argv)
-        handler = _HANDLERS[ns.subcommand]
-        if ns.output is None:
-            code = handler(ns, sys.stdout)
+        result = _HANDLERS[ns.subcommand](ns)
+        if isinstance(result[0], str):  # validate: JSON text and exit code
+            text, code = result
         else:
             buffer = io.StringIO()
-            code = handler(ns, buffer)
+            _write_csv(buffer, result[0], result[1])
+            text, code = buffer.getvalue(), result[2] if len(result) > 2 else 0
+        if ns.output is None:
+            sys.stdout.write(text)
+        else:
             with open(ns.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buffer.getvalue())
+                fh.write(text)
         if ns.save_manifest is not None:
             with open(ns.save_manifest, "w", encoding="utf-8") as fh:
                 json.dump(_manifest_payload(ns), fh, indent=2)
                 fh.write("\n")
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TruncationError as exc:
         print(f"error: {exc} (best certified bound: {exc.achieved})", file=sys.stderr)
         return 2
-    except EnumerationBudgetError as exc:
+    except (UsageError, DomainError, PrecisionError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -297,8 +297,11 @@ CROSSING_CASES = {
 
 def crossing_exponent_fit(phi, rho, lengths, partition_cap=8):
     """Crossing ratios at each rectangle length and the decay exponent
-    -d log(ratio)/dL of their least-squares line; returns (ratios, slope)."""
+    -d log(ratio)/dL of their least-squares line; returns (ratios, slope).
+    A line needs at least two distinct lengths."""
     lengths = np.asarray(lengths, dtype=float)
+    if np.unique(lengths).size < 2:
+        raise DomainError("need at least two distinct rectangle lengths to fit a slope")
     ratios = np.array(
         [crossing_ratio(RectConfig(float(L)), phi, rho, partition_cap) for L in lengths]
     )

@@ -1,11 +1,13 @@
 """Command-line behavior: literal parsing, CSV shape, golden regression,
 determinism, manifest replay, figure data properties, and exit codes."""
 
+import csv
 import io
 import itertools
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,12 @@ def test_pi_literal_parsing():
     assert parse_pi_literal("1e-3") == 1e-3
     with pytest.raises(UsageError):
         parse_pi_literal("two pies")
+
+
+@pytest.mark.parametrize("text", ["pi/0", "2pi/0", "-3*pi/0.0", "inf", "-inf", "nan", "1e999"])
+def test_pi_literal_rejects_zero_denominators_and_non_finite_values(text):
+    with pytest.raises(UsageError, match=re.escape(repr(text))):
+        parse_pi_literal(text)
 
 
 def test_grid_parsing():
@@ -480,3 +488,66 @@ def test_usage_errors_name_the_precondition():
         code, _, err = run_cli(args)
         assert code == 2, args
         assert fragment in err, (args, err)
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        (["pdf", "--theta", "pi/0"], "'pi/0' divides by zero"),
+        (["pdf", "--theta", "2pi/0"], "'2pi/0' divides by zero"),
+        (["two-point", "--N", "2", "--r", "2", "--theta", "1", "--rp", "inf", "--thetap", "1"],
+         "'inf' is not a finite number"),
+        (["density", "--N", "2", "--r", "2", "--theta", "nan"], "'nan' is not a finite number"),
+        (["density", "--N", "2", "--r", "2", "--theta", "1e308:-1e308:3"], "overflows"),
+        (["kernel", "--domain", "strip", "--N", "2", "--x", "inf", "--theta", "1",
+          "--xp", "1", "--thetap", "1"], "'inf' is not a finite number"),
+        (["crossing-exponent", "--paths", "2", "--lengths", "6,6"], "two distinct"),
+    ],
+)
+def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    # one error line: no traceback, and no numpy warning on the way there
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+# --- the CSV writer ------------------------------------------------------------------
+
+# small arguments for every CSV subcommand
+_CSV_ARGV = [
+    ["kernel", "--domain", "strip", "--N", "3", "--x", "0.4:1.4:3", "--theta", "0.2:2.9:4",
+     "--xp", "0.9", "--thetap", "0.3:3.0:2"],
+    ["kernel", "--domain", "semicircle", "--N", "2", "--r", "1.5:3:2", "--theta", "pi/3",
+     "--rp", "2", "--thetap", "0:pi:3"],
+    ["density", "--N", "3", "--r", "1.5:3:2", "--theta", "0:pi:5"],
+    ["two-point", "--N", "3", "--r", "2", "--theta", "1", "--rp", "2:3:2", "--thetap", "0.5:2.5:3"],
+    ["pdf", "--theta", "1.0,2.0"],
+    ["pdf", "--x", "0.9", "--theta", "1.0,2.2", "--phi", "0.9,2.0", "--L", "2"],
+    ["joint-pdf", "--cuts", "0.4,0.9", "--theta", "1.0,2.1/0.9,2.0", "--phi", "0.9,2.0"],
+    ["fomin-check", "--size", "2", "--paths", "2", "--max-len", "6"],
+    ["crossing-exponent", "--paths", "2", "--lengths", "6,8"],
+    ["lattice-validate", "--levels", "15,31"],
+    ["figure", "--id", "10"],
+]
+
+
+@pytest.mark.parametrize("args", _CSV_ARGV, ids=lambda a: " ".join(a[:3]))
+def test_csv_output_needs_no_quoting_and_output_file_matches_stdout(args, tmp_path):
+    code, out, err = run_cli(args)
+    assert code in (0, 1) and err == ""
+    # csv.writer quotes a field only if it holds a delimiter, quote or line
+    # break, so an unchanged round trip means no field needed quoting
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(rows)
+    assert again.getvalue() == out
+    target = tmp_path / "out.csv"
+    assert main(args + ["--output", str(target)]) == code
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_csv_writer_subcommands_are_covered():
+    assert {a[0] for a in _CSV_ARGV} == set(_HANDLERS) - {"validate"}

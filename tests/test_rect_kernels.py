@@ -11,6 +11,7 @@ from lebp.rect_kernels import (
     as_weyl,
     boundary_poisson_rect,
     crossing_decay_rate,
+    crossing_exponent_fit,
     crossing_prefactor,
     crossing_ratio,
     fomin_boundary_det,
@@ -305,3 +306,10 @@ def test_crossing_ratio_matches_mpmath_oracle(phi, rho):
         want = _mp_crossing_ratio(length, phi, rho)
         got = crossing_ratio(RectConfig(length), phi, rho, 12)
         assert abs(got - want) <= 1e-13 * abs(want), (length, got, want)
+
+
+@pytest.mark.parametrize("lengths", [(6.0,), (6.0, 6.0), (8.0, 8.0, 8.0)])
+def test_crossing_exponent_fit_needs_two_distinct_lengths(lengths):
+    # one repeated length has no slope; polyfit would warn and return one anyway
+    with pytest.raises(DomainError, match="two distinct"):
+        crossing_exponent_fit((1.0, 2.0), (1.2, 1.9), lengths)
