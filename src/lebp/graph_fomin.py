@@ -7,7 +7,9 @@ weights over all walks from a to b, and minors of W built from boundary
 vertices equal sums over tuples of walks whose earlier loop erasures avoid all
 later walks (Fomin's identity).  This module evaluates both sides: W as one
 cached linear solve over all vertices, the combinatorial side by explicit
-enumeration with a certified bound on the truncated-away mass.
+enumeration with a certified bound on the truncated-away mass, as the
+independent check.  The weight of the walks with a given loop erasure needs
+no enumeration: it is one minor of W times the step weights of the path.
 """
 
 import math
@@ -337,14 +339,24 @@ def brute_force_fomin(net, ab, max_len, node_budget=20_000_000):
     return float(value), float(tail_bound)
 
 
-def lerw_weight(net, zeta, max_len, node_budget=20_000_000):
+def lerw_weight(net, zeta, max_len=None):
     """Total weight of walks whose loop erasure equals the self-avoiding path
-    zeta, truncated at max_len steps, with a certified tail bound.
+    zeta, as one minor of the walk matrix.  Returns (value, 0.0): nothing is
+    truncated.
 
-    Enumerates every walk from zeta[0] of at most max_len steps, crediting
-    those that currently end at zeta[-1] with loop erasure exactly zeta.  The
-    bound is the exact discarded mass of the unconstrained walk sum from
-    zeta[0] to zeta[-1], which dominates the constrained remainder.
+    Splitting a walk at its last visits to zeta[0], zeta[1], ... writes the
+    weight as prod_i G_i(zeta_i, zeta_i) * prod_i w(zeta_i, zeta_{i+1}), where
+    G_i sums loops at zeta_i that avoid zeta_0 .. zeta_{i-1} (Lawler).  By
+    Jacobi's complementary-minor identity the product of loop sums is
+    det W[Z, Z], Z the interior vertices of zeta (Marchal 2000).  A boundary
+    vertex contributes no loops: a walk that reaches it is absorbed there.  So
+    the weight is 0 when zeta passes through the boundary before its end or
+    uses a missing edge, and the one special case is zeta = (b,) with b on the
+    boundary, whose weight is W[b, b].  The minor goes through det_lu, so zeta
+    may hold at most 64 interior vertices.
+
+    max_len is ignored, because nothing is truncated; it stays optional so
+    that callers which still pass a step cutoff keep working.
     """
     zeta = tuple(int(v) for v in zeta)
     if len(zeta) == 0:
@@ -354,37 +366,14 @@ def lerw_weight(net, zeta, max_len, node_budget=20_000_000):
     for v in zeta:
         if not (0 <= v < net.vertex_count):
             raise DomainError("zeta vertex out of range")
-    start, target = zeta[0], zeta[-1]
-    budget = [int(node_budget)]
-    total = 0.0
-
-    # empty-prefix case: the walk (start,) itself
-    if len(zeta) == 1:
-        total += 1.0
-
-    path = [start]
-
-    def rec(v, weight, steps_left):
-        nonlocal total
-        for head, w in net.out_edges.get(v, ()):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationBudgetError(
-                    "walk enumeration exceeded its node budget",
-                    reached=len(path) - 1,
-                )
-            path.append(head)
-            nw = weight * w
-            if head == target and loop_erase(path) == zeta:
-                total += nw
-            if net.is_interior(head) and steps_left > 1:
-                rec(head, nw, steps_left - 1)
-            path.pop()
-
-    if max_len >= 1:
-        rec(start, 1.0, max_len)
-    tail = _walk_tail_bound(net, start, target, max_len)
-    return float(total), float(tail)
+    w = net.walk_matrix()
+    if len(zeta) == 1 and not net.is_interior(zeta[0]):
+        return float(w[zeta[0], zeta[0]]), 0.0
+    if not all(net.is_interior(v) for v in zeta[1:-1]):
+        return 0.0, 0.0
+    z = [v for v in zeta if net.is_interior(v)]
+    steps = float(np.prod(net._p[zeta[:-1], zeta[1:]]))
+    return det_lu(w[np.ix_(z, z)]) * steps, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +387,30 @@ def load_network(path):
     once), then one `tail head weight` line per directed edge.  Blank lines and
     `#` comments are ignored.
     """
-    interior = boundary = None
+    headers = {}
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("interior:"):
-                interior = [int(tok) for tok in line[len("interior:"):].split()]
-            elif line.startswith("boundary:"):
-                boundary = [int(tok) for tok in line[len("boundary:"):].split()]
-            else:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise DomainError(f"bad edge line: {raw!r}")
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if interior is None or boundary is None:
+            key, colon, rest = line.partition(":")
+            header = colon and key in ("interior", "boundary")
+            if header and key in headers:
+                raise DomainError(f"repeated {key}: header: {raw!r}")
+            parts = rest.split() if header else line.split()
+            if not header and len(parts) != 3:
+                raise DomainError(f"bad edge line: {raw!r}")
+            try:
+                if header:
+                    headers[key] = [int(tok) for tok in parts]
+                else:
+                    edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError:
+                raise DomainError(f"non-numeric token in line: {raw!r}") from None
+    if len(headers) != 2:
         raise DomainError("network file needs interior: and boundary: headers")
+    interior, boundary = headers["interior"], headers["boundary"]
     count = max(interior + boundary) + 1 if (interior or boundary) else 0
     return Network(count, edges, interior, boundary)
 

@@ -11,6 +11,7 @@ from lebp.graph_fomin import (
     BoundaryTuple,
     Network,
     _truncated_walk_sum,
+    _walk_tail_bound,
     brute_force_fomin,
     fomin_det,
     lerw_weight,
@@ -213,24 +214,72 @@ def test_loop_erase_rejects_empty():
 def test_lerw_weight_on_path(path_net):
     # on a path graph the only self-avoiding path from 1 to 0 is (1, 0), so its
     # loop-erased weight is the full walk sum
-    value, tail = lerw_weight(path_net, (1, 0), 40)
+    value, tail = lerw_weight(path_net, (1, 0))
     assert tail < 1e-6
     assert abs(value - 0.75) <= tail + 1e-13
-    value, tail = lerw_weight(path_net, (2, 1, 0), 40)
+    value, tail = lerw_weight(path_net, (2, 1, 0))
     assert abs(value - 0.5) <= tail + 1e-13
 
 
 def test_lerw_weight_boundary_start_single_vertex(path_net):
     # every walk from 0 back to 0 erases to the single vertex (0,)
-    value, tail = lerw_weight(path_net, (0,), 40)
+    value, tail = lerw_weight(path_net, (0,))
     assert abs(value - 1.375) <= tail + 1e-13
 
 
 def test_lerw_weight_validation(path_net):
     with pytest.raises(DomainError):
-        lerw_weight(path_net, (1, 2, 1), 10)
+        lerw_weight(path_net, (1, 2, 1))
     with pytest.raises(DomainError):
-        lerw_weight(path_net, (), 10)
+        lerw_weight(path_net, ())
+    with pytest.raises(DomainError):
+        lerw_weight(path_net, (1, 5))  # vertex out of range
+
+
+def test_lerw_weight_zero_cases(path_net, mixed_net):
+    # the edges 1 -> 0 -> 4 and 2 -> 5 -> 3 exist, but a walk reaching the
+    # boundary vertex 0 or 5 is absorbed there, so no walk erases to a path
+    # that continues past it
+    assert lerw_weight(mixed_net, (1, 0, 4)) == (0.0, 0.0)
+    assert lerw_weight(mixed_net, (2, 5, 3)) == (0.0, 0.0)
+    # there is no edge 1 -> 3
+    assert lerw_weight(path_net, (2, 1, 3)) == (0.0, 0.0)
+
+
+def _self_avoiding_paths(net, a, b):
+    """Every self-avoiding path a -> b along edges whose intermediate vertices
+    are interior (any other path carries no walk)."""
+    out = []
+
+    def rec(path):
+        for head, _ in net.out_edges.get(path[-1], ()):
+            if head == b:
+                out.append(tuple(path) + (b,))
+            elif head not in path and net.is_interior(head):
+                rec(path + [head])
+
+    rec([a])
+    return out
+
+
+def test_lerw_weights_over_all_saws_sum_to_walk_green(mixed_net):
+    # every walk a -> b has exactly one loop erasure, a self-avoiding path
+    # a -> b, so the loop-erased weights of all of them sum to W(a, b)
+    grid, id_of = square_grid_network(3, 3)
+    pairs = [
+        ((1, -1), (1, 3)),  # boundary to opposite boundary
+        ((-1, 0), (-1, 1)),  # boundary to neighbouring boundary
+        ((0, 0), (2, 1)),  # interior to interior
+    ]
+    cases = [(grid, id_of[a], id_of[b]) for a, b in pairs]
+    # boundary-to-boundary edges, a self-loop and a boundary vertex that steps
+    # back inside
+    cases += [(mixed_net, a, b) for a in range(6) for b in range(6) if a != b]
+    for net, a, b in cases:
+        saws = _self_avoiding_paths(net, a, b)
+        total = math.fsum(lerw_weight(net, zeta)[0] for zeta in saws)
+        green = walk_green(net, a, b)
+        assert abs(total - green) <= 1e-14 * green, (a, b)
 
 
 def _enumerate_walks_exact(net, start, max_len):
@@ -267,21 +316,24 @@ def test_lerw_partition_identity(two_leg_net):
     # exact partition: groups are a partition of the walk ensemble
     assert sum(groups.values(), Fraction(0)) == total_to_0
     assert set(groups) == {(1, 0), (1, 2, 0)}
+    # each group is the part of a loop-erased weight within max_len steps; the
+    # rest is bounded by the discarded mass of the unconstrained walk sum
+    tail = _walk_tail_bound(two_leg_net, 1, 0, max_len)
     for zeta, exact in groups.items():
-        value, tail = lerw_weight(two_leg_net, zeta, max_len)
-        assert abs(value - float(exact)) < 1e-12
+        value, _ = lerw_weight(two_leg_net, zeta)
+        assert float(exact) <= value <= float(exact) + tail
     trunc = _truncated_walk_sum(two_leg_net, 1, 0, max_len)
     assert abs(trunc - float(total_to_0)) < 1e-12
 
 
 def test_lerw_weights_sum_to_walk_green(two_leg_net):
     total = 0.0
-    tails = 0.0
     for zeta in [(1, 0), (1, 2, 0)]:
-        v, t = lerw_weight(two_leg_net, zeta, 60)
+        v, t = lerw_weight(two_leg_net, zeta)
+        assert t == 0.0
         total += v
-        tails += t
-    assert abs(total - walk_green(two_leg_net, 1, 0)) <= tails + 1e-13
+    green = walk_green(two_leg_net, 1, 0)
+    assert abs(total - green) <= 1e-15 * green
 
 
 # --- Fomin determinants ----------------------------------------------------
@@ -368,4 +420,13 @@ def test_load_network_rejects_malformed(tmp_path):
         load_network(p)
     p.write_text("interior: 0\nboundary: 1\n0 1\n")
     with pytest.raises(DomainError):
+        load_network(p)
+    p.write_text("interior: 0\nboundary: 1\ninterior: 2\n0 1 0.5\n")
+    with pytest.raises(DomainError, match="repeated interior: header: 'interior: 2"):
+        load_network(p)
+    p.write_text("interior: 0\nboundary: 1\n0 x 0.5\n")
+    with pytest.raises(DomainError, match="'0 x 0.5"):
+        load_network(p)
+    p.write_text("interior: 0\nboundary: one\n0 1 0.5\n")
+    with pytest.raises(DomainError, match="'boundary: one"):
         load_network(p)
