@@ -44,22 +44,16 @@ import numpy as np
 from . import __version__
 from .correlation import (
     density_semicircle,
+    joint_pdf_special_start,
     kernel_semicircle,
     kernel_strip,
-    pdf_special_start,
-    joint_pdf_special_start,
     two_point_semicircle,
 )
 from .errors import DomainError, EnumerationBudgetError, PrecisionError, TruncationError
 from .graph_fomin import brute_force_fomin, fomin_det, square_grid_network
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import SeriesPolicy
-from .passage_densities import (
-    ChamberSequence,
-    joint_pdf,
-    pdf_first_passage,
-    pdf_first_passage_finite,
-)
+from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import CROSSING_CASES, RectConfig, crossing_decay_rate, crossing_exponent_fit
 from .validation import QUADRATURE_ORDERS, SUITES, suite_report
 
@@ -255,32 +249,46 @@ def _cmd_two_point(ns):
     return _pair_grid(ns, names, lambda *p: two_point_semicircle(pol, n_paths, *p))
 
 
-def _cmd_pdf(ns):
-    theta = parse_tuple(ns.theta, "--theta")
+def _passage_density(ns, cuts, thetas, header, fields):
+    """Header and columns of the joint passage density at `cuts`, one row:
+    the given `header`/`fields`, then the start angles and the length when
+    given, then the value.  Without --phi the paths start at the midpoint."""
+    pol = _policy_from(ns)
     if ns.phi is None:
         if ns.L is not None:
             raise UsageError("the midpoint start lives in the infinite strip; drop --L")
-        x = parse_pi_literal(ns.x) if ns.x is not None else 1.0
-        fields = [*theta, pdf_special_start(x, theta)]
-        return [*_names("theta", len(theta)), "value"], [[v] for v in fields]
-    pol = _policy_from(ns)
-    phi = parse_tuple(ns.phi, "--phi")
-    if ns.x is None:
-        raise UsageError("--x (the cut position) is required with --phi")
-    x = parse_pi_literal(ns.x)
-    header = ["x", *_names("theta", len(theta)), *_names("phi", len(phi))]
-    fields = [x, *theta, *phi]
-    if ns.L is not None:
-        length = parse_pi_literal(ns.L)
-        header.append("length")
-        fields += [length, pdf_first_passage_finite(RectConfig(length), pol, x, theta, phi)]
+        value = joint_pdf_special_start(pol, ChamberSequence(cuts), thetas)
     else:
-        fields.append(pdf_first_passage(pol, x, theta, phi))
-    return [*header, "value"], [[v] for v in fields]
+        phi = parse_tuple(ns.phi, "--phi")
+        header, fields = [*header, *_names("phi", len(phi))], [*fields, *phi]
+        if ns.L is not None:
+            length = parse_pi_literal(ns.L)
+            seq = ChamberSequence(cuts, L=length)
+            value = joint_pdf(RectConfig(length), pol, seq, thetas, phi)
+            header, fields = [*header, "length"], [*fields, length]
+        else:
+            value = joint_pdf(None, pol, ChamberSequence(cuts), thetas, phi)
+    return [*header, "value"], [[v] for v in (*fields, value)]
+
+
+def _cmd_pdf(ns):
+    """joint-pdf at the one cut --x, under pdf's own column names.  The
+    midpoint-start density does not depend on the cut, so there --x is
+    optional (default 1) and not printed."""
+    theta = parse_tuple(ns.theta, "--theta")
+    header, fields = _names("theta", len(theta)), list(theta)
+    if ns.x is not None:
+        x = parse_pi_literal(ns.x)
+    elif ns.phi is None:
+        x = 1.0
+    else:
+        raise UsageError("--x (the cut position) is required with --phi")
+    if ns.phi is not None:
+        header, fields = ["x", *header], [x, *fields]
+    return _passage_density(ns, (x,), [theta], header, fields)
 
 
 def _cmd_joint_pdf(ns):
-    pol = _policy_from(ns)
     cuts = parse_tuple(ns.cuts, "--cuts")
     groups = [g for g in str(ns.theta).split("/") if g.strip()]
     if len(groups) != len(cuts):
@@ -294,23 +302,7 @@ def _cmd_joint_pdf(ns):
     for m, t in enumerate(thetas):
         header += _names(f"theta_{m + 1}", len(t))
         fields += t
-    if ns.phi is None:
-        if ns.L is not None:
-            raise UsageError("the midpoint start lives in the infinite strip; drop --L")
-        value = joint_pdf_special_start(pol, ChamberSequence(cuts), thetas)
-    else:
-        phi = parse_tuple(ns.phi, "--phi")
-        header += _names("phi", len(phi))
-        fields += phi
-        if ns.L is not None:
-            length = parse_pi_literal(ns.L)
-            seq = ChamberSequence(cuts, L=length)
-            value = joint_pdf(RectConfig(length), pol, seq, thetas, phi)
-            header.append("length")
-            fields.append(length)
-        else:
-            value = joint_pdf(None, pol, ChamberSequence(cuts), thetas, phi)
-    return [*header, "value"], [[v] for v in (*fields, value)]
+    return _passage_density(ns, cuts, thetas, header, fields)
 
 
 def _cmd_fomin_check(ns):

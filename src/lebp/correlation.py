@@ -31,19 +31,32 @@ _TWO_OVER_PI = 2.0 / math.pi
 # --- biorthogonal basis -------------------------------------------------------
 
 
-def basis_phi(n, x, theta):
-    """phi_n(x, theta) = sqrt(2/pi) sin(n theta) / sinh(n x), stable form."""
-    if n < 1 or not (x > 0.0):
+def _check_basis(n, x):
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 1.0) or not (x > 0.0):
         raise DomainError("need n >= 1 and x > 0")
-    inv_sinh = 2.0 * math.exp(-n * x) / -math.expm1(-2.0 * n * x)
-    return math.sqrt(_TWO_OVER_PI) * math.sin(n * theta) * inv_sinh
+    return n
+
+
+def basis_phi(n, x, theta):
+    """phi_n(x, theta) = sqrt(2/pi) sin(n theta) / sinh(n x), stable form.
+
+    n and theta broadcast together; x is a scalar.
+    """
+    n = _check_basis(n, x)
+    inv_sinh = 2.0 * np.exp(-n * x) / -np.expm1(-2.0 * n * x)
+    out = math.sqrt(_TWO_OVER_PI) * np.sin(n * theta) * inv_sinh
+    return float(out) if out.ndim == 0 else out
 
 
 def basis_phi_hat(n, x, theta):
-    """phi_hat_n(x, theta) = sqrt(2/pi) sinh(n x) sin(n theta)."""
-    if n < 1 or not (x > 0.0):
-        raise DomainError("need n >= 1 and x > 0")
-    return math.sqrt(_TWO_OVER_PI) * math.sinh(n * x) * math.sin(n * theta)
+    """phi_hat_n(x, theta) = sqrt(2/pi) sinh(n x) sin(n theta).
+
+    n and theta broadcast together; x is a scalar.
+    """
+    n = _check_basis(n, x)
+    out = math.sqrt(_TWO_OVER_PI) * np.sinh(n * x) * np.sin(n * theta)
+    return float(out) if out.ndim == 0 else out
 
 
 # --- strip kernel -------------------------------------------------------------
@@ -161,17 +174,6 @@ def joint_pdf_special_start(pol, seq, thetas):
     return value
 
 
-def _phi_matrix(x, angles):
-    n = np.arange(1.0, len(angles) + 1.0)[:, None]
-    inv_sinh = 2.0 * np.exp(-n * x) / -np.expm1(-2.0 * n * x)
-    return math.sqrt(_TWO_OVER_PI) * np.sin(n * np.asarray(angles)[None, :]) * inv_sinh
-
-
-def _phi_hat_matrix(x, angles):
-    n = np.arange(1.0, len(angles) + 1.0)[:, None]
-    return math.sqrt(_TWO_OVER_PI) * np.sinh(n * x) * np.sin(n * np.asarray(angles)[None, :])
-
-
 def joint_pdf_special_start_dets(pol, seq, thetas):
     """The same joint density as a product of determinants: a basis
     determinant at the first cut, sub-rectangle kernel determinants between
@@ -187,12 +189,14 @@ def joint_pdf_special_start_dets(pol, seq, thetas):
     if any(t.n != thetas[0].n for t in thetas):
         raise DomainError("all angle tuples must have equal length")
     cuts = seq.cuts
-    value = det_lu(_phi_matrix(cuts[0], thetas[0].angles))
+    # basis matrices [n, j] over frequencies n = 1..N and angles theta_j
+    n = np.arange(1.0, thetas[0].n + 1.0)[:, None]
+    value = det_lu(basis_phi(n, cuts[0], thetas[0].angles))
     for m in range(seq.m - 1):
         value *= fomin_inner_det(
             RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
         )
-    value *= det_lu(_phi_hat_matrix(cuts[-1], thetas[-1].angles))
+    value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1].angles))
     return value
 
 

@@ -26,9 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _ordered_minor_sums, block_rows, ordered_minor_sum
-from .passage_densities import _boundary_det_grid, _norm_inner_grid, norm_boundary
-from .rect_kernels import RectConfig, boundary_poisson_rect
+from .numerics import _ordered_minor_sums, block_rows, det_lu, ordered_minor_sum
+from .passage_densities import norm_boundary, norm_inner
+from .rect_kernels import RectConfig, boundary_poisson_rect, fomin_boundary_det
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
         if len(ends) != n_paths or any(not 1 <= e <= strip.rows for e in ends):
             raise DomainError("need one right-edge row per path")
         cols = np.array(ends) - 1
-        norm = abs(float(np.linalg.det(f[:, cols])))
+        norm = abs(det_lu(f[:, cols]))
     if norm == 0.0:
         raise DomainError("zero through determinant; no nonintersecting weight")
     combos = np.array(
@@ -169,11 +169,11 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
     step = block_rows(strip.rows * n_paths)
     for start in range(0, len(combos), step):
         block = combos[start : start + step]
-        left = np.linalg.det(np.swapaxes(lm[:, block], 0, 1))
+        left = det_lu(np.swapaxes(lm[:, block], 0, 1))
         if ends is None:
             right = _ordered_minor_sums(rm[block])
         else:
-            right = np.linalg.det(rm[block[:, :, None], cols[None, None, :]])
+            right = det_lu(rm[block[:, :, None], cols[None, None, :]])
         out[tuple(block.T)] = left * right / norm
     return out
 
@@ -233,8 +233,8 @@ def density_refinement(pol, levels=(15, 31, 63), starts16=(6, 10)):
         theta = (combos + 1) * h
         x = cut * h
         cont = (
-            _boundary_det_grid(RectConfig(x), pol, phi, theta)
-            * _norm_inner_grid(cfg, pol, x, theta)
+            fomin_boundary_det(RectConfig(x), pol, phi, theta)
+            * norm_inner(cfg, pol, x, theta)
             / denom
         )
         err = np.abs(dens[combos[:, 0], combos[:, 1]] / h**2 - cont)

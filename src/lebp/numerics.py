@@ -1,8 +1,9 @@
 """Shared numerical infrastructure.
 
-Quadrature rules on (0, pi), chamber integration, pivoted-LU determinants,
-batched Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber
-norms and free-end minor sums reduce to), overflow-safe sinh ratios, and
+Quadrature rules on (0, pi), chamber integration, batched pivoted-LU
+determinants (det_lu, the library's one determinant routine), batched
+Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber norms
+and free-end minor sums reduce to), overflow-safe sinh ratios, and
 certified tail bounds for polynomial-times-geometric series.  Everything
 downstream (rectangle kernels, passage densities, correlation kernels,
 lattice checks) builds on these primitives.
@@ -146,39 +147,44 @@ def chamber_integrate(f, rule, ndim):
 
 
 def det_lu(a):
-    """Determinant via LU with partial pivoting: sign times the product of pivots.
+    """Determinant of the square matrices stacked on the leading axes of a,
+    via LU with partial pivoting: sign times the product of pivots.
 
-    A zero pivot returns exactly 0.0.  Matrices larger than 64 x 64 are
-    rejected; the library never needs them and the restriction keeps the
-    plain product of pivots safe from gratuitous overflow.  The product is
-    formed directly, never as exp(log|det|), so a tiny determinant keeps its
-    relative accuracy.
+    Vectorized over the stack; the Python loop runs over the matrix size
+    only, and every matrix gets the bits it gets alone.  A zero pivot gives
+    exactly +0.0 for its matrix.  Matrices larger than 64 x 64 are rejected;
+    the library never needs them and the restriction keeps the plain
+    product of pivots safe from gratuitous overflow.  The product is formed
+    directly, never as exp(log|det|), so a tiny determinant keeps its
+    relative accuracy.  Returns a float for a single matrix.
     """
     a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("det_lu needs a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError("det_lu needs square matrices")
+    batch, n = a.shape[:-2], a.shape[-1]
     if n > 64:
         raise DomainError("det_lu is limited to 64 x 64")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    det = 1.0
+    a = a.reshape((math.prod(batch), n, n))
+    det = np.ones(a.shape[0])
+    singular = np.zeros(a.shape[0], dtype=bool)
+    rows = np.arange(a.shape[0])
     for k in range(n):
-        col = a[k:, k]
-        p = int(np.abs(col).argmax())
-        pivot = float(col[p])
-        if pivot == 0.0:
-            return 0.0
-        if p:
-            row = a[k + p, k:].copy()
-            a[k + p, k:] = a[k, k:]
-            a[k, k:] = row
-            det = -det
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        swap = a[rows, p].copy()
+        a[rows, p] = a[:, k]
+        a[:, k] = swap
+        pivot = a[:, k, k]
+        det[p != k] *= -1.0
         det *= pivot
-        a[k + 1 :, k + 1 :] -= np.multiply.outer(a[k + 1 :, k] / pivot, a[k, k + 1 :])
-    return det
+        # a zero pivot means a zero column; its determinant is +0.0
+        singular |= pivot == 0.0
+        tau = a[:, k + 1 :, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, k + 1 :, k + 1 :] -= tau[:, :, None] * a[:, k, None, k + 1 :]
+    det[singular] = 0.0
+    det = det.reshape(batch)
+    return float(det) if det.ndim == 0 else det
 
 
 def sinh_ratio(n, num, den):

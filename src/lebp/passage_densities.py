@@ -2,9 +2,14 @@
 
 Paths start on the left edge of the rectangle (0, L) x (0, pi) at ordered
 angles phi and are conditioned to reach the right edge with their loop
-erasures mutually avoiding.  The density of their ordered first-passage
-points on a vertical cut is a ratio of boundary determinants and chamber
-integrals of interior determinants.
+erasures mutually avoiding.  The joint density of their ordered
+first-passage points on cuts x_1 < ... < x_M is one telescoped product
+(joint_pdf): the boundary determinant at the first cut, interior
+determinants between consecutive cuts, and a norm ratio at the last cut.
+The density on one cut is the M = 1 case of that product.  The
+determinants (rect_kernels.fomin_*_det) and the norms (norm_inner) take a
+stack of angle tuples as well as one tuple, so a grid of densities is one
+call of each.
 
 The chamber integrals (norms) integrate a kernel determinant over the
 ordered chamber.  The kernel is a separable sine series, so by de Bruijn
@@ -28,12 +33,13 @@ from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import block_rows, graded_pfaffian, pfaffian, poly_geom_tail
 from .rect_kernels import (
     RectConfig,
-    WeylPoint,
+    angle_tuples,
     as_weyl,
-    boundary_poisson_rect,
+    boundary_coeffs,
     fomin_boundary_det,
     fomin_inner_det,
     hat_h,
+    inner_coeffs,
 )
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -136,21 +142,9 @@ def _norm_series(kind, L, x, n, tol, n_max):
     array is cached, callers must not mutate it.
     """
     if kind == "boundary":
-        q, factors = math.exp(-L), [(0.0, 1)]
-
-        def coeff(f):
-            return _TWO_OVER_PI * 2.0 * f * np.exp(-f * L) / -np.expm1(-2.0 * f * L)
-
+        q, factors, coeff = math.exp(-L), [(0.0, 1)], lambda f: boundary_coeffs(f, L)
     else:
-        q, factors = math.exp(-(L - x)), []
-
-        def coeff(f):
-            return (
-                _TWO_OVER_PI
-                * np.exp(-f * (L - x))
-                * -np.expm1(-2.0 * f * x)
-                / -np.expm1(-2.0 * f * L)
-            )
+        q, factors, coeff = math.exp(-(L - x)), [], lambda f: inner_coeffs(f, x, L)
 
     # c_m <= majorant * m^(1 or 0) * q^m for both kinds
     majorant = _TWO_OVER_PI * 2.0 / -math.expm1(-2.0 * L)
@@ -211,35 +205,15 @@ def norm_inner(cfg, pol, x, theta):
 
     The total crossing weight of N paths currently at (x, theta), summed over
     ordered right-edge exits.  Tolerance handling as in norm_boundary.
+    theta is one ordered tuple (a float comes back) or a (..., N) stack of
+    tuples (see rect_kernels.angle_tuples), where the norm is continued
+    antisymmetrically off the ordered chamber.
     """
-    theta = as_weyl(theta)
-    _check_cut(cfg, pol, x)
-    coefs, _ = _norm_series("inner", cfg.L, x, theta.n, pol.tol, pol.n_max)
-    return float(_chamber_norm(coefs, theta.angles))
-
-
-def _norm_inner_grid(cfg, pol, x, theta):
-    """norm_inner evaluated on a (..., N) array of (not necessarily ordered)
-    angle tuples; antisymmetric continuation off the ordered chamber."""
-    theta = np.asarray(theta, dtype=float)
+    theta = angle_tuples(theta)
     _check_cut(cfg, pol, x)
     coefs, _ = _norm_series("inner", cfg.L, x, theta.shape[-1], pol.tol, pol.n_max)
-    return _chamber_norm(coefs, theta)
-
-
-def _boundary_det_grid(cfg, pol, phi, theta):
-    """det[H_boundary(i*phi_j, x-cut angles theta_k)] on a (..., N) angle array."""
-    phi = as_weyl(phi)
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[-1]
-    if phi.n != n:
-        raise DomainError("phi and theta tuples must have equal length")
-    flat = theta.reshape(-1, n)
-    # entries[j, p, k] = H_boundary(phi_j, theta[p, k]); one series pass
-    entries = boundary_poisson_rect(
-        cfg, pol, phi.angles[:, None, None], flat[None, :, :]
-    ).value
-    return np.linalg.det(np.moveaxis(entries, 1, 0)).reshape(theta.shape[:-1])
+    out = _chamber_norm(coefs, theta)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # --- densities ---------------------------------------------------------------
@@ -247,19 +221,13 @@ def _boundary_det_grid(cfg, pol, phi, theta):
 
 def pdf_first_passage_finite(cfg, pol, x, theta, phi):
     """Density of the ordered first-passage points theta on the cut at x for N
-    paths from phi, in the rectangle of length L = cfg.L.
+    paths from phi, in the rectangle of length L = cfg.L: joint_pdf at the
+    one cut x.
 
-    Ratio of the crossing determinant at the cut, the remaining norm from the
-    cut, and the total norm from the start.
+    The crossing determinant at the cut times the ratio of the remaining
+    norm from the cut to the total norm from the start.
     """
-    theta, phi = as_weyl(theta), as_weyl(phi)
-    if theta.n != phi.n:
-        raise DomainError("theta and phi must have equal length")
-    L = cfg.L
-    if not (0.0 < x < L):
-        raise DomainError("need 0 < x < L")
-    cut = fomin_boundary_det(RectConfig(x), pol, phi, theta)
-    return cut * norm_inner(cfg, pol, x, theta) / norm_boundary(cfg, pol, phi)
+    return joint_pdf(cfg, pol, ChamberSequence((x,)), [theta], phi)
 
 
 def start_weight(x, n):
@@ -273,24 +241,22 @@ def start_weight(x, n):
 
 
 def pdf_first_passage(pol, x, theta, phi):
-    """Infinite-strip first-passage density on the cut at x.
+    """Infinite-strip first-passage density on the cut at x: joint_pdf at the
+    one cut x with cfg None.
 
     The large-L limit of pdf_first_passage_finite: the norm ratio collapses
     to start_weight(x) * hat_h(theta) / hat_h(phi).
     """
-    theta, phi = as_weyl(theta), as_weyl(phi)
-    if theta.n != phi.n:
-        raise DomainError("theta and phi must have equal length")
-    cut = fomin_boundary_det(RectConfig(x), pol, phi, theta)
-    return cut * start_weight(x, theta.n) * hat_h(theta) / hat_h(phi)
+    return joint_pdf(None, pol, ChamberSequence((x,)), [theta], phi)
 
 
 def transition_factor(cfg, pol, x_m, theta_m, x_next, theta_next):
     """Conditional density factor for the passage points at the next cut.
 
-    Finite L (cfg.L a number): norm ratio times the interior determinant of
-    the sub-rectangle ending at x_next.  Infinite strip (cfg None or L=inf):
-    the norm ratio collapses to start-weight and hat_h ratios.
+    The interior determinant of the sub-rectangle ending at x_next times a
+    norm ratio: in the rectangle of length cfg.L, or in the infinite strip
+    when cfg is None, where the ratio collapses to start-weight and hat_h
+    ratios.
     """
     theta_m, theta_next = as_weyl(theta_m), as_weyl(theta_next)
     if theta_m.n != theta_next.n:
@@ -298,7 +264,7 @@ def transition_factor(cfg, pol, x_m, theta_m, x_next, theta_next):
     if not (0.0 < x_m < x_next):
         raise DomainError("cuts must satisfy 0 < x_m < x_next")
     det = fomin_inner_det(RectConfig(x_next), pol, x_m, theta_m, theta_next)
-    if cfg is None or not math.isfinite(cfg.L):
+    if cfg is None:
         ratio = (
             start_weight(x_next, theta_m.n)
             * hat_h(theta_next)
@@ -317,7 +283,8 @@ def joint_pdf(cfg, pol, seq, thetas, phi):
     Telescoped product of the first-cut density and the transition factors:
     the boundary determinant at the first cut, interior determinants between
     consecutive cuts, and a single norm ratio at the last cut.  cfg of None
-    (or seq.L None) selects the infinite strip.
+    selects the infinite strip; otherwise seq.L, when given, must equal
+    cfg.L.
     """
     phi = as_weyl(phi)
     thetas = [as_weyl(t) for t in thetas]
@@ -325,8 +292,8 @@ def joint_pdf(cfg, pol, seq, thetas, phi):
         raise DomainError("need one angle tuple per cut")
     if any(t.n != phi.n for t in thetas):
         raise DomainError("all angle tuples must match phi in length")
-    finite = cfg is not None and math.isfinite(cfg.L)
-    if finite and seq.L is not None and abs(seq.L - cfg.L) > 0.0:
+    finite = cfg is not None
+    if finite and seq.L is not None and seq.L != cfg.L:
         raise DomainError("sequence and config disagree about L")
     cuts = seq.cuts
     if finite and not (cuts[-1] < cfg.L):

@@ -75,6 +75,33 @@ def _check_angles(*arrays):
             raise DomainError("angles must lie in [0, pi]")
 
 
+def angle_tuples(angles):
+    """One angle tuple or a (..., N) stack of them, as an array.
+
+    A 1-d argument (or a WeylPoint) is one tuple and is validated as a
+    WeylPoint; a stack is only range-checked, so its tuples may be
+    unordered or hold equal angles.
+    """
+    if isinstance(angles, WeylPoint):
+        return angles.angles
+    a = np.asarray(angles, dtype=float)
+    if a.ndim < 2:
+        return WeylPoint(a).angles
+    _check_angles(a)
+    return a
+
+
+def boundary_coeffs(n, L):
+    """Edge-to-edge kernel coefficients (2/pi) n / sinh(n L), in exponential form."""
+    n = np.asarray(n, dtype=float)
+    return _TWO_OVER_PI * 2.0 * n * np.exp(-n * L) / -np.expm1(-2.0 * n * L)
+
+
+def inner_coeffs(n, x, L):
+    """Interior-to-edge kernel coefficients (2/pi) sinh(n x) / sinh(n L)."""
+    return _TWO_OVER_PI * sinh_ratio(n, x, L)
+
+
 def _sine_series(coeffs, theta, rho):
     """sum_n coeffs[n-1] * sin(n*theta) * sin(n*rho), broadcast over angles.
 
@@ -124,9 +151,7 @@ def poisson_rect(cfg, pol, x, theta, rho):
         raise TruncationError(
             f"series needs {n0} terms, policy allows {pol.n_max}", achieved=achieved
         )
-    n = np.arange(1, n0 + 1)
-    coeffs = _TWO_OVER_PI * sinh_ratio(n, x, L)
-    value = _sine_series(np.atleast_1d(coeffs), theta, rho)
+    value = _sine_series(inner_coeffs(np.arange(1, n0 + 1), x, L), theta, rho)
     bound = c * q ** (n0 + 1) / (1.0 - q)
     return TailBoundedValue(value, bound)
 
@@ -152,29 +177,31 @@ def boundary_poisson_rect(cfg, pol, phi, rho):
             raise TruncationError(
                 f"series needs more than {pol.n_max} terms", achieved=tail(pol.n_max)
             )
-    n = np.arange(1, n0 + 1)
-    # n / sinh(nL) in exponential form
-    coeffs = _TWO_OVER_PI * 2.0 * n * np.exp(-n * L) / -np.expm1(-2.0 * n * L)
-    value = _sine_series(coeffs, phi, rho)
+    value = _sine_series(boundary_coeffs(np.arange(1, n0 + 1), L), phi, rho)
     return TailBoundedValue(value, tail(n0))
 
 
+def _kernel_det(kernel, start, rho):
+    """det[ kernel(start_j, rho_k) ] for an ordered tuple `start` and one
+    tuple or a (..., N) stack of tuples `rho` (see angle_tuples); a stack
+    gives one determinant per tuple, a float for a single tuple.  Every
+    entry and determinant has the bits it has alone."""
+    start, rho = as_weyl(start), angle_tuples(rho)
+    if rho.shape[-1] != start.n:
+        raise DomainError("angle tuples must have equal length")
+    return det_lu(kernel(start.angles[:, None], rho[..., None, :]).value)
+
+
 def fomin_boundary_det(cfg, pol, phi, rho):
-    """det[ H_boundary(i*phi_j, L + i*rho_k) ] over two ordered angle tuples."""
-    phi, rho = as_weyl(phi), as_weyl(rho)
-    if phi.n != rho.n:
-        raise DomainError("phi and rho must have equal length")
-    m = boundary_poisson_rect(cfg, pol, phi.angles[:, None], rho.angles[None, :]).value
-    return det_lu(np.atleast_2d(m))
+    """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
+    one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
+    return _kernel_det(lambda p, r: boundary_poisson_rect(cfg, pol, p, r), phi, rho)
 
 
 def fomin_inner_det(cfg, pol, x, theta, rho):
-    """det[ H(x + i*theta_j, L + i*rho_k) ] over two ordered angle tuples."""
-    theta, rho = as_weyl(theta), as_weyl(rho)
-    if theta.n != rho.n:
-        raise DomainError("theta and rho must have equal length")
-    m = poisson_rect(cfg, pol, x, theta.angles[:, None], rho.angles[None, :]).value
-    return det_lu(np.atleast_2d(m))
+    """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
+    one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
+    return _kernel_det(lambda t, r: poisson_rect(cfg, pol, x, t, r), theta, rho)
 
 
 def hat_h(theta):
@@ -218,23 +245,19 @@ def partitions(cap, parts):
             yield lam
 
 
-def _staircase_det(m_freqs, angles):
-    """det[ sin(m_k * angle_j) ]_{j,k}."""
-    mat = np.sin(np.outer(angles, m_freqs))
-    return det_lu(mat)
-
-
 def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
     """Boundary determinant as a partition sum.
 
     Cancelling the staircase prefactors against the ratio-of-determinant
     weights leaves
 
-        f(phi, rho) = (2/pi)^N * sum_lambda a_lambda * D_lambda(phi) * D_lambda(rho)
+        f(phi, rho) = sum_lambda a_lambda * D_lambda(phi) * D_lambda(rho)
 
-    with m_k = lambda_k + N - k + 1, a_lambda = prod_k m_k / sinh(m_k L) and
-    D_lambda(theta) = det[sin(m_k theta_j)].  Terms are summed in graded order
-    through weight `partition_cap`; the returned bound certifies the rest of
+    with m_k = lambda_k + N - k + 1, a_lambda = prod_k c_{m_k} over the
+    boundary_coeffs c_m = (2/pi) m / sinh(m L), and D_lambda(theta) =
+    det[sin(m_k theta_j)].  Every partition of weight up to `partition_cap`
+    contributes, the D_lambda of one angle tuple as one stacked determinant,
+    and math.fsum adds the terms; the returned bound certifies the rest of
     the sum.  With `tol` given, a bound above it raises TruncationError.
     """
     phi, rho = as_weyl(phi), as_weyl(rho)
@@ -244,14 +267,11 @@ def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
         raise DomainError("partition_cap must be nonnegative")
     n = phi.n
     L = cfg.L
-    staircase = np.arange(n, 0, -1)  # N, N-1, .., 1
-
-    total = 0.0
-    for lam in partitions(partition_cap, n):
-        m = np.asarray(lam) + staircase
-        a = float(np.prod(2.0 * m * np.exp(-m * L) / -np.expm1(-2.0 * m * L)))
-        total += a * _staircase_det(m, phi.angles) * _staircase_det(m, rho.angles)
-    total *= _TWO_OVER_PI**n
+    # m[lambda, k] = lambda_k + N - k + 1
+    m = np.array(list(partitions(partition_cap, n))) + np.arange(n, 0, -1)
+    a = np.prod(boundary_coeffs(m, L), axis=-1)
+    d_phi, d_rho = (det_lu(np.sin(t.angles[:, None] * m[:, None, :])) for t in (phi, rho))
+    total = math.fsum(a * d_phi * d_rho)
 
     # |D_lambda| <= N!, a_lambda <= (2/(1-e^{-2L}))^N (w+N)^N e^{-L(w + N(N+1)/2)},
     # and the number of partitions of w into <= N parts is at most (w+1)^(N-1)

@@ -30,13 +30,14 @@ from .errors import DomainError
 from .graph_fomin import brute_force_fomin, fomin_det, square_grid_network
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
-from .passage_densities import _boundary_det_grid, _norm_inner_grid, norm_boundary
+from .passage_densities import norm_boundary, norm_inner
 from .rect_kernels import (
     CROSSING_CASES,
     RectConfig,
     boundary_poisson_rect,
     crossing_decay_rate,
     crossing_exponent_fit,
+    fomin_boundary_det,
     hat_h,
     poisson_rect,
 )
@@ -232,8 +233,8 @@ def check_normalization(pol=DEFAULT_POLICY):
     rule = gauss_legendre(order)
     w = rule.weights
     grid = np.stack(np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), axis=-1)
-    fb = _boundary_det_grid(RectConfig(x), pol, phi, grid)
-    ni = _norm_inner_grid(cfg, pol, x, grid)
+    fb = fomin_boundary_det(RectConfig(x), pol, phi, grid)
+    ni = norm_inner(cfg, pol, x, grid)
     mass = float(np.einsum("i,j,ij->", w, w, fb * ni)) / (
         2.0 * norm_boundary(cfg, pol, phi)
     )
@@ -270,8 +271,8 @@ def check_normalization(pol=DEFAULT_POLICY):
     rule = gauss_legendre(order)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    first = _boundary_det_grid(RectConfig(x1), pol, phi, grid) * np.outer(w, w)
-    last = _norm_inner_grid(cfg, pol, x2, grid) * np.outer(w, w)
+    first = fomin_boundary_det(RectConfig(x1), pol, phi, grid) * np.outer(w, w)
+    last = norm_inner(cfg, pol, x2, grid) * np.outer(w, w)
     step = poisson_rect(RectConfig(x2), pol, x1, nodes[:, None], nodes[None, :]).value
     t1 = np.einsum("ab,ac,bd,cd->", first, step, step, last, optimize=True)
     t2 = np.einsum("ab,ad,bc,cd->", first, step, step, last, optimize=True)

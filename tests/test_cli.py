@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
 
@@ -502,6 +503,9 @@ def test_usage_errors_name_the_precondition():
         (["kernel", "--domain", "strip", "--N", "2", "--x", "inf", "--theta", "1",
           "--xp", "1", "--thetap", "1"], "'inf' is not a finite number"),
         (["crossing-exponent", "--paths", "2", "--lengths", "6,6"], "two distinct"),
+        (["pdf", "--theta", "1,2", "--tol", "-1"], "tol must be a positive"),
+        (["pdf", "--theta", "1,2", "--tol", "-1", "--save-manifest", os.devnull],
+         "tol must be a positive"),
     ],
 )
 def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):

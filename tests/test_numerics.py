@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebp.errors import DomainError, PrecisionError
-from lebp.rect_kernels import _staircase_det, hat_h
+from lebp.rect_kernels import hat_h
 from lebp.numerics import (
     QuadratureRule,
     SeriesPolicy,
@@ -194,8 +194,27 @@ def test_staircase_det_at_close_angles_matches_mpmath_oracle():
         angles = np.array(angles)
         m = np.arange(1.0, angles.size + 1)
         mat = np.sin(np.outer(angles, m))
-        err = _mp_det_rel_err(_staircase_det(m, angles), mat)
+        err = _mp_det_rel_err(det_lu(mat), mat)
         assert err <= angles.size * np.finfo(float).eps * np.linalg.cond(mat), angles
+
+
+def test_stacked_det_lu_matches_each_matrix_bitwise():
+    rng = np.random.default_rng(8)
+    for n in range(1, 13):
+        stack = rng.normal(size=(2, 3, n, n))
+        # a zero column: the pivot vanishes at the first step
+        stack[0, 1, :, 0] = 0.0
+        # rows that cancel exactly: the pivot vanishes at a later step
+        stack[1, 2] = 1.0
+        dets = det_lu(stack)
+        assert dets.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert dets[idx] == det_lu(stack[idx]), (n, idx)
+            assert type(det_lu(stack[idx])) is float
+        assert dets[0, 1] == 0.0 and not np.signbit(dets[0, 1])
+        if n > 1:
+            assert dets[1, 2] == 0.0 and not np.signbit(dets[1, 2])
+    assert det_lu(np.zeros((4, 0, 0))).tolist() == [1.0] * 4
 
 
 def test_det_lu_rejects_oversize_and_nonfinite():
@@ -205,6 +224,10 @@ def test_det_lu_rejects_oversize_and_nonfinite():
         det_lu(np.array([[np.nan]]))
     with pytest.raises(DomainError):
         det_lu(np.ones((2, 3)))
+    with pytest.raises(DomainError):
+        det_lu(np.ones(3))
+    with pytest.raises(DomainError):
+        det_lu(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
 
 
 @settings(max_examples=200, deadline=None)

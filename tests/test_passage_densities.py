@@ -8,9 +8,7 @@ from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import DEFAULT_POLICY, SeriesPolicy, gauss_legendre
 from lebp.passage_densities import (
     ChamberSequence,
-    _boundary_det_grid,
     _chamber_norm,
-    _norm_inner_grid,
     _norm_series,
     _sine_sign_kernel,
     joint_pdf,
@@ -260,11 +258,11 @@ def test_norm_matches_mpmath_pfaffian_oracle():
 def test_norm_inner_grid_matches_scalar():
     cfg = RectConfig(2.0)
     grid = np.array([[0.9, 2.1], [0.4, 1.0], [1.5, 2.8]])
-    vals = _norm_inner_grid(cfg, POL, 0.8, grid)
+    vals = norm_inner(cfg, POL, 0.8, grid)
     for row, v in zip(grid, vals):
         assert v == pytest.approx(norm_inner(cfg, POL, 0.8, row), rel=1e-13)
     # antisymmetric continuation: swapping two angles flips the sign
-    swapped = _norm_inner_grid(cfg, POL, 0.8, grid[:, ::-1].copy())
+    swapped = norm_inner(cfg, POL, 0.8, grid[:, ::-1].copy())
     assert np.allclose(swapped, -vals, rtol=1e-13)
 
 
@@ -272,7 +270,7 @@ def test_boundary_det_grid_matches_determinant():
     cfg = RectConfig(1.1)
     phi = [0.9, 2.0]
     grid = np.array([[0.7, 1.9], [1.2, 2.4]])
-    vals = _boundary_det_grid(cfg, POL, phi, grid)
+    vals = fomin_boundary_det(cfg, POL, phi, grid)
     for row, v in zip(grid, vals):
         ref = fomin_boundary_det(cfg, POL, phi, row)
         assert v == pytest.approx(ref, rel=1e-12)
@@ -320,8 +318,8 @@ def test_pdf_two_paths_normalizes():
     rule = gauss_legendre(64)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    fb = _boundary_det_grid(RectConfig(x), POL, phi, grid)
-    ni = _norm_inner_grid(cfg, POL, x, grid)
+    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
+    ni = norm_inner(cfg, POL, x, grid)
     mass = float(np.einsum("i,j,ij->", w, w, fb * ni)) / 2.0
     mass /= norm_boundary(cfg, POL, phi)
     assert mass == pytest.approx(1.0, abs=1e-10)
@@ -366,8 +364,8 @@ def test_joint_mass_two_cuts_two_paths():
     rule = gauss_legendre(48)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    A = _boundary_det_grid(RectConfig(x1), POL, phi, grid)
-    B = _norm_inner_grid(cfg, POL, x2, grid)
+    A = fomin_boundary_det(RectConfig(x1), POL, phi, grid)
+    B = norm_inner(cfg, POL, x2, grid)
     K = poisson_rect(RectConfig(x2), POL, x1, nodes[:, None], nodes[None, :]).value
     Aw = A * np.outer(w, w)
     Bw = B * np.outer(w, w)
@@ -393,7 +391,7 @@ def test_infinite_pdf_normalizes():
     rule = gauss_legendre(64)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    fb = _boundary_det_grid(RectConfig(x), POL, phi, grid)
+    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
     pdf = start_weight(x, 2) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,ij->", w, w, pdf)) / 2.0
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -404,7 +402,7 @@ def test_infinite_pdf_normalizes_three_paths():
     rule = gauss_legendre(40)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1)
-    fb = _boundary_det_grid(RectConfig(x), POL, phi, grid)
+    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
     pdf = start_weight(x, 3) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,k,ijk->", w, w, w, pdf)) / math.factorial(3)
     assert mass == pytest.approx(1.0, abs=1e-10)

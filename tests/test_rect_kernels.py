@@ -142,6 +142,36 @@ def test_fomin_det_single_point_reduces_to_kernel():
     assert abs(d - k) < 1e-16
 
 
+def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
+    cfg = RectConfig(2.5)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4):
+        start = np.sort(rng.uniform(0.2, 2.9, n))
+        stack = np.sort(rng.uniform(0.05, PI - 0.05, (3, 5, n)), axis=-1)
+        evaluations = [
+            lambda rho: fomin_boundary_det(cfg, POL, start, rho),
+            lambda rho: fomin_inner_det(cfg, POL, 1.1, start, rho),
+        ]
+        for det in evaluations:
+            dets = det(stack)
+            assert dets.shape == (3, 5)
+            for idx in np.ndindex(3, 5):
+                assert dets[idx] == det(tuple(stack[idx])), (n, idx)
+            # off the ordered chamber a stack is range-checked only; a swap
+            # of two angles flips the sign (the antisymmetric continuation)
+            if n > 1:
+                off = stack.copy()
+                off[..., [0, 1]] = stack[..., [1, 0]]
+                swapped = det(off)
+                for idx in np.ndindex(3, 5):
+                    assert swapped[idx] == det(off[idx][None, :])[0]
+                assert np.allclose(swapped, -dets, rtol=1e-10, atol=0.0)
+    with pytest.raises(DomainError):
+        fomin_boundary_det(cfg, POL, (0.5, 1.5), np.full((2, 2), 4.0))
+    with pytest.raises(DomainError):
+        fomin_inner_det(cfg, POL, 1.1, (0.5, 1.5), np.ones((2, 3)))
+
+
 def test_weyl_point_validation():
     with pytest.raises(DomainError):
         WeylPoint((2.0, 1.0))
