@@ -50,7 +50,7 @@ from .correlation import (
     two_point_semicircle,
 )
 from .errors import DomainError, EnumerationBudgetError, PrecisionError, TruncationError
-from .graph_fomin import brute_force_fomin, fomin_det, square_grid_network
+from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import SeriesPolicy
 from .passage_densities import ChamberSequence, joint_pdf
@@ -318,7 +318,8 @@ def _cmd_fomin_check(ns):
     a = tuple(id_of[(i, -1)] for i in picks)
     b = tuple(id_of[(i, size)] for i in picks)
     det = fomin_det(net, (a, b))
-    brute, bound = brute_force_fomin(net, (a, b), max_len)
+    brute, bound = brute_force_fomin(net, (a, b))
+    bound += fomin_det_bound(net, (a, b))
     diff = abs(det - brute)
     within = diff <= bound
     header = ["size", "paths", "max_len", "determinant", "enumeration", "tail_bound"]
@@ -479,7 +480,12 @@ def build_parser():
     p = sub.add_parser("fomin-check", help="walk determinant vs brute-force enumeration")
     p.add_argument("--size", default="3", help="interior grid size")
     p.add_argument("--paths", default="2", help="number of paths")
-    p.add_argument("--max-len", dest="max_len", default="14", help="enumeration length cap")
+    p.add_argument(
+        "--max-len",
+        dest="max_len",
+        default="14",
+        help="ignored: the enumeration is exact; still checked and printed",
+    )
     _add_common(p, policy=False)
 
     p = sub.add_parser("crossing-exponent", help="fit the nonintersection decay exponent")

@@ -6,10 +6,12 @@ product of its edge weights, the walk matrix entry W(a, b) is the sum of walk
 weights over all walks from a to b, and minors of W built from boundary
 vertices equal sums over tuples of walks whose earlier loop erasures avoid all
 later walks (Fomin's identity).  This module evaluates both sides: W as one
-cached linear solve over all vertices, the combinatorial side by explicit
-enumeration with a certified bound on the truncated-away mass, as the
-independent check.  The weight of the walks with a given loop erasure needs
-no enumeration: it is one minor of W times the step weights of the path.
+cached linear solve over all vertices, with a certified entrywise error, and
+the combinatorial side as the independent check, an exact sum over tuples of
+disjoint self-avoiding paths (the loop erasures) with no walk enumeration.
+The weight of the walks with a given loop erasure is one minor of W times
+the step weights of the path, and for a tuple of paths on the shrinking
+network the minors telescope into one minor of I - Q.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError
-from .numerics import det_lu
+from .numerics import UNIT_ROUNDOFF, det_lu, det_lu_bounded, rounding_gamma
 
 _RHO_THRESHOLD = 1.0 - 1e-6
 _POWER_ITERATIONS = 200
@@ -82,6 +84,7 @@ class Network:
         self._interior_mask = np.zeros(vertex_count)
         self._interior_mask[list(interior)] = 1.0
         self._walk = None
+        self._walk_err = None
 
         if interior:
             # power iteration on I + Q keeps the vector strictly positive, so
@@ -123,6 +126,47 @@ class Network:
             walk.setflags(write=False)
             self._walk = walk
         return self._walk
+
+    def walk_error(self):
+        """Entrywise certified bound on |walk_matrix() - W|, W the exact walk
+        matrix; computed once and cached.
+
+        With K = I - P D, the exact W is I + K^{-1} P, so the computed W^
+        misses it by K^{-1} R for the residual R = P - K (W^ - I).  K^{-1} is
+        nonnegative (rho(Q) < 1): (I - Q)^{-1} on the interior rows, and on
+        the boundary rows the identity plus P_BI (I - Q)^{-1}.  A positive
+        vector w with (I - Q) w >= s > 0, checked in rounded arithmetic, gives
+        (I - Q)^{-1} r <= c w whenever r <= c s, so each column of K^{-1} |R|
+        is bounded through its largest ratio |R_i| / s_i over the interior.
+        w is the row sums of W^ over the interior, close to (I - Q)^{-1} 1,
+        so s is close to 1 and no interior vertex is poorly weighted (the
+        power-iteration vector of the constructor can be 1e-24 on vertices
+        that Q does not feed).  |R| is bounded by the residual computed in
+        floating point plus that computation's own rounding.  Entries are
+        inf if the check on w fails, which takes a near-critical Q.
+        """
+        if self._walk_err is None:
+            eye = np.eye(self.vertex_count)
+            k = eye - self._p * self._interior_mask
+            walk = self.walk_matrix()
+            y = walk - eye
+            gam = rounding_gamma(self.vertex_count + 3)
+            resid = np.abs(self._p - k @ y) + gam * (np.abs(self._p) + np.abs(k) @ np.abs(y))
+            err = resid * (1.0 + gam)
+            interior, boundary = list(self.interior), list(self.boundary)
+            if interior:
+                w = walk[np.ix_(interior, interior)].sum(axis=1)
+                qw = self._p[np.ix_(interior, interior)] @ w
+                s = w - qw - rounding_gamma(len(interior) + 2) * (w + qw)
+                if np.all(s > 0.0):
+                    c = np.max(resid[interior] / s[:, None], axis=0) * (1.0 + gam)
+                    err[interior] = np.outer(w, c)
+                    err[boundary] += np.outer(self._p[np.ix_(boundary, interior)] @ w, c)
+                else:
+                    err[:] = np.inf
+            err.setflags(write=False)
+            self._walk_err = err
+        return self._walk_err
 
 
 @dataclass(frozen=True)
@@ -208,33 +252,6 @@ def walk_weight(net, walk):
     return w
 
 
-def _truncated_walk_sum(net, a, b, max_len, forbidden=frozenset()):
-    """Total weight of walks a -> b with at most max_len steps avoiding
-    `forbidden` vertices entirely (a and b must not be forbidden)."""
-    if a in forbidden or b in forbidden:
-        raise DomainError("walk endpoints may not be forbidden")
-    allowed = np.ones(net.vertex_count)
-    allowed[list(forbidden)] = 0.0
-    total = 1.0 if a == b else 0.0  # the empty walk
-    cur = np.zeros(net.vertex_count)  # weights of live walks by endpoint
-    cur[a] = 1.0
-    for _ in range(max_len):
-        cur = (cur @ net._p) * allowed
-        total += cur[b]
-        # walks at the boundary are absorbed; an interior b stays live
-        cur *= net._interior_mask
-    return float(total)
-
-
-def _walk_tail_bound(net, a, b, max_len):
-    """Certified upper bound on the total weight of walks a -> b longer than
-    max_len.  Exact discarded mass of the unconstrained walk sum; dropping the
-    avoidance constraint only enlarges it, so it also covers constrained walks."""
-    full = walk_green(net, a, b)
-    truncated = _truncated_walk_sum(net, a, b, max_len)
-    return max(0.0, full - truncated)
-
-
 def fomin_det(net, ab):
     """Determinant of the walk matrix [W(a_j, b_k)] over a boundary tuple.
 
@@ -247,96 +264,128 @@ def fomin_det(net, ab):
     return det_lu(net.walk_matrix()[np.ix_(ab.a, ab.b)])
 
 
-def _walks_to_boundary(net, a, b, max_len, forbidden, budget, handle):
-    """Depth-first enumeration of walks a -> b of at most max_len steps whose
-    vertices avoid `forbidden`; b must be a boundary vertex.  Calls
-    handle(path_tuple, weight) once per walk.  `budget` is a one-element list
-    counting remaining DFS edge extensions (callback style keeps the hot loop
-    free of generator plumbing)."""
-    path = [a]
+def fomin_det_bound(net, ab):
+    """Certified bound on |fomin_det(net, ab) - det W[A, B]|, W the exact walk
+    matrix: det_lu_bounded with the entrywise error of Network.walk_error."""
+    ab = _as_boundary_tuple(ab)
+    ab.validate(net)
+    idx = np.ix_(ab.a, ab.b)
+    return det_lu_bounded(net.walk_matrix()[idx], net.walk_error()[idx])[1]
+
+
+def _self_avoiding_paths(net, a, b, avoid, budget, handle):
+    """Depth-first enumeration of the self-avoiding paths a -> b whose
+    intermediate vertices are interior and outside `avoid`.  Calls
+    handle(intermediate_vertices, weight) once per path, weight the product
+    of its step weights.  `budget` is a one-element list counting remaining
+    path extensions (callback style keeps the hot loop free of generator
+    plumbing)."""
+    path = []
+    blocked = set(avoid)
     out_edges = net.out_edges
     is_interior = net._int_index.__contains__
 
-    def rec(v, weight, steps_left):
+    def rec(v, weight):
         for head, w in out_edges.get(v, ()):
-            if head in forbidden:
-                continue
             budget[0] -= 1
             if budget[0] < 0:
                 raise EnumerationBudgetError(
-                    "walk enumeration exceeded its node budget",
-                    reached=len(path) - 1,
+                    "path enumeration exceeded its node budget", reached=len(path)
                 )
             if head == b:
+                handle(path, weight * w)
+            elif is_interior(head) and head not in blocked:
                 path.append(head)
-                handle(tuple(path), weight * w)
-                path.pop()
-            elif is_interior(head) and steps_left > 1:
-                path.append(head)
-                rec(head, weight * w, steps_left - 1)
+                blocked.add(head)
+                rec(head, weight * w)
+                blocked.discard(head)
                 path.pop()
 
-    if max_len >= 1:
-        rec(a, 1.0, max_len)
+    rec(a, 1.0)
 
 
-def brute_force_fomin(net, ab, max_len, node_budget=20_000_000):
-    """Direct evaluation of the nonintersecting loop-erased walk sum.
+def _union_weights(net, ab, budget):
+    """Step-weight sums of the tuples of pairwise disjoint self-avoiding paths
+    a_j -> b_j, keyed by the frozenset of their interior vertices."""
+    groups = {frozenset(): 1.0}
+    for a, b in zip(ab.a, ab.b):
+        new = {}
+        for used, acc in groups.items():
 
-    Walks pi_1 .. pi_{N-1} are enumerated explicitly (each avoiding the union
-    of the loop erasures of all earlier walks); intermediate states are merged
-    by the *vertex set* of the accumulated loop erasures, which is all later
-    walks can see.  The final walk is summed by dynamic programming.  Returns
-    (value, tail_bound) where tail_bound certifies the weight of tuples
-    discarded by the length cutoff: a tuple is discarded only if some walk j
-    exceeds max_len, and relaxing the avoidance constraints bounds that by
-    sum_j tail_j * prod_{l != j} W(a_l, b_l).
+            def absorb(path, w, used=used, acc=acc):
+                key = used.union(path)
+                new[key] = new.get(key, 0.0) + acc * w
+
+            _self_avoiding_paths(net, a, b, used, budget, absorb)
+        groups = new
+    return groups
+
+
+def brute_force_fomin(net, ab, *, node_budget=20_000_000):
+    """Exact nonintersecting loop-erased walk sum, from self-avoiding paths.
+
+    In a walk tuple counted by Fomin's identity, walk j avoids the loop
+    erasures zeta_1 .. zeta_{j-1} of the earlier walks, so the zeta_j are
+    pairwise disjoint self-avoiding paths a_j -> b_j with interior
+    intermediate vertices.  The walks of the tuple with these erasures weigh
+    prod_j (step weights of zeta_j) * det M[S_j^c] / det M[S_{j-1}^c], with
+    M = I - Q on the interior and S_j the interior vertices of zeta_1 ..
+    zeta_j: Lawler's product formula on the network with S_{j-1} removed,
+    and Jacobi's complementary-minor identity (Marchal 2000), as in
+    lerw_weight.  The ratios telescope to det M[S^c] / det M, S the union of
+    the tuple.  The paths are enumerated one index at a time, merging states
+    by the union (all later paths can see), and the minors of each union
+    size go through one stacked det_lu_bounded call.
+
+    Nothing is truncated: the sum is finite, and neither W[A, B] nor
+    fomin_det is formed.  Returns (value, bound), bound a certified bound on
+    the rounding error of value: the sum has positive terms, each minor
+    carries its det_lu_bounded bound, and the division by det M follows the
+    quotient rule.
 
     Parameters
     ----------
     net : Network
     ab : BoundaryTuple or (A, B) pair
-    max_len : int
-        Maximum number of steps per walk.
     node_budget : int
-        Cap on DFS edge extensions; EnumerationBudgetError beyond it.
+        Cap on path extensions; EnumerationBudgetError beyond it.
     """
     ab = _as_boundary_tuple(ab)
     ab.validate(net)
-    if max_len < 1:
-        raise DomainError("max_len must be positive")
-    n = ab.n
     budget = [int(node_budget)]
+    groups = _union_weights(net, ab, budget)
+    if not groups:
+        return 0.0, 0.0
 
-    groups = {frozenset(): 1.0}
-    for j in range(n - 1):
-        a, b = ab.a[j], ab.b[j]
-        new = {}
-        for forbidden, acc in groups.items():
+    interior = np.array(net.interior, dtype=int)
+    m = np.eye(interior.size) - net._p[np.ix_(interior, interior)]
+    det_m, det_m_err = det_lu_bounded(m, UNIT_ROUNDOFF * np.abs(m))
+    by_size = {}
+    for used, acc in groups.items():
+        by_size.setdefault(len(used), []).append((used, acc))
+    terms, errs = [], []
+    for items in by_size.values():
+        keep = np.array(
+            [[i for i, v in enumerate(net.interior) if v not in used] for used, _ in items],
+            dtype=int,
+        ).reshape(len(items), -1)
+        minors = m[keep[:, :, None], keep[:, None, :]]
+        x, x_err = det_lu_bounded(minors, UNIT_ROUNDOFF * np.abs(minors))
+        acc = np.array([acc for _, acc in items])
+        terms.append(acc * x)
+        errs.append(acc * x_err)
+    terms, errs = np.concatenate(terms), np.concatenate(errs)
+    numerator = math.fsum(terms)
+    value = numerator / det_m
 
-            def absorb(path, w, forbidden=forbidden, acc=acc):
-                key = forbidden | set(loop_erase(path))
-                new[key] = new.get(key, 0.0) + acc * w
-
-            _walks_to_boundary(net, a, b, max_len, forbidden, budget, absorb)
-        groups = new
-
-    a_last, b_last = ab.a[-1], ab.b[-1]
-    value = sum(
-        acc * _truncated_walk_sum(net, a_last, b_last, max_len, forbidden)
-        for forbidden, acc in groups.items()
-    )
-
-    greens = [walk_green(net, a, b) for a, b in zip(ab.a, ab.b)]
-    tails = [_walk_tail_bound(net, a, b, max_len) for a, b in zip(ab.a, ab.b)]
-    tail_bound = 0.0
-    for j in range(n):
-        others = 1.0
-        for k in range(n):
-            if k != j:
-                others *= greens[k]
-        tail_bound += tails[j] * others
-    return float(value), float(tail_bound)
+    # every accumulated weight is a sum of at most node_budget - budget[0]
+    # products of at most |interior| + 2N rounded factors
+    gam = rounding_gamma(interior.size + 2 * ab.n + (int(node_budget) - budget[0]) + 2)
+    num_err = (1.0 + 2.0 * gam) * math.fsum(errs) + 2.0 * gam * math.fsum(np.abs(terms))
+    if det_m <= det_m_err:
+        return float(value), math.inf
+    bound = (num_err + abs(value) * det_m_err) / (det_m - det_m_err) + UNIT_ROUNDOFF * abs(value)
+    return float(value), float(bound)
 
 
 def lerw_weight(net, zeta, max_len=None):

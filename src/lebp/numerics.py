@@ -1,7 +1,9 @@
 """Shared numerical infrastructure.
 
 Quadrature rules on (0, pi), chamber integration, batched pivoted-LU
-determinants (det_lu, the library's one determinant routine), batched
+determinants (det_lu, the library's one determinant routine, and
+det_lu_bounded, the same value with a certified Hadamard-type bound on its
+rounding and on given entrywise errors), batched
 Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber norms
 and free-end minor sums reduce to), overflow-safe sinh ratios, and
 certified tail bounds for polynomial-times-geometric series.  Everything
@@ -146,17 +148,23 @@ def chamber_integrate(f, rule, ndim):
     return total / math.factorial(ndim)
 
 
-def det_lu(a):
-    """Determinant of the square matrices stacked on the leading axes of a,
-    via LU with partial pivoting: sign times the product of pivots.
+UNIT_ROUNDOFF = 2.0**-53
 
-    Vectorized over the stack; the Python loop runs over the matrix size
-    only, and every matrix gets the bits it gets alone.  A zero pivot gives
-    exactly +0.0 for its matrix.  Matrices larger than 64 x 64 are rejected;
-    the library never needs them and the restriction keeps the plain
-    product of pivots safe from gratuitous overflow.  The product is formed
-    directly, never as exp(log|det|), so a tiny determinant keeps its
-    relative accuracy.  Returns a float for a single matrix.
+
+def rounding_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = UNIT_ROUNDOFF: the relative
+    error bound of k successive floating-point operations."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _lu_stack(a):
+    """Pivoted LU of the square matrices stacked on the leading axes of a.
+
+    Returns (det, lu, batch): det holds sign times the product of pivots for
+    each matrix of the flattened stack, lu (shape (m, n, n)) holds U on and
+    above the diagonal and the multipliers of L below it (rows in pivoted
+    order), and batch is the leading shape to restore.
     """
     a = np.array(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -181,10 +189,68 @@ def det_lu(a):
         # a zero pivot means a zero column; its determinant is +0.0
         singular |= pivot == 0.0
         tau = a[:, k + 1 :, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, k + 1 :, k] = tau
         a[:, k + 1 :, k + 1 :] -= tau[:, :, None] * a[:, k, None, k + 1 :]
     det[singular] = 0.0
-    det = det.reshape(batch)
-    return float(det) if det.ndim == 0 else det
+    return det, a, batch
+
+
+def _unstack(x, batch):
+    x = x.reshape(batch)
+    return float(x) if x.ndim == 0 else x
+
+
+def det_lu(a):
+    """Determinant of the square matrices stacked on the leading axes of a,
+    via LU with partial pivoting: sign times the product of pivots.
+
+    Vectorized over the stack; the Python loop runs over the matrix size
+    only, and every matrix gets the bits it gets alone.  A zero pivot gives
+    exactly +0.0 for its matrix.  Matrices larger than 64 x 64 are rejected;
+    the library never needs them and the restriction keeps the plain
+    product of pivots safe from gratuitous overflow.  The product is formed
+    directly, never as exp(log|det|), so a tiny determinant keeps its
+    relative accuracy.  Returns a float for a single matrix.
+    """
+    det, _, batch = _lu_stack(a)
+    return _unstack(det, batch)
+
+
+def det_lu_bounded(a, err=0.0):
+    """det_lu(a) together with a certified bound on its distance to det(a + e)
+    for every e with |e| <= err entrywise.
+
+    Returns (det, bound), each a float for a single matrix and an array over
+    a stack; det is bitwise det_lu(a), and err broadcasts against a.  The
+    computed factors satisfy L U = P (a + da) with |da| <= gamma_n |L| |U|,
+    and the product of the n pivots adds a relative error gamma_n (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 9.3).  So det_lu(a)
+    is det(a + e + f)(1 + theta) with f = da - e.  The Hadamard-type
+    perturbation bound of Ipsen & Rehman (SIMAX 2008),
+    |det(c + f) - det c| <= prod_j (|c_j| + |f_j|) - prod_j |c_j| over the
+    columns c_j, f_j (2-norms), is increasing in |c_j|, so it holds with
+    |c_j| replaced by |a_j| + |err_j|.  The difference of products is
+    accumulated from positive terms, and the bound's own rounding is
+    covered by a factor 1 + gamma_{4n+4}.
+    """
+    det, lu, batch = _lu_stack(a)
+    n = lu.shape[-1]
+    err = np.broadcast_to(np.abs(np.asarray(err, dtype=float)), batch + (n, n))
+    err = err.reshape(lu.shape)
+    lower = np.tril(lu, -1) + np.eye(n)
+    llu = np.abs(lower) @ np.abs(np.triu(lu))
+    gam = rounding_gamma(n)
+    e_norm = np.linalg.norm(err, axis=-2)
+    col = np.linalg.norm(np.asarray(a, dtype=float).reshape(lu.shape), axis=-2) + e_norm
+    pert = gam * np.linalg.norm(llu, axis=-2) + e_norm
+    # spread = prod(col + pert) - prod(col) over the columns seen so far,
+    # grown by positive terms only
+    spread, head = np.zeros(det.shape), np.ones(det.shape)
+    for c, p in zip(col.T, pert.T):
+        spread = c * spread + p * head
+        head = head * (c + p)
+    bound = (spread + gam / (1.0 - gam) * np.abs(det)) * (1.0 + rounding_gamma(4 * n + 4))
+    return _unstack(det, batch), _unstack(bound, batch)
 
 
 def sinh_ratio(n, num, den):

@@ -27,7 +27,7 @@ from .correlation import (
     two_point_semicircle,
 )
 from .errors import DomainError
-from .graph_fomin import brute_force_fomin, fomin_det, square_grid_network
+from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
 from .passage_densities import norm_boundary, norm_inner
@@ -58,7 +58,9 @@ class CheckResult:
     """One measured quantity next to the tolerance it must meet.
 
     `elapsed` is the wall time in seconds of the computation the check
-    times for this quantity, or None where the check does not time it.
+    times for this quantity.  Where the check does not time it, run_suite
+    sets it to the wall time of the whole check function that produced it;
+    it is None only on a record that did not come through run_suite.
     """
 
     name: str
@@ -92,16 +94,17 @@ def _count(name, got, expected, detail=""):
 
 
 def check_fomin_identity(pol=DEFAULT_POLICY):
-    """Two-path walk determinant on the 3x3 grid against truncated
-    brute-force enumeration; must agree within the enumeration's own
-    certified tail bound."""
+    """Two-path walk determinant on the 3x3 grid against the exact
+    enumeration over self-avoiding paths; must agree within the sum of both
+    sides' certified rounding bounds."""
     del pol  # exact rational walk sums; no series policy involved
     net, id_of = square_grid_network(3, 3)
     a = (id_of[(0, -1)], id_of[(2, -1)])
     b = (id_of[(0, 3)], id_of[(2, 3)])
     start = time.perf_counter()
     det = fomin_det(net, (a, b))
-    brute, bound = brute_force_fomin(net, (a, b), 14)
+    brute, bound = brute_force_fomin(net, (a, b))
+    bound += fomin_det_bound(net, (a, b))
     elapsed = time.perf_counter() - start
     diff = abs(det - brute)
     return [
@@ -530,14 +533,21 @@ SUITES = {
 
 
 def run_suite(name, pol=DEFAULT_POLICY):
-    """Run one named suite and return its CheckResult list."""
+    """Run one named suite and return its CheckResult list, every record with
+    its elapsed time set."""
     if name not in SUITES:
         raise DomainError(
             "unknown suite %r; choose from %s" % (name, ", ".join(sorted(SUITES)))
         )
     results = []
     for fn in SUITES[name]:
-        results.extend(fn(pol))
+        start = time.perf_counter()
+        out = fn(pol)
+        elapsed = time.perf_counter() - start
+        for r in out:
+            if r.elapsed is None:
+                r.elapsed = elapsed
+        results.extend(out)
     return results
 
 

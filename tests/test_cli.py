@@ -212,6 +212,29 @@ def test_fomin_check_row_within_bound():
     assert diff <= bound
 
 
+@pytest.mark.parametrize("size, paths", [(2, 2), (3, 2), (4, 3)])
+def test_fomin_check_bound_is_rounding_level(size, paths):
+    # the enumeration is exact, so the bound covers rounding alone
+    code, out, _ = run_cli(["fomin-check", "--size", str(size), "--paths", str(paths)])
+    assert code == 0
+    header, (row,) = rows_of(out)
+    col = {name: float(row[header.index(name)]) for name in ("determinant", "tail_bound", "abs_diff")}
+    assert col["abs_diff"] <= col["tail_bound"] <= 1e-6 * abs(col["determinant"])
+
+
+def test_fomin_check_max_len_is_validated_and_printed_but_changes_nothing():
+    rows = {}
+    for max_len in ("3", "40"):
+        code, out, _ = run_cli(["fomin-check", "--size", "3", "--max-len", max_len])
+        assert code == 0
+        header, (row,) = rows_of(out)
+        assert row[header.index("max_len")] == max_len
+        rows[max_len] = row[: header.index("max_len")] + row[header.index("max_len") + 1 :]
+    assert rows["3"] == rows["40"]
+    code, _, err = run_cli(["fomin-check", "--max-len", "0"])
+    assert code == 2 and "--max-len" in err
+
+
 def test_crossing_exponent_fit_columns():
     code, out, _ = run_cli(["crossing-exponent", "--paths", "2"])
     assert code == 0
@@ -515,6 +538,28 @@ def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragmen
     # one error line: no traceback, and no numpy warning on the way there
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+def test_run_suite_times_every_check(monkeypatch):
+    # a check that times nothing gets its function's wall time; a check that
+    # times its own computation keeps that time
+    from lebp import validation
+
+    def untimed(pol):
+        return [validation.CheckResult("a", 0.0, 1.0, True), validation.CheckResult("b", 0.0, 1.0, True)]
+
+    def timed(pol):
+        return [validation.CheckResult("c", 0.0, 1.0, True, elapsed=123.0)]
+
+    monkeypatch.setitem(validation.SUITES, "probe", (untimed, timed))
+    a, b, c = validation.run_suite("probe")
+    assert a.elapsed == b.elapsed and 0.0 < a.elapsed < 1.0
+    assert c.elapsed == 123.0
+    code, out, _ = run_cli(["validate", "--suite", "limits"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 9
+    assert all(isinstance(c["elapsed"], float) and c["elapsed"] >= 0.0 for c in checks)
 
 
 # --- the CSV writer ------------------------------------------------------------------

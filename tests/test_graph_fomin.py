@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ from lebp.errors import DomainError, EnumerationBudgetError
 from lebp.graph_fomin import (
     BoundaryTuple,
     Network,
-    _truncated_walk_sum,
-    _walk_tail_bound,
+    _union_weights,
     brute_force_fomin,
     fomin_det,
+    fomin_det_bound,
     lerw_weight,
     load_network,
     loop_erase,
@@ -23,6 +24,122 @@ from lebp.graph_fomin import (
     walk_weight,
 )
 from lebp.numerics import det_lu
+
+
+# --- walk enumeration oracle -------------------------------------------------
+# Truncated walk sums and a depth-first enumeration of Fomin's walk sum cut
+# off at max_len: independent checks of walk_green, lerw_weight and the exact
+# self-avoiding path sum of brute_force_fomin.
+
+
+def _truncated_walk_sum(net, a, b, max_len, forbidden=frozenset()):
+    """Total weight of walks a -> b with at most max_len steps avoiding
+    `forbidden` vertices entirely (a and b must not be forbidden)."""
+    assert a not in forbidden and b not in forbidden
+    allowed = np.ones(net.vertex_count)
+    allowed[list(forbidden)] = 0.0
+    total = 1.0 if a == b else 0.0  # the empty walk
+    cur = np.zeros(net.vertex_count)  # weights of live walks by endpoint
+    cur[a] = 1.0
+    for _ in range(max_len):
+        cur = (cur @ net._p) * allowed
+        total += cur[b]
+        # walks at the boundary are absorbed; an interior b stays live
+        cur *= net._interior_mask
+    return float(total)
+
+
+def _walk_tail_bound(net, a, b, max_len):
+    """Upper bound on the total weight of walks a -> b longer than max_len:
+    the exact discarded mass of the unconstrained walk sum, which also covers
+    walks constrained to avoid vertices."""
+    return max(0.0, walk_green(net, a, b) - _truncated_walk_sum(net, a, b, max_len))
+
+
+def _walks_to_boundary(net, a, b, max_len, forbidden, handle):
+    """Calls handle(walk, weight) once per walk a -> b of at most max_len
+    steps avoiding `forbidden`; b must be a boundary vertex."""
+    path = [a]
+
+    def rec(v, weight, steps_left):
+        for head, w in net.out_edges.get(v, ()):
+            if head in forbidden:
+                continue
+            if head == b:
+                handle(tuple(path) + (b,), weight * w)
+            elif net.is_interior(head) and steps_left > 1:
+                path.append(head)
+                rec(head, weight * w, steps_left - 1)
+                path.pop()
+
+    rec(a, 1.0, max_len)
+
+
+def _truncated_fomin(net, ab, max_len):
+    """Fomin's walk sum over walks of at most max_len steps, each avoiding the
+    loop erasures of the earlier walks, and a bound on what the cutoff drops.
+
+    The first N - 1 walks are enumerated, merging states by the union of
+    their loop erasures; the last walk is a truncated walk sum.  A tuple is
+    dropped only if some walk j exceeds max_len, which relaxing the avoidance
+    bounds by sum_j tail_j * prod_{l != j} W(a_l, b_l)."""
+    groups = {frozenset(): 1.0}
+    for a, b in zip(ab.a[:-1], ab.b[:-1]):
+        new = {}
+        for forbidden, acc in groups.items():
+
+            def absorb(walk, w, forbidden=forbidden, acc=acc):
+                key = forbidden | set(loop_erase(walk))
+                new[key] = new.get(key, 0.0) + acc * w
+
+            _walks_to_boundary(net, a, b, max_len, forbidden, absorb)
+        groups = new
+    value = math.fsum(
+        acc * _truncated_walk_sum(net, ab.a[-1], ab.b[-1], max_len, forbidden)
+        for forbidden, acc in groups.items()
+    )
+    greens = [walk_green(net, a, b) for a, b in zip(ab.a, ab.b)]
+    tails = [_walk_tail_bound(net, a, b, max_len) for a, b in zip(ab.a, ab.b)]
+    tail = sum(t * math.prod(greens[:j] + greens[j + 1 :]) for j, t in enumerate(tails))
+    return value, tail
+
+
+def _mp_walk_matrix(net):
+    """The walk matrix I + (I - P D)^{-1} P at 40 digits, from the exact
+    double edge weights."""
+    import mpmath as mp
+
+    n = net.vertex_count
+    with mp.workdps(40):
+        p = mp.matrix([[mp.mpf(float(v)) for v in row] for row in net._p])
+        k = mp.eye(n)
+        for i in range(n):
+            for j in net.interior:
+                k[i, j] -= p[i, j]
+        return mp.eye(n) + mp.inverse(k) * p
+
+
+def _random_network(seed, interior=6, boundary=4):
+    """Random directed network: boundary vertices 0 .. boundary-1, about half
+    of all possible edges (self-loops and boundary-to-boundary edges
+    included), weights uniform in (0, 0.3)."""
+    rng = np.random.default_rng(seed)
+    count = interior + boundary
+    edges = [
+        (t, h, rng.uniform(0.0, 0.3))
+        for t in range(count)
+        for h in range(count)
+        if rng.random() < 0.45
+    ]
+    return Network(count, edges, range(boundary, count), range(boundary))
+
+
+def _grid_rows(size, rows):
+    """size x size grid with paths from the left to the right end of `rows`."""
+    net, id_of = square_grid_network(size, size)
+    a = tuple(id_of[(i, -1)] for i in rows)
+    b = tuple(id_of[(i, size)] for i in rows)
+    return net, BoundaryTuple(a, b)
 
 
 @pytest.fixture
@@ -372,31 +489,119 @@ def test_fomin_det_column_swap_negates():
 
 
 def test_brute_force_matches_det_2x2_grid():
-    net, id_of = square_grid_network(2, 2)
-    a = (id_of[(0, -1)], id_of[(1, -1)])
-    b = (id_of[(0, 2)], id_of[(1, 2)])
-    det = fomin_det(net, (a, b))
+    net, ab = _grid_rows(2, (0, 1))
+    det = fomin_det(net, ab)
     # exact rational of the 2x2 walk-matrix determinant
     assert abs(det - 1.0 / 3072.0) < 1e-15
-    value, bound = brute_force_fomin(net, (a, b), 16)
+    value, bound = brute_force_fomin(net, ab)
+    assert abs(value - 1.0 / 3072.0) <= bound
+    assert bound < 1e-12 * value
+
+
+@pytest.mark.parametrize("size, rows", [(2, (0, 1)), (3, (0, 2))])
+def test_exact_path_sum_lies_within_the_truncated_walk_dfs(size, rows):
+    # the walk DFS drops only positive terms, all of them within its tail
+    net, ab = _grid_rows(size, rows)
+    exact, bound = brute_force_fomin(net, ab)
+    for max_len in (8, 10, 12):
+        trunc, tail = _truncated_fomin(net, ab, max_len)
+        assert trunc < exact - bound, max_len
+        assert exact + bound <= trunc + tail, max_len
+
+
+@pytest.mark.parametrize("size, rows", [(2, (0, 1)), (3, (0, 2)), (4, (0, 2, 3))])
+def test_fomin_sides_lie_within_their_bounds_of_mpmath(size, rows):
+    import mpmath as mp
+
+    net, ab = _grid_rows(size, rows)
+    w = _mp_walk_matrix(net)
+    with mp.workdps(40):
+        ref = mp.det(mp.matrix([[w[i, j] for j in ab.b] for i in ab.a]))
+        if size == 2:
+            assert abs(ref - mp.mpf(1) / 3072) < mp.mpf(10) ** -38
+        det, det_bound = fomin_det(net, ab), fomin_det_bound(net, ab)
+        value, bound = brute_force_fomin(net, ab)
+        assert abs(mp.mpf(det) - ref) <= det_bound
+        assert abs(mp.mpf(value) - ref) <= bound
+    # the fomin-check bound is the sum of the two, far below the value
+    assert det_bound + bound <= 1e-6 * abs(det)
+
+
+@pytest.mark.parametrize("size, rows, share", [(3, (0, 2), 0.05), (4, (0, 2, 3), 0.0125)])
+def test_dropping_the_smallest_union_group_leaves_the_bound(size, rows, share):
+    net, ab = _grid_rows(size, rows)
+    det = fomin_det(net, ab)
+    value, bound = brute_force_fomin(net, ab)
+    bound += fomin_det_bound(net, ab)
     assert abs(det - value) <= bound
-    assert bound < 1e-6
+    groups = _union_weights(net, ab, [10**6])
+    interior = net.interior
+    m = np.eye(len(interior)) - net._p[np.ix_(interior, interior)]
+
+    def part(used):
+        keep = np.array([i for i, v in enumerate(interior) if v not in used], dtype=int)
+        return groups[used] * det_lu(m[np.ix_(keep, keep)]) / det_lu(m)
+
+    smallest = min(groups, key=part)
+    assert part(smallest) / value == pytest.approx(share, rel=1e-9)
+    assert abs(det - (value - part(smallest))) > bound
 
 
-def test_brute_force_bound_shrinks_with_max_len():
-    net, id_of = square_grid_network(2, 2)
-    a = (id_of[(0, -1)], id_of[(1, -1)])
-    b = (id_of[(0, 2)], id_of[(1, 2)])
-    bounds = [brute_force_fomin(net, (a, b), m)[1] for m in (6, 10, 14)]
-    assert bounds[0] > bounds[1] > bounds[2] > 0
+def test_signed_fomin_identity_on_random_networks():
+    # without planarity, det W[A, B] is the signed sum over pairings of the
+    # nonintersecting sums; the networks have self-loops and
+    # boundary-to-boundary edges
+    for seed in range(6):
+        net = _random_network(seed)
+        for a, b in [((0, 1), (2, 3)), ((0,), (3,)), ((2, 0), (1, 3))]:
+            total, bound = 0.0, fomin_det_bound(net, (a, b))
+            for perm in itertools.permutations(range(len(b))):
+                value, err = brute_force_fomin(net, (a, tuple(b[k] for k in perm)))
+                total += _parity(perm) * value
+                bound += err
+            assert abs(fomin_det(net, (a, b)) - total) <= bound, (seed, a, b)
+            # measured up to 2.5e-14, mostly the worst-case rounding of the
+            # walk-matrix residual
+            assert bound <= 1e-13 * max(1.0, abs(total)), (seed, a, b)
+
+
+def _parity(perm):
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+def test_brute_force_of_a_crossing_pairing_is_zero():
+    # the later path would have to cross the earlier path's loop erasure
+    net, ab = _grid_rows(3, (0, 2))
+    assert brute_force_fomin(net, (ab.a, ab.b[::-1])) == (0.0, 0.0)
+
+
+def test_brute_force_takes_no_length_cutoff():
+    net, ab = _grid_rows(2, (0, 1))
+    with pytest.raises(TypeError):
+        brute_force_fomin(net, ab, 14)
 
 
 def test_brute_force_budget():
-    net, id_of = square_grid_network(3, 3)
-    a = (id_of[(0, -1)], id_of[(2, -1)])
-    b = (id_of[(0, 3)], id_of[(2, 3)])
+    net, ab = _grid_rows(3, (0, 2))
     with pytest.raises(EnumerationBudgetError):
-        brute_force_fomin(net, (a, b), 14, node_budget=100)
+        brute_force_fomin(net, ab, node_budget=100)
+
+
+def test_walk_error_covers_the_mpmath_walk_matrix(path_net, two_leg_net, mixed_net):
+    import mpmath as mp
+
+    grid, _ = square_grid_network(3, 3)
+    # seed 4 has interior vertices that Q does not feed, where the
+    # power-iteration vector of the constructor is about 1e-24
+    for net in (path_net, two_leg_net, mixed_net, grid, _random_network(4)):
+        w = _mp_walk_matrix(net)
+        got, err = net.walk_matrix(), net.walk_error()
+        with mp.workdps(40):
+            for i, j in np.ndindex(got.shape):
+                assert abs(mp.mpf(got[i, j]) - w[i, j]) <= err[i, j], (i, j)
+        # measured up to 1.3e-14 (the 3 x 3 grid)
+        assert np.all(err <= 1e-13 * np.maximum(1.0, got))
 
 
 # --- file round trip -------------------------------------------------------

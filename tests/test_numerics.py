@@ -14,6 +14,7 @@ from lebp.numerics import (
     TailBoundedValue,
     chamber_integrate,
     det_lu,
+    det_lu_bounded,
     gauss_legendre,
     graded_pfaffian,
     ordered_minor_sum,
@@ -196,6 +197,63 @@ def test_staircase_det_at_close_angles_matches_mpmath_oracle():
         mat = np.sin(np.outer(angles, m))
         err = _mp_det_rel_err(det_lu(mat), mat)
         assert err <= angles.size * np.finfo(float).eps * np.linalg.cond(mat), angles
+
+
+def _mp_det(a):
+    """det a at 40 digits from the exact double entries of a."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return mp.det(mp.matrix([[mp.mpf(float(v)) for v in row] for row in a]))
+
+
+def _close_angle_sine_matrices():
+    # the matrices of test_staircase_det_at_close_angles_matches_mpmath_oracle
+    for angles in ([1.0, 1.001, 1.002], [1.2, 1.2001, 1.2003], [0.5, 0.51, 0.52, 0.53, 0.54]):
+        angles = np.array(angles)
+        yield np.sin(np.outer(angles, np.arange(1.0, angles.size + 1)))
+
+
+def test_det_lu_bound_covers_the_mpmath_error():
+    import mpmath as mp
+
+    rng = np.random.default_rng(2024)
+    mats = [rng.normal(size=(n, n)) for n in range(1, 13) for _ in range(3)]
+    mats += list(_close_angle_sine_matrices())
+    for a in mats:
+        det, bound = det_lu_bounded(a)
+        assert det == det_lu(a)
+        assert abs(mp.mpf(det) - _mp_det(a)) <= bound, a.shape
+        # and of every matrix within an entrywise error of a: the corners
+        # e = +-err with random signs, and a random point inside
+        err = 1e-9 * np.abs(a) + 1e-12
+        det, bound = det_lu_bounded(a, err)
+        for shift in (np.sign(rng.normal(size=a.shape)), rng.uniform(-1.0, 1.0, a.shape)):
+            assert abs(mp.mpf(det) - _mp_det(a + shift * err)) <= bound, a.shape
+
+
+def test_det_lu_bound_is_small_against_the_hadamard_product():
+    # the bound is not vacuous: on random matrices it stays below
+    # 4 n^2 eps times the product of the column norms (measured: 1.0 to 1.6 n)
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        a = rng.normal(size=(n, n))
+        _, bound = det_lu_bounded(a)
+        hadamard = np.prod(np.linalg.norm(a, axis=0))
+        assert bound <= 4 * n**2 * np.finfo(float).eps * hadamard, n
+
+
+def test_det_lu_bounded_stacks_and_broadcasts():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 3, 4, 4))
+    dets, bounds = det_lu_bounded(stack, 1e-10)
+    assert dets.shape == bounds.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        det, bound = det_lu_bounded(stack[idx], 1e-10)
+        assert dets[idx] == det
+        assert bounds[idx] == pytest.approx(bound, rel=1e-12)
+    # an empty matrix has determinant 1, exactly
+    assert det_lu_bounded(np.ones((0, 0))) == (1.0, 0.0)
 
 
 def test_stacked_det_lu_matches_each_matrix_bitwise():

@@ -1,6 +1,6 @@
-"""Start-up imports: the CLI and the series routes load numpy and the
-standard library only; scipy is loaded by the lattice solves and the
-validation quadrature alone.  Each check runs in a fresh interpreter,
+"""Start-up imports: the CLI, the series routes and the walk checks load
+numpy and the standard library only; scipy is loaded by the lattice solves
+and the validation quadrature alone.  Each check runs in a fresh interpreter,
 because the test process itself may already hold scipy."""
 
 import json
@@ -51,6 +51,7 @@ def test_cli_and_series_routes_import_no_scipy():
             ["pdf", "--x", "0.8", "--theta", "0.5,1.6,2.5", "--phi", "0.35,1.55,2.7",
              "--L", "1.6"],
             ["fomin-check", "--size", "3", "--paths", "2", "--max-len", "10"],
+            ["validate", "--suite", "fomin"],
         ]
     )
     assert seen.pop("import") == []
