@@ -355,6 +355,8 @@ def _cmd_crossing(ns):
 def _cmd_lattice_validate(ns):
     pol = _policy_from(ns)
     levels = tuple(_parse_int(v, "--levels") for v in str(ns.levels).split(","))
+    if len(set(levels)) != len(levels):
+        raise UsageError(f"--levels: each level must appear once, got {ns.levels}")
     tables = {
         "boundary_kernel": [(h, max(e)) for h, e in boundary_refinement(pol, levels=levels)],
         "two_path_density": density_refinement(pol, levels=levels),

@@ -12,6 +12,13 @@ endpoint: exit probabilities from an interior start scale like h times the
 interior-to-edge kernel, and from a start adjacent to the left edge like
 h^2 times the edge-to-edge kernel.
 
+The Green's function of the walk needs no linear solve: separation of
+variables writes it as a finite sine series, sine modes across the strip
+times a discrete sinh ratio along it (the discrete analogue of the
+boundary Poisson kernel), or the same with the axes swapped.  Each call
+evaluates only the columns it reads, so an exit distribution through the
+right edge costs O(rows * max(rows, cols)) per source.
+
 First-passage distributions across a cut column factor exactly through the
 cut (strong Markov property), which is the discrete, quadrature-free form
 of the semigroup identities the continuum kernels satisfy; determinants of
@@ -64,45 +71,92 @@ class LatticeStrip:
 
 
 @lru_cache(maxsize=32)
-def _factorization(rows, cols):
-    # imported here so that only the lattice solves load scipy
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.linalg import splu
+def _modes(n):
+    """Orthonormal sine modes sqrt(2/(n+1)) sin(p k pi/(n+1)) across n
+    interior points, symmetric in (p, k), and the rates mu_k with
+    cosh mu_k = 2 - cos(k pi/(n+1)), i.e. sinh(mu_k/2) = sin(k pi/(2(n+1)))."""
+    k = np.arange(1, n + 1)
+    # reduce p*k modulo the period 2(n+1) in integers, so every sine
+    # argument stays below 2 pi
+    phase = np.outer(k, k) % (2 * (n + 1)) * (math.pi / (n + 1))
+    modes = math.sqrt(2.0 / (n + 1)) * np.sin(phase)
+    mu = 2.0 * np.arcsinh(np.sin(0.5 * math.pi / (n + 1) * k))
+    modes.setflags(write=False)
+    mu.setflags(write=False)
+    return modes, mu
 
-    n = rows * cols
-    entries = [(k, k, 1.0) for k in range(n)]
-    for i in range(1, cols + 1):
-        for j in range(1, rows + 1):
-            k = (i - 1) * rows + (j - 1)
-            if j < rows:
-                entries.append((k, k + 1, -0.25))
-                entries.append((k + 1, k, -0.25))
-            if i < cols:
-                entries.append((k, k + rows, -0.25))
-                entries.append((k + rows, k, -0.25))
-    r, c, v = zip(*entries)
-    return splu(coo_matrix((v, (r, c)), shape=(n, n)).tocsc())
+
+def _mode_terms(n, m, p, pp, q, qp):
+    """Terms k = 1..n (last axis) of the Green's function between sites
+    (q, p) and (q', p') of a grid with n interior points across and m along:
+    modes[p, k] modes[p', k] g_k(q, q') with the one-dimensional Green
+    function g_k(q, q') = 4 sinh(mu q<) sinh(mu (m+1-q>)) /
+    (sinh mu sinh(mu (m+1))), in exponential form so that long grids never
+    form a large sinh."""
+    modes, mu = _modes(n)
+    lo = np.minimum(q, qp)[..., None]
+    hi = np.maximum(q, qp)[..., None]
+    g = (
+        4.0
+        * np.exp(-mu * (hi - lo + 1))
+        * (np.expm1(-2.0 * mu * lo) * np.expm1(-2.0 * mu * (m + 1 - hi)))
+        / (np.expm1(-2.0 * mu) * np.expm1(-2.0 * mu * (m + 1)))
+    )
+    return modes[p - 1] * modes[pp - 1] * g
+
+
+def _green_block(strip, sources, columns):
+    """Green's function G(source, (i, j)) for interior sources and every row
+    j of the columns i in `columns`: shape (len(sources), len(columns), rows).
+
+    Separation of variables gives two exact sums: sine modes across the rows
+    with the one-dimensional Green function along the columns, and the same
+    with the axes swapped.  Both are summed, and every entry takes the sum
+    with the smaller condition number sum|terms| / |sum|: a small entry comes
+    from cancelling terms in one form (source and target far apart across a
+    narrow direction) and from a dominant first term in the other, so
+    exponentially small entries keep their relative accuracy.
+    """
+    for site in sources:
+        strip.index(site)
+    src = np.array(sources, dtype=int).reshape(-1, 2)
+    i = np.asarray(columns, dtype=int)[None, :, None]
+    j = np.arange(1, strip.rows + 1)
+    out = np.empty((len(src), i.size, strip.rows))
+    step = block_rows(i.size * strip.rows * max(strip.rows, strip.cols))
+    for start in range(0, len(src), step):
+        ip = src[start : start + step, 0, None, None]
+        jp = src[start : start + step, 1, None, None]
+        rows_first = _mode_terms(strip.rows, strip.cols, j, jp, i, ip)
+        value, size = rows_first.sum(axis=-1), np.abs(rows_first).sum(axis=-1)
+        cols_first = _mode_terms(strip.cols, strip.rows, i, ip, j, jp)
+        alt, alt_size = cols_first.sum(axis=-1), np.abs(cols_first).sum(axis=-1)
+        better = alt_size * np.abs(value) < size * np.abs(alt)
+        out[start : start + step] = np.where(better, alt, value)
+    return out
 
 
 def _green_columns(strip, sources):
     """Green's function columns G(source, .) for a list of interior sources."""
-    rhs = np.zeros((strip.size, len(sources)))
-    for col, site in enumerate(sources):
-        rhs[strip.index(site), col] = 1.0
-    return _factorization(strip.rows, strip.cols).solve(rhs)
+    block = _green_block(strip, sources, range(1, strip.cols + 1))
+    return block.reshape(len(sources), strip.size).T
+
+
+def _exit_rows(strip, sources):
+    """Right-edge exit probabilities, one row per interior source."""
+    return 0.25 * _green_block(strip, sources, [strip.cols])[:, 0, :]
 
 
 def discrete_green(strip, a, b):
     """Expected visits to b of the walk from a before absorption; symmetric."""
-    g = _green_columns(strip, [a])
-    return float(g[strip.index(b), 0])
+    strip.index(b)
+    return float(_green_block(strip, [a], [b[0]])[0, 0, b[1] - 1])
 
 
 def exit_right(strip, a):
     """Probabilities that the walk from interior site a exits through the
     right edge, one entry per boundary row 1..rows."""
-    g = _green_columns(strip, [a])[:, 0]
-    return 0.25 * g[(strip.cols - 1) * strip.rows :]
+    return _exit_rows(strip, [a])[0]
 
 
 def first_passage_decomposition(strip, cut, starts):
@@ -125,11 +179,9 @@ def first_passage_decomposition(strip, cut, starts):
             lm[q, s - 1] = 0.25
     else:
         sub = LatticeStrip(strip.rows, cut - 1)
-        lm = 0.25 * np.stack([exit_right(sub, (1, s)) for s in starts])
-    sources = [(cut, m) for m in range(1, strip.rows + 1)]
-    g = _green_columns(strip, sources)
-    rm = 0.25 * g[(strip.cols - 1) * strip.rows :, :].T
-    f = 0.25 * np.stack([exit_right(strip, (1, s)) for s in starts])
+        lm = 0.25 * _exit_rows(sub, [(1, s) for s in starts])
+    rm = _exit_rows(strip, [(cut, m) for m in range(1, strip.rows + 1)])
+    f = 0.25 * _exit_rows(strip, [(1, s) for s in starts])
     return lm, rm, f
 
 

@@ -50,7 +50,11 @@ QUADRATURE_ORDERS = {
     "rectangle_mass": 64,
     "midpoint_mass": 120,
     "joint_mass": 48,
+    "limit_panel": 20,
 }
+
+# truncation target for the infinite range of the limit-kernel quadrature
+LIMIT_TAIL = 1e-15
 
 
 @dataclass
@@ -398,39 +402,62 @@ def check_uniform_density(pol=DEFAULT_POLICY):
     ]
 
 
+def _scaling_sample():
+    """The 10-draw random sample (u, a, u', a') of the limit-kernel
+    quadrature check; draws with |u - u'| < 0.05 are skipped."""
+    rng = np.random.default_rng(3)
+    sample = []
+    for _ in range(10):
+        u, up = rng.uniform(-2.0, 3.0, 2)
+        if abs(u - up) < 0.05:
+            continue
+        a, ap = rng.uniform(0.0, 5.0, 2)
+        sample.append((float(u), float(a), float(up), float(ap)))
+    return sample
+
+
+def _limit_kernel_quadrature(u, a, u_prime, a_prime, rule, t_max=None):
+    """The limit kernel's defining integral by the composite rule that
+    repeats `rule` (on (0, 1)) over unit panels, independent of its closed
+    form.
+
+    For u > u' the range (1, inf) stops at t_max, by default the first
+    integer T >= 2 whose tail bound e^{-cT}/c (c = u - u' and
+    |integrand| <= e^{-cs}) is at most LIMIT_TAIL.  Returns (value, bound),
+    the bound being that tail in units of the value (times 2/pi); 0 for
+    u < u', whose range is (0, 1).
+    """
+    c = u - u_prime
+    if c < 0.0:
+        lo, hi, scale = 0, 1, 2.0 / math.pi
+    else:
+        if t_max is None:
+            t_max = max(2, math.ceil(math.log(1.0 / (LIMIT_TAIL * c)) / c))
+        lo, hi, scale = 1, int(t_max), -2.0 / math.pi
+    s = (np.arange(lo, hi)[:, None] + rule.nodes).ravel()
+    w = np.tile(rule.weights, hi - lo)
+    value = scale * float(w @ (np.exp(-c * s) * np.sin(a * s) * np.sin(a_prime * s)))
+    bound = 0.0 if c < 0.0 else 2.0 / math.pi * math.exp(-c * hi) / c
+    return value, bound
+
+
 def check_scaling_limit(pol=DEFAULT_POLICY):
     """Edge scaling: the 500-path kernel at radius N+u, angle a/N against
     the closed-form limit kernel, and the limit kernel against direct
     quadrature of its defining integral."""
-    # the independent quadrature oracle, imported here so that only this
-    # check loads scipy
-    from scipy.integrate import quad
-
     big = 500
     worst = 0.0
     for u, up, a, ap in [(0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 2.0), (-1.0, 2.0, 2.0, 1.0)]:
         scaled = kernel_semicircle(pol, big, big + u, a / big, big + up, ap / big).value
         worst = max(worst, abs(scaled - limit_kernel(u, a, up, ap)))
 
-    rng = np.random.default_rng(3)
-    quad_err = 0.0
-    for _ in range(10):
-        u, up = rng.uniform(-2.0, 3.0, 2)
-        if abs(u - up) < 0.05:
-            continue
-        a, ap = rng.uniform(0.0, 5.0, 2)
-        c = u - up
-        if c < 0:
-            ref = 2.0 / math.pi * quad(
-                lambda s: math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s), 0.0, 1.0
-            )[0]
-        else:
-            ref = -2.0 / math.pi * quad(
-                lambda s: math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s),
-                1.0,
-                np.inf,
-            )[0]
-        quad_err = max(quad_err, abs(limit_kernel(u, a, up, ap) - ref))
+    order = QUADRATURE_ORDERS["limit_panel"]
+    rule = gauss_legendre(order, 0.0, 1.0)
+    quad_err, tail = 0.0, 0.0
+    for point in _scaling_sample():
+        ref, bound = _limit_kernel_quadrature(*point, rule)
+        quad_err = max(quad_err, abs(limit_kernel(*point) - ref))
+        tail = max(tail, bound)
     return [
         _within(
             "500-path kernel vs limit kernel",
@@ -442,7 +469,7 @@ def check_scaling_limit(pol=DEFAULT_POLICY):
             "limit kernel closed form vs quadrature",
             quad_err,
             1e-10,
-            "10-point random sample",
+            f"10-point random sample, {order}-node unit panels, tail bound {tail:.2e}",
         ),
     ]
 

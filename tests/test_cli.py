@@ -529,6 +529,7 @@ def test_usage_errors_name_the_precondition():
         (["pdf", "--theta", "1,2", "--tol", "-1"], "tol must be a positive"),
         (["pdf", "--theta", "1,2", "--tol", "-1", "--save-manifest", os.devnull],
          "tol must be a positive"),
+        (["lattice-validate", "--levels", "15,15"], "each level must appear once"),
     ],
 )
 def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):

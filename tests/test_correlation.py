@@ -503,6 +503,51 @@ def test_limit_kernel_matches_quadrature():
         assert abs(limit_kernel(u, a, up, ap) - ref) < 1e-10
 
 
+def test_scaling_check_quadrature_matches_scipy():
+    # the numpy panel quadrature behind check_scaling_limit against scipy's
+    # adaptive quadrature on the check's own sample
+    from lebp.validation import QUADRATURE_ORDERS, _limit_kernel_quadrature, _scaling_sample
+
+    rule = gauss_legendre(QUADRATURE_ORDERS["limit_panel"], 0.0, 1.0)
+    sample = _scaling_sample()
+    assert len(sample) == 10
+    for u, a, up, ap in sample:
+        c = u - up
+
+        def f(s):
+            return math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s)
+
+        if c < 0:
+            ref = 2.0 / math.pi * quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        else:
+            ref = -2.0 / math.pi * quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(_limit_kernel_quadrature(u, a, up, ap, rule)[0] - ref) < 1e-13
+
+
+def test_scaling_check_tail_bound_covers_doubled_range():
+    from lebp.validation import (
+        LIMIT_TAIL,
+        QUADRATURE_ORDERS,
+        _limit_kernel_quadrature,
+        _scaling_sample,
+        check_scaling_limit,
+    )
+
+    rule = gauss_legendre(QUADRATURE_ORDERS["limit_panel"], 0.0, 1.0)
+    printed = check_scaling_limit()[1].detail
+    bound = float(printed.rsplit("tail bound ", 1)[1])
+    assert 0.0 < bound <= LIMIT_TAIL
+    infinite = [p for p in _scaling_sample() if p[0] > p[2]]
+    assert infinite
+    for u, a, up, ap in infinite:
+        c = u - up
+        value, own = _limit_kernel_quadrature(u, a, up, ap, rule)
+        t = max(2, math.ceil(math.log(1.0 / (LIMIT_TAIL * c)) / c))
+        assert own == pytest.approx(2.0 / math.pi * math.exp(-c * t) / c)
+        longer, _ = _limit_kernel_quadrature(u, a, up, ap, rule, t_max=2 * t)
+        assert abs(longer - value) < min(own, bound)
+
+
 def test_limit_kernel_edge_cases():
     with pytest.raises(DomainError):
         limit_kernel(1.0, 1.0, 1.0, 2.0)

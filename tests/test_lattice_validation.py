@@ -1,5 +1,6 @@
 """Tests for the lattice strip walks and their continuum refinement."""
 
+import functools
 import itertools
 import math
 
@@ -39,6 +40,53 @@ def mode_sum_exit(strip, a):
     return coefs @ modes
 
 
+def dense_green_columns(strip, sources):
+    """Green's function columns by a dense solve of I - P, with the step
+    matrix P assembled from the walk's four moves: independent of the mode
+    sums behind the production route."""
+
+    def path(n):
+        return np.eye(n, k=1) + np.eye(n, k=-1)
+
+    step = 0.25 * (
+        np.kron(path(strip.cols), np.eye(strip.rows))
+        + np.kron(np.eye(strip.cols), path(strip.rows))
+    )
+    rhs = np.zeros((strip.size, len(sources)))
+    for col, site in enumerate(sources):
+        rhs[strip.index(site), col] = 1.0
+    return np.linalg.solve(np.eye(strip.size) - step, rhs)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_sines(rows):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        h = mp.pi / (rows + 1)
+        return h, [[mp.sin(k * j * h) for j in range(rows + 1)] for k in range(rows + 1)]
+
+
+def mp_mode_green(rows, cols, src, col):
+    """G(src, (col, j)) for j = 1..rows as a 40-digit sine-mode sum."""
+    import mpmath as mp
+
+    h, sines = _mp_sines(rows)
+    ip, jp = src
+    lo, hi = min(col, ip), max(col, ip)
+    with mp.workdps(40):
+        coef = []
+        for k in range(1, rows + 1):
+            mu = mp.acosh(2 - mp.cos(k * h))
+            g = 4 * mp.sinh(mu * lo) * mp.sinh(mu * (cols + 1 - hi))
+            g /= mp.sinh(mu) * mp.sinh(mu * (cols + 1))
+            coef.append(2 * sines[k][jp] * g / (rows + 1))
+        return [
+            mp.fsum(c * sines[k][j] for k, c in enumerate(coef, 1))
+            for j in range(1, rows + 1)
+        ]
+
+
 def test_single_cell_green():
     strip = LatticeStrip(1, 1)
     assert discrete_green(strip, (1, 1), (1, 1)) == 1.0
@@ -71,6 +119,53 @@ def test_exit_right_matches_mode_sum():
     ]:
         got = exit_right(strip, a)
         assert np.max(np.abs(got - mode_sum_exit(strip, a))) < 1e-14
+
+
+def test_green_columns_match_dense_solve():
+    for strip, a in [
+        (LatticeStrip(9, 13), (3, 4)),
+        (LatticeStrip(15, 15), (1, 8)),
+        (LatticeStrip(6, 4), (4, 5)),
+    ]:
+        sources = [a, (strip.cols, 1), (1, strip.rows)]
+        dense = dense_green_columns(strip, sources)
+        got = _green_columns(strip, sources)
+        assert np.max(np.abs(got - dense) / dense) < 1e-13
+        right = 0.25 * dense[(strip.cols - 1) * strip.rows :, 0]
+        assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-13
+
+
+def test_decomposition_matches_mpmath_mode_sum():
+    # cut 16 is the benchmark shape; cut 2 reads a one-column sub-strip and
+    # cut 30 a neighbouring column, where entries far apart across the rows
+    # fall to 1e-16 and the row-mode sum alone cancels to noise
+    import mpmath as mp
+
+    strip = LatticeStrip(31, 31)
+    starts = (3, 11, 30)
+    for cut in (16, 2, 30):
+        lm, rm, f = first_passage_decomposition(strip, cut, starts)
+        ref_lm = [[v / 16 for v in mp_mode_green(31, cut - 1, (1, s), cut - 1)] for s in starts]
+        ref_rm = [[v / 4 for v in mp_mode_green(31, 31, (cut, m), 31)] for m in range(1, 32)]
+        ref_f = [[v / 16 for v in mp_mode_green(31, 31, (1, s), 31)] for s in starts]
+        for got, ref in [(lm, ref_lm), (rm, ref_rm), (f, ref_f)]:
+            ref = np.array([[float(v) for v in row] for row in ref])
+            assert np.max(np.abs(got - ref) / ref) <= 5e-14, cut
+
+
+def test_long_strip_stays_finite_and_matches_dense_solve():
+    # sinh(mu (cols + 1)) overflows a float for the top modes of this strip
+    strip = LatticeStrip(3, 500)
+    with pytest.raises(OverflowError):
+        math.sinh(2.0 * math.asinh(math.sin(3 * strip.spacing / 2)) * (strip.cols + 1))
+    sources = [(1, 2), (250, 1), (499, 3)]
+    got = _green_columns(strip, sources)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    dense = dense_green_columns(strip, sources)
+    assert np.max(np.abs(got - dense) / dense) < 1e-12
+    for col, a in enumerate(sources):
+        right = 0.25 * dense[(strip.cols - 1) * strip.rows :, col]
+        assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-12
 
 
 def test_exit_probabilities_sum_to_one():

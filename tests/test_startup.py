@@ -1,6 +1,6 @@
-"""Start-up imports: the CLI, the series routes and the walk checks load
-numpy and the standard library only; scipy is loaded by the lattice solves
-and the validation quadrature alone.  Each check runs in a fresh interpreter,
+"""Start-up imports: the CLI and every subcommand, the lattice solves and
+the validation quadrature included, load numpy and the standard library
+only; scipy is a test oracle.  Each check runs in a fresh interpreter,
 because the test process itself may already hold scipy."""
 
 import json
@@ -25,7 +25,7 @@ seen = {"import": scipy_modules()}
 for args in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()):
         code = lebp.cli.main(args)
-    seen[args[0]] = {"code": code, "scipy": scipy_modules()}
+    seen[" ".join(args)] = {"code": code, "scipy": scipy_modules()}
 print(json.dumps(seen))
 """
 
@@ -59,9 +59,15 @@ def test_cli_and_series_routes_import_no_scipy():
         assert run == {"code": 0, "scipy": []}, name
 
 
-def test_lattice_validate_still_loads_scipy_sparse():
-    seen = _probe([["lattice-validate", "--levels", "15"]])
-    assert seen["import"] == []
-    run = seen["lattice-validate"]
-    assert run["code"] == 0
-    assert "scipy.sparse" in run["scipy"]
+def test_lattice_and_quadrature_checks_import_no_scipy():
+    seen = _probe(
+        [
+            ["lattice-validate", "--levels", "15"],
+            ["validate", "--suite", "lattice"],
+            ["validate", "--suite", "limits"],
+        ]
+    )
+    assert seen.pop("import") == []
+    assert len(seen) == 3
+    for name, run in seen.items():
+        assert run == {"code": 0, "scipy": []}, name
