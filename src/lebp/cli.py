@@ -18,8 +18,8 @@ Conventions
   denominator or a non-finite value (inf, nan), or a grid that
   overflows, exits 2.
 * Every CSV row whose value came from a truncated series carries a
-  ``tail_bound`` column with the certified truncation bound; closed-form
-  rows either omit the column or report 0.
+  ``tail_bound`` column with the certified truncation bound; rows from
+  exact finite sums either omit the column or report 0.
 * Runs are deterministic.  ``--save-manifest FILE`` records the
   subcommand, raw parameters, series policy, quadrature orders, output
   path and tool version; ``lebp --manifest FILE`` replays the record and
@@ -386,7 +386,7 @@ def _cmd_figure(ns):
     r0, th0 = 2.0, math.pi / 2
     radii = np.linspace(1.05, 4.0, 60)
     # radii indistinguishable from the probe radius within the policy
-    # gap snap onto it, where the closed equal-radius form applies
+    # gap snap onto it, where both kernels are the exact finite sum
     radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
     thetas = np.linspace(0.0, math.pi, 121)
     g2 = _stack(lambda r: two_point_semicircle(pol, 3, r0, th0, r, thetas), [radii], thetas.shape)
@@ -451,7 +451,7 @@ def build_parser():
     p.add_argument("--thetap", required=True, help="second angle (grid)")
     _add_common(p, policy=True)
 
-    p = sub.add_parser("density", help="closed-form arc density on a grid")
+    p = sub.add_parser("density", help="arc density on a grid")
     p.add_argument("--N", required=True, help="number of paths")
     p.add_argument("--r", required=True, help="radius (grid)")
     p.add_argument("--theta", required=True, help="angle (grid)")

@@ -4,26 +4,28 @@ When all N paths start at the same left-edge midpoint angle pi/2 (the limit
 of a coalescing ordered start), the passage points across any family of
 vertical cuts form a determinantal point process.  This module provides the
 two-branch correlation kernel in the strip, its conformal image in the
-half-disk |w| > 1 under w = e^z, closed-form densities and two-point
-functions there, and the scaling limit of the kernel for large N.
+half-disk |w| > 1 under w = e^z, and the scaling limit of the kernel for
+large N.  Every arc quantity (kernel, density, two-point function) is the
+strip kernel pulled back through w = e^z; at equal radii that is its exact
+finite branch.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, TruncationError
+from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu, sinh_ratio
 from .passage_densities import start_weight, transition_factor
 from .rect_kernels import (
     RectConfig,
-    as_weyl,
     fomin_boundary_det,
     fomin_inner_det,
     hat_h,
     poisson_rect,
+    weyl_point,
 )
-from .rect_kernels import _sine_series
+from .rect_kernels import _interior_series, _sine_series
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -84,23 +86,8 @@ def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
         coeffs = _TWO_OVER_PI * sinh_ratio(n, x_prime, x)
         value = _sine_series(np.atleast_1d(coeffs), theta, theta_prime)
         return TailBoundedValue(value, 0.0)
-    gap = x - x_prime
-    if gap < pol.min_gap:
-        raise PrecisionError(f"cut gap {gap:.3g} below policy min_gap")
-    q = math.exp(-gap)
-    c = _TWO_OVER_PI / -math.expm1(-2.0 * x)
-    n0 = max(n_paths, int(math.ceil(math.log(c / (pol.tol * (1.0 - q))) / gap)) - 1)
-    if n0 > pol.n_max:
-        raise TruncationError(
-            f"kernel tail needs {n0} terms, budget {pol.n_max}",
-            achieved=c * q ** (pol.n_max + 1) / (1.0 - q),
-        )
-    coeffs = np.zeros(n0)
-    n = np.arange(n_paths + 1, n0 + 1)
-    coeffs[n_paths:] = _TWO_OVER_PI * sinh_ratio(n, x_prime, x)
-    value = -_sine_series(coeffs, theta, theta_prime)
-    bound = c * q ** (n0 + 1) / (1.0 - q)
-    return TailBoundedValue(value, bound)
+    tail = _interior_series(pol, x_prime, x, theta, theta_prime, skip=n_paths)
+    return TailBoundedValue(-tail.value, tail.bound)
 
 
 def kernel_strip_dual(pol, n_paths, x, theta, x_prime, theta_prime):
@@ -151,22 +138,29 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
 def pdf_special_start(x, theta):
     """First-passage density at any cut for the midpoint start:
     (2^{N^2} / pi^N) * hat_h(theta)^2, independent of the cut position x."""
-    theta = as_weyl(theta)
-    n = theta.n
+    theta = weyl_point(theta)
+    n = theta.size
     del x  # the one-cut density carries no x dependence
     return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
+
+
+def _midpoint_thetas(seq, thetas):
+    """The angle tuples of a midpoint-start density, validated against seq:
+    infinite strip, one tuple per cut, all of one length."""
+    thetas = [weyl_point(t) for t in thetas]
+    if seq.L is not None:
+        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
+    if len(thetas) != seq.m:
+        raise DomainError("need one angle tuple per cut")
+    if any(t.size != thetas[0].size for t in thetas):
+        raise DomainError("all angle tuples must have equal length")
+    return thetas
 
 
 def joint_pdf_special_start(pol, seq, thetas):
     """Joint passage density across the cuts of seq for the midpoint start,
     telescoped as first-cut density times transition factors."""
-    thetas = [as_weyl(t) for t in thetas]
-    if seq.L is not None:
-        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
-    if len(thetas) != seq.m:
-        raise DomainError("need one angle tuple per cut")
-    if any(t.n != thetas[0].n for t in thetas):
-        raise DomainError("all angle tuples must have equal length")
+    thetas = _midpoint_thetas(seq, thetas)
     cuts = seq.cuts
     value = pdf_special_start(cuts[0], thetas[0])
     for m in range(seq.m - 1):
@@ -181,22 +175,16 @@ def joint_pdf_special_start_dets(pol, seq, thetas):
 
     Fully independent evaluation route from joint_pdf_special_start.
     """
-    thetas = [as_weyl(t) for t in thetas]
-    if seq.L is not None:
-        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
-    if len(thetas) != seq.m:
-        raise DomainError("need one angle tuple per cut")
-    if any(t.n != thetas[0].n for t in thetas):
-        raise DomainError("all angle tuples must have equal length")
+    thetas = _midpoint_thetas(seq, thetas)
     cuts = seq.cuts
     # basis matrices [n, j] over frequencies n = 1..N and angles theta_j
-    n = np.arange(1.0, thetas[0].n + 1.0)[:, None]
-    value = det_lu(basis_phi(n, cuts[0], thetas[0].angles))
+    n = np.arange(1.0, thetas[0].size + 1.0)[:, None]
+    value = det_lu(basis_phi(n, cuts[0], thetas[0]))
     for m in range(seq.m - 1):
         value *= fomin_inner_det(
             RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
         )
-    value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1].angles))
+    value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1]))
     return value
 
 
@@ -207,15 +195,15 @@ def schur_limit_factor(cfg, pol, phi, rho):
     coincident_limit_value(cfg, rho), up to corrections exponentially small
     in L from higher terms of the partition expansion.
     """
-    phi = as_weyl(phi)
+    phi = weyl_point(phi)
     return fomin_boundary_det(cfg, pol, phi, rho) / hat_h(phi)
 
 
 def coincident_limit_value(cfg, rho):
     """Limit of schur_limit_factor at the coalescing midpoint start:
     (2^{N^2} / (pi^N C_N(L))) * hat_h(rho), C_N(L) = prod_j sinh(jL) / N!."""
-    rho = as_weyl(rho)
-    n = rho.n
+    rho = weyl_point(rho)
+    n = rho.size
     return 2.0 ** (n * n) / math.pi**n / start_weight(cfg.L, n) * hat_h(rho)
 
 
@@ -229,85 +217,36 @@ def _check_radius(r):
 
 def kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     """Correlation kernel on semicircular arcs of radii r, r' > 1: the strip
-    kernel at x = log r with the 1/r Jacobian of w = e^z."""
+    kernel at x = log r with the 1/r Jacobian of w = e^z.  At r = r' it is
+    the exact N-term sum (2/(pi r)) sum_n sin(n theta) sin(n theta') with
+    bound 0."""
     _check_radius(r)
     _check_radius(r_prime)
     ks = kernel_strip(pol, n_paths, math.log(r), theta, math.log(r_prime), theta_prime)
     return TailBoundedValue(ks.value / r, ks.bound / r)
 
 
-def kernel_semicircle_equal_radius(n_paths, r, theta, theta_prime):
-    """Equal-radius kernel in closed form:
-    [sin((N+1)theta) sin(N theta') - sin(N theta) sin((N+1)theta')]
-    / (pi r (cos theta - cos theta')),
-    with the explicit finite sum taking over near the diagonal.
-    """
-    _check_paths(n_paths)
-    _check_radius(r)
-    th = np.asarray(theta, dtype=float)
-    tp = np.asarray(theta_prime, dtype=float)
-    th, tp = np.broadcast_arrays(th, tp)
-    denom = np.cos(th) - np.cos(tp)
-    near = np.abs(denom) < 1e-6
-    num = np.sin((n_paths + 1) * th) * np.sin(n_paths * tp) - np.sin(
-        n_paths * th
-    ) * np.sin((n_paths + 1) * tp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        closed = num / (math.pi * r * denom)
-    if np.any(near):
-        # frequencies on the last axis: every entry sums as a scalar call does
-        n = np.arange(1.0, n_paths + 1.0)
-        th_n, tp_n = th[..., None] * n, tp[..., None] * n
-        series = 2.0 / (math.pi * r) * np.sum(np.sin(th_n) * np.sin(tp_n), axis=-1)
-        closed = np.where(near, series, closed)
-    if closed.ndim == 0:
-        return float(closed)
-    return closed
-
-
 def density_semicircle(n_paths, r, theta):
-    """One-point density on the arc of radius r:
-    [N sin(th) - cos(th) cos(N th) sin(N th) + sin(th) sin^2(N th)]
-    / (pi r sin(th)), the removable sin(th) -> 0 limit taken by the
-    underlying finite sum.  theta may be an array.
-    """
+    """One-point density on the arc of radius r, the kernel diagonal
+    (2/(pi r)) sum_{n<=N} sin^2(n theta).  theta may be an array."""
     _check_paths(n_paths)
     _check_radius(r)
-    th = np.asarray(theta, dtype=float)
-    s = np.sin(th)
-    small = np.abs(s) < 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (
-            n_paths * s
-            - np.cos(th) * np.cos(n_paths * th) * np.sin(n_paths * th)
-            + s * np.sin(n_paths * th) ** 2
-        ) / (math.pi * r * s)
-    if np.any(small):
-        # frequencies on the last axis: every entry sums as a scalar call does
-        n = np.arange(1.0, n_paths + 1.0)
-        series = 2.0 / (math.pi * r) * np.sum(np.sin(th[..., None] * n) ** 2, axis=-1)
-        closed = np.where(small, series, closed)
-    if closed.ndim == 0:
-        return float(closed)
-    return closed
+    return _sine_series(np.full(n_paths, _TWO_OVER_PI), theta, theta) / r
 
 
 def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     """Two-point correlation function on the arcs, rho rho' - K(w, w') K(w', w).
 
-    Equal radii use the closed-form equal-radius kernel and carry bound 0.
-    Distinct radii take both kernels from kernel_semicircle; one of them is
-    a truncated tail, and the bound |K| b' + |K'| b + b b' covers each
-    returned entry.  Angles broadcast.  Returns TailBoundedValue.
+    Both kernels come from kernel_semicircle.  At distinct radii one of them
+    is a truncated tail, and the bound |K| b' + |K'| b + b b' covers each
+    returned entry; at equal radii both are exact and the bound is 0.
+    Angles broadcast.  Returns TailBoundedValue.
     """
     _check_paths(n_paths)
     _check_radius(r)
     _check_radius(r_prime)
     rho = density_semicircle(n_paths, r, theta)
     rho_p = density_semicircle(n_paths, r_prime, theta_prime)
-    if r == r_prime:
-        k = kernel_semicircle_equal_radius(n_paths, r, theta, theta_prime)
-        return TailBoundedValue(rho * rho_p - k * k, 0.0)
     k12 = kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime)
     k21 = kernel_semicircle(pol, n_paths, r_prime, theta_prime, r, theta)
     value = rho * rho_p - k12.value * k21.value

@@ -34,12 +34,12 @@ from .numerics import block_rows, graded_pfaffian, pfaffian, poly_geom_tail
 from .rect_kernels import (
     RectConfig,
     angle_tuples,
-    as_weyl,
     boundary_coeffs,
     fomin_boundary_det,
     fomin_inner_det,
     hat_h,
     inner_coeffs,
+    weyl_point,
 )
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -188,9 +188,9 @@ def norm_boundary(cfg, pol, phi):
     relative precision of its leading term, whichever is sharper, so the value
     carries full relative accuracy even when it is exponentially small.
     """
-    phi = as_weyl(phi)
-    coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.n, pol.tol, pol.n_max)
-    return float(_chamber_norm(coefs, phi.angles))
+    phi = weyl_point(phi)
+    coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.size, pol.tol, pol.n_max)
+    return float(_chamber_norm(coefs, phi))
 
 
 def _check_cut(cfg, pol, x):
@@ -219,17 +219,6 @@ def norm_inner(cfg, pol, x, theta):
 # --- densities ---------------------------------------------------------------
 
 
-def pdf_first_passage_finite(cfg, pol, x, theta, phi):
-    """Density of the ordered first-passage points theta on the cut at x for N
-    paths from phi, in the rectangle of length L = cfg.L: joint_pdf at the
-    one cut x.
-
-    The crossing determinant at the cut times the ratio of the remaining
-    norm from the cut to the total norm from the start.
-    """
-    return joint_pdf(cfg, pol, ChamberSequence((x,)), [theta], phi)
-
-
 def start_weight(x, n):
     """prod_{j=1..N} sinh(j x) / N!, the infinite-strip norm prefactor."""
     if not (x > 0.0):
@@ -240,16 +229,6 @@ def start_weight(x, n):
     return w / math.factorial(n)
 
 
-def pdf_first_passage(pol, x, theta, phi):
-    """Infinite-strip first-passage density on the cut at x: joint_pdf at the
-    one cut x with cfg None.
-
-    The large-L limit of pdf_first_passage_finite: the norm ratio collapses
-    to start_weight(x) * hat_h(theta) / hat_h(phi).
-    """
-    return joint_pdf(None, pol, ChamberSequence((x,)), [theta], phi)
-
-
 def transition_factor(cfg, pol, x_m, theta_m, x_next, theta_next):
     """Conditional density factor for the passage points at the next cut.
 
@@ -258,17 +237,17 @@ def transition_factor(cfg, pol, x_m, theta_m, x_next, theta_next):
     when cfg is None, where the ratio collapses to start-weight and hat_h
     ratios.
     """
-    theta_m, theta_next = as_weyl(theta_m), as_weyl(theta_next)
-    if theta_m.n != theta_next.n:
+    theta_m, theta_next = weyl_point(theta_m), weyl_point(theta_next)
+    if theta_m.size != theta_next.size:
         raise DomainError("angle tuples must have equal length")
     if not (0.0 < x_m < x_next):
         raise DomainError("cuts must satisfy 0 < x_m < x_next")
     det = fomin_inner_det(RectConfig(x_next), pol, x_m, theta_m, theta_next)
     if cfg is None:
         ratio = (
-            start_weight(x_next, theta_m.n)
+            start_weight(x_next, theta_m.size)
             * hat_h(theta_next)
-            / (start_weight(x_m, theta_m.n) * hat_h(theta_m))
+            / (start_weight(x_m, theta_m.size) * hat_h(theta_m))
         )
         return det * ratio
     if not (x_next < cfg.L):
@@ -286,11 +265,11 @@ def joint_pdf(cfg, pol, seq, thetas, phi):
     selects the infinite strip; otherwise seq.L, when given, must equal
     cfg.L.
     """
-    phi = as_weyl(phi)
-    thetas = [as_weyl(t) for t in thetas]
+    phi = weyl_point(phi)
+    thetas = [weyl_point(t) for t in thetas]
     if len(thetas) != seq.m:
         raise DomainError("need one angle tuple per cut")
-    if any(t.n != phi.n for t in thetas):
+    if any(t.size != phi.size for t in thetas):
         raise DomainError("all angle tuples must match phi in length")
     finite = cfg is not None
     if finite and seq.L is not None and seq.L != cfg.L:
@@ -307,5 +286,5 @@ def joint_pdf(cfg, pol, seq, thetas, phi):
     if finite:
         value *= norm_inner(cfg, pol, cuts[-1], thetas[-1]) / norm_boundary(cfg, pol, phi)
     else:
-        value *= start_weight(cuts[-1], phi.n) * hat_h(thetas[-1]) / hat_h(phi)
+        value *= start_weight(cuts[-1], phi.size) * hat_h(thetas[-1]) / hat_h(phi)
     return value

@@ -31,42 +31,18 @@ class RectConfig:
             raise DomainError("rectangle length L must be positive and finite")
 
 
-class WeylPoint:
-    """A strictly increasing tuple of angles inside (0, pi)."""
-
-    def __init__(self, angles):
-        a = np.array(tuple(float(v) for v in angles), dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise DomainError("need a nonempty 1-d angle tuple")
-        if not np.all((a > 0.0) & (a < math.pi)):
-            raise DomainError("angles must lie strictly inside (0, pi)")
-        if np.any(np.diff(a) <= 0.0):
-            raise DomainError("angles must be strictly increasing")
-        a.setflags(write=False)
-        self.angles = a
-
-    @property
-    def n(self):
-        return self.angles.size
-
-    def __len__(self):
-        return self.angles.size
-
-    def __iter__(self):
-        return iter(self.angles)
-
-    def __getitem__(self, i):
-        return self.angles[i]
-
-    def __repr__(self):
-        return f"WeylPoint({tuple(self.angles)!r})"
-
-
-def as_weyl(point):
-    """Pass WeylPoint through; coerce any other angle sequence (validating it)."""
-    if isinstance(point, WeylPoint):
-        return point
-    return WeylPoint(point)
+def weyl_point(angles):
+    """A strictly increasing, nonempty tuple of angles inside (0, pi), as a
+    read-only 1-d array."""
+    a = np.array(angles, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise DomainError("need a nonempty 1-d angle tuple")
+    if not np.all((a > 0.0) & (a < math.pi)):
+        raise DomainError("angles must lie strictly inside (0, pi)")
+    if np.any(np.diff(a) <= 0.0):
+        raise DomainError("angles must be strictly increasing")
+    a.setflags(write=False)
+    return a
 
 
 def _check_angles(*arrays):
@@ -78,15 +54,12 @@ def _check_angles(*arrays):
 def angle_tuples(angles):
     """One angle tuple or a (..., N) stack of them, as an array.
 
-    A 1-d argument (or a WeylPoint) is one tuple and is validated as a
-    WeylPoint; a stack is only range-checked, so its tuples may be
-    unordered or hold equal angles.
+    A 1-d argument is one tuple and is validated by weyl_point; a stack is
+    only range-checked, so its tuples may be unordered or hold equal angles.
     """
-    if isinstance(angles, WeylPoint):
-        return angles.angles
     a = np.asarray(angles, dtype=float)
     if a.ndim < 2:
-        return WeylPoint(a).angles
+        return weyl_point(a)
     _check_angles(a)
     return a
 
@@ -128,32 +101,41 @@ def _sine_series(coeffs, theta, rho):
     return out
 
 
-def poisson_rect(cfg, pol, x, theta, rho):
-    """Poisson kernel of the rectangle from x + i*theta to the right-edge point
-    L + i*rho: (2/pi) * sum_n sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho).
+def _interior_series(pol, x, L, theta, rho, skip=0):
+    """(2/pi) * sum_{n > skip} sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho),
+    truncated after the first n0 >= max(skip, 1) terms whose geometric tail
+    c q^(n0+1) / (1 - q), q = e^{x - L}, meets pol.tol.
 
-    theta and rho broadcast together; x is a scalar with 0 < x < L and
-    L - x >= pol.min_gap (the geometric gap that makes the tail certifiable).
-    Returns TailBoundedValue(value, bound); bound covers every returned entry.
+    Needs L - x >= pol.min_gap, the gap that makes the tail certifiable.
+    Returns TailBoundedValue(value, bound); bound covers every entry.
     """
-    L = cfg.L
-    if not (0.0 < x < L):
-        raise DomainError("need 0 < x < L")
     gap = L - x
     if gap < pol.min_gap:
         raise PrecisionError(f"gap {gap:.3g} below policy min_gap {pol.min_gap:.3g}")
     q = math.exp(-gap)
     c = _TWO_OVER_PI / -math.expm1(-2.0 * L)
     # smallest n0 with c * q^(n0+1) / (1-q) <= tol
-    n0 = max(1, math.ceil(math.log(c / (pol.tol * (1.0 - q))) / gap - 1.0))
+    n0 = max(skip, 1, math.ceil(math.log(c / (pol.tol * (1.0 - q))) / gap - 1.0))
     if n0 > pol.n_max:
         achieved = c * q ** (pol.n_max + 1) / (1.0 - q)
         raise TruncationError(
             f"series needs {n0} terms, policy allows {pol.n_max}", achieved=achieved
         )
-    value = _sine_series(inner_coeffs(np.arange(1, n0 + 1), x, L), theta, rho)
-    bound = c * q ** (n0 + 1) / (1.0 - q)
-    return TailBoundedValue(value, bound)
+    coeffs = np.zeros(n0)
+    coeffs[skip:] = inner_coeffs(np.arange(skip + 1, n0 + 1), x, L)
+    return TailBoundedValue(_sine_series(coeffs, theta, rho), c * q ** (n0 + 1) / (1.0 - q))
+
+
+def poisson_rect(cfg, pol, x, theta, rho):
+    """Poisson kernel of the rectangle from x + i*theta to the right-edge point
+    L + i*rho: (2/pi) * sum_n sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho).
+
+    theta and rho broadcast together; x is a scalar with 0 < x < L and
+    L - x >= pol.min_gap.  Returns the TailBoundedValue of _interior_series.
+    """
+    if not (0.0 < x < cfg.L):
+        raise DomainError("need 0 < x < L")
+    return _interior_series(pol, x, cfg.L, theta, rho)
 
 
 def boundary_poisson_rect(cfg, pol, phi, rho):
@@ -186,10 +168,10 @@ def _kernel_det(kernel, start, rho):
     tuple or a (..., N) stack of tuples `rho` (see angle_tuples); a stack
     gives one determinant per tuple, a float for a single tuple.  Every
     entry and determinant has the bits it has alone."""
-    start, rho = as_weyl(start), angle_tuples(rho)
-    if rho.shape[-1] != start.n:
+    start, rho = weyl_point(start), angle_tuples(rho)
+    if rho.shape[-1] != start.size:
         raise DomainError("angle tuples must have equal length")
-    return det_lu(kernel(start.angles[:, None], rho[..., None, :]).value)
+    return det_lu(kernel(start[:, None], rho[..., None, :]).value)
 
 
 def fomin_boundary_det(cfg, pol, phi, rho):
@@ -210,7 +192,7 @@ def hat_h(theta):
     Accepts any array whose last axis lists the angles (ordering not
     required; the sign follows the formula).
     """
-    t = np.asarray(theta.angles if isinstance(theta, WeylPoint) else theta, dtype=float)
+    t = np.asarray(theta, dtype=float)
     if t.ndim == 0:
         t = t[None]
     out = np.prod(np.sin(t), axis=-1)
@@ -260,17 +242,17 @@ def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
     and math.fsum adds the terms; the returned bound certifies the rest of
     the sum.  With `tol` given, a bound above it raises TruncationError.
     """
-    phi, rho = as_weyl(phi), as_weyl(rho)
-    if phi.n != rho.n:
+    phi, rho = weyl_point(phi), weyl_point(rho)
+    if phi.size != rho.size:
         raise DomainError("phi and rho must have equal length")
     if partition_cap < 0:
         raise DomainError("partition_cap must be nonnegative")
-    n = phi.n
+    n = phi.size
     L = cfg.L
     # m[lambda, k] = lambda_k + N - k + 1
     m = np.array(list(partitions(partition_cap, n))) + np.arange(n, 0, -1)
     a = np.prod(boundary_coeffs(m, L), axis=-1)
-    d_phi, d_rho = (det_lu(np.sin(t.angles[:, None] * m[:, None, :])) for t in (phi, rho))
+    d_phi, d_rho = (det_lu(np.sin(t[:, None] * m[:, None, :])) for t in (phi, rho))
     total = math.fsum(a * d_phi * d_rho)
 
     # |D_lambda| <= N!, a_lambda <= (2/(1-e^{-2L}))^N (w+N)^N e^{-L(w + N(N+1)/2)},
@@ -298,10 +280,10 @@ def crossing_ratio(cfg, phi, rho, partition_cap=8):
     entries are all partition expansions with the same cap, so the ratio
     keeps its relative accuracy where the plain determinant cancels.
     """
-    phi, rho = as_weyl(phi), as_weyl(rho)
+    phi, rho = weyl_point(phi), weyl_point(rho)
     num = fomin_expansion(cfg, phi, rho, partition_cap).value
     den = 1.0
-    for p, r in zip(phi.angles, rho.angles):
+    for p, r in zip(phi, rho):
         den *= fomin_expansion(cfg, (p,), (r,), partition_cap).value
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
@@ -344,11 +326,11 @@ def crossing_prefactor(phi, rho):
     the exact n=1 asymptotics of the diagonal kernel product (whose sin(phi_j)
     sin(rho_j) factors cancel against those inside hat_h).
     """
-    phi, rho = as_weyl(phi), as_weyl(rho)
-    if phi.n != rho.n:
+    phi, rho = weyl_point(phi), weyl_point(rho)
+    if phi.size != rho.size:
         raise DomainError("phi and rho must have equal length")
-    n = phi.n
-    cphi, crho = np.cos(phi.angles), np.cos(rho.angles)
+    n = phi.size
+    cphi, crho = np.cos(phi), np.cos(rho)
     prod = 1.0
     for k in range(n):
         for l in range(k + 1, n):

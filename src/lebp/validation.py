@@ -318,25 +318,45 @@ def check_kernel_marginal(pol=DEFAULT_POLICY):
 # --- closed forms and figure shapes ------------------------------------------------
 
 
+def _closed_density(n, r, th):
+    """Arc density in closed form, [N sin th - cos th cos(N th) sin(N th)
+    + sin th sin^2(N th)] / (pi r sin th); a 0/0 form at th = 0 and pi."""
+    s = math.sin(th)
+    num = n * s - math.cos(th) * math.cos(n * th) * math.sin(n * th) + s * math.sin(n * th) ** 2
+    return num / (math.pi * r * s)
+
+
+def _closed_kernel(n, r, th, tp):
+    """Equal-radius arc kernel in closed form (Christoffel-Darboux),
+    [sin((N+1)th) sin(N tp) - sin(N th) sin((N+1)tp)] / (pi r (cos th - cos tp));
+    a 0/0 form on the diagonal."""
+    num = math.sin((n + 1) * th) * math.sin(n * tp) - math.sin(n * th) * math.sin((n + 1) * tp)
+    return num / (math.pi * r * (math.cos(th) - math.cos(tp)))
+
+
 def check_closed_density(pol=DEFAULT_POLICY):
-    """Closed-form arc density against the kernel diagonal, and the exact
-    three-path value 4/(pi r) on the imaginary axis."""
+    """The arc density and the equal-radius kernel, both the exact finite
+    sum of the strip kernel, against their closed forms away from the 0/0
+    points; and the exact three-path value 4/(pi r) on the imaginary axis."""
+    angles = (0.4, 1.234, 2.8)
     worst = 0.0
     for n in (1, 3, 7):
-        for th in (0.4, 1.234, 2.8):
-            a = density_semicircle(n, 2.0, th)
-            b = kernel_semicircle(pol, n, 2.0, th, 2.0, th).value
-            worst = max(worst, abs(a - b))
+        for th in angles:
+            worst = max(worst, abs(density_semicircle(n, 2.0, th) - _closed_density(n, 2.0, th)))
+            for tp in angles:
+                if tp != th:
+                    k = kernel_semicircle(pol, n, 2.0, th, 2.0, tp).value
+                    worst = max(worst, abs(k - _closed_kernel(n, 2.0, th, tp)))
     axis = 0.0
     for r in (1.5, 2.0, 10.0):
         expect = 4.0 / (math.pi * r)
         axis = max(axis, abs(density_semicircle(3, r, math.pi / 2) - expect) / expect)
     return [
         _within(
-            "arc density vs kernel diagonal",
+            "arc density and equal-radius kernel vs closed forms",
             worst,
-            1e-10,
-            "paths in {1,3,7}, three angles, radius 2",
+            1e-13,
+            "paths in {1,3,7}, three angles and their pairs, radius 2",
         ),
         _within(
             "three-path density on the imaginary axis vs 4/(pi r)",

@@ -169,6 +169,27 @@ def test_two_point_equal_and_cross_radius():
     assert 0.0 < float(rows[0][5]) < 1e-12
 
 
+def test_two_point_near_coincident_angles_matches_mpmath():
+    # equal radii, angles 1e-5 apart: rho rho' - K^2 cancels about ten digits,
+    # and the row still carries bound 0 (both kernels are exact finite sums)
+    import mpmath as mp
+
+    code, out, _ = run_cli(
+        ["two-point", "--N", "3", "--r", "2", "--theta", "1.0", "--rp", "2", "--thetap", "1.00001"]
+    )
+    assert code == 0
+    _, rows = rows_of(out)
+    with mp.workdps(50):
+        th, tp = mp.mpf(1.0), mp.mpf(1.00001)
+
+        def k(a, b):
+            return mp.fsum(mp.sin(n * a) * mp.sin(n * b) for n in (1, 2, 3)) / mp.pi
+
+        want = float(k(th, th) * k(tp, tp) - k(th, tp) ** 2)
+    assert abs(float(rows[0][4]) / want - 1.0) < 1e-6
+    assert float(rows[0][5]) == 0.0
+
+
 def test_pdf_special_start_row():
     code, out, _ = run_cli(["pdf", "--theta", "1.0,2.0"])
     assert code == 0
@@ -444,12 +465,17 @@ def test_manifest_orders_are_the_orders_validate_uses(tmp_path, monkeypatch):
 
     monkeypatch.setattr(validation, "gauss_legendre", recording_rule)
     manifest = tmp_path / "run.json"
-    code = main(["validate", "--suite", "all", "--output", str(tmp_path / "report.json"),
+    report = tmp_path / "report.json"
+    code = main(["validate", "--suite", "all", "--output", str(report),
                  "--save-manifest", str(manifest)])
     assert code == 0
     orders = json.loads(manifest.read_text())["orders"]
     assert sorted(orders.values()) == sorted(used)
     assert orders == validation.QUADRATURE_ORDERS
+    # the benchmark's validate job expects exactly this many passing records
+    checks = [c for suite in json.loads(report.read_text())["suites"] for c in suite["checks"]]
+    assert len(checks) == 22
+    assert all(c["passed"] is True for c in checks)
 
 
 def test_manifest_rejects_garbage(tmp_path):
@@ -530,6 +556,7 @@ def test_usage_errors_name_the_precondition():
         (["pdf", "--theta", "1,2", "--tol", "-1", "--save-manifest", os.devnull],
          "tol must be a positive"),
         (["lattice-validate", "--levels", "15,15"], "each level must appear once"),
+        (["density", "--N", "3", "--r", "2", "--theta", "4"], "angles must lie in [0, pi]"),
     ],
 )
 def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):

@@ -17,7 +17,6 @@ from lebp.correlation import (
     joint_pdf_special_start,
     joint_pdf_special_start_dets,
     kernel_semicircle,
-    kernel_semicircle_equal_radius,
     kernel_strip,
     kernel_strip_dual,
     limit_kernel,
@@ -350,34 +349,61 @@ def test_semicircle_needs_radius_beyond_one():
 
 
 def test_equal_radius_closed_form():
-    # 40-digit reference, N=3, r=2, angles (0.9, 2.2)
-    got = kernel_semicircle_equal_radius(3, 2.0, 0.9, 2.2)
-    assert math.isclose(got, -0.05100977204597252439616, rel_tol=1e-13)
+    # 40-digit reference, N=3, r=2, angles (0.9, 2.2); the Christoffel-Darboux
+    # closed form of the validation suite agrees off the diagonal
+    from lebp.validation import _closed_kernel
+
+    got = kernel_semicircle(POL, 3, 2.0, 0.9, 2.0, 2.2)
+    assert got.bound == 0.0
+    assert math.isclose(got.value, -0.05100977204597252439616, rel_tol=1e-13)
     for n in (1, 2, 5):
-        a = kernel_semicircle_equal_radius(n, 2.0, 0.9, 2.2)
+        a = _closed_kernel(n, 2.0, 0.9, 2.2)
         b = kernel_semicircle(POL, n, 2.0, 0.9, 2.0, 2.2).value
         assert a == pytest.approx(b, abs=1e-13)
 
 
-def test_equal_radius_diagonal_switch():
-    # on the diagonal the quotient form is replaced by the finite sum
-    diag = kernel_semicircle_equal_radius(3, 2.0, 1.0, 1.0)
-    series = 2.0 / (math.pi * 2.0) * sum(math.sin(n * 1.0) ** 2 for n in (1, 2, 3))
-    assert diag == pytest.approx(series, rel=1e-15)
-    near = kernel_semicircle_equal_radius(3, 2.0, 1.0, 1.0 + 1e-9)
-    assert near == pytest.approx(diag, rel=1e-7)
+def _mp_arc_kernel(n, r, th, tp):
+    # (2 / (pi r)) sum_{k<=n} sin(k th) sin(k tp) at 50 digits, exact inputs
+    import mpmath as mp
+
+    with mp.workdps(50):
+        th, tp = mp.mpf(th), mp.mpf(tp)
+        total = mp.fsum(mp.sin(k * th) * mp.sin(k * tp) for k in range(1, n + 1))
+        return 2 * total / (mp.pi * r)
+
+
+def test_equal_radius_kernel_near_diagonal_matches_mpmath():
+    # no switch near cos theta = cos theta': the exact finite sum throughout
+    for n in (3, 5, 20):
+        for th in (0.3, 1.0, 2.6):
+            for d in (1e-9, 1e-8, 1e-7, 1e-6, 1.001e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for tp in (th + d, th - d):
+                    got = kernel_semicircle(POL, n, 2.0, th, 2.0, tp)
+                    want = _mp_arc_kernel(n, 2.0, th, tp)
+                    assert got.bound == 0.0
+                    assert abs(got.value / float(want) - 1.0) < 1e-14, (n, th, tp)
+
+
+def test_density_near_the_arc_ends_matches_mpmath():
+    # 1e-3 from either end, where a closed form divided by sin theta loses
+    # digits, and a spread of interior angles
+    angles = [1.001e-3, math.pi - 1.001e-3, 0.01, 0.7, 1.6, 2.9, math.pi - 0.01]
+    for n in (3, 5, 20):
+        for th in angles:
+            want = float(_mp_arc_kernel(n, 2.0, th, th))
+            assert abs(density_semicircle(n, 2.0, th) / want - 1.0) < 1e-12, (n, th)
 
 
 def test_series_branches_match_scalar_calls_bitwise():
-    # the near-diagonal and small-angle sums, with enough paths (9) that a
+    # near-diagonal and small-angle points, with enough paths (9) that a
     # sum over the wrong axis would change the last bits
     th = np.concatenate([np.linspace(0.0, 9e-4, 7), np.linspace(1.0, 1.0 + 1e-7, 5), [math.pi]])
     dens = density_semicircle(9, 2.0, th)
-    kern = kernel_semicircle_equal_radius(9, 2.0, th[:, None], th[None, :])
+    kern = kernel_semicircle(POL, 9, 2.0, th[:, None], 2.0, th[None, :]).value
     for i, t in enumerate(th.tolist()):
         assert dens[i] == density_semicircle(9, 2.0, t)
         for j, tp in enumerate(th.tolist()):
-            assert kern[i, j] == kernel_semicircle_equal_radius(9, 2.0, t, tp)
+            assert kern[i, j] == kernel_semicircle(POL, 9, 2.0, t, 2.0, tp).value
 
 
 def test_density_matches_kernel_diagonal():
@@ -407,7 +433,7 @@ def test_density_closed_form_values():
 def test_density_endpoint_limits():
     assert density_semicircle(3, 2.0, 0.0) == 0.0
     assert abs(density_semicircle(3, 2.0, math.pi)) < 1e-30
-    # continuity across the small-angle switchover
+    # continuity near the arc ends
     lo = density_semicircle(3, 2.0, 1e-3 - 1e-9)
     hi = density_semicircle(3, 2.0, 1e-3 + 1e-9)
     assert lo == pytest.approx(hi, rel=1e-4)

@@ -21,7 +21,7 @@ from lebp.lattice_validation import (
 from lebp import numerics
 from lebp.lattice_validation import _green_columns
 from lebp.numerics import DEFAULT_POLICY as POL
-from lebp.passage_densities import pdf_first_passage_finite
+from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
 
 
@@ -325,7 +325,7 @@ def test_single_path_density_tracks_continuum():
     cfg = RectConfig(math.pi)
     cont = np.array(
         [
-            pdf_first_passage_finite(cfg, POL, cut * h, (m * h,), (12 * h,))
+            joint_pdf(cfg, POL, ChamberSequence((cut * h,)), [(m * h,)], (12 * h,))
             for m in range(1, level + 1)
         ]
     )

@@ -15,8 +15,6 @@ from lebp.passage_densities import (
     norm_boundary,
     norm_inner,
     ordered_sine_det_integral,
-    pdf_first_passage,
-    pdf_first_passage_finite,
     start_weight,
     transition_factor,
 )
@@ -29,6 +27,11 @@ from lebp.rect_kernels import (
 )
 
 POL = DEFAULT_POLICY
+
+
+def _one_cut(cfg, x, theta, phi):
+    # the first-passage density on the single cut x (cfg None: infinite strip)
+    return joint_pdf(cfg, POL, ChamberSequence((x,)), [theta], phi)
 
 
 # --- references -------------------------------------------------------------
@@ -289,7 +292,7 @@ def test_norm_series_budget_exhaustion():
 
 def test_pdf_single_path_matches_direct_series():
     L, x, phi, th = 2.0, 0.9, 1.2, 2.0
-    p = pdf_first_passage_finite(RectConfig(L), POL, x, [th], [phi])
+    p = _one_cut(RectConfig(L), x, [th], [phi])
 
     def sinh_ratio(n, a, b):
         return math.exp(n * (a - b)) * math.expm1(-2 * n * a) / math.expm1(-2 * n * b)
@@ -328,8 +331,8 @@ def test_pdf_two_paths_normalizes():
 def test_pdf_positive_on_chamber():
     cfg = RectConfig(2.0)
     for th in ([0.5, 1.5], [1.0, 2.8], [2.0, 2.5]):
-        assert pdf_first_passage_finite(cfg, POL, 0.9, th, [0.9, 2.0]) > 0.0
-        assert pdf_first_passage(POL, 0.9, th, [0.9, 2.0]) > 0.0
+        assert _one_cut(cfg, 0.9, th, [0.9, 2.0]) > 0.0
+        assert _one_cut(None, 0.9, th, [0.9, 2.0]) > 0.0
 
 
 def test_joint_pdf_telescopes_into_transitions():
@@ -338,12 +341,12 @@ def test_joint_pdf_telescopes_into_transitions():
     th_a, th_b = [1.0, 2.2], [0.8, 1.9]
     seq = ChamberSequence((0.7, 1.2), L=2.0)
     j = joint_pdf(cfg, POL, seq, [th_a, th_b], phi)
-    p1 = pdf_first_passage_finite(cfg, POL, 0.7, th_a, phi)
+    p1 = _one_cut(cfg, 0.7, th_a, phi)
     q = transition_factor(cfg, POL, 0.7, th_a, 1.2, th_b)
     assert j == pytest.approx(p1 * q, rel=1e-12)
 
     j_inf = joint_pdf(None, POL, ChamberSequence((0.7, 1.2)), [th_a, th_b], phi)
-    p1_inf = pdf_first_passage(POL, 0.7, th_a, phi)
+    p1_inf = _one_cut(None, 0.7, th_a, phi)
     q_inf = transition_factor(None, POL, 0.7, th_a, 1.2, th_b)
     assert j_inf == pytest.approx(p1_inf * q_inf, rel=1e-12)
 
@@ -354,7 +357,7 @@ def test_joint_pdf_single_cut_reduces_to_marginal():
     th = [1.0, 2.2]
     seq = ChamberSequence((0.9,), L=2.0)
     assert joint_pdf(cfg, POL, seq, [th], phi) == pytest.approx(
-        pdf_first_passage_finite(cfg, POL, 0.9, th, phi), rel=1e-13
+        _one_cut(cfg, 0.9, th, phi), rel=1e-13
     )
 
 
@@ -377,9 +380,9 @@ def test_joint_mass_two_cuts_two_paths():
 
 def test_finite_pdf_approaches_infinite_strip():
     x, th, phi = 0.9, [1.0, 2.2], [0.9, 2.0]
-    p_inf = pdf_first_passage(POL, x, th, phi)
+    p_inf = _one_cut(None, x, th, phi)
     errs = [
-        abs(pdf_first_passage_finite(RectConfig(L), POL, x, th, phi) - p_inf) / p_inf
+        abs(_one_cut(RectConfig(L), x, th, phi) - p_inf) / p_inf
         for L in (6.0, 10.0, 14.0)
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -435,9 +438,9 @@ def test_chamber_sequence_validation():
 def test_density_domain_errors():
     cfg = RectConfig(2.0)
     with pytest.raises(DomainError):
-        pdf_first_passage_finite(cfg, POL, 2.5, [1.0], [1.0])
+        _one_cut(cfg, 2.5, [1.0], [1.0])
     with pytest.raises(DomainError):
-        pdf_first_passage_finite(cfg, POL, 0.9, [1.0, 2.0], [1.0])
+        _one_cut(cfg, 0.9, [1.0, 2.0], [1.0])
     with pytest.raises(DomainError):
         norm_inner(cfg, POL, -0.1, [1.0])
     with pytest.raises(PrecisionError):

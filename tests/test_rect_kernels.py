@@ -7,8 +7,6 @@ from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import SeriesPolicy, det_lu, gauss_legendre
 from lebp.rect_kernels import (
     RectConfig,
-    WeylPoint,
-    as_weyl,
     boundary_poisson_rect,
     crossing_decay_rate,
     crossing_exponent_fit,
@@ -20,6 +18,7 @@ from lebp.rect_kernels import (
     hat_h,
     partitions,
     poisson_rect,
+    weyl_point,
 )
 
 PI = math.pi
@@ -174,13 +173,18 @@ def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
 
 def test_weyl_point_validation():
     with pytest.raises(DomainError):
-        WeylPoint((2.0, 1.0))
+        weyl_point((2.0, 1.0))
     with pytest.raises(DomainError):
-        WeylPoint((0.0, 1.0))
+        weyl_point((0.0, 1.0))
     with pytest.raises(DomainError):
-        WeylPoint(())
-    wp = as_weyl((0.5, 1.5, 2.5))
-    assert wp.n == 3 and as_weyl(wp) is wp
+        weyl_point(())
+    with pytest.raises(DomainError):
+        weyl_point(1.0)
+    with pytest.raises(DomainError):
+        weyl_point([[0.5, 1.5]])
+    wp = weyl_point((0.5, 1.5, 2.5))
+    assert wp.shape == (3,) and not wp.flags.writeable
+    assert np.array_equal(weyl_point(wp), wp)
     with pytest.raises(DomainError):
         fomin_boundary_det(RectConfig(2.0), POL, (0.5, 1.5), (1.0,))
 
@@ -291,7 +295,7 @@ def test_crossing_decay_rate_values():
 
 
 def test_crossing_ratio_converges_to_prefactor():
-    phi, rho = WeylPoint((1.0, 2.0)), WeylPoint((1.2, 1.9))
+    phi, rho = weyl_point((1.0, 2.0)), weyl_point((1.2, 1.9))
     pref = crossing_prefactor(phi, rho)
     rel = [
         crossing_ratio(RectConfig(L), phi, rho) * math.exp(L) / pref - 1.0
