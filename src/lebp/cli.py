@@ -495,7 +495,7 @@ def build_parser():
     p.add_argument("--lengths", default="6,8,10,12", help="comma tuple of rectangle lengths")
     p.add_argument("--phi", default=None, help="comma tuple of start angles")
     p.add_argument("--rho", default=None, help="comma tuple of end angles")
-    p.add_argument("--cap", default="8", help="partition expansion cap")
+    p.add_argument("--cap", default="8", help="largest partition part (frequencies 1..N+cap)")
     _add_common(p, policy=False)
 
     p = sub.add_parser("lattice-validate", help="random-walk refinement table")

@@ -135,12 +135,11 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
 # --- midpoint-start densities -------------------------------------------------
 
 
-def pdf_special_start(x, theta):
+def pdf_special_start(theta):
     """First-passage density at any cut for the midpoint start:
-    (2^{N^2} / pi^N) * hat_h(theta)^2, independent of the cut position x."""
+    (2^{N^2} / pi^N) * hat_h(theta)^2, the same at every cut position."""
     theta = weyl_point(theta)
     n = theta.size
-    del x  # the one-cut density carries no x dependence
     return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
 
 
@@ -162,7 +161,7 @@ def joint_pdf_special_start(pol, seq, thetas):
     telescoped as first-cut density times transition factors."""
     thetas = _midpoint_thetas(seq, thetas)
     cuts = seq.cuts
-    value = pdf_special_start(cuts[0], thetas[0])
+    value = pdf_special_start(thetas[0])
     for m in range(seq.m - 1):
         value *= transition_factor(None, pol, cuts[m], thetas[m], cuts[m + 1], thetas[m + 1])
     return value

@@ -5,7 +5,8 @@ determinants (det_lu, the library's one determinant routine, and
 det_lu_bounded, the same value with a certified Hadamard-type bound on its
 rounding and on given entrywise errors), batched
 Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber norms
-and free-end minor sums reduce to), overflow-safe sinh ratios, and
+and free-end minor sums reduce to), the graded determinant det(A C B^T) that
+every kernel determinant reduces to, overflow-safe sinh ratios, and
 certified tail bounds for polynomial-times-geometric series.  Everything
 downstream (rectangle kernels, passage densities, correlation kernels,
 lattice checks) builds on these primitives.
@@ -253,6 +254,29 @@ def det_lu_bounded(a, err=0.0):
     return _unstack(det, batch), _unstack(bound, batch)
 
 
+def graded_det(a, c, b, det_head):
+    """det(A diag(c) B^T) for an N x M matrix A (M >= N) and N x M matrices
+    B stacked on the leading axes of b, given det_head = det A1; the
+    determinant twin of graded_pfaffian.  Split after the first N columns,
+
+        det(A C B^T) = det A1 * prod(C1) * det(B1 + B2 X^T),  X = C1^-1 A1^-1 A2 C2.
+
+    For decaying c the leading N terms go into prod(C1) instead of
+    cancelling, and X holds only the ratios c_m / c_n, m > N >= n.  Only A1
+    is solved with, so B may hold unordered or equal rows; every matrix of
+    the stack gets the bits it gets alone.
+    """
+    a, c, b = (np.asarray(v, dtype=float) for v in (a, c, b))
+    n = a.shape[0]
+    scale = np.prod(c[:n])
+    if scale == 0.0:
+        raise PrecisionError("leading coefficients underflow; the determinant is out of range")
+    x = np.linalg.solve(a[:, :n], a[:, n:]) * (c[n:] / c[:n, None])
+    # core[..., k, j] = (B1 + B2 X^T)[k, j], one dot product per entry
+    core = np.vecdot(b[..., :, None, :], np.concatenate([np.eye(n), x], axis=1))
+    return det_head * scale * det_lu(core)
+
+
 def sinh_ratio(n, num, den):
     """sinh(n*num) / sinh(n*den) for positive arguments, in exponential form.
 
@@ -267,9 +291,7 @@ def sinh_ratio(n, num, den):
     if not (num > 0.0 and den > 0.0):
         raise DomainError("num and den must be positive")
     out = np.exp(n * (num - den)) * (np.expm1(-2.0 * n * num) / np.expm1(-2.0 * n * den))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def poly_geom_tail(q, factors, n_start):

@@ -9,7 +9,9 @@ determinants between consecutive cuts, and a norm ratio at the last cut.
 The density on one cut is the M = 1 case of that product.  The
 determinants (rect_kernels.fomin_*_det) and the norms (norm_inner) take a
 stack of angle tuples as well as one tuple, so a grid of densities is one
-call of each.
+call of each.  The determinants are graded (numerics.graded_det), so the
+density keeps its relative accuracy at cuts far from the start edge,
+where the boundary determinant is exponentially small.
 
 The chamber integrals (norms) integrate a kernel determinant over the
 ordered chamber.  The kernel is a separable sine series, so by de Bruijn

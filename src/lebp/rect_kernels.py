@@ -2,20 +2,22 @@
 
 The interior-to-edge kernel and the edge-to-edge (normal derivative) kernel
 are Fourier sine series with sinh-ratio coefficients; both are evaluated with
-certified geometric tail bounds.  Determinants of these kernels over tuples of
-ordered angles give the building blocks of nonintersecting-path densities.  A
-Schur-type expansion re-derives the boundary determinant as a sum over integer
-partitions, which isolates its leading exponential decay; the crossing ratio
-measures that decay against the product of diagonal kernel values.
+certified geometric tail bounds.  Their determinants over tuples of ordered
+angles, the building blocks of nonintersecting-path densities, all factor as
+det(A diag(c) B^T) with A[j, n] = sin(n phi_j), B[k, n] = sin(n rho_k), and go
+through numerics.graded_det, which keeps their leading exponential decay out
+of the cancellation; the crossing ratio measures that decay against the
+product of diagonal kernel values.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import TailBoundedValue, block_rows, det_lu, poly_geom_tail, sinh_ratio
+from .numerics import UNIT_ROUNDOFF, TailBoundedValue, block_rows, graded_det, sinh_ratio
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -96,34 +98,56 @@ def _sine_series(coeffs, theta, rho):
         block *= np.sin(np.outer(fr[start : start + step], n))
         total[start : start + step] = np.vecdot(block, coeffs)
     out = total.reshape(th.shape)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def _interior_series(pol, x, L, theta, rho, skip=0):
-    """(2/pi) * sum_{n > skip} sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho),
-    truncated after the first n0 >= max(skip, 1) terms whose geometric tail
-    c q^(n0+1) / (1 - q), q = e^{x - L}, meets pol.tol.
-
-    Needs L - x >= pol.min_gap, the gap that makes the tail certifiable.
-    Returns TailBoundedValue(value, bound); bound covers every entry.
-    """
+def _inner_terms(pol, x, L, target, at_least=1):
+    """Interior coefficients (2/pi) sinh(n x)/sinh(n L), n = 1..n0, for the
+    first n0 >= at_least whose tail c q^(n0+1) / (1 - q), q = e^{x - L}, is
+    at most target; returns (coefficients, tail).  Needs L - x >=
+    pol.min_gap, the gap that makes the tail certifiable."""
     gap = L - x
     if gap < pol.min_gap:
         raise PrecisionError(f"gap {gap:.3g} below policy min_gap {pol.min_gap:.3g}")
     q = math.exp(-gap)
     c = _TWO_OVER_PI / -math.expm1(-2.0 * L)
-    # smallest n0 with c * q^(n0+1) / (1-q) <= tol
-    n0 = max(skip, 1, math.ceil(math.log(c / (pol.tol * (1.0 - q))) / gap - 1.0))
+    n0 = max(at_least, math.ceil(math.log(c / (target * (1.0 - q))) / gap - 1.0))
     if n0 > pol.n_max:
         achieved = c * q ** (pol.n_max + 1) / (1.0 - q)
         raise TruncationError(
             f"series needs {n0} terms, policy allows {pol.n_max}", achieved=achieved
         )
-    coeffs = np.zeros(n0)
-    coeffs[skip:] = inner_coeffs(np.arange(skip + 1, n0 + 1), x, L)
-    return TailBoundedValue(_sine_series(coeffs, theta, rho), c * q ** (n0 + 1) / (1.0 - q))
+    return inner_coeffs(np.arange(1, n0 + 1), x, L), c * q ** (n0 + 1) / (1.0 - q)
+
+
+def _boundary_terms(pol, L, target, at_least=1):
+    """Edge-to-edge coefficients (2/pi) n / sinh(n L), n = 1..n0, for the
+    first n0 >= at_least (searched in steps of n0 // 8) whose tail is at
+    most target; returns (coefficients, tail)."""
+    q = math.exp(-L)
+    c = 2.0 * _TWO_OVER_PI / -math.expm1(-2.0 * L)
+
+    def tail(n0):
+        # sum_{n > n0} n q^n in closed form, times c
+        return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) / (1.0 - q) ** 2
+
+    n0 = max(at_least, math.ceil(math.log(c / (target * (1.0 - q))) / L - 1.0))
+    while tail(n0) > target:
+        n0 += max(1, n0 // 8)
+        if n0 > pol.n_max:
+            raise TruncationError(
+                f"series needs more than {pol.n_max} terms", achieved=tail(pol.n_max)
+            )
+    return boundary_coeffs(np.arange(1, n0 + 1), L), tail(n0)
+
+
+def _interior_series(pol, x, L, theta, rho, skip=0):
+    """(2/pi) * sum_{n > skip} sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho),
+    truncated by _inner_terms at pol.tol after at least max(skip, 1) terms.
+    Returns TailBoundedValue(value, bound); bound covers every entry."""
+    coeffs, tail = _inner_terms(pol, x, L, pol.tol, max(skip, 1))
+    coeffs[:skip] = 0.0
+    return TailBoundedValue(_sine_series(coeffs, theta, rho), tail)
 
 
 def poisson_rect(cfg, pol, x, theta, rho):
@@ -144,46 +168,48 @@ def boundary_poisson_rect(cfg, pol, phi, rho):
 
     phi and rho broadcast together.  Returns TailBoundedValue(value, bound).
     """
-    L = cfg.L
-    q = math.exp(-L)
-    c = 2.0 * _TWO_OVER_PI / -math.expm1(-2.0 * L)
-
-    def tail(n0):
-        # sum_{n > n0} n q^n in closed form, times c
-        return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) / (1.0 - q) ** 2
-
-    n0 = max(1, math.ceil(math.log(c / (pol.tol * (1.0 - q))) / L - 1.0))
-    while tail(n0) > pol.tol:
-        n0 += max(1, n0 // 8)
-        if n0 > pol.n_max:
-            raise TruncationError(
-                f"series needs more than {pol.n_max} terms", achieved=tail(pol.n_max)
-            )
-    value = _sine_series(boundary_coeffs(np.arange(1, n0 + 1), L), phi, rho)
-    return TailBoundedValue(value, tail(n0))
+    coeffs, tail = _boundary_terms(pol, cfg.L, pol.tol)
+    return TailBoundedValue(_sine_series(coeffs, phi, rho), tail)
 
 
-def _kernel_det(kernel, start, rho):
-    """det[ kernel(start_j, rho_k) ] for an ordered tuple `start` and one
-    tuple or a (..., N) stack of tuples `rho` (see angle_tuples); a stack
-    gives one determinant per tuple, a float for a single tuple.  Every
-    entry and determinant has the bits it has alone."""
+def _det_target(pol, c_n):
+    """Coefficient-tail target of an N x N kernel determinant: min(pol.tol, u c_N)."""
+    target = min(pol.tol, UNIT_ROUNDOFF * float(c_n))
+    if not target > 0.0:
+        raise PrecisionError("kernel coefficients underflow; the determinant is out of range")
+    return target
+
+
+def _kernel_det(coeffs, start, rho):
+    """det[ sum_n coeffs[n-1] sin(n start_j) sin(n rho_k) ] for an ordered
+    tuple `start` and one tuple or a (..., N) stack of tuples `rho` (see
+    angle_tuples), one determinant per tuple (a float for one tuple), by
+    graded_det with det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start)."""
     start, rho = weyl_point(start), angle_tuples(rho)
-    if rho.shape[-1] != start.size:
+    n = start.size
+    if rho.shape[-1] != n:
         raise DomainError("angle tuples must have equal length")
-    return det_lu(kernel(start[:, None], rho[..., None, :]).value)
+    m = np.arange(1, coeffs.size + 1)
+    head = 2.0 ** (n * (n - 1) // 2) * hat_h(start)
+    return graded_det(np.sin(np.outer(start, m)), coeffs, np.sin(rho[..., None] * m), head)
 
 
 def fomin_boundary_det(cfg, pol, phi, rho):
     """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    return _kernel_det(lambda p, r: boundary_poisson_rect(cfg, pol, p, r), phi, rho)
+    n = weyl_point(phi).size
+    coeffs, _ = _boundary_terms(pol, cfg.L, _det_target(pol, boundary_coeffs(n, cfg.L)), n)
+    return _kernel_det(coeffs, phi, rho)
 
 
 def fomin_inner_det(cfg, pol, x, theta, rho):
     """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    return _kernel_det(lambda t, r: poisson_rect(cfg, pol, x, t, r), theta, rho)
+    if not (0.0 < x < cfg.L):
+        raise DomainError("need 0 < x < L")
+    n = weyl_point(theta).size
+    coeffs, _ = _inner_terms(pol, x, cfg.L, _det_target(pol, inner_coeffs(n, x, cfg.L)), n)
+    return _kernel_det(coeffs, theta, rho)
 
 
 def hat_h(theta):
@@ -192,102 +218,32 @@ def hat_h(theta):
     Accepts any array whose last axis lists the angles (ordering not
     required; the sign follows the formula).
     """
-    t = np.asarray(theta, dtype=float)
-    if t.ndim == 0:
-        t = t[None]
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.prod(np.sin(t), axis=-1)
     c = np.cos(t)
-    npts = t.shape[-1]
-    for k in range(npts):
-        for l in range(k + 1, npts):
-            out = out * (c[..., l] - c[..., k])
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def partitions(cap, parts):
-    """Yield integer partitions with at most `parts` parts and weight <= cap,
-    graded by weight and lexicographic within each weight.  Tuples are padded
-    with zeros to length `parts`."""
-    if parts < 1:
-        raise DomainError("parts must be positive")
-
-    def fixed_weight(w, slots, maximum):
-        if slots == 1:
-            if w <= maximum:
-                yield (w,)
-            return
-        for first in range(min(w, maximum), (w + slots - 1) // slots - 1, -1):
-            for rest in fixed_weight(w - first, slots - 1, first):
-                yield (first,) + rest
-
-    for w in range(cap + 1):
-        for lam in fixed_weight(w, parts, w):
-            yield lam
-
-
-def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
-    """Boundary determinant as a partition sum.
-
-    Cancelling the staircase prefactors against the ratio-of-determinant
-    weights leaves
-
-        f(phi, rho) = sum_lambda a_lambda * D_lambda(phi) * D_lambda(rho)
-
-    with m_k = lambda_k + N - k + 1, a_lambda = prod_k c_{m_k} over the
-    boundary_coeffs c_m = (2/pi) m / sinh(m L), and D_lambda(theta) =
-    det[sin(m_k theta_j)].  Every partition of weight up to `partition_cap`
-    contributes, the D_lambda of one angle tuple as one stacked determinant,
-    and math.fsum adds the terms; the returned bound certifies the rest of
-    the sum.  With `tol` given, a bound above it raises TruncationError.
-    """
-    phi, rho = weyl_point(phi), weyl_point(rho)
-    if phi.size != rho.size:
-        raise DomainError("phi and rho must have equal length")
-    if partition_cap < 0:
-        raise DomainError("partition_cap must be nonnegative")
-    n = phi.size
-    L = cfg.L
-    # m[lambda, k] = lambda_k + N - k + 1
-    m = np.array(list(partitions(partition_cap, n))) + np.arange(n, 0, -1)
-    a = np.prod(boundary_coeffs(m, L), axis=-1)
-    d_phi, d_rho = (det_lu(np.sin(t[:, None] * m[:, None, :])) for t in (phi, rho))
-    total = math.fsum(a * d_phi * d_rho)
-
-    # |D_lambda| <= N!, a_lambda <= (2/(1-e^{-2L}))^N (w+N)^N e^{-L(w + N(N+1)/2)},
-    # and the number of partitions of w into <= N parts is at most (w+1)^(N-1)
-    q = math.exp(-L)
-    const = (
-        _TWO_OVER_PI**n
-        * math.factorial(n) ** 2
-        * (2.0 / -math.expm1(-2.0 * L)) ** n
-        * q ** (n * (n + 1) // 2)
-    )
-    bound = const * poly_geom_tail(q, [(1.0, n - 1), (float(n), n)], partition_cap + 1)
-    if tol is not None and bound > tol:
-        raise TruncationError(
-            f"partition cap {partition_cap} certifies only {bound:.3g}", achieved=bound
-        )
-    return TailBoundedValue(total, bound)
+    for k, l in itertools.combinations(range(t.shape[-1]), 2):
+        out = out * (c[..., l] - c[..., k])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def crossing_ratio(cfg, phi, rho, partition_cap=8):
     """Boundary determinant divided by the product of its diagonal entries.
 
     Measures the cost of keeping N paths mutually avoiding: decays like
-    exp(-N(N-1)/2 * L) as the rectangle stretches.  Numerator and diagonal
-    entries are all partition expansions with the same cap, so the ratio
-    keeps its relative accuracy where the plain determinant cancels.
+    exp(-N(N-1)/2 * L) as the rectangle stretches.  The numerator and every
+    diagonal entry are graded determinants over the frequencies
+    1..N+partition_cap, so the ratio keeps its relative accuracy where the
+    assembled determinant cancels.
     """
     phi, rho = weyl_point(phi), weyl_point(rho)
-    num = fomin_expansion(cfg, phi, rho, partition_cap).value
-    den = 1.0
-    for p, r in zip(phi, rho):
-        den *= fomin_expansion(cfg, (p,), (r,), partition_cap).value
+    if partition_cap < 0:
+        raise DomainError("partition_cap must be nonnegative")
+    coeffs = boundary_coeffs(np.arange(1, phi.size + partition_cap + 1), cfg.L)
+    diagonal = coeffs[: 1 + partition_cap]
+    den = math.prod(_kernel_det(diagonal, (p,), (r,)) for p, r in zip(phi, rho))
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
-    return num / den
+    return _kernel_det(coeffs, phi, rho) / den
 
 
 # start and end angles of the built-in crossing fits, by number of paths

@@ -208,7 +208,7 @@ def check_kernel_dual(pol=DEFAULT_POLICY):
 def check_crossing_exponent(pol=DEFAULT_POLICY):
     """Least-squares slope of the log nonintersection ratio over rectangle
     lengths 6, 8, 10, 12 against the exact decay rate n(n-1)/2."""
-    del pol  # partition expansions only; no series policy involved
+    del pol  # graded determinants over fixed frequencies; no series policy
     out = []
     for n, (phi, rho) in CROSSING_CASES.items():
         _, slope = crossing_exponent_fit(phi, rho, (6.0, 8.0, 10.0, 12.0))

@@ -24,6 +24,7 @@ from lebp.cli import (
     main,
     parse_grid,
     parse_pi_literal,
+    parse_tuple,
 )
 from lebp.correlation import (
     kernel_semicircle,
@@ -195,7 +196,7 @@ def test_pdf_special_start_row():
     assert code == 0
     header, rows = rows_of(out)
     assert header == ["theta_1", "theta_2", "value"]
-    assert float(rows[0][2]) == pytest.approx(pdf_special_start(1.0, (1.0, 2.0)), rel=1e-15)
+    assert float(rows[0][2]) == pytest.approx(pdf_special_start((1.0, 2.0)), rel=1e-15)
 
 
 def test_pdf_general_infinite_and_finite():
@@ -211,6 +212,46 @@ def test_pdf_general_infinite_and_finite():
     header, rows = rows_of(out)
     assert "length" in header
     assert float(rows[0][-1]) == pytest.approx(v_inf, rel=1e-10)
+
+
+PROBE_THETA, PROBE_PHI = "0.6,1.2,1.9,2.6", "0.5,1.1,1.8,2.5"
+
+
+def _mp_strip_pdf(x, theta, phi):
+    """Four-path first-passage density of the infinite strip at the cut x,
+    det[H_boundary] * prod_j sinh(j x) / N! * hat_h(theta) / hat_h(phi), at
+    50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        theta, phi, big_x = [mp.mpf(t) for t in theta], [mp.mpf(p) for p in phi], mp.mpf(x)
+        ns = range(1, int(60 * math.log(10) / x) + 31)
+
+        def h_b(p, r):
+            terms = (n * mp.sin(n * p) * mp.sin(n * r) / mp.sinh(n * big_x) for n in ns)
+            return 2 * mp.fsum(terms) / mp.pi
+
+        def hat(t):
+            out = mp.fprod(mp.sin(a) for a in t)
+            for k, l in itertools.combinations(range(len(t)), 2):
+                out *= mp.cos(t[l]) - mp.cos(t[k])
+            return out
+
+        det = mp.det(mp.matrix([[h_b(p, r) for r in theta] for p in phi]))
+        weight = mp.fprod(mp.sinh(j * big_x) for j in range(1, len(phi) + 1))
+        return float(det * weight / mp.factorial(len(phi)) * hat(theta) / hat(phi))
+
+
+def test_pdf_at_large_cuts_matches_mpmath():
+    # an LU of the assembled 4 x 4 kernel matrix gives -2.8e-7 at x = 8,
+    # where the density is 7.0611
+    theta, phi = parse_tuple(PROBE_THETA, "--theta"), parse_tuple(PROBE_PHI, "--phi")
+    for x in (4, 6, 8, 10, 12):
+        args = ["pdf", "--x", str(x), "--theta", PROBE_THETA, "--phi", PROBE_PHI]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        want = _mp_strip_pdf(x, theta, phi)
+        assert abs(float(rows_of(out)[1][0][-1]) / want - 1.0) <= 1e-9, x
 
 
 def test_joint_pdf_row():
@@ -557,6 +598,11 @@ def test_usage_errors_name_the_precondition():
          "tol must be a positive"),
         (["lattice-validate", "--levels", "15,15"], "each level must appear once"),
         (["density", "--N", "3", "--r", "2", "--theta", "4"], "angles must lie in [0, pi]"),
+        (["pdf", "--x", "200", "--theta", "0.6,1.2,1.9,2.6", "--phi", "0.5,1.1,1.8,2.5"],
+         "coefficients underflow"),
+        (["joint-pdf", "--cuts", "1,250", "--theta", "0.6,1.2,1.9,2.6/0.6,1.2,1.9,2.6",
+          "--phi", "0.5,1.1,1.8,2.5"], "coefficients underflow"),
+        (["crossing-exponent", "--lengths", "800,900"], "coefficients underflow"),
     ],
 )
 def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):

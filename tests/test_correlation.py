@@ -202,16 +202,15 @@ def test_one_point_function_matches_density_marginal():
 
 def test_pdf_special_start_single_path():
     th = 1.1
-    assert pdf_special_start(0.5, (th,)) == pytest.approx(
+    assert pdf_special_start((th,)) == pytest.approx(
         2.0 / math.pi * math.sin(th) ** 2, rel=1e-15
     )
 
 
 def test_pdf_special_start_frozen_and_cut_free():
     # 40-digit reference at N=2, theta=(0.8, 1.9)
-    got = pdf_special_start(0.4, (0.8, 1.9))
+    got = pdf_special_start((0.8, 1.9))
     assert math.isclose(got, 0.7772214013996608959975, rel_tol=1e-13)
-    assert got == pdf_special_start(7.0, (0.8, 1.9))
 
 
 def test_pdf_special_start_normalized():
@@ -255,7 +254,7 @@ def test_joint_special_start_marginalizes():
         [joint_pdf_special_start(POL, seq, [(th1,), (t,)]) for t in RULE.nodes]
     )
     marginal = RULE.weights @ vals
-    assert abs(marginal - pdf_special_start(0.5, (th1,))) < 1e-12
+    assert abs(marginal - pdf_special_start((th1,))) < 1e-12
 
 
 def test_joint_special_start_validates_input():

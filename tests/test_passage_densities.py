@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lebp.correlation import pdf_special_start
 from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import DEFAULT_POLICY, SeriesPolicy, gauss_legendre
 from lebp.passage_densities import (
@@ -387,6 +388,19 @@ def test_finite_pdf_approaches_infinite_strip():
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-11
+
+
+def test_strip_pdf_approaches_the_midpoint_start_density():
+    # far from the start edge the density forgets the start angles: its
+    # excess over the midpoint-start density decays like e^{-x}, so each
+    # step of 2 in x divides it by e^2.  (From x = 4 to 6 the e^{-2x} term
+    # still shows: the 50-digit excesses fall by 12.7 there.)
+    th, phi = (0.6, 1.2, 1.9, 2.6), (0.5, 1.1, 1.8, 2.5)
+    limit = pdf_special_start(th)
+    excess = [_one_cut(None, float(x), th, phi) - limit for x in range(6, 21, 2)]
+    assert all(e > 0.0 for e in excess)
+    for near, far in zip(excess, excess[1:]):
+        assert abs(near / far / math.e**2 - 1.0) <= 0.2, (near, far)
 
 
 def test_infinite_pdf_normalizes():

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from lebp.errors import DomainError, PrecisionError, TruncationError
-from lebp.numerics import SeriesPolicy, det_lu, gauss_legendre
+from lebp.numerics import (
+    SeriesPolicy,
+    TailBoundedValue,
+    det_lu,
+    gauss_legendre,
+    graded_det,
+    poly_geom_tail,
+)
 from lebp.rect_kernels import (
     RectConfig,
+    boundary_coeffs,
     boundary_poisson_rect,
     crossing_decay_rate,
     crossing_exponent_fit,
     crossing_prefactor,
     crossing_ratio,
     fomin_boundary_det,
-    fomin_expansion,
     fomin_inner_det,
     hat_h,
-    partitions,
     poisson_rect,
     weyl_point,
 )
@@ -135,10 +141,14 @@ def test_fomin_inner_det_reference():
 
 
 def test_fomin_det_single_point_reduces_to_kernel():
+    # the 1 x 1 determinant and the kernel are separate truncations of one
+    # series: the determinant is held to rounding, the kernel to its bound
     cfg = RectConfig(2.0)
+    want = 0.1126154911851301650623237  # 50 digits
     d = fomin_boundary_det(cfg, POL, (1.1,), (2.0,))
-    k = boundary_poisson_rect(cfg, POL, 1.1, 2.0).value
-    assert abs(d - k) < 1e-16
+    k = boundary_poisson_rect(cfg, POL, 1.1, 2.0)
+    assert abs(d - want) <= 1e-15 * want
+    assert abs(d - k.value) <= k.bound
 
 
 def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
@@ -169,6 +179,85 @@ def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
         fomin_boundary_det(cfg, POL, (0.5, 1.5), np.full((2, 2), 4.0))
     with pytest.raises(DomainError):
         fomin_inner_det(cfg, POL, 1.1, (0.5, 1.5), np.ones((2, 3)))
+
+
+# 50-digit oracles: each entry summed directly until its terms fall below 1e-60
+
+DET_CASES = {
+    2: ((1.0, 2.0), (1.2, 1.9)),
+    3: ((0.8, 1.6, 2.4), (0.9, 1.7, 2.5)),
+    4: ((0.5, 1.1, 1.8, 2.5), (0.6, 1.2, 1.9, 2.6)),
+}
+
+
+def _mp_kernel_det(coeff, decay, start, rho):
+    """det[(2/pi) sum_n coeff(n) sin(n start_j) sin(n rho_k)] at 50 digits,
+    for coefficients that fall like n e^{-n decay}."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        ns = range(1, int(60 * math.log(10) / decay) + 31)
+        c = [2 * coeff(n) / mp.pi for n in ns]
+        s_start, s_rho = ([[mp.sin(n * mp.mpf(t)) for n in ns] for t in ts] for ts in (start, rho))
+        m = [[mp.fsum(map(mp.fmul, c, map(mp.fmul, a, b))) for b in s_rho] for a in s_start]
+        return float(mp.det(mp.matrix(m)))
+
+
+def _mp_boundary_det(length, phi, rho):
+    import mpmath as mp
+
+    return _mp_kernel_det(lambda n: n / mp.sinh(n * mp.mpf(length)), length, phi, rho)
+
+
+def _mp_inner_det(length, x, theta, rho):
+    import mpmath as mp
+
+    def coeff(n):
+        return mp.sinh(n * mp.mpf(x)) / mp.sinh(n * mp.mpf(length))
+
+    return _mp_kernel_det(coeff, length - x, theta, rho)
+
+
+@pytest.mark.parametrize("n", sorted(DET_CASES))
+def test_fomin_boundary_det_matches_mpmath(n):
+    # an LU of the assembled kernel matrix cancels the leading frequencies
+    # here: 2.3e-5 relative at x = 5 and every digit at x >= 8 (N = 4)
+    phi, rho = DET_CASES[n]
+    for x in range(2, 11):
+        want = _mp_boundary_det(x, phi, rho)
+        got = fomin_boundary_det(RectConfig(float(x)), POL, phi, rho)
+        assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
+
+
+@pytest.mark.parametrize("n", sorted(DET_CASES))
+def test_fomin_inner_det_matches_mpmath(n):
+    theta, rho = DET_CASES[n]
+    for length, x in [(6.0, 5.0), (3.0, 1.0), (5.0, 2.0), (8.0, 2.0), (12.0, 1.5), (12.0, 4.0)]:
+        want = _mp_inner_det(length, x, theta, rho)
+        got = fomin_inner_det(RectConfig(length), POL, x, theta, rho)
+        assert abs(got - want) <= 1e-13 * abs(want), (length, x, got, want)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_fomin_dets_at_close_angles_match_mpmath(delta):
+    # sin(n theta) of a rounded angle limits any route to about u / delta
+    # relative; an LU of the assembled kernel matrix is off by up to 1.2e-10
+    # at every delta here (7.6e-10 at 1e-6)
+    pairs = [
+        ((1.0, 1.0 + delta), (1.2, 1.9)),
+        ((1.0, 2.0), (1.2, 1.2 + delta)),
+        ((0.8, 1.6, 1.6 + delta), (0.9, 1.7, 2.5)),
+        ((0.8, 1.6, 2.4), (0.9, 0.9 + delta, 2.5)),
+    ]
+    tol = 1e-15 / delta
+    for x in (1.0, 2.0):
+        for start, end in pairs:
+            want = _mp_boundary_det(x, start, end)
+            got = fomin_boundary_det(RectConfig(x), POL, start, end)
+            assert abs(got - want) <= tol * abs(want), (x, start, end)
+            want = _mp_inner_det(x + 1.0, x, start, end)
+            got = fomin_inner_det(RectConfig(x + 1.0), POL, x, start, end)
+            assert abs(got - want) <= tol * abs(want), (x, start, end)
 
 
 def test_weyl_point_validation():
@@ -220,7 +309,71 @@ def test_sine_vandermonde_identity():
         assert abs(det - want) <= 1e-12 * max(1.0, abs(want))
 
 
-# --- partition expansion ----------------------------------------------------
+# --- partition expansion: graded_det's double-precision oracle ---------------
+
+
+def partitions(cap, parts):
+    """Yield integer partitions with at most `parts` parts and weight <= cap,
+    graded by weight and lexicographic within each weight.  Tuples are padded
+    with zeros to length `parts`."""
+
+    def fixed_weight(w, slots, maximum):
+        if slots == 1:
+            if w <= maximum:
+                yield (w,)
+            return
+        for first in range(min(w, maximum), (w + slots - 1) // slots - 1, -1):
+            for rest in fixed_weight(w - first, slots - 1, first):
+                yield (first,) + rest
+
+    for w in range(cap + 1):
+        yield from fixed_weight(w, parts, w)
+
+
+def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
+    """Boundary determinant as a partition sum (Cauchy-Binet over the
+    sine frequencies):
+
+        f(phi, rho) = sum_lambda a_lambda * D_lambda(phi) * D_lambda(rho)
+
+    with m_k = lambda_k + N - k + 1, a_lambda = prod_k c_{m_k} over the
+    boundary_coeffs c_m = (2/pi) m / sinh(m L), and D_lambda(theta) =
+    det[sin(m_k theta_j)].  Every partition of weight up to `partition_cap`
+    contributes and math.fsum adds the terms; the returned bound certifies
+    the rest of the sum.  With `tol` given, a bound above it raises
+    TruncationError.
+    """
+    phi, rho = weyl_point(phi), weyl_point(rho)
+    n = phi.size
+    L = cfg.L
+    # m[lambda, k] = lambda_k + N - k + 1
+    m = np.array(list(partitions(partition_cap, n))) + np.arange(n, 0, -1)
+    a = np.prod(boundary_coeffs(m, L), axis=-1)
+    d_phi, d_rho = (det_lu(np.sin(t[:, None] * m[:, None, :])) for t in (phi, rho))
+    total = math.fsum(a * d_phi * d_rho)
+
+    # |D_lambda| <= N!, a_lambda <= (2/(1-e^{-2L}))^N (w+N)^N e^{-L(w + N(N+1)/2)},
+    # and the number of partitions of w into <= N parts is at most (w+1)^(N-1)
+    q = math.exp(-L)
+    const = (
+        (2.0 / PI) ** n
+        * math.factorial(n) ** 2
+        * (2.0 / -math.expm1(-2.0 * L)) ** n
+        * q ** (n * (n + 1) // 2)
+    )
+    bound = const * poly_geom_tail(q, [(1.0, n - 1), (float(n), n)], partition_cap + 1)
+    if tol is not None and bound > tol:
+        raise TruncationError(
+            f"partition cap {partition_cap} certifies only {bound:.3g}", achieved=bound
+        )
+    return TailBoundedValue(total, bound)
+
+
+def _graded_boundary_det(length, phi, rho, frequencies):
+    """graded_det of the edge-to-edge kernel over the frequencies 1..M."""
+    m = np.arange(1, frequencies + 1)
+    a, b = (np.sin(np.outer(t, m)) for t in (phi, rho))
+    return graded_det(a, boundary_coeffs(m, length), b, det_lu(a[:, : len(phi)]))
 
 
 def test_partitions_graded_order():
@@ -233,18 +386,16 @@ def test_partitions_graded_order():
 
 
 def test_fomin_expansion_matches_determinant():
-    cfg = RectConfig(2.5)
-    phi, rho = (0.8, 1.7), (1.1, 2.2)
-    det = fomin_boundary_det(cfg, POL, phi, rho)
-    for cap in (8, 16):
-        ex = fomin_expansion(cfg, phi, rho, cap)
-        assert abs(ex.value - det) <= ex.bound + 1e-15
-    # N = 3 as well
-    cfg3 = RectConfig(3.0)
-    phi3, rho3 = (0.8, 1.6, 2.4), (0.9, 1.7, 2.5)
-    det3 = fomin_boundary_det(cfg3, POL, phi3, rho3)
-    ex3 = fomin_expansion(cfg3, phi3, rho3, 14)
-    assert abs(ex3.value - det3) <= ex3.bound + 1e-15 + 1e-12 * abs(det3)
+    # the partition sum and graded_det are two orderings of one Cauchy-Binet
+    # sum; 60 frequencies leave less than 1e-60 of it out
+    for length, phi, rho, caps in [
+        (2.5, (0.8, 1.7), (1.1, 2.2), (8, 16)),
+        (3.0, (0.8, 1.6, 2.4), (0.9, 1.7, 2.5), (14,)),
+    ]:
+        det = _graded_boundary_det(length, phi, rho, 60)
+        for cap in caps:
+            ex = fomin_expansion(RectConfig(length), phi, rho, cap)
+            assert abs(ex.value - det) <= ex.bound + 1e-15 * abs(det), (length, cap)
 
 
 def test_fomin_expansion_single_point_is_kernel_series():

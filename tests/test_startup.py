@@ -50,6 +50,8 @@ def test_cli_and_series_routes_import_no_scipy():
              "--xp", "1.5", "--thetap", "1.1"],
             ["pdf", "--x", "0.8", "--theta", "0.5,1.6,2.5", "--phi", "0.35,1.55,2.7",
              "--L", "1.6"],
+            ["pdf", "--x", "8", "--theta", "0.6,1.2,1.9,2.6", "--phi", "0.5,1.1,1.8,2.5"],
+            ["crossing-exponent", "--paths", "3", "--lengths", "6,8"],
             ["fomin-check", "--size", "3", "--paths", "2", "--max-len", "10"],
             ["validate", "--suite", "fomin"],
         ]
