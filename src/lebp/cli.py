@@ -42,13 +42,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlation import (
-    density_semicircle,
-    joint_pdf_special_start,
-    kernel_semicircle,
-    kernel_strip,
-    two_point_semicircle,
-)
+from .correlation import density_semicircle, kernel_semicircle, kernel_strip, two_point_semicircle
 from .errors import DomainError, EnumerationBudgetError, PrecisionError, TruncationError
 from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
 from .lattice_validation import boundary_refinement, density_refinement
@@ -254,20 +248,14 @@ def _passage_density(ns, cuts, thetas, header, fields):
     the given `header`/`fields`, then the start angles and the length when
     given, then the value.  Without --phi the paths start at the midpoint."""
     pol = _policy_from(ns)
-    if ns.phi is None:
-        if ns.L is not None:
-            raise UsageError("the midpoint start lives in the infinite strip; drop --L")
-        value = joint_pdf_special_start(pol, ChamberSequence(cuts), thetas)
-    else:
+    phi = cfg = None
+    if ns.phi is not None:
         phi = parse_tuple(ns.phi, "--phi")
         header, fields = [*header, *_names("phi", len(phi))], [*fields, *phi]
-        if ns.L is not None:
-            length = parse_pi_literal(ns.L)
-            seq = ChamberSequence(cuts, L=length)
-            value = joint_pdf(RectConfig(length), pol, seq, thetas, phi)
-            header, fields = [*header, "length"], [*fields, length]
-        else:
-            value = joint_pdf(None, pol, ChamberSequence(cuts), thetas, phi)
+    if ns.L is not None:
+        cfg = RectConfig(parse_pi_literal(ns.L))
+        header, fields = [*header, "length"], [*fields, cfg.L]
+    value = joint_pdf(cfg, pol, ChamberSequence(cuts), thetas, phi)
     return [*header, "value"], [[v] for v in (*fields, value)]
 
 

@@ -7,7 +7,10 @@ two-branch correlation kernel in the strip, its conformal image in the
 half-disk |w| > 1 under w = e^z, and the scaling limit of the kernel for
 large N.  Every arc quantity (kernel, density, two-point function) is the
 strip kernel pulled back through w = e^z; at equal radii that is its exact
-finite branch.
+finite branch.  The joint passage density of the midpoint start is
+passage_densities.joint_pdf with phi None; this module keeps its one-cut
+closed form and a product of basis and kernel determinants as the
+independent oracle of that route.
 """
 
 import math
@@ -16,15 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu, sinh_ratio
-from .passage_densities import start_weight, transition_factor
-from .rect_kernels import (
-    RectConfig,
-    fomin_boundary_det,
-    fomin_inner_det,
-    hat_h,
-    poisson_rect,
-    weyl_point,
-)
+from .rect_kernels import RectConfig, fomin_inner_det, hat_h, poisson_rect, weyl_point
 from .rect_kernels import _interior_series, _sine_series
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -143,38 +138,20 @@ def pdf_special_start(theta):
     return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
 
 
-def _midpoint_thetas(seq, thetas):
-    """The angle tuples of a midpoint-start density, validated against seq:
-    infinite strip, one tuple per cut, all of one length."""
+def joint_pdf_special_start_dets(pol, seq, thetas):
+    """The joint passage density across the cuts of seq for the midpoint
+    start as a product of determinants: a basis determinant at the first cut,
+    sub-rectangle kernel determinants between consecutive cuts, and the dual
+    basis determinant at the last cut.
+
+    An evaluation route independent of passage_densities.joint_pdf with phi
+    None, and its oracle.
+    """
     thetas = [weyl_point(t) for t in thetas]
     if seq.L is not None:
         raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
     if len(thetas) != seq.m:
         raise DomainError("need one angle tuple per cut")
-    if any(t.size != thetas[0].size for t in thetas):
-        raise DomainError("all angle tuples must have equal length")
-    return thetas
-
-
-def joint_pdf_special_start(pol, seq, thetas):
-    """Joint passage density across the cuts of seq for the midpoint start,
-    telescoped as first-cut density times transition factors."""
-    thetas = _midpoint_thetas(seq, thetas)
-    cuts = seq.cuts
-    value = pdf_special_start(thetas[0])
-    for m in range(seq.m - 1):
-        value *= transition_factor(None, pol, cuts[m], thetas[m], cuts[m + 1], thetas[m + 1])
-    return value
-
-
-def joint_pdf_special_start_dets(pol, seq, thetas):
-    """The same joint density as a product of determinants: a basis
-    determinant at the first cut, sub-rectangle kernel determinants between
-    consecutive cuts, and the dual basis determinant at the last cut.
-
-    Fully independent evaluation route from joint_pdf_special_start.
-    """
-    thetas = _midpoint_thetas(seq, thetas)
     cuts = seq.cuts
     # basis matrices [n, j] over frequencies n = 1..N and angles theta_j
     n = np.arange(1.0, thetas[0].size + 1.0)[:, None]
@@ -185,25 +162,6 @@ def joint_pdf_special_start_dets(pol, seq, thetas):
         )
     value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1]))
     return value
-
-
-def schur_limit_factor(cfg, pol, phi, rho):
-    """Diagnostic ratio det[H_boundary(i phi_j, L + i rho_k)] / hat_h(phi).
-
-    As the start angles phi coalesce at pi/2 the ratio approaches
-    coincident_limit_value(cfg, rho), up to corrections exponentially small
-    in L from higher terms of the partition expansion.
-    """
-    phi = weyl_point(phi)
-    return fomin_boundary_det(cfg, pol, phi, rho) / hat_h(phi)
-
-
-def coincident_limit_value(cfg, rho):
-    """Limit of schur_limit_factor at the coalescing midpoint start:
-    (2^{N^2} / (pi^N C_N(L))) * hat_h(rho), C_N(L) = prod_j sinh(jL) / N!."""
-    rho = weyl_point(rho)
-    n = rho.size
-    return 2.0 ** (n * n) / math.pi**n / start_weight(cfg.L, n) * hat_h(rho)
 
 
 # --- half-disk image ----------------------------------------------------------

@@ -255,26 +255,26 @@ def det_lu_bounded(a, err=0.0):
 
 
 def graded_det(a, c, b, det_head):
-    """det(A diag(c) B^T) for an N x M matrix A (M >= N) and N x M matrices
-    B stacked on the leading axes of b, given det_head = det A1; the
+    """det(A diag(c) B^T) / prod(C1) for an N x M matrix A (M >= N) and N x M
+    matrices B stacked on the leading axes of b, given det_head = det A1; the
     determinant twin of graded_pfaffian.  Split after the first N columns,
 
-        det(A C B^T) = det A1 * prod(C1) * det(B1 + B2 X^T),  X = C1^-1 A1^-1 A2 C2.
+        det(A C B^T) = det A1 * prod(C1) * det(B1 + B2 X^T),  X = C1^-1 A1^-1 A2 C2,
 
-    For decaying c the leading N terms go into prod(C1) instead of
-    cancelling, and X holds only the ratios c_m / c_n, m > N >= n.  Only A1
-    is solved with, so B may hold unordered or equal rows; every matrix of
-    the stack gets the bits it gets alone.
+    and return det A1 * det(B1 + B2 X^T).  For decaying c the leading N
+    terms go into prod(C1), which the caller multiplies back or cancels
+    against other factors, instead of cancelling; X holds only the ratios
+    c_m / c_n, m > N >= n.  Only A1 is solved with, so B may hold unordered
+    or equal rows; every matrix of the stack gets the bits it gets alone.
     """
     a, c, b = (np.asarray(v, dtype=float) for v in (a, c, b))
     n = a.shape[0]
-    scale = np.prod(c[:n])
-    if scale == 0.0:
+    if np.any(c[:n] == 0.0):
         raise PrecisionError("leading coefficients underflow; the determinant is out of range")
     x = np.linalg.solve(a[:, :n], a[:, n:]) * (c[n:] / c[:n, None])
     # core[..., k, j] = (B1 + B2 X^T)[k, j], one dot product per entry
     core = np.vecdot(b[..., :, None, :], np.concatenate([np.eye(n), x], axis=1))
-    return det_head * scale * det_lu(core)
+    return det_head * det_lu(core)
 
 
 def sinh_ratio(n, num, den):

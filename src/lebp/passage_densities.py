@@ -1,17 +1,19 @@
 """First-passage-point densities for N nonintersecting loop-erased paths.
 
 Paths start on the left edge of the rectangle (0, L) x (0, pi) at ordered
-angles phi and are conditioned to reach the right edge with their loop
-erasures mutually avoiding.  The joint density of their ordered
-first-passage points on cuts x_1 < ... < x_M is one telescoped product
-(joint_pdf): the boundary determinant at the first cut, interior
-determinants between consecutive cuts, and a norm ratio at the last cut.
-The density on one cut is the M = 1 case of that product.  The
-determinants (rect_kernels.fomin_*_det) and the norms (norm_inner) take a
-stack of angle tuples as well as one tuple, so a grid of densities is one
-call of each.  The determinants are graded (numerics.graded_det), so the
-density keeps its relative accuracy at cuts far from the start edge,
-where the boundary determinant is exponentially small.
+angles phi, or in the infinite strip also at the midpoint pi/2, and are
+conditioned to reach the right edge with their loop erasures mutually
+avoiding.  The joint density of their ordered first-passage points on cuts
+x_1 < ... < x_M is one telescoped product (joint_pdf) for both starts: the
+boundary determinant at the first cut (for the midpoint start its
+coalescing limit), interior determinants between consecutive cuts, and the
+normalization at the ends.  The density on one cut is the M = 1 case.  The
+determinants are graded (numerics.graded_det): their leading coefficients
+are split off and telescope exactly, so in the strip the density never
+forms a sinh and keeps its relative accuracy at cuts far from the start
+edge, where each determinant is exponentially small or large.  The
+determinants (rect_kernels.fomin_*_det) and the norms (norm_inner) also
+take a stack of angle tuples, so a grid of densities is one call of each.
 
 The chamber integrals (norms) integrate a kernel determinant over the
 ordered chamber.  The kernel is a separable sine series, so by de Bruijn
@@ -26,6 +28,7 @@ so that exponentially small norms keep their relative accuracy.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,11 +37,10 @@ import numpy as np
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import block_rows, graded_pfaffian, pfaffian, poly_geom_tail
 from .rect_kernels import (
-    RectConfig,
+    _boundary_det,
+    _inner_det,
     angle_tuples,
     boundary_coeffs,
-    fomin_boundary_det,
-    fomin_inner_det,
     hat_h,
     inner_coeffs,
     weyl_point,
@@ -161,7 +163,9 @@ def _norm_series(kind, L, x, n, tol, n_max):
         float(np.prod(coeff(np.arange(1.0, n + 1))))
         * ordered_sine_det_integral(tuple(range(1, n + 1)))
     )
-    target = min(tol, max(lead * 1e-15, 5e-324)) if lead > 0.0 else tol
+    if lead < sys.float_info.min:
+        raise PrecisionError("chamber norm underflows; it is out of range")
+    target = min(tol, lead * 1e-15)
     m_max = n
     achieved = bound(m_max)
     while achieved > target:
@@ -188,7 +192,8 @@ def norm_boundary(cfg, pol, phi):
     The total crossing weight of N paths started at phi, summed over ordered
     right-edge exits.  The series is summed down to pol.tol or to machine
     relative precision of its leading term, whichever is sharper, so the value
-    carries full relative accuracy even when it is exponentially small.
+    carries full relative accuracy even when it is exponentially small; a
+    leading term below the normal double range raises PrecisionError.
     """
     phi = weyl_point(phi)
     coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.size, pol.tol, pol.n_max)
@@ -221,72 +226,53 @@ def norm_inner(cfg, pol, x, theta):
 # --- densities ---------------------------------------------------------------
 
 
-def start_weight(x, n):
-    """prod_{j=1..N} sinh(j x) / N!, the infinite-strip norm prefactor."""
-    if not (x > 0.0):
-        raise DomainError("x must be positive")
-    w = 1.0
-    for j in range(1, n + 1):
-        w *= math.sinh(j * x)
-    return w / math.factorial(n)
-
-
-def transition_factor(cfg, pol, x_m, theta_m, x_next, theta_next):
-    """Conditional density factor for the passage points at the next cut.
-
-    The interior determinant of the sub-rectangle ending at x_next times a
-    norm ratio: in the rectangle of length cfg.L, or in the infinite strip
-    when cfg is None, where the ratio collapses to start-weight and hat_h
-    ratios.
-    """
-    theta_m, theta_next = weyl_point(theta_m), weyl_point(theta_next)
-    if theta_m.size != theta_next.size:
-        raise DomainError("angle tuples must have equal length")
-    if not (0.0 < x_m < x_next):
-        raise DomainError("cuts must satisfy 0 < x_m < x_next")
-    det = fomin_inner_det(RectConfig(x_next), pol, x_m, theta_m, theta_next)
-    if cfg is None:
-        ratio = (
-            start_weight(x_next, theta_m.size)
-            * hat_h(theta_next)
-            / (start_weight(x_m, theta_m.size) * hat_h(theta_m))
-        )
-        return det * ratio
-    if not (x_next < cfg.L):
-        raise DomainError("cuts must lie inside (0, L)")
-    ratio = norm_inner(cfg, pol, x_next, theta_next) / norm_inner(cfg, pol, x_m, theta_m)
-    return det * ratio
-
-
-def joint_pdf(cfg, pol, seq, thetas, phi):
+def joint_pdf(cfg, pol, seq, thetas, phi=None):
     """Joint density of the ordered passage points at every cut of `seq`.
 
-    Telescoped product of the first-cut density and the transition factors:
-    the boundary determinant at the first cut, interior determinants between
-    consecutive cuts, and a single norm ratio at the last cut.  cfg of None
-    selects the infinite strip; otherwise seq.L, when given, must equal
-    cfg.L.
+    One telescoped product: the boundary determinant at the first cut, an
+    interior determinant between each pair of consecutive cuts, and the
+    normalization at the ends.  Each determinant is graded with its leading
+    coefficients prod_{n<=N} c_n split off; across the product those
+    telescope exactly to (2/pi)^{NM} N! / prod_n sinh(n x_M).  In the
+    infinite strip (cfg None) the end normalization, prod_n sinh(n x_M) / N!
+    * hat_h(theta_M) / hat_h(phi), cancels the sinh product, so none is ever
+    formed and the density keeps its relative accuracy at every cut where
+    c_N is representable.  In the rectangle of length cfg.L the end
+    normalization is the norm ratio norm_inner(x_M, theta_M) /
+    norm_boundary(phi); seq.L, when given, must equal cfg.L.
+
+    phi None is the midpoint start, in the strip only: the paths coalesce at
+    pi/2, and the boundary determinant over hat_h(phi) is replaced by its
+    coalescing limit 2^{N(N-1)} hat_h(theta_1) (without its leading
+    coefficients).  Its density at one cut is
+    correlation.pdf_special_start, at every cut.
     """
-    phi = weyl_point(phi)
     thetas = [weyl_point(t) for t in thetas]
     if len(thetas) != seq.m:
         raise DomainError("need one angle tuple per cut")
-    if any(t.size != phi.size for t in thetas):
-        raise DomainError("all angle tuples must match phi in length")
-    finite = cfg is not None
-    if finite and seq.L is not None and seq.L != cfg.L:
+    n = thetas[0].size
+    if any(t.size != n for t in thetas):
+        raise DomainError("all angle tuples must have equal length")
+    if seq.L is not None and (cfg is None or seq.L != cfg.L):
         raise DomainError("sequence and config disagree about L")
     cuts = seq.cuts
-    if finite and not (cuts[-1] < cfg.L):
+    if cfg is not None and not (cuts[-1] < cfg.L):
         raise DomainError("cuts must lie inside (0, L)")
-
-    value = fomin_boundary_det(RectConfig(cuts[0]), pol, phi, thetas[0])
-    for m in range(seq.m - 1):
-        value *= fomin_inner_det(
-            RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
-        )
-    if finite:
-        value *= norm_inner(cfg, pol, cuts[-1], thetas[-1]) / norm_boundary(cfg, pol, phi)
+    if phi is None:
+        if cfg is not None:
+            raise DomainError("the midpoint start lives in the infinite strip; give no L")
+        value, start = 2.0 ** (n * (n - 1)) * hat_h(thetas[0]), 1.0
     else:
-        value *= start_weight(cuts[-1], phi.size) * hat_h(thetas[-1]) / hat_h(phi)
-    return value
+        phi = weyl_point(phi)
+        if phi.size != n:
+            raise DomainError("all angle tuples must match phi in length")
+        value, start = _boundary_det(pol, cuts[0], phi, thetas[0])[1], hat_h(phi)
+    for m in range(seq.m - 1):
+        value *= _inner_det(pol, cuts[m], cuts[m + 1], thetas[m], thetas[m + 1])[1]
+    if cfg is None:
+        return _TWO_OVER_PI ** (n * seq.m) * value * hat_h(thetas[-1]) / start
+    ratio = norm_inner(cfg, pol, cuts[-1], thetas[-1]) / norm_boundary(cfg, pol, phi)
+    # nothing cancels N! / prod_n sinh(n x_M) here; put it back in the
+    # exponential form (pi/2)^N prod_n boundary_coeffs(n, x_M)
+    lead = float(np.prod(boundary_coeffs(np.arange(1.0, n + 1), cuts[-1])))
+    return _TWO_OVER_PI ** (n * (seq.m - 1)) * lead * value * ratio

@@ -111,7 +111,7 @@ def _inner_terms(pol, x, L, target, at_least=1):
         raise PrecisionError(f"gap {gap:.3g} below policy min_gap {pol.min_gap:.3g}")
     q = math.exp(-gap)
     c = _TWO_OVER_PI / -math.expm1(-2.0 * L)
-    n0 = max(at_least, math.ceil(math.log(c / (target * (1.0 - q))) / gap - 1.0))
+    n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / gap - 1.0))
     if n0 > pol.n_max:
         achieved = c * q ** (pol.n_max + 1) / (1.0 - q)
         raise TruncationError(
@@ -125,13 +125,16 @@ def _boundary_terms(pol, L, target, at_least=1):
     first n0 >= at_least (searched in steps of n0 // 8) whose tail is at
     most target; returns (coefficients, tail)."""
     q = math.exp(-L)
+    if q == 1.0:
+        # L below about 1e-16: no number of terms certifies the tail
+        raise TruncationError(f"series needs more than {pol.n_max} terms", achieved=math.inf)
     c = 2.0 * _TWO_OVER_PI / -math.expm1(-2.0 * L)
 
     def tail(n0):
         # sum_{n > n0} n q^n in closed form, times c
         return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) / (1.0 - q) ** 2
 
-    n0 = max(at_least, math.ceil(math.log(c / (target * (1.0 - q))) / L - 1.0))
+    n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / L - 1.0))
     while tail(n0) > target:
         n0 += max(1, n0 // 8)
         if n0 > pol.n_max:
@@ -181,10 +184,11 @@ def _det_target(pol, c_n):
 
 
 def _kernel_det(coeffs, start, rho):
-    """det[ sum_n coeffs[n-1] sin(n start_j) sin(n rho_k) ] for an ordered
-    tuple `start` and one tuple or a (..., N) stack of tuples `rho` (see
-    angle_tuples), one determinant per tuple (a float for one tuple), by
-    graded_det with det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start)."""
+    """det[ sum_n coeffs[n-1] sin(n start_j) sin(n rho_k) ] / prod_{n<=N}
+    coeffs[n-1] for an ordered tuple `start` and one tuple or a (..., N)
+    stack of tuples `rho` (see angle_tuples), one determinant per tuple (a
+    float for one tuple), by graded_det with det A1 the sine Vandermonde
+    2^{N(N-1)/2} hat_h(start)."""
     start, rho = weyl_point(start), angle_tuples(rho)
     n = start.size
     if rho.shape[-1] != n:
@@ -194,22 +198,41 @@ def _kernel_det(coeffs, start, rho):
     return graded_det(np.sin(np.outer(start, m)), coeffs, np.sin(rho[..., None] * m), head)
 
 
+def _boundary_det(pol, L, phi, rho):
+    """(prod_{n<=N} c_n, the rest) of det[ H_boundary(i*phi_j, L + i*rho_k) ],
+    c_n = (2/pi) n / sinh(n L); the rest needs only c_N representable."""
+    n = weyl_point(phi).size
+    coeffs, _ = _boundary_terms(pol, L, _det_target(pol, boundary_coeffs(n, L)), n)
+    return np.prod(coeffs[:n]), _kernel_det(coeffs, phi, rho)
+
+
+def _inner_det(pol, x, L, theta, rho):
+    """(prod_{n<=N} c_n, the rest) of det[ H(x + i*theta_j, L + i*rho_k) ],
+    c_n = (2/pi) sinh(n x) / sinh(n L); the rest needs only c_N representable."""
+    if not (0.0 < x < L):
+        raise DomainError("need 0 < x < L")
+    n = weyl_point(theta).size
+    coeffs, _ = _inner_terms(pol, x, L, _det_target(pol, inner_coeffs(n, x, L)), n)
+    return np.prod(coeffs[:n]), _kernel_det(coeffs, theta, rho)
+
+
+def _assembled(lead, rest):
+    """lead * rest, refusing a leading coefficient product that underflowed."""
+    if lead == 0.0:
+        raise PrecisionError("leading coefficients underflow; the determinant is out of range")
+    return lead * rest
+
+
 def fomin_boundary_det(cfg, pol, phi, rho):
     """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    n = weyl_point(phi).size
-    coeffs, _ = _boundary_terms(pol, cfg.L, _det_target(pol, boundary_coeffs(n, cfg.L)), n)
-    return _kernel_det(coeffs, phi, rho)
+    return _assembled(*_boundary_det(pol, cfg.L, phi, rho))
 
 
 def fomin_inner_det(cfg, pol, x, theta, rho):
     """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    if not (0.0 < x < cfg.L):
-        raise DomainError("need 0 < x < L")
-    n = weyl_point(theta).size
-    coeffs, _ = _inner_terms(pol, x, cfg.L, _det_target(pol, inner_coeffs(n, x, cfg.L)), n)
-    return _kernel_det(coeffs, theta, rho)
+    return _assembled(*_inner_det(pol, x, cfg.L, theta, rho))
 
 
 def hat_h(theta):
@@ -240,10 +263,10 @@ def crossing_ratio(cfg, phi, rho, partition_cap=8):
         raise DomainError("partition_cap must be nonnegative")
     coeffs = boundary_coeffs(np.arange(1, phi.size + partition_cap + 1), cfg.L)
     diagonal = coeffs[: 1 + partition_cap]
-    den = math.prod(_kernel_det(diagonal, (p,), (r,)) for p, r in zip(phi, rho))
+    den = math.prod(diagonal[0] * _kernel_det(diagonal, (p,), (r,)) for p, r in zip(phi, rho))
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
-    return _kernel_det(coeffs, phi, rho) / den
+    return _assembled(np.prod(coeffs[: phi.size]), _kernel_det(coeffs, phi, rho)) / den
 
 
 # start and end angles of the built-in crossing fits, by number of paths
@@ -277,18 +300,14 @@ def crossing_decay_rate(n):
 def crossing_prefactor(phi, rho):
     """Limit of crossing_ratio * exp(N(N-1)/2 * L) as L grows.
 
-    Equals 2^{N(N-1)} N! prod_{k<l}(cos phi_l - cos phi_k)(cos rho_l - cos rho_k):
+    Equals 2^{N(N-1)} N! hat_h(phi) hat_h(rho) / prod_j sin(phi_j) sin(rho_j):
     the ratio of the leading large-L asymptotics of the boundary determinant to
-    the exact n=1 asymptotics of the diagonal kernel product (whose sin(phi_j)
-    sin(rho_j) factors cancel against those inside hat_h).
+    the exact n=1 asymptotics of the diagonal kernel product, whose
+    sin(phi_j) sin(rho_j) factors cancel against those inside hat_h.
     """
     phi, rho = weyl_point(phi), weyl_point(rho)
     if phi.size != rho.size:
         raise DomainError("phi and rho must have equal length")
     n = phi.size
-    cphi, crho = np.cos(phi), np.cos(rho)
-    prod = 1.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            prod *= (cphi[l] - cphi[k]) * (crho[l] - crho[k])
-    return 2.0 ** (n * (n - 1)) * math.factorial(n) * prod
+    sines = np.prod(np.sin(phi) * np.sin(rho))
+    return 2.0 ** (n * (n - 1)) * math.factorial(n) * hat_h(phi) * hat_h(rho) / sines

@@ -217,19 +217,24 @@ def test_pdf_general_infinite_and_finite():
 PROBE_THETA, PROBE_PHI = "0.6,1.2,1.9,2.6", "0.5,1.1,1.8,2.5"
 
 
-def _mp_strip_pdf(x, theta, phi):
-    """Four-path first-passage density of the infinite strip at the cut x,
-    det[H_boundary] * prod_j sinh(j x) / N! * hat_h(theta) / hat_h(phi), at
-    50 digits."""
+def _mp_strip_density(cuts, thetas, phi=None, digits=60):
+    """Joint first-passage density of the infinite strip at the cuts, with
+    `digits` significant digits, as the product of full determinants and
+    strip norms W(x) = prod_j sinh(j x) / N!:
+
+        det[H_boundary(x_1)] / hat_h(phi)  (midpoint start, phi None:
+        2^{N^2} / pi^N * hat_h(theta_1) / W(x_1)),
+        times det[H(x_m + i theta_m, x_{m+1} + i theta_{m+1})] per step,
+        times W(x_M) * hat_h(theta_M).
+
+    An N x N determinant with a gap g between its edges cancels about
+    N(N-1)/2 * g / ln 10 digits; the working precision adds them back."""
     import mpmath as mp
 
-    with mp.workdps(50):
-        theta, phi, big_x = [mp.mpf(t) for t in theta], [mp.mpf(p) for p in phi], mp.mpf(x)
-        ns = range(1, int(60 * math.log(10) / x) + 31)
-
-        def h_b(p, r):
-            terms = (n * mp.sin(n * p) * mp.sin(n * r) / mp.sinh(n * big_x) for n in ns)
-            return 2 * mp.fsum(terms) / mp.pi
+    n = len(thetas[0])
+    gaps = [b - a for a, b in zip(cuts, cuts[1:])] + ([cuts[0]] if phi is not None else [])
+    lost = max((n * (n - 1) / 2 * g / math.log(10) for g in gaps), default=0.0)
+    with mp.workdps(digits + int(lost) + 10):
 
         def hat(t):
             out = mp.fprod(mp.sin(a) for a in t)
@@ -237,21 +242,80 @@ def _mp_strip_pdf(x, theta, phi):
                 out *= mp.cos(t[l]) - mp.cos(t[k])
             return out
 
-        det = mp.det(mp.matrix([[h_b(p, r) for r in theta] for p in phi]))
-        weight = mp.fprod(mp.sinh(j * big_x) for j in range(1, len(phi) + 1))
-        return float(det * weight / mp.factorial(len(phi)) * hat(theta) / hat(phi))
+        def weight(x):
+            return mp.fprod(mp.sinh(j * x) for j in range(1, n + 1)) / mp.factorial(n)
+
+        def det(coeff, gap, start, end):
+            ks = range(1, n + int(mp.mp.dps * math.log(10) / gap) + 6)
+
+            def entry(s, e):
+                return 2 / mp.pi * mp.fsum(coeff(k) * mp.sin(k * s) * mp.sin(k * e) for k in ks)
+
+            return mp.det(mp.matrix([[entry(s, e) for e in end] for s in start]))
+
+        xs = [mp.mpf(x) for x in cuts]
+        th = [[mp.mpf(t) for t in tup] for tup in thetas]
+        if phi is None:
+            value = 2 ** (n * n) / mp.pi**n * hat(th[0]) / weight(xs[0])
+        else:
+            p = [mp.mpf(a) for a in phi]
+            value = det(lambda k: k / mp.sinh(k * xs[0]), cuts[0], p, th[0]) / hat(p)
+        for a, b, ta, tb in zip(xs, xs[1:], th, th[1:]):
+            value *= det(lambda k: mp.sinh(k * a) / mp.sinh(k * b), float(b - a), ta, tb)
+        return float(value * weight(xs[-1]) * hat(th[-1]))
 
 
 def test_pdf_at_large_cuts_matches_mpmath():
     # an LU of the assembled 4 x 4 kernel matrix gives -2.8e-7 at x = 8,
-    # where the density is 7.0611
-    theta, phi = parse_tuple(PROBE_THETA, "--theta"), parse_tuple(PROBE_PHI, "--phi")
-    for x in (4, 6, 8, 10, 12):
-        args = ["pdf", "--x", str(x), "--theta", PROBE_THETA, "--phi", PROBE_PHI]
-        code, out, _ = run_cli(args)
-        assert code == 0
-        want = _mp_strip_pdf(x, theta, phi)
-        assert abs(float(rows_of(out)[1][0][-1]) / want - 1.0) <= 1e-9, x
+    # where the density is 7.0611; a product of sinh(n x) overflows from
+    # x = 119 on at N = 3.  From x = 40 on the 50-digit excess over the
+    # midpoint-start density is below 1e-17 relative, so it is the oracle.
+    cases = [(PROBE_THETA, PROBE_PHI, x) for x in (4, 6, 8, 10, 12)]
+    cases += [("0.6,1.9,2.6", "0.5,1.8,2.5", x) for x in (20, 60, 119, 124, 150, 200)]
+    for theta, phi, x in cases:
+        code, out, _ = run_cli(["pdf", "--x", str(x), "--theta", theta, "--phi", phi])
+        assert code == 0, x
+        theta, phi = parse_tuple(theta, "--theta"), parse_tuple(phi, "--phi")
+        want = _mp_strip_density((x,), [theta], phi) if x < 40 else pdf_special_start(theta)
+        assert abs(float(rows_of(out)[1][0][-1]) / want - 1.0) <= 1e-13, x
+
+
+def test_joint_pdf_at_large_cuts_matches_mpmath():
+    # at these cuts prod_n sinh(n x) overflows or the full determinants
+    # underflow; the telescoped product forms neither
+    thetas = "0.6,1.9,2.6/0.7,1.8,2.5"
+    tuples = [parse_tuple(t, "--theta") for t in thetas.split("/")]
+    for cuts, phi in [("100,130", None), ("100,130", "0.5,1.8,2.5"), ("250,251", None)]:
+        start = [] if phi is None else ["--phi", phi]
+        code, out, _ = run_cli(["joint-pdf", "--cuts", cuts, "--theta", thetas, *start])
+        assert code == 0, (cuts, phi)
+        phi = None if phi is None else parse_tuple(phi, "--phi")
+        want = _mp_strip_density(parse_tuple(cuts, "--cuts"), tuples, phi)
+        assert abs(float(rows_of(out)[1][0][-1]) / want - 1.0) <= 1e-13, (cuts, phi)
+
+
+def _passage_argv():
+    theta, phi = "0.6,1.9,2.6", "0.5,1.8,2.5"
+    for x in ("1e-17", "1", "20", "119", "124", "125", "150", "200", "236", "237", "400"):
+        args = ["pdf", "--x", x, "--theta", theta]
+        yield from (args, args + ["--phi", phi], args + ["--phi", phi, "--L", f"{float(x) + 1}"])
+    for cuts in ("1,2", "100,130", "250,251", "1,250", "399,400", "10,200,400"):
+        args = ["joint-pdf", "--cuts", cuts, "--theta", "/".join([theta] * len(cuts.split(",")))]
+        last = float(cuts.split(",")[-1])
+        yield from (args, args + ["--phi", phi], args + ["--phi", phi, "--L", f"{last + 1}"])
+
+
+@pytest.mark.parametrize("args", list(_passage_argv()), ids=" ".join)
+def test_passage_density_is_positive_or_refused(args):
+    # every start, strip or rectangle, at cuts up to 400: a finite positive
+    # density, or exit 2 with one line naming the precondition
+    code, out, err = run_cli(args)
+    if code == 0:
+        value = float(rows_of(out)[1][0][-1])
+        assert math.isfinite(value) and value > 0.0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_joint_pdf_row():

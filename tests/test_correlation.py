@@ -11,24 +11,21 @@ from scipy.integrate import quad
 from lebp.correlation import (
     basis_phi,
     basis_phi_hat,
-    coincident_limit_value,
     corr_strip,
     density_semicircle,
-    joint_pdf_special_start,
     joint_pdf_special_start_dets,
     kernel_semicircle,
     kernel_strip,
     kernel_strip_dual,
     limit_kernel,
     pdf_special_start,
-    schur_limit_factor,
     two_point_semicircle,
 )
 from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.numerics import SeriesPolicy, gauss_legendre
-from lebp.passage_densities import ChamberSequence
-from lebp.rect_kernels import RectConfig
+from lebp.passage_densities import ChamberSequence, joint_pdf
+from lebp.rect_kernels import RectConfig, fomin_boundary_det, hat_h, weyl_point
 
 RULE = gauss_legendre(200)
 
@@ -232,8 +229,8 @@ def test_pdf_special_start_normalized():
 
 
 def test_joint_special_start_routes_agree():
-    # telescoped transition-factor route against the product-of-determinants
-    # route; fully independent evaluations
+    # the telescoped product against the product of basis and kernel
+    # determinants; fully independent evaluations
     seq = ChamberSequence((0.4, 0.9, 1.7))
     cases = [
         [(0.9,), (1.4,), (2.0,)],
@@ -241,7 +238,7 @@ def test_joint_special_start_routes_agree():
         [(0.5, 1.2, 2.0), (0.7, 1.5, 2.3), (0.4, 1.1, 2.6)],
     ]
     for thetas in cases:
-        a = joint_pdf_special_start(POL, seq, thetas)
+        a = joint_pdf(None, POL, seq, thetas)
         b = joint_pdf_special_start_dets(POL, seq, thetas)
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -251,7 +248,7 @@ def test_joint_special_start_marginalizes():
     seq = ChamberSequence((0.5, 1.1))
     th1 = 1.3
     vals = np.array(
-        [joint_pdf_special_start(POL, seq, [(th1,), (t,)]) for t in RULE.nodes]
+        [joint_pdf(None, POL, seq, [(th1,), (t,)]) for t in RULE.nodes]
     )
     marginal = RULE.weights @ vals
     assert abs(marginal - pdf_special_start((th1,))) < 1e-12
@@ -260,10 +257,12 @@ def test_joint_special_start_marginalizes():
 def test_joint_special_start_validates_input():
     finite = ChamberSequence((0.4, 0.9), L=2.0)
     with pytest.raises(DomainError):
-        joint_pdf_special_start(POL, finite, [(1.0,), (1.1,)])
+        joint_pdf(None, POL, finite, [(1.0,), (1.1,)])
+    with pytest.raises(DomainError, match="midpoint start"):
+        joint_pdf(RectConfig(2.0), POL, finite, [(1.0,), (1.1,)])
     seq = ChamberSequence((0.4, 0.9))
     with pytest.raises(DomainError):
-        joint_pdf_special_start(POL, seq, [(1.0,)])
+        joint_pdf(None, POL, seq, [(1.0,)])
     with pytest.raises(DomainError):
         joint_pdf_special_start_dets(POL, seq, [(1.0,), (1.1, 2.0)])
 
@@ -280,6 +279,26 @@ def test_basis_product_invariant(n, x, th):
 
 
 # --- coalescing start limit -----------------------------------------------------
+
+
+def schur_limit_factor(cfg, pol, phi, rho):
+    """Diagnostic ratio det[H_boundary(i phi_j, L + i rho_k)] / hat_h(phi).
+
+    As the start angles phi coalesce at pi/2 the ratio approaches
+    coincident_limit_value(cfg, rho), up to corrections exponentially small
+    in L from higher terms of the partition expansion.
+    """
+    phi = weyl_point(phi)
+    return fomin_boundary_det(cfg, pol, phi, rho) / hat_h(phi)
+
+
+def coincident_limit_value(cfg, rho):
+    """Limit of schur_limit_factor at the coalescing midpoint start:
+    (2^{N^2} / (pi^N C_N(L))) * hat_h(rho), C_N(L) = prod_j sinh(jL) / N!."""
+    rho = weyl_point(rho)
+    n = rho.size
+    c_n = math.prod(math.sinh(j * cfg.L) for j in range(1, n + 1)) / math.factorial(n)
+    return 2.0 ** (n * n) / math.pi**n / c_n * hat_h(rho)
 
 
 def test_schur_limit_factor_converges():

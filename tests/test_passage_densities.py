@@ -16,13 +16,12 @@ from lebp.passage_densities import (
     norm_boundary,
     norm_inner,
     ordered_sine_det_integral,
-    start_weight,
-    transition_factor,
 )
 from lebp.rect_kernels import (
     RectConfig,
     boundary_poisson_rect,
     fomin_boundary_det,
+    fomin_inner_det,
     hat_h,
     poisson_rect,
 )
@@ -33,6 +32,11 @@ POL = DEFAULT_POLICY
 def _one_cut(cfg, x, theta, phi):
     # the first-passage density on the single cut x (cfg None: infinite strip)
     return joint_pdf(cfg, POL, ChamberSequence((x,)), [theta], phi)
+
+
+def _strip_weight(x, n):
+    # prod_{j=1..N} sinh(j x) / N!, the infinite-strip norm over hat_h
+    return math.prod(math.sinh(j * x) for j in range(1, n + 1)) / math.factorial(n)
 
 
 # --- references -------------------------------------------------------------
@@ -341,15 +345,18 @@ def test_joint_pdf_telescopes_into_transitions():
     phi = [0.9, 2.0]
     th_a, th_b = [1.0, 2.2], [0.8, 1.9]
     seq = ChamberSequence((0.7, 1.2), L=2.0)
+    # the transition factor to the second cut: the interior determinant of
+    # the sub-rectangle ending there times a norm ratio
+    det = fomin_inner_det(RectConfig(1.2), POL, 0.7, th_a, th_b)
     j = joint_pdf(cfg, POL, seq, [th_a, th_b], phi)
     p1 = _one_cut(cfg, 0.7, th_a, phi)
-    q = transition_factor(cfg, POL, 0.7, th_a, 1.2, th_b)
+    q = det * norm_inner(cfg, POL, 1.2, th_b) / norm_inner(cfg, POL, 0.7, th_a)
     assert j == pytest.approx(p1 * q, rel=1e-12)
 
     j_inf = joint_pdf(None, POL, ChamberSequence((0.7, 1.2)), [th_a, th_b], phi)
     p1_inf = _one_cut(None, 0.7, th_a, phi)
-    q_inf = transition_factor(None, POL, 0.7, th_a, 1.2, th_b)
-    assert j_inf == pytest.approx(p1_inf * q_inf, rel=1e-12)
+    ratio = _strip_weight(1.2, 2) * hat_h(th_b) / (_strip_weight(0.7, 2) * hat_h(th_a))
+    assert j_inf == pytest.approx(p1_inf * det * ratio, rel=1e-12)
 
 
 def test_joint_pdf_single_cut_reduces_to_marginal():
@@ -409,7 +416,7 @@ def test_infinite_pdf_normalizes():
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
     fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
-    pdf = start_weight(x, 2) * fb * hat_h(grid) / hat_h(phi)
+    pdf = _strip_weight(x, 2) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,ij->", w, w, pdf)) / 2.0
     assert mass == pytest.approx(1.0, abs=1e-12)
 
@@ -420,18 +427,9 @@ def test_infinite_pdf_normalizes_three_paths():
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1)
     fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
-    pdf = start_weight(x, 3) * fb * hat_h(grid) / hat_h(phi)
+    pdf = _strip_weight(x, 3) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,k,ijk->", w, w, w, pdf)) / math.factorial(3)
     assert mass == pytest.approx(1.0, abs=1e-10)
-
-
-def test_start_weight_values():
-    assert start_weight(1.3, 1) == pytest.approx(math.sinh(1.3), rel=1e-15)
-    x = 0.7
-    expect = math.sinh(x) * math.sinh(2 * x) * math.sinh(3 * x) / 6.0
-    assert start_weight(x, 3) == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(DomainError):
-        start_weight(0.0, 2)
 
 
 # --- validation --------------------------------------------------------------
@@ -459,10 +457,13 @@ def test_density_domain_errors():
         norm_inner(cfg, POL, -0.1, [1.0])
     with pytest.raises(PrecisionError):
         norm_inner(cfg, POL, 2.0 - 1e-6, [1.0])
+    # below the normal double range a norm keeps no relative accuracy
+    with pytest.raises(PrecisionError, match="norm underflows"):
+        norm_boundary(RectConfig(120.0), POL, [0.5, 1.8, 2.5])
     with pytest.raises(DomainError):
-        transition_factor(cfg, POL, 1.2, [1.0], 0.7, [1.0])
+        joint_pdf(cfg, POL, ChamberSequence((1.2, 0.7)), [[1.0], [1.0]], [1.0])
     with pytest.raises(DomainError):
-        transition_factor(cfg, POL, 0.7, [1.0], 2.5, [1.0])
+        joint_pdf(cfg, POL, ChamberSequence((0.7, 2.5)), [[1.0], [1.0]], [1.0])
     with pytest.raises(DomainError):
         joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0]], [1.0, 2.0])
     with pytest.raises(DomainError):

@@ -370,10 +370,12 @@ def fomin_expansion(cfg, phi, rho, partition_cap, tol=None):
 
 
 def _graded_boundary_det(length, phi, rho, frequencies):
-    """graded_det of the edge-to-edge kernel over the frequencies 1..M."""
+    """graded_det of the edge-to-edge kernel over the frequencies 1..M, times
+    the leading coefficients it splits off."""
     m = np.arange(1, frequencies + 1)
     a, b = (np.sin(np.outer(t, m)) for t in (phi, rho))
-    return graded_det(a, boundary_coeffs(m, length), b, det_lu(a[:, : len(phi)]))
+    c = boundary_coeffs(m, length)
+    return np.prod(c[: len(phi)]) * graded_det(a, c, b, det_lu(a[:, : len(phi)]))
 
 
 def test_partitions_graded_order():

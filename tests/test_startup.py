@@ -73,3 +73,11 @@ def test_lattice_and_quadrature_checks_import_no_scipy():
     assert len(seen) == 3
     for name, run in seen.items():
         assert run == {"code": 0, "scipy": []}, name
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its function went breaks `from lebp import *`
+    assert [name for name in lebp.__all__ if not hasattr(lebp, name)] == []
+    namespace = {}
+    exec("from lebp import *", namespace)
+    assert set(lebp.__all__) <= set(namespace)
