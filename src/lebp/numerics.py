@@ -115,13 +115,45 @@ def gauss_legendre(order, a=0.0, b=math.pi):
     return QuadratureRule(nodes, weights)
 
 
+def _multisets(order, ndim, step):
+    """The non-decreasing index tuples i_1 <= ... <= i_ndim of range(order),
+    in lexicographic order, as integer arrays of at most `step` rows.
+
+    Each block is unranked from its row numbers, one searchsorted per
+    coordinate: among tuples of length m, those with first index below i
+    number below[i] = C(order+m-1, m) - C(order-i+m-1, m), and how many
+    follow a given first index does not depend on the indices before it.
+    """
+    below = []
+    for m in range(ndim, 1, -1):
+        tail = [math.comb(order - i + m - 1, m) for i in range(order + 1)]
+        below.append(tail[0] - np.array(tail))
+    count = math.comb(order + ndim - 1, ndim)
+    for start in range(0, count, step):
+        rank = np.arange(start, min(start + step, count))
+        low = np.zeros_like(rank)
+        idx = np.empty((rank.size, ndim), dtype=rank.dtype)
+        for k, table in enumerate(below):
+            rank += table[low]
+            low = np.searchsorted(table, rank, side="right") - 1
+            rank -= table[low]
+            idx[:, k] = low
+        # the last coordinate needs no search: for m = 1, below[i] = i
+        idx[:, -1] = low + rank
+        yield idx
+
+
 def chamber_integrate(f, rule, ndim):
     """Integrate a symmetric function over the ordered chamber 0 < t_1 < ... < t_ndim < b.
 
-    The integrand is evaluated on the full tensor-product grid, in blocks of
-    block_rows(ndim) points, and the cube integral is divided by ndim!; the
-    two agree exactly when f is invariant under coordinate permutations (the
-    only supported use).
+    The cube integral of the tensor-product rule, divided by ndim!, regrouped
+    by ordered node multisets: f is evaluated once per non-decreasing index
+    tuple i_1 <= ... <= i_ndim, with weight prod_k w_{i_k} / prod_j m_j!,
+    where the m_j count the repeated indices.  That is C(order+ndim-1, ndim)
+    points instead of order**ndim, in blocks of block_rows(ndim).  It equals
+    the chamber integral exactly when f is invariant under coordinate
+    permutations (the only supported use); f sees each point with its
+    coordinates sorted.
 
     Parameters
     ----------
@@ -134,19 +166,21 @@ def chamber_integrate(f, rule, ndim):
     """
     if ndim < 1:
         raise DomainError("ndim must be at least 1")
-    shape = (rule.order,) * ndim
-    count = rule.order**ndim
-    step = block_rows(ndim)
     total = 0.0
-    for start in range(0, count, step):
-        idx = np.unravel_index(np.arange(start, min(start + step, count)), shape)
-        pts = np.stack([rule.nodes[i] for i in idx], axis=-1)
-        wt = np.prod([rule.weights[i] for i in idx], axis=0)
+    for idx in _multisets(rule.order, ndim, block_rows(ndim)):
+        # run counts each index's position within its run of repeats, so
+        # dividing by it at every step divides by prod_j m_j! in all
+        wt = rule.weights[idx[:, 0]]
+        run = np.ones(wt.shape)
+        for k in range(1, ndim):
+            run = np.where(idx[:, k] == idx[:, k - 1], run + 1.0, 1.0)
+            wt = wt * rule.weights[idx[:, k]] / run
+        pts = rule.nodes[idx]
         vals = np.asarray(f(pts), dtype=float).ravel()
         if vals.shape != (pts.shape[0],):
             raise DomainError("integrand must return one value per point")
         total += float(wt @ vals)
-    return total / math.factorial(ndim)
+    return total
 
 
 UNIT_ROUNDOFF = 2.0**-53

@@ -281,7 +281,8 @@ def crossing_exponent_fit(phi, rho, lengths, partition_cap=8):
     -d log(ratio)/dL of their least-squares line; returns (ratios, slope).
     A line needs at least two distinct lengths."""
     lengths = np.asarray(lengths, dtype=float)
-    if np.unique(lengths).size < 2:
+    # min < max rather than np.unique, which imports numpy.ma on float input
+    if not (lengths.size and lengths.min() < lengths.max()):
         raise DomainError("need at least two distinct rectangle lengths to fit a slope")
     ratios = np.array(
         [crossing_ratio(RectConfig(float(L)), phi, rho, partition_cap) for L in lengths]

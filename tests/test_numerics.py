@@ -88,6 +88,51 @@ def test_chamber_product_of_sines_squared():
     assert abs(got - math.pi**2 / 8) <= 1e-12
 
 
+def _cube_oracle(f, rule, ndim):
+    # the full order**ndim tensor grid, one evaluation per ordered index tuple
+    shape = (rule.order,) * ndim
+    idx = np.unravel_index(np.arange(rule.order**ndim), shape)
+    pts = np.stack([rule.nodes[i] for i in idx], axis=-1)
+    wt = np.prod([rule.weights[i] for i in idx], axis=0)
+    return float(wt @ f(pts))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda p: np.exp(np.cos(p).sum(axis=1)),
+        lambda p: hat_h(p) ** 2 * np.exp(np.sin(p).prod(axis=1)),
+        lambda p: 1.0 / (1.0 + (p**2).sum(axis=1)) + np.cos(p.prod(axis=1)) ** 2,
+    ],
+)
+def test_chamber_multisets_regroup_the_cube_sum(f):
+    for order, ndim in [(9, 1), (8, 2), (7, 3), (5, 4)]:
+        rule = gauss_legendre(order)
+        want = _cube_oracle(f, rule, ndim) / math.factorial(ndim)
+        assert abs(chamber_integrate(f, rule, ndim) - want) <= 1e-14 * abs(want)
+
+
+def test_chamber_calls_once_per_multiset_in_bounded_blocks(monkeypatch):
+    from lebp import numerics
+
+    def rows_seen(order, ndim):
+        seen = []
+
+        def f(p):
+            seen.append(len(p))
+            return np.ones(len(p))
+
+        chamber_integrate(f, gauss_legendre(order), ndim)
+        return seen
+
+    assert sum(rows_seen(120, 3)) == 295_240
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 7)
+    for order, ndim in [(1, 1), (6, 1), (6, 2), (5, 3), (4, 4), (3, 5)]:
+        seen = rows_seen(order, ndim)
+        assert sum(seen) == math.comb(order + ndim - 1, ndim)
+        assert max(seen) <= numerics.block_rows(ndim)
+
+
 def test_chamber_blocks_do_not_change_the_value(monkeypatch):
     from lebp import numerics
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -56,8 +57,10 @@ def _pair_lower_integral(n, m):
     return (_single_sine_integral(n) - cross) / m
 
 
+@lru_cache(maxsize=None)
 def chamber_points(order, n):
-    """Ordered-chamber quadrature by nested linear maps: (P, n) points, (P,) weights."""
+    """Ordered-chamber quadrature by nested linear maps: (P, n) points, (P,) weights,
+    built once per (order, n) and returned read-only."""
     xs, ws = np.polynomial.legendre.leggauss(order)
     pts = [([], 1.0, 0.0)]
     for _ in range(n):
@@ -70,6 +73,8 @@ def chamber_points(order, n):
         pts = nxt
     arr = np.array([p for p, _, _ in pts])
     wts = np.array([w for _, w, _ in pts])
+    arr.setflags(write=False)
+    wts.setflags(write=False)
     return arr, wts
 
 

@@ -1,7 +1,8 @@
 """Start-up imports: the CLI and every subcommand, the lattice solves and
 the validation quadrature included, load numpy and the standard library
-only; scipy is a test oracle.  Each check runs in a fresh interpreter,
-because the test process itself may already hold scipy."""
+only; scipy is a test oracle.  numpy's lazily imported numpy.ma stays
+unloaded too.  Each check runs in a fresh interpreter, because the test
+process itself may already hold scipy."""
 
 import json
 import os
@@ -25,7 +26,9 @@ seen = {"import": scipy_modules()}
 for args in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()):
         code = lebp.cli.main(args)
-    seen[" ".join(args)] = {"code": code, "scipy": scipy_modules()}
+    seen[" ".join(args)] = {
+        "code": code, "scipy": scipy_modules(), "numpy.ma": "numpy.ma" in sys.modules
+    }
 print(json.dumps(seen))
 """
 
@@ -54,11 +57,12 @@ def test_cli_and_series_routes_import_no_scipy():
             ["crossing-exponent", "--paths", "3", "--lengths", "6,8"],
             ["fomin-check", "--size", "3", "--paths", "2", "--max-len", "10"],
             ["validate", "--suite", "fomin"],
+            ["validate", "--suite", "crossing"],
         ]
     )
     assert seen.pop("import") == []
     for name, run in seen.items():
-        assert run == {"code": 0, "scipy": []}, name
+        assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
 
 
 def test_lattice_and_quadrature_checks_import_no_scipy():
@@ -72,7 +76,7 @@ def test_lattice_and_quadrature_checks_import_no_scipy():
     assert seen.pop("import") == []
     assert len(seen) == 3
     for name, run in seen.items():
-        assert run == {"code": 0, "scipy": []}, name
+        assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
 
 
 def test_every_public_name_resolves():
