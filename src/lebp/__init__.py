@@ -5,147 +5,60 @@ their Fomin determinants), the continuum side (Poisson kernels of a rectangle,
 first-passage densities for families of paths, determinantal correlation
 kernels in a strip and a half-disk), and a lattice-refinement bridge between
 the two.
+
+``import lebp`` loads none of them: a public name imports its submodule on
+first use (PEP 562).
 """
 
-from .errors import (
-    DomainError,
-    EnumerationBudgetError,
-    PrecisionError,
-    TruncationError,
-)
-from .correlation import (
-    basis_phi,
-    basis_phi_hat,
-    corr_strip,
-    density_semicircle,
-    joint_pdf_special_start_dets,
-    kernel_semicircle,
-    kernel_strip,
-    kernel_strip_dual,
-    limit_kernel,
-    pdf_special_start,
-    two_point_semicircle,
-)
-from .graph_fomin import (
-    BoundaryTuple,
-    Network,
-    brute_force_fomin,
-    fomin_det,
-    fomin_det_bound,
-    lerw_weight,
-    load_network,
-    loop_erase,
-    save_network,
-    square_grid_network,
-    walk_green,
-    walk_weight,
-)
-from .lattice_validation import (
-    LatticeStrip,
-    boundary_refinement,
-    density_refinement,
-    discrete_first_passage_density,
-    discrete_green,
-    exit_right,
-    first_passage_decomposition,
-    ordered_minor_sum,
-)
-from .numerics import (
-    DEFAULT_POLICY,
-    QuadratureRule,
-    SeriesPolicy,
-    TailBoundedValue,
-    chamber_integrate,
-    det_lu,
-    det_lu_bounded,
-    gauss_legendre,
-    sinh_ratio,
-)
-from .passage_densities import (
-    ChamberSequence,
-    joint_pdf,
-    norm_boundary,
-    norm_inner,
-    ordered_sine_det_integral,
-)
-from .rect_kernels import (
-    RectConfig,
-    boundary_poisson_rect,
-    crossing_decay_rate,
-    crossing_prefactor,
-    crossing_ratio,
-    fomin_boundary_det,
-    fomin_inner_det,
-    hat_h,
-    poisson_rect,
-    weyl_point,
-)
-from .validation import CheckResult, run_suite, suite_report
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "EnumerationBudgetError",
-    "PrecisionError",
-    "TruncationError",
-    "basis_phi",
-    "basis_phi_hat",
-    "corr_strip",
-    "density_semicircle",
-    "joint_pdf_special_start_dets",
-    "kernel_semicircle",
-    "kernel_strip",
-    "kernel_strip_dual",
-    "limit_kernel",
-    "pdf_special_start",
-    "two_point_semicircle",
-    "BoundaryTuple",
-    "Network",
-    "brute_force_fomin",
-    "fomin_det",
-    "fomin_det_bound",
-    "lerw_weight",
-    "load_network",
-    "loop_erase",
-    "save_network",
-    "square_grid_network",
-    "walk_green",
-    "walk_weight",
-    "LatticeStrip",
-    "boundary_refinement",
-    "density_refinement",
-    "discrete_first_passage_density",
-    "discrete_green",
-    "exit_right",
-    "first_passage_decomposition",
-    "ordered_minor_sum",
-    "DEFAULT_POLICY",
-    "QuadratureRule",
-    "SeriesPolicy",
-    "TailBoundedValue",
-    "chamber_integrate",
-    "det_lu",
-    "det_lu_bounded",
-    "gauss_legendre",
-    "sinh_ratio",
-    "ChamberSequence",
-    "joint_pdf",
-    "norm_boundary",
-    "norm_inner",
-    "ordered_sine_det_integral",
-    "RectConfig",
-    "boundary_poisson_rect",
-    "crossing_decay_rate",
-    "crossing_prefactor",
-    "crossing_ratio",
-    "fomin_boundary_det",
-    "fomin_inner_det",
-    "hat_h",
-    "poisson_rect",
-    "weyl_point",
-    "CheckResult",
-    "run_suite",
-    "suite_report",
-    "__version__",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": ("DomainError", "EnumerationBudgetError", "PrecisionError", "TruncationError"),
+    "correlation": (
+        "basis_phi", "basis_phi_hat", "corr_strip", "density_semicircle",
+        "joint_pdf_special_start_dets", "kernel_semicircle", "kernel_strip",
+        "kernel_strip_dual", "limit_kernel", "pdf_special_start", "two_point_semicircle",
+    ),
+    "graph_fomin": (
+        "BoundaryTuple", "Network", "brute_force_fomin", "fomin_det", "fomin_det_bound",
+        "lerw_weight", "load_network", "loop_erase", "save_network", "square_grid_network",
+        "walk_green", "walk_weight",
+    ),
+    "lattice_validation": (
+        "LatticeStrip", "boundary_refinement", "density_refinement",
+        "discrete_first_passage_density", "discrete_green", "exit_right",
+        "first_passage_decomposition", "ordered_minor_sum",
+    ),
+    "numerics": (
+        "DEFAULT_POLICY", "QuadratureRule", "SeriesPolicy", "TailBoundedValue",
+        "chamber_integrate", "det_lu", "det_lu_bounded", "gauss_legendre", "sinh_ratio",
+    ),
+    "passage_densities": (
+        "ChamberSequence", "joint_pdf", "norm_boundary", "norm_inner",
+        "ordered_sine_det_integral",
+    ),
+    "rect_kernels": (
+        "RectConfig", "boundary_poisson_rect", "crossing_decay_rate", "crossing_prefactor",
+        "crossing_ratio", "fomin_boundary_det", "fomin_inner_det", "hat_h", "poisson_rect",
+        "weyl_point",
+    ),
+    "validation": ("CheckResult", "run_suite", "suite_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

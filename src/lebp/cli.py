@@ -27,6 +27,9 @@ Conventions
 * Grids are evaluated one broadcast library call per cut pair (x, x')
   or radius pair (r, r') over the whole angle grid; every row prints
   exactly what the per-point library call returns.
+* Each handler imports the library modules it runs when it runs, and
+  ``json`` is imported only to write or read a report or a manifest, so
+  building the parser loads no compute module but ``numerics``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
-import json
 import math
 import re
 import sys
@@ -42,14 +44,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlation import density_semicircle, kernel_semicircle, kernel_strip, two_point_semicircle
 from .errors import DomainError, EnumerationBudgetError, PrecisionError, TruncationError
-from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
-from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import SeriesPolicy
-from .passage_densities import ChamberSequence, joint_pdf
-from .rect_kernels import CROSSING_CASES, RectConfig, crossing_decay_rate, crossing_exponent_fit
-from .validation import QUADRATURE_ORDERS, SUITES, suite_report
+
+# the keys of validation.SUITES, sorted; the parser's --suite choices
+_SUITE_NAMES = ("crossing", "fomin", "lattice", "limits", "normalization", "semigroup")
 
 
 class UsageError(Exception):
@@ -216,6 +215,8 @@ def _cartesian(radii, thetas):
 
 
 def _cmd_kernel(ns):
+    from .correlation import kernel_semicircle, kernel_strip
+
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     if ns.domain == "strip":
@@ -229,6 +230,8 @@ def _cmd_kernel(ns):
 
 
 def _cmd_density(ns):
+    from .correlation import density_semicircle
+
     n_paths = _parse_int(ns.N, "--N")
     radii = parse_grid(ns.r, "--r")
     thetas = parse_grid(ns.theta, "--theta")
@@ -237,6 +240,8 @@ def _cmd_density(ns):
 
 
 def _cmd_two_point(ns):
+    from .correlation import two_point_semicircle
+
     pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     names = ["r", "theta", "rp", "thetap"]
@@ -247,6 +252,9 @@ def _passage_density(ns, cuts, thetas, header, fields):
     """Header and columns of the joint passage density at `cuts`, one row:
     the given `header`/`fields`, then the start angles and the length when
     given, then the value.  Without --phi the paths start at the midpoint."""
+    from .passage_densities import ChamberSequence, joint_pdf
+    from .rect_kernels import RectConfig
+
     pol = _policy_from(ns)
     phi = cfg = None
     if ns.phi is not None:
@@ -294,6 +302,8 @@ def _cmd_joint_pdf(ns):
 
 
 def _cmd_fomin_check(ns):
+    from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
+
     size = _parse_int(ns.size, "--size")
     n_paths = _parse_int(ns.paths, "--paths")
     max_len = _parse_int(ns.max_len, "--max-len")
@@ -316,6 +326,8 @@ def _cmd_fomin_check(ns):
 
 
 def _cmd_crossing(ns):
+    from .rect_kernels import CROSSING_CASES, crossing_decay_rate, crossing_exponent_fit
+
     n_paths = _parse_int(ns.paths, "--paths")
     if ns.phi is None or ns.rho is None:
         if n_paths not in CROSSING_CASES:
@@ -341,6 +353,8 @@ def _cmd_crossing(ns):
 
 
 def _cmd_lattice_validate(ns):
+    from .lattice_validation import boundary_refinement, density_refinement
+
     pol = _policy_from(ns)
     levels = tuple(_parse_int(v, "--levels") for v in str(ns.levels).split(","))
     if len(set(levels)) != len(levels):
@@ -360,6 +374,8 @@ def _cmd_lattice_validate(ns):
 
 
 def _cmd_figure(ns):
+    from .correlation import density_semicircle, two_point_semicircle
+
     pol = _policy_from(ns)
     if ns.id == "7":
         radii = np.linspace(1.05, 3.0, 40)
@@ -383,9 +399,13 @@ def _cmd_figure(ns):
 
 def _cmd_validate(ns):
     """The JSON report of the named suites and the exit code."""
+    import json
+
+    from . import validation
+
     pol = _policy_from(ns)
-    names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
-    reports = [suite_report(name, pol) for name in names]
+    names = _SUITE_NAMES if ns.suite == "all" else [ns.suite]
+    reports = [validation.suite_report(name, pol) for name in names]
     passed = all(r["passed"] for r in reports)
     payload = reports[0] if len(reports) == 1 else {"passed": passed, "suites": reports}
     return json.dumps(payload, indent=2) + "\n", 0 if passed else 1
@@ -498,7 +518,7 @@ def build_parser():
     p.add_argument(
         "--suite",
         required=True,
-        choices=tuple(sorted(SUITES)) + ("all",),
+        choices=(*_SUITE_NAMES, "all"),
     )
     _add_common(p, policy=True)
 
@@ -512,12 +532,17 @@ def _manifest_payload(ns):
         if key in skip or value is None:
             continue
         arguments[key] = str(value)
+    orders = {}
+    if ns.subcommand == "validate":
+        from .validation import QUADRATURE_ORDERS
+
+        orders = dict(QUADRATURE_ORDERS)
     payload = {
         "tool": "lebp",
         "version": __version__,
         "subcommand": ns.subcommand,
         "arguments": arguments,
-        "orders": dict(QUADRATURE_ORDERS) if ns.subcommand == "validate" else {},
+        "orders": orders,
         "output": ns.output,
     }
     # a subcommand takes a series policy exactly when _add_common gave its
@@ -530,28 +555,30 @@ def _manifest_payload(ns):
     return payload
 
 
-def _argv_from_manifest(payload, output_override=None):
-    sub_name = payload.get("subcommand")
-    if sub_name not in _HANDLERS:
-        raise UsageError(f"manifest names unknown subcommand {sub_name!r}")
-    argv = [sub_name]
-    for key, value in payload.get("arguments", {}).items():
-        argv += ["--" + key.replace("_", "-") if len(key) > 1 else "--" + key, str(value)]
-    output = output_override if output_override is not None else payload.get("output")
-    if output:
-        argv += ["--output", output]
-    return argv
+def _replay(path, output_override):
+    """Run the invocation that the manifest at `path` records."""
+    import json
 
-
-def _replay(manifest_path, output_override):
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"manifest is not valid JSON: {exc}") from None
-    return main(_argv_from_manifest(payload, output_override))
+        raise UsageError(f"manifest {path} is not valid JSON: {exc}") from None
+    arguments = payload.get("arguments", {}) if isinstance(payload, dict) else None
+    if not isinstance(arguments, dict):
+        raise UsageError(f"manifest {path}: the record and its arguments must be JSON objects")
+    sub_name = payload.get("subcommand")
+    if not isinstance(sub_name, str) or sub_name not in _HANDLERS:
+        raise UsageError(f"manifest {path} names unknown subcommand {sub_name!r}")
+    argv = [sub_name]
+    for key, value in arguments.items():
+        argv += ["--" + key.replace("_", "-") if len(key) > 1 else "--" + key, str(value)]
+    output = output_override if output_override is not None else payload.get("output")
+    if output:
+        argv += ["--output", str(output)]
+    return main(argv)
 
 
 def main(argv=None):
@@ -571,15 +598,21 @@ def main(argv=None):
             buffer = io.StringIO()
             _write_csv(buffer, result[0], result[1])
             text, code = buffer.getvalue(), result[2] if len(result) > 2 else 0
+        # every file is written before stdout, so a run that cannot write
+        # one prints nothing
+        files = [] if ns.output is None else [(ns.output, text)]
+        if ns.save_manifest is not None:
+            import json
+
+            files.append((ns.save_manifest, json.dumps(_manifest_payload(ns), indent=2) + "\n"))
+        for path, content in files:
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
         if ns.output is None:
             sys.stdout.write(text)
-        else:
-            with open(ns.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        if ns.save_manifest is not None:
-            with open(ns.save_manifest, "w", encoding="utf-8") as fh:
-                json.dump(_manifest_payload(ns), fh, indent=2)
-                fh.write("\n")
         return code
     except TruncationError as exc:
         print(f"error: {exc} (best certified bound: {exc.achieved})", file=sys.stderr)

@@ -613,14 +613,22 @@ def test_validate_report_carries_elapsed():
 
 
 def test_validate_failure_sets_exit_code(monkeypatch):
-    import lebp.cli as cli
+    from lebp import validation
 
     monkeypatch.setattr(
-        cli, "suite_report", lambda name, pol: {"suite": name, "passed": False, "checks": []}
+        validation, "suite_report", lambda name, pol: {"suite": name, "passed": False, "checks": []}
     )
     code, out, _ = run_cli(["validate", "--suite", "crossing"])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_suite_choices_are_the_validation_suites():
+    from lebp import validation
+
+    (sub,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    (suite,) = [a for a in sub.choices["validate"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == sorted(validation.SUITES) + ["all"]
 
 
 def test_unknown_suite_is_rejected():
@@ -667,6 +675,15 @@ def test_usage_errors_name_the_precondition():
         (["joint-pdf", "--cuts", "1,250", "--theta", "0.6,1.2,1.9,2.6/0.6,1.2,1.9,2.6",
           "--phi", "0.5,1.1,1.8,2.5"], "coefficients underflow"),
         (["crossing-exponent", "--lengths", "800,900"], "coefficients underflow"),
+        (["pdf", "--theta", "1,2", "--output", str(DATA / "missing" / "out.csv")],
+         "out.csv: No such file or directory"),
+        (["pdf", "--theta", "1,2", "--output", str(DATA)], "data: Is a directory"),
+        (["pdf", "--theta", "1,2", "--save-manifest", str(DATA / "missing" / "m.json")],
+         "m.json: No such file or directory"),
+        (["--manifest", str(DATA / "manifest_array.json")], "manifest_array.json"),
+        (["--manifest", str(DATA / "manifest_string.json")], "manifest_string.json"),
+        (["--manifest", str(DATA / "manifest_list_arguments.json")],
+         "manifest_list_arguments.json"),
     ],
 )
 def test_bad_literals_and_degenerate_fits_exit_2_without_traceback(args, fragment):

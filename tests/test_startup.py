@@ -1,14 +1,19 @@
 """Start-up imports: the CLI and every subcommand, the lattice solves and
 the validation quadrature included, load numpy and the standard library
 only; scipy is a test oracle.  numpy's lazily imported numpy.ma stays
-unloaded too.  Each check runs in a fresh interpreter, because the test
-process itself may already hold scipy."""
+unloaded too.  `import lebp` loads no submodule, and each subcommand loads
+only the lebp modules it runs.  Each check runs in a fresh interpreter,
+because the test process itself may already hold scipy and every lebp
+module."""
 
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import lebp
 
@@ -33,17 +38,42 @@ print(json.dumps(seen))
 """
 
 
-def _probe(runs):
+# one run per interpreter; the probe itself imports no json, which only some
+# runs may load
+_MODULES_PROBE = """
+import ast, io, sys
+from contextlib import redirect_stdout
+
+args, code = ast.literal_eval(sys.argv[1]), None
+import lebp
+if args is not None:
+    import lebp.cli
+if args:
+    with redirect_stdout(io.StringIO()):
+        try:
+            code = lebp.cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+loaded = sorted(m[len("lebp."):] for m in sys.modules if m.startswith("lebp."))
+print(repr((code, loaded, "json" in sys.modules)))
+"""
+
+
+def _run(probe, arg):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(runs)],
+        [sys.executable, "-c", probe, arg],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _probe(runs):
+    return json.loads(_run(_PROBE, json.dumps(runs)))
 
 
 def test_cli_and_series_routes_import_no_scipy():
@@ -79,9 +109,58 @@ def test_lattice_and_quadrature_checks_import_no_scipy():
         assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
 
 
+_CLI = ["cli", "errors", "numerics"]
+_ARC = sorted(_CLI + ["rect_kernels", "correlation"])
+_PASSAGE = sorted(_CLI + ["rect_kernels", "passage_densities"])
+_EVERY = sorted(_CLI + ["correlation", "graph_fomin", "lattice_validation",
+                        "passage_densities", "rect_kernels", "validation"])
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        (None, []),
+        ([], _CLI),
+        (["--version"], _CLI),
+        (["kernel", "--help"], _CLI),
+        (["kernel", "--domain", "strip", "--N", "3", "--x", "0.5", "--theta", "0.4:2.4:5",
+          "--xp", "1.5", "--thetap", "1.1"], _ARC),
+        (["kernel", "--domain", "semicircle", "--N", "3", "--r", "1.2", "--theta", "1.3",
+          "--rp", "2", "--thetap", "0.2:3:5"], _ARC),
+        (["two-point", "--N", "3", "--r", "1.5", "--theta", "0.2:2.9:3", "--rp", "3",
+          "--thetap", "0.5"], _ARC),
+        (["density", "--N", "3", "--r", "1.1:5:3", "--theta", "0.4:2.5:4"], _ARC),
+        (["figure", "--id", "8"], _ARC),
+        (["pdf", "--x", "0.8", "--theta", "0.5,1.6,2.5", "--phi", "0.35,1.55,2.7",
+          "--L", "1.6"], _PASSAGE),
+        (["joint-pdf", "--cuts", "0.5,1.2", "--theta", "0.3,1.3/0.7,1.5", "--phi", "0.7,1.4",
+          "--L", "2"], _PASSAGE),
+        (["crossing-exponent", "--paths", "2", "--lengths", "6,8"],
+         sorted(_CLI + ["rect_kernels"])),
+        (["fomin-check", "--size", "3", "--paths", "2"], sorted(_CLI + ["graph_fomin"])),
+        (["lattice-validate", "--levels", "15"], sorted(_PASSAGE + ["lattice_validation"])),
+        (["validate", "--suite", "fomin"], _EVERY),
+    ],
+)
+def test_each_run_loads_only_the_modules_it_runs(args, modules):
+    # None: `import lebp` alone; []: `import lebp.cli` alone.  Only validate
+    # writes JSON, so every other run leaves json unloaded.
+    code, loaded, json_loaded = ast.literal_eval(_run(_MODULES_PROBE, repr(args)))
+    assert code in (None, 0)
+    assert loaded == modules
+    assert json_loaded == (args is not None and args[:1] == ["validate"])
+
+
 def test_every_public_name_resolves():
+    # the lazy namespace lists every public name before it is first used
+    assert set(lebp.__all__) <= set(dir(lebp))
     # a name left in __all__ after its function went breaks `from lebp import *`
     assert [name for name in lebp.__all__ if not hasattr(lebp, name)] == []
     namespace = {}
     exec("from lebp import *", namespace)
     assert set(lebp.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        lebp.no_such_name
+    from lebp import validation
+
+    assert validation is sys.modules["lebp.validation"]
