@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "EnumerationBudgetError", "PrecisionError", "TruncationError"),
     "correlation": (
-        "basis_phi", "basis_phi_hat", "corr_strip", "density_semicircle",
-        "joint_pdf_special_start_dets", "kernel_semicircle", "kernel_strip",
-        "kernel_strip_dual", "limit_kernel", "pdf_special_start", "two_point_semicircle",
+        "basis_phi", "basis_phi_hat", "corr_strip", "density_semicircle", "kernel_semicircle",
+        "kernel_strip", "kernel_strip_dual", "limit_kernel", "two_point_semicircle",
     ),
     "graph_fomin": (
         "BoundaryTuple", "Network", "brute_force_fomin", "fomin_det", "fomin_det_bound",
@@ -41,9 +40,8 @@ _EXPORTS = {
         "ordered_sine_det_integral",
     ),
     "rect_kernels": (
-        "RectConfig", "boundary_poisson_rect", "crossing_decay_rate", "crossing_prefactor",
-        "crossing_ratio", "fomin_boundary_det", "fomin_inner_det", "hat_h", "poisson_rect",
-        "weyl_point",
+        "RectConfig", "boundary_poisson_rect", "crossing_decay_rate", "crossing_ratio",
+        "fomin_boundary_det", "fomin_inner_det", "hat_h", "poisson_rect", "weyl_point",
     ),
     "validation": ("CheckResult", "run_suite", "suite_report"),
 }

@@ -141,16 +141,20 @@ def _write_csv(stream, header, columns):
 
     A column is a numeric array, or a sequence whose cells are numbers or
     preformatted strings (coordinates, integer fields, flags, names, an
-    empty cell); _fmt formats every numeric cell.  No field can hold a
-    comma, a quote or a newline, so no field needs RFC-4180 quoting.
+    empty cell); _fmt formats every numeric cell of a sequence.  Each line
+    is one %-template, "%.17g" per array column and "%s" per sequence
+    column; '%.17g' % v prints the bytes of _fmt(v), -0, inf and nan
+    included.  No field can hold a comma, a quote or a newline, so no
+    field needs RFC-4180 quoting.
     """
+    template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
     cells = [
-        map(_fmt, c.ravel().tolist())
+        c.ravel().tolist()
         if isinstance(c, np.ndarray)
         else [v if isinstance(v, str) else _fmt(v) for v in c]
         for c in columns
     ]
-    stream.write("".join(",".join(line) + "\n" for line in (header, *zip(*cells))))
+    stream.write(",".join(header) + "\n" + "".join(map(template.__mod__, zip(*cells))))
 
 
 def _policy_from(ns):
@@ -173,9 +177,10 @@ def _names(prefix, count):
 
 
 def _coordinates(*axes):
-    """Preformatted coordinate columns of the product grid of `axes`, last
-    axis fastest; each axis value is formatted once."""
-    return list(zip(*itertools.product(*([_fmt(t) for t in a] for a in axes))))
+    """One preformatted column over the product grid of `axes`, last axis
+    fastest: each cell joins a point's coordinates with commas.  Each axis
+    value is formatted once."""
+    return [",".join(p) for p in itertools.product(*([_fmt(t) for t in a] for a in axes))]
 
 
 def _stack(evaluate, axes, inner):
@@ -202,7 +207,7 @@ def _pair_grid(ns, names, evaluate):
         (first, second),
         (len(theta), len(theta_p)),
     )
-    columns = _coordinates(first, theta, second, theta_p)
+    columns = [_coordinates(first, theta, second, theta_p)]
     columns += [g.transpose(0, 2, 1, 3) for g in grids]
     return [*names, "value", "tail_bound"], columns
 
@@ -236,7 +241,7 @@ def _cmd_density(ns):
     radii = parse_grid(ns.r, "--r")
     thetas = parse_grid(ns.theta, "--theta")
     (value,) = _stack(lambda r: (density_semicircle(n_paths, r, thetas),), [radii], thetas.shape)
-    return ["r", "theta", "value"], [*_coordinates(radii, thetas), value]
+    return ["r", "theta", "value"], [_coordinates(radii, thetas), value]
 
 
 def _cmd_two_point(ns):
@@ -251,7 +256,8 @@ def _cmd_two_point(ns):
 def _passage_density(ns, cuts, thetas, header, fields):
     """Header and columns of the joint passage density at `cuts`, one row:
     the given `header`/`fields`, then the start angles and the length when
-    given, then the value.  Without --phi the paths start at the midpoint."""
+    given, then the value.  Without --phi the paths enter from x -> -infinity
+    (the midpoint start)."""
     from .passage_densities import ChamberSequence, joint_pdf
     from .rect_kernels import RectConfig
 
@@ -440,6 +446,10 @@ def _add_common(parser, policy):
     )
 
 
+# the --phi help of pdf and joint-pdf
+_PHI_HELP = "comma tuple of start angles (default: the midpoint start, entering from x = -inf)"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lebp",
@@ -476,14 +486,14 @@ def build_parser():
     p = sub.add_parser("pdf", help="first-passage density at one cut")
     p.add_argument("--x", default=None, help="cut position")
     p.add_argument("--theta", required=True, help="comma tuple of passage angles")
-    p.add_argument("--phi", default=None, help="comma tuple of start angles (default: midpoint start)")
+    p.add_argument("--phi", default=None, help=_PHI_HELP)
     p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
     _add_common(p, policy=True)
 
     p = sub.add_parser("joint-pdf", help="joint passage density across several cuts")
     p.add_argument("--cuts", required=True, help="comma tuple of cut positions")
     p.add_argument("--theta", required=True, help="angle tuples, one per cut, '/'-separated")
-    p.add_argument("--phi", default=None, help="comma tuple of start angles (default: midpoint start)")
+    p.add_argument("--phi", default=None, help=_PHI_HELP)
     p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
     _add_common(p, policy=True)
 

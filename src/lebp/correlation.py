@@ -1,16 +1,15 @@
-"""Determinantal correlation structure of paths started at the midpoint.
+"""Determinantal correlation structure of the midpoint start.
 
-When all N paths start at the same left-edge midpoint angle pi/2 (the limit
-of a coalescing ordered start), the passage points across any family of
-vertical cuts form a determinantal point process.  This module provides the
-two-branch correlation kernel in the strip, its conformal image in the
-half-disk |w| > 1 under w = e^z, and the scaling limit of the kernel for
-large N.  Every arc quantity (kernel, density, two-point function) is the
+In the midpoint start (passage_densities.joint_pdf with phi None) the N
+paths enter the strip from x -> -infinity, the origin of the half-plane
+under w = e^z.  It is the limit of every ordered start far from the start
+edge, not the limit of paths that coalesce at pi/2 on the left edge.  Its
+passage points across any family of vertical cuts form a determinantal
+point process.  This module provides the two-branch correlation kernel in
+the strip, its conformal image in the half-disk |w| > 1 under w = e^z, and
+the scaling limit of the kernel for large N.  Every arc quantity (kernel, density, two-point function) is the
 strip kernel pulled back through w = e^z; at equal radii that is its exact
-finite branch.  The joint passage density of the midpoint start is
-passage_densities.joint_pdf with phi None; this module keeps its one-cut
-closed form and a product of basis and kernel determinants as the
-independent oracle of that route.
+finite branch.
 """
 
 import math
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu, sinh_ratio
-from .rect_kernels import RectConfig, fomin_inner_det, hat_h, poisson_rect, weyl_point
+from .rect_kernels import RectConfig, poisson_rect
 from .rect_kernels import _interior_series, _sine_series
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -125,43 +124,6 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
         ]
     )
     return det_lu(mat)
-
-
-# --- midpoint-start densities -------------------------------------------------
-
-
-def pdf_special_start(theta):
-    """First-passage density at any cut for the midpoint start:
-    (2^{N^2} / pi^N) * hat_h(theta)^2, the same at every cut position."""
-    theta = weyl_point(theta)
-    n = theta.size
-    return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
-
-
-def joint_pdf_special_start_dets(pol, seq, thetas):
-    """The joint passage density across the cuts of seq for the midpoint
-    start as a product of determinants: a basis determinant at the first cut,
-    sub-rectangle kernel determinants between consecutive cuts, and the dual
-    basis determinant at the last cut.
-
-    An evaluation route independent of passage_densities.joint_pdf with phi
-    None, and its oracle.
-    """
-    thetas = [weyl_point(t) for t in thetas]
-    if seq.L is not None:
-        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
-    if len(thetas) != seq.m:
-        raise DomainError("need one angle tuple per cut")
-    cuts = seq.cuts
-    # basis matrices [n, j] over frequencies n = 1..N and angles theta_j
-    n = np.arange(1.0, thetas[0].size + 1.0)[:, None]
-    value = det_lu(basis_phi(n, cuts[0], thetas[0]))
-    for m in range(seq.m - 1):
-        value *= fomin_inner_det(
-            RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
-        )
-    value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1]))
-    return value
 
 
 # --- half-disk image ----------------------------------------------------------

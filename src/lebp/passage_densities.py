@@ -1,13 +1,14 @@
 """First-passage-point densities for N nonintersecting loop-erased paths.
 
 Paths start on the left edge of the rectangle (0, L) x (0, pi) at ordered
-angles phi, or in the infinite strip also at the midpoint pi/2, and are
-conditioned to reach the right edge with their loop erasures mutually
-avoiding.  The joint density of their ordered first-passage points on cuts
-x_1 < ... < x_M is one telescoped product (joint_pdf) for both starts: the
-boundary determinant at the first cut (for the midpoint start its
-coalescing limit), interior determinants between consecutive cuts, and the
-normalization at the ends.  The density on one cut is the M = 1 case.  The
+angles phi, or in the infinite strip also from x -> -infinity (the
+midpoint start, phi None), and are conditioned to reach the right edge
+with their loop erasures mutually avoiding.  The joint density of their
+ordered first-passage points on cuts x_1 < ... < x_M is one telescoped
+product (joint_pdf) for both starts: the boundary determinant at the
+first cut (for the midpoint start its leading-mode term), interior
+determinants between consecutive cuts, and the normalization at the
+ends.  The density on one cut is the M = 1 case.  The
 determinants are graded (numerics.graded_det): their leading coefficients
 are split off and telescope exactly, so in the strip the density never
 forms a sinh and keeps its relative accuracy at cuts far from the start
@@ -241,11 +242,15 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
     normalization is the norm ratio norm_inner(x_M, theta_M) /
     norm_boundary(phi); seq.L, when given, must equal cfg.L.
 
-    phi None is the midpoint start, in the strip only: the paths coalesce at
-    pi/2, and the boundary determinant over hat_h(phi) is replaced by its
-    coalescing limit 2^{N(N-1)} hat_h(theta_1) (without its leading
-    coefficients).  Its density at one cut is
-    correlation.pdf_special_start, at every cut.
+    phi None is the midpoint start, in the strip only: the paths enter from
+    x -> -infinity, the origin of the half-plane under w = e^z.  Only the
+    leading modes n <= N reach the first cut, so the boundary determinant
+    over hat_h(phi) is replaced by its leading-mode term 2^{N(N-1)}
+    hat_h(theta_1) (without its leading coefficients).  That is the limit of
+    every phi start far from the start edge, not the limit of paths that
+    coalesce at pi/2 on the left edge.  Its density at one cut is the
+    leading-mode density (2^{N^2} / pi^N) hat_h(theta)^2, the same at every
+    cut.
     """
     thetas = [weyl_point(t) for t in thetas]
     if len(thetas) != seq.m:

@@ -83,21 +83,52 @@ def _sine_series(coeffs, theta, rho):
     Each point's whole series is one contiguous dot product over a
     (points x terms) block, chunked over points, so an entry has the same
     bits however many other points share the call.
+
+    Cost: sines are paid per distinct angle, not per broadcast point.  In
+    each chunk an argument that is not broadcast contributes its own rows;
+    a broadcast one contributes sin(n * angle) over the range of its own
+    points that the chunk uses, and the block gathers rows from that
+    table (if the range is longer than the chunk, the chunk's points are
+    taken directly).  So a theta[:, None] x rho[None, :] grid costs
+    (len(theta) + len(rho)) * terms sines instead of twice the product,
+    rho is theta costs one table, and no table outgrows the chunk.
     """
-    th, rh = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(rho, dtype=float)
-    )
-    _check_angles(th, rh)
-    ft = th.reshape(-1)
-    fr = rh.reshape(-1)
+    args = [np.asarray(theta, dtype=float)]
+    if rho is not theta:
+        args.append(np.asarray(rho, dtype=float))
+    _check_angles(*args)
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    size = math.prod(shape)
     n = np.arange(1, coeffs.size + 1)
-    total = np.empty(ft.size)
+    # each argument's own points and, if it is broadcast, the index of the
+    # point that each broadcast point takes from it
+    points = [
+        (
+            a.reshape(-1),
+            None
+            if a.size == size
+            else np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).reshape(-1),
+        )
+        for a in args
+    ]
+
+    def sines(flat, index, start, stop):
+        """sin(n * angle) rows for the broadcast points start..stop-1."""
+        if index is None:
+            return np.sin(np.outer(flat[start:stop], n))
+        idx = index[start:stop]
+        lo, hi = idx.min(), idx.max() + 1
+        if hi - lo > idx.size:
+            return np.sin(np.outer(flat[idx], n))
+        return np.sin(np.outer(flat[lo:hi], n))[idx - lo]
+
+    total = np.empty(size)
     step = block_rows(coeffs.size)
-    for start in range(0, ft.size, step):
-        block = np.sin(np.outer(ft[start : start + step], n))
-        block *= np.sin(np.outer(fr[start : start + step], n))
+    for start in range(0, size, step):
+        block = sines(*points[0], start, start + step)
+        block *= block if len(points) == 1 else sines(*points[1], start, start + step)
         total[start : start + step] = np.vecdot(block, coeffs)
-    out = total.reshape(th.shape)
+    out = total.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -297,18 +328,3 @@ def crossing_decay_rate(n):
         raise DomainError("n must be positive")
     return n * (n - 1) / 2.0
 
-
-def crossing_prefactor(phi, rho):
-    """Limit of crossing_ratio * exp(N(N-1)/2 * L) as L grows.
-
-    Equals 2^{N(N-1)} N! hat_h(phi) hat_h(rho) / prod_j sin(phi_j) sin(rho_j):
-    the ratio of the leading large-L asymptotics of the boundary determinant to
-    the exact n=1 asymptotics of the diagonal kernel product, whose
-    sin(phi_j) sin(rho_j) factors cancel against those inside hat_h.
-    """
-    phi, rho = weyl_point(phi), weyl_point(rho)
-    if phi.size != rho.size:
-        raise DomainError("phi and rho must have equal length")
-    n = phi.size
-    sines = np.prod(np.sin(phi) * np.sin(rho))
-    return 2.0 ** (n * (n - 1)) * math.factorial(n) * hat_h(phi) * hat_h(rho) / sines

@@ -1,0 +1,64 @@
+"""Closed forms and independent routes that only the tests use as oracles.
+
+The midpoint start (phi None in passage_densities.joint_pdf) is the start
+from x -> -infinity: the leading-mode density, the same at every cut.
+"""
+
+import math
+
+import numpy as np
+
+from lebp.correlation import basis_phi, basis_phi_hat
+from lebp.errors import DomainError
+from lebp.numerics import det_lu
+from lebp.rect_kernels import RectConfig, fomin_inner_det, hat_h, weyl_point
+
+
+def pdf_special_start(theta):
+    """First-passage density at any cut for the midpoint start:
+    (2^{N^2} / pi^N) * hat_h(theta)^2, the same at every cut position."""
+    theta = weyl_point(theta)
+    n = theta.size
+    return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
+
+
+def joint_pdf_special_start_dets(pol, seq, thetas):
+    """The joint passage density across the cuts of seq for the midpoint
+    start as a product of determinants: a basis determinant at the first cut,
+    sub-rectangle kernel determinants between consecutive cuts, and the dual
+    basis determinant at the last cut.
+
+    An evaluation route independent of passage_densities.joint_pdf with phi
+    None.
+    """
+    thetas = [weyl_point(t) for t in thetas]
+    if seq.L is not None:
+        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
+    if len(thetas) != seq.m:
+        raise DomainError("need one angle tuple per cut")
+    cuts = seq.cuts
+    # basis matrices [n, j] over frequencies n = 1..N and angles theta_j
+    n = np.arange(1.0, thetas[0].size + 1.0)[:, None]
+    value = det_lu(basis_phi(n, cuts[0], thetas[0]))
+    for m in range(seq.m - 1):
+        value *= fomin_inner_det(
+            RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
+        )
+    value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1]))
+    return value
+
+
+def crossing_prefactor(phi, rho):
+    """Limit of crossing_ratio * exp(N(N-1)/2 * L) as L grows.
+
+    Equals 2^{N(N-1)} N! hat_h(phi) hat_h(rho) / prod_j sin(phi_j) sin(rho_j):
+    the ratio of the leading large-L asymptotics of the boundary determinant to
+    the exact n=1 asymptotics of the diagonal kernel product, whose
+    sin(phi_j) sin(rho_j) factors cancel against those inside hat_h.
+    """
+    phi, rho = weyl_point(phi), weyl_point(rho)
+    if phi.size != rho.size:
+        raise DomainError("phi and rho must have equal length")
+    n = phi.size
+    sines = np.prod(np.sin(phi) * np.sin(rho))
+    return 2.0 ** (n * (n - 1)) * math.factorial(n) * hat_h(phi) * hat_h(rho) / sines

@@ -20,6 +20,7 @@ from lebp.cli import (
     UsageError,
     _fmt,
     _manifest_payload,
+    _write_csv,
     build_parser,
     main,
     parse_grid,
@@ -29,11 +30,11 @@ from lebp.cli import (
 from lebp.correlation import (
     kernel_semicircle,
     kernel_strip,
-    pdf_special_start,
     two_point_semicircle,
 )
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.rect_kernels import CROSSING_CASES, RectConfig, crossing_ratio
+from oracles import pdf_special_start
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -755,3 +756,56 @@ def test_csv_output_needs_no_quoting_and_output_file_matches_stdout(args, tmp_pa
 
 def test_csv_writer_subcommands_are_covered():
     assert {a[0] for a in _CSV_ARGV} == set(_HANDLERS) - {"validate"}
+
+
+def _per_cell(header, columns):
+    """The writer's byte contract: _fmt joined per numeric cell, strings as given."""
+    cells = [
+        [_fmt(v) for v in c.ravel().tolist()]
+        if isinstance(c, np.ndarray)
+        else [v if isinstance(v, str) else _fmt(v) for v in c]
+        for c in columns
+    ]
+    return "".join(",".join(line) + "\n" for line in (header, *zip(*cells)))
+
+
+def test_csv_writer_bytes_equal_per_cell_formatting():
+    edge = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+            -2.5e-310, 0.1, 1.0 / 3.0]
+    columns = [
+        np.array(edge),
+        np.array(edge[::-1]).reshape(2, 5),
+        np.array([-0.0, 0.1, 1.0 / 3.0, 3.4028235e38, 1e-45] * 2, dtype=np.float32),
+        np.arange(-4, 6),
+        np.array([2**62 + 1, -(2**53) - 1] * 5),
+        np.array([True, False] * 5),
+        ["", "name", 0.5, -0.0, math.inf, 7, "x", math.nan, 5e-324, "1e3"],
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    out = io.StringIO()
+    _write_csv(out, header, columns)
+    assert out.getvalue() == _per_cell(header, columns)
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("density_grid.csv", ["density", "--N", "3", "--r", "1.2:2.0:3", "--theta", "0:pi:13"]),
+        (
+            "two_point_grid.csv",
+            ["two-point", "--N", "3", "--r", "1.5:2.5:3", "--theta", "0.3:2.8:4",
+             "--rp", "2.0", "--thetap", "0.5:2.5:3"],
+        ),
+        (
+            "kernel_semicircle_grid.csv",
+            ["kernel", "--domain", "semicircle", "--N", "2", "--r", "1.5:2.5:3",
+             "--theta", "0.4:2.7:4", "--rp", "2.0", "--thetap", "1.1:2.1:2"],
+        ),
+    ],
+)
+def test_grid_golden_csv(golden, args):
+    # r = 1.5, 2, 2.5 against r' = 2: both kernel branches and the exact
+    # equal-radius sum; theta from 0 to pi for the density
+    code, out, _ = run_cli(args)
+    assert code == 0
+    assert out == (DATA / golden).read_text()

@@ -13,12 +13,10 @@ from lebp.correlation import (
     basis_phi_hat,
     corr_strip,
     density_semicircle,
-    joint_pdf_special_start_dets,
     kernel_semicircle,
     kernel_strip,
     kernel_strip_dual,
     limit_kernel,
-    pdf_special_start,
     two_point_semicircle,
 )
 from lebp.errors import DomainError, PrecisionError, TruncationError
@@ -26,6 +24,7 @@ from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.numerics import SeriesPolicy, gauss_legendre
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, fomin_boundary_det, hat_h, weyl_point
+from oracles import joint_pdf_special_start_dets, pdf_special_start
 
 RULE = gauss_legendre(200)
 

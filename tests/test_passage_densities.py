@@ -5,7 +5,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from lebp.correlation import pdf_special_start
 from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import DEFAULT_POLICY, SeriesPolicy, gauss_legendre
 from lebp.passage_densities import (
@@ -26,6 +25,7 @@ from lebp.rect_kernels import (
     hat_h,
     poisson_rect,
 )
+from oracles import pdf_special_start
 
 POL = DEFAULT_POLICY
 

@@ -12,13 +12,15 @@ from lebp.numerics import (
     graded_det,
     poly_geom_tail,
 )
+from lebp import numerics
+from lebp.correlation import density_semicircle, kernel_strip
 from lebp.rect_kernels import (
     RectConfig,
+    _sine_series,
     boundary_coeffs,
     boundary_poisson_rect,
     crossing_decay_rate,
     crossing_exponent_fit,
-    crossing_prefactor,
     crossing_ratio,
     fomin_boundary_det,
     fomin_inner_det,
@@ -26,6 +28,7 @@ from lebp.rect_kernels import (
     poisson_rect,
     weyl_point,
 )
+from oracles import crossing_prefactor
 
 PI = math.pi
 POL = SeriesPolicy(tol=1e-14)
@@ -81,6 +84,58 @@ def test_matrix_grids_match_scalar_calls_bitwise():
         for i, t in enumerate(th):
             for j, r in enumerate(rho):
                 assert got[i, j] == kernel(*args, float(t), float(r)).value
+
+
+def _scalar_calls(evaluate, *angles):
+    """evaluate at every broadcast point of `angles`, one scalar call each."""
+    grids = np.broadcast_arrays(*angles)
+    want = np.empty(grids[0].shape)
+    for idx in np.ndindex(want.shape):
+        want[idx] = evaluate(*(float(g[idx]) for g in grids))
+    return want
+
+
+TH = np.linspace(0.05, 3.0, 9)
+RHO = np.linspace(0.2, 3.1, 11)
+
+
+@pytest.mark.parametrize(
+    "evaluate, angles",
+    [
+        # x <= x': the exact four-term sum
+        (lambda t, r: kernel_strip(POL, 4, 0.7, t, 1.3, r).value, (TH[:, None], RHO[None, :])),
+        # x > x': the tail, several hundred terms
+        (lambda t, r: kernel_strip(POL, 3, 1.05, t, 1.0, r).value, (TH[:, None], RHO[None, :])),
+        # the same array as both arguments: one sine table
+        (lambda t: density_semicircle(7, 2.0, t), (np.concatenate([TH, RHO]).reshape(4, 5),)),
+        # three axes: theta varies along two of them, rho along the third
+        (
+            lambda t, r: poisson_rect(RectConfig(2.0), POL, 1.9, t, r).value,
+            (TH[:3, None, None] + RHO[None, None, :4] / 10.0, RHO[None, :5, None]),
+        ),
+        # equal shapes: nothing is broadcast
+        (
+            lambda t, r: boundary_poisson_rect(RectConfig(0.3), POL, t, r).value,
+            (np.resize(TH, (6, 7)), np.resize(RHO[::-1], (6, 7))),
+        ),
+    ],
+    ids=["finite-branch", "tail-branch", "same-array", "three-axes", "equal-shapes"],
+)
+def test_factored_sine_tables_keep_scalar_bits(evaluate, angles):
+    assert np.array_equal(evaluate(*angles), _scalar_calls(evaluate, *angles))
+
+
+@pytest.mark.parametrize("block", [numerics.BLOCK_ENTRIES, 7 * 600])
+def test_factored_sine_tables_cross_chunk_edges(monkeypatch, block):
+    # 41 x 50 points of 600 terms exceed BLOCK_ENTRIES, so chunks end inside
+    # rows of the grid; 7-row chunks also span more theta' than they hold
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", block)
+    coeffs = 1.0 / np.arange(1.0, 601.0) ** 2
+    th, tp = np.linspace(0.0, math.pi, 41), np.linspace(0.1, 3.0, 50)
+    assert th.size * tp.size * coeffs.size > numerics.BLOCK_ENTRIES
+    got = _sine_series(coeffs, th[:, None], tp[None, :])
+    want = _scalar_calls(lambda t, r: _sine_series(coeffs, t, r), th[:, None], tp[None, :])
+    assert np.array_equal(got, want)
 
 
 def test_poisson_rect_domain_checks():
