@@ -240,7 +240,7 @@ def _cmd_density(ns):
     n_paths = _parse_int(ns.N, "--N")
     radii = parse_grid(ns.r, "--r")
     thetas = parse_grid(ns.theta, "--theta")
-    (value,) = _stack(lambda r: (density_semicircle(n_paths, r, thetas),), [radii], thetas.shape)
+    value = density_semicircle(n_paths, radii[:, None], thetas)
     return ["r", "theta", "value"], [_coordinates(radii, thetas), value]
 
 
@@ -308,22 +308,17 @@ def _cmd_joint_pdf(ns):
 
 
 def _cmd_fomin_check(ns):
-    from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
+    from .graph_fomin import grid_fomin_check
 
     size = _parse_int(ns.size, "--size")
     n_paths = _parse_int(ns.paths, "--paths")
     max_len = _parse_int(ns.max_len, "--max-len")
     if n_paths > size:
         raise UsageError("--paths cannot exceed --size (one edge row per path)")
-    net, id_of = square_grid_network(size, size)
-    picks = sorted({int(round(v)) for v in np.linspace(0, size - 1, n_paths)})
-    if len(picks) != n_paths:
+    rows = sorted({int(round(v)) for v in np.linspace(0, size - 1, n_paths)})
+    if len(rows) != n_paths:
         raise UsageError("--paths too large for distinct edge rows at this --size")
-    a = tuple(id_of[(i, -1)] for i in picks)
-    b = tuple(id_of[(i, size)] for i in picks)
-    det = fomin_det(net, (a, b))
-    brute, bound = brute_force_fomin(net, (a, b))
-    bound += fomin_det_bound(net, (a, b))
+    det, brute, bound = grid_fomin_check(size, rows)
     diff = abs(det - brute)
     within = diff <= bound
     header = ["size", "paths", "max_len", "determinant", "enumeration", "tail_bound"]
@@ -348,8 +343,8 @@ def _cmd_crossing(ns):
     if len(phi) != n_paths or len(rho) != n_paths:
         raise UsageError("--phi and --rho must each list one angle per path")
     lengths = parse_tuple(ns.lengths, "--lengths")
-    cap = _parse_int(ns.cap, "--cap")
-    ratios, slope = crossing_exponent_fit(phi, rho, lengths, cap)
+    _parse_int(ns.cap, "--cap")  # inert, but still validated
+    ratios, slope = crossing_exponent_fit(phi, rho, lengths)
     target = float(crossing_decay_rate(n_paths))
     rel = abs(slope - target) / target
     fit = [[v] * len(lengths) for v in (slope, target, rel)]
@@ -386,7 +381,7 @@ def _cmd_figure(ns):
     if ns.id == "7":
         radii = np.linspace(1.05, 3.0, 40)
         thetas = np.linspace(0.0, math.pi, 181)
-        (value,) = _stack(lambda r: (density_semicircle(3, r, thetas),), [radii], thetas.shape)
+        value = density_semicircle(3, radii[:, None], thetas)
         return ["x", "y", "value"], [*_cartesian(radii, thetas), value]
     if ns.id in ("8", "9"):
         n_paths = 5 if ns.id == "8" else 20
@@ -513,7 +508,7 @@ def build_parser():
     p.add_argument("--lengths", default="6,8,10,12", help="comma tuple of rectangle lengths")
     p.add_argument("--phi", default=None, help="comma tuple of start angles")
     p.add_argument("--rho", default=None, help="comma tuple of end angles")
-    p.add_argument("--cap", default="8", help="largest partition part (frequencies 1..N+cap)")
+    p.add_argument("--cap", default="8", help="ignored: the truncation is certified")
     _add_common(p, policy=False)
 
     p = sub.add_parser("lattice-validate", help="random-walk refinement table")

@@ -130,7 +130,7 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
 
 
 def _check_radius(r):
-    if not (r > 1.0):
+    if not np.all(np.asarray(r) > 1.0):
         raise DomainError("radius must exceed 1")
 
 
@@ -147,7 +147,8 @@ def kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
 
 def density_semicircle(n_paths, r, theta):
     """One-point density on the arc of radius r, the kernel diagonal
-    (2/(pi r)) sum_{n<=N} sin^2(n theta).  theta may be an array."""
+    (2/(pi r)) sum_{n<=N} sin^2(n theta).  theta and r may be arrays that
+    broadcast together: the series is summed once over theta, divided by r."""
     _check_paths(n_paths)
     _check_radius(r)
     return _sine_series(np.full(n_paths, _TWO_OVER_PI), theta, theta) / r

@@ -511,3 +511,15 @@ def square_grid_network(nx, ny, step_weight=0.25):
                 edges.append((id_of[(i, j)], id_of[nb], step_weight))
     net = Network(len(id_of), edges, interior, boundary)
     return net, id_of
+
+
+def grid_fomin_check(size, rows):
+    """(walk determinant, exact enumeration, sum of both sides' rounding
+    bounds) on the size x size square_grid_network, for paths from the left
+    to the right end of each of the interior `rows`."""
+    net, id_of = square_grid_network(size, size)
+    a = tuple(id_of[(i, -1)] for i in rows)
+    b = tuple(id_of[(i, size)] for i in rows)
+    det = fomin_det(net, (a, b))
+    brute, bound = brute_force_fomin(net, (a, b))
+    return det, brute, bound + fomin_det_bound(net, (a, b))

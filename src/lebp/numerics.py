@@ -6,10 +6,11 @@ det_lu_bounded, the same value with a certified Hadamard-type bound on its
 rounding and on given entrywise errors), batched
 Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber norms
 and free-end minor sums reduce to), the graded determinant det(A C B^T) that
-every kernel determinant reduces to, overflow-safe sinh ratios, and
-certified tail bounds for polynomial-times-geometric series.  Everything
-downstream (rectangle kernels, passage densities, correlation kernels,
-lattice checks) builds on these primitives.
+every kernel determinant reduces to, and overflow-safe sinh ratios.
+Everything downstream (rectangle kernels, passage densities, correlation
+kernels, lattice checks) builds on these primitives.  The one truncation
+rule of the sine series lives with their coefficients, in
+rect_kernels._series_terms.
 """
 
 import math
@@ -326,38 +327,6 @@ def sinh_ratio(n, num, den):
         raise DomainError("num and den must be positive")
     out = np.exp(n * (num - den)) * (np.expm1(-2.0 * n * num) / np.expm1(-2.0 * n * den))
     return float(out) if out.ndim == 0 else out
-
-
-def poly_geom_tail(q, factors, n_start):
-    """Upper bound for sum_{n >= n_start} q**n * prod_i (n + c_i)**p_i.
-
-    factors is a sequence of (c, p) pairs with c > -n_start and p >= 0.  The
-    sum is accumulated term by term until the one-step ratio drops below
-    (1+q)/2, at which point a geometric majorant closes the tail; the ratio
-    is monotone decreasing, so the bound is rigorous.
-    """
-    if not (0.0 < q < 1.0):
-        raise DomainError("q must lie in (0, 1)")
-    cutoff = 0.5 * (1.0 + q)
-
-    def term(n):
-        t = q**n
-        for c, p in factors:
-            t *= (n + c) ** p
-        return t
-
-    total = 0.0
-    n = n_start
-    t = term(n)
-    while True:
-        r = q
-        for c, p in factors:
-            r *= ((n + 1.0 + c) / (n + c)) ** p
-        if r <= cutoff:
-            return total + t / (1.0 - r)
-        total += t
-        n += 1
-        t = term(n)
 
 
 def pfaffian(a, border=None):

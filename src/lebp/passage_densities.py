@@ -36,26 +36,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import block_rows, graded_pfaffian, pfaffian, poly_geom_tail
-from .rect_kernels import (
-    _boundary_det,
-    _inner_det,
-    angle_tuples,
-    boundary_coeffs,
-    hat_h,
-    inner_coeffs,
-    weyl_point,
-)
+from .numerics import block_rows, graded_pfaffian, pfaffian
+from .rect_kernels import _boundary_det, _inner_det, _majorant, _majorant_tail, _series_terms
+from .rect_kernels import angle_tuples, boundary_coeffs, hat_h, inner_coeffs, weyl_point
 
 _TWO_OVER_PI = 2.0 / math.pi
 
 
 @dataclass(frozen=True)
 class ChamberSequence:
-    """Ordered cut positions 0 < x_1 < ... < x_M, optionally inside (0, L)."""
+    """Ordered cut positions 0 < x_1 < ... < x_M."""
 
     cuts: tuple
-    L: float = None
 
     def __post_init__(self):
         cuts = tuple(float(x) for x in self.cuts)
@@ -63,10 +55,7 @@ class ChamberSequence:
             raise DomainError("need at least one cut")
         if cuts[0] <= 0.0 or any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise DomainError("cuts must be strictly increasing and positive")
-        if self.L is not None and not (float(self.L) > cuts[-1]):
-            raise DomainError("L must exceed the last cut")
         object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "L", None if self.L is None else float(self.L))
 
     @property
     def m(self):
@@ -130,53 +119,36 @@ def ordered_sine_det_integral(freqs):
 def _norm_series(kind, L, x, n, tol, n_max):
     """Truncated kernel coefficients for an N-path chamber norm.
 
-    The kernel is sum_m c_m sin(m theta) sin(m rho).  Dropping every m > M
-    changes the norm by at most
+    The kernel is sum_m c_m sin(m theta) sin(m rho), and T is the
+    closed-form sum over every m of the majorant of c_m
+    (rect_kernels._majorant).  Dropping every m > M changes the norm by at
+    most
 
-        N^N pi^N / (N! (N-1)!) * sum_{m>M} c_m * (sum_m c_m)^(N-1)
+        N^N pi^N / (N! (N-1)!) * T^(N-1) * sum_{m>M} c_m
 
     (Cauchy-Binet over frequency sets: Hadamard bounds both sine
     determinants, and the sets using some m > M carry at most that tail
-    times the elementary symmetric sum of the rest).  M is the first
-    truncation whose bound meets the policy tol, sharpened toward machine
-    relative precision of the leading term so exponentially small norms
-    keep their relative accuracy.
+    times the elementary symmetric sum of the rest).  So M is the
+    rect_kernels._series_terms truncation at the norm's target over that
+    factor: the policy tol, sharpened toward machine relative precision of
+    the leading term so exponentially small norms stay relatively accurate.
 
     kind "boundary" uses the boundary-kernel coefficients (x ignored); kind
-    "inner" the interior ones at cut x.  Returns (c_1..c_M, bound); the
-    array is cached, callers must not mutate it.
+    "inner" the interior ones at cut x.  Returns (c_1..c_M, bound on the
+    norm); the array is cached, callers must not mutate it.
     """
-    if kind == "boundary":
-        q, factors, coeff = math.exp(-L), [(0.0, 1)], lambda f: boundary_coeffs(f, L)
-    else:
-        q, factors, coeff = math.exp(-(L - x)), [], lambda f: inner_coeffs(f, x, L)
-
-    # c_m <= majorant * m^(1 or 0) * q^m for both kinds
-    majorant = _TWO_OVER_PI * 2.0 / -math.expm1(-2.0 * L)
-    const = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
-
-    def bound(m_max):
-        tail = majorant * poly_geom_tail(q, factors, m_max + 1)
-        total = float(coeff(np.arange(1.0, m_max + 1)).sum()) + tail
-        return const * tail * total ** (n - 1)
-
-    lead = abs(
-        float(np.prod(coeff(np.arange(1.0, n + 1))))
-        * ordered_sine_det_integral(tuple(range(1, n + 1)))
-    )
+    first = np.arange(1.0, n + 1)
+    lead_coeffs = boundary_coeffs(first, L) if kind == "boundary" else inner_coeffs(first, x, L)
+    lead = abs(float(np.prod(lead_coeffs)) * ordered_sine_det_integral(tuple(range(1, n + 1))))
     if lead < sys.float_info.min:
         raise PrecisionError("chamber norm underflows; it is out of range")
-    target = min(tol, lead * 1e-15)
-    m_max = n
-    achieved = bound(m_max)
-    while achieved > target:
-        if m_max >= n_max:
-            raise TruncationError(
-                f"norm series reached frequency budget {n_max}", achieved=achieved
-            )
-        m_max = min(n_max, m_max + max(1, m_max // 4))
-        achieved = bound(m_max)
-    return coeff(np.arange(1.0, m_max + 1)), achieved
+    factor = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
+    factor *= _majorant_tail(*_majorant(kind, x, L), 0) ** (n - 1)
+    try:
+        coefs, tail = _series_terms(kind, x, L, min(tol, lead * 1e-15) / factor, n, n_max)
+    except TruncationError as exc:
+        raise TruncationError(f"norm {exc}", factor * exc.achieved) from None
+    return coefs, factor * tail
 
 
 def _chamber_norm(coefs, angles):
@@ -201,13 +173,6 @@ def norm_boundary(cfg, pol, phi):
     return float(_chamber_norm(coefs, phi))
 
 
-def _check_cut(cfg, pol, x):
-    if not (0.0 < x < cfg.L):
-        raise DomainError("need 0 < x < L")
-    if cfg.L - x < pol.min_gap:
-        raise PrecisionError(f"gap {cfg.L - x:.3g} below policy min_gap")
-
-
 def norm_inner(cfg, pol, x, theta):
     """Chamber integral over rho of det[H(x + i*theta_j, L + i*rho_k)].
 
@@ -218,7 +183,10 @@ def norm_inner(cfg, pol, x, theta):
     antisymmetrically off the ordered chamber.
     """
     theta = angle_tuples(theta)
-    _check_cut(cfg, pol, x)
+    if not (0.0 < x < cfg.L):
+        raise DomainError("need 0 < x < L")
+    if cfg.L - x < pol.min_gap:
+        raise PrecisionError(f"gap {cfg.L - x:.3g} below policy min_gap")
     coefs, _ = _norm_series("inner", cfg.L, x, theta.shape[-1], pol.tol, pol.n_max)
     out = _chamber_norm(coefs, theta)
     return float(out) if np.ndim(out) == 0 else out
@@ -240,7 +208,7 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
     formed and the density keeps its relative accuracy at every cut where
     c_N is representable.  In the rectangle of length cfg.L the end
     normalization is the norm ratio norm_inner(x_M, theta_M) /
-    norm_boundary(phi); seq.L, when given, must equal cfg.L.
+    norm_boundary(phi).
 
     phi None is the midpoint start, in the strip only: the paths enter from
     x -> -infinity, the origin of the half-plane under w = e^z.  Only the
@@ -258,8 +226,6 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
     n = thetas[0].size
     if any(t.size != n for t in thetas):
         raise DomainError("all angle tuples must have equal length")
-    if seq.L is not None and (cfg is None or seq.L != cfg.L):
-        raise DomainError("sequence and config disagree about L")
     cuts = seq.cuts
     if cfg is not None and not (cuts[-1] < cfg.L):
         raise DomainError("cuts must lie inside (0, L)")

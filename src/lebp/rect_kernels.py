@@ -1,8 +1,9 @@
 """Poisson kernels of the rectangle (0, L) x (0, pi) and their determinants.
 
 The interior-to-edge kernel and the edge-to-edge (normal derivative) kernel
-are Fourier sine series with sinh-ratio coefficients; both are evaluated with
-certified geometric tail bounds.  Their determinants over tuples of ordered
+are Fourier sine series with sinh-ratio coefficients; one rule
+(_series_terms) truncates every series built from them, with a certified
+geometric tail bound.  Their determinants over tuples of ordered
 angles, the building blocks of nonintersecting-path densities, all factor as
 det(A diag(c) B^T) with A[j, n] = sin(n phi_j), B[k, n] = sin(n rho_k), and go
 through numerics.graded_det, which keeps their leading exponential decay out
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import UNIT_ROUNDOFF, TailBoundedValue, block_rows, graded_det, sinh_ratio
+from .numerics import DEFAULT_POLICY, UNIT_ROUNDOFF, TailBoundedValue
+from .numerics import block_rows, graded_det, sinh_ratio
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -132,47 +134,50 @@ def _sine_series(coeffs, theta, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _inner_terms(pol, x, L, target, at_least=1):
-    """Interior coefficients (2/pi) sinh(n x)/sinh(n L), n = 1..n0, for the
-    first n0 >= at_least whose tail c q^(n0+1) / (1 - q), q = e^{x - L}, is
-    at most target; returns (coefficients, tail).  Needs L - x >=
-    pol.min_gap, the gap that makes the tail certifiable."""
-    gap = L - x
-    if gap < pol.min_gap:
-        raise PrecisionError(f"gap {gap:.3g} below policy min_gap {pol.min_gap:.3g}")
+def _majorant(kind, x, L):
+    """(c, p, gap) with every coefficient of the family `kind` at most
+    c n^p e^{-n gap}: "inner" (2/pi) sinh(n x)/sinh(n L) <= C e^{-n (L - x)},
+    "boundary" (2/pi) n/sinh(n L) <= 2C n e^{-n L}; C = (2/pi)/(1 - e^{-2L})."""
+    p = int(kind == "boundary")
+    gap = L if p else L - x
+    if math.exp(-gap) == 1.0:
+        raise TruncationError(f"no number of terms certifies a gap of {gap:.3g}", math.inf)
+    return (1 + p) * _TWO_OVER_PI / -math.expm1(-2.0 * L), p, gap
+
+
+def _majorant_tail(c, p, gap, n0):
+    """sum_{n > n0} c n^p q^n, q = e^{-gap}, in closed form (p = 0 or 1)."""
     q = math.exp(-gap)
-    c = _TWO_OVER_PI / -math.expm1(-2.0 * L)
+    return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) ** p / (1.0 - q) ** (1 + p)
+
+
+def _series_terms(kind, x, L, target, at_least, n_max):
+    """The one truncation rule of every sine series: (c_1..c_n0, tail) of the
+    family `kind` for the first n0 >= at_least whose _majorant_tail is at
+    most target.  n0 starts at the closed-form inverse of the p = 0 tail
+    (which meets the target of the interior family, up to rounding) and
+    steps by n0 // 8; more than n_max terms raise TruncationError with the
+    tail at n_max."""
+    if not target > 0.0:
+        raise PrecisionError("kernel coefficients underflow; the value is out of range")
+    c, p, gap = _majorant(kind, x, L)
+    q = math.exp(-gap)
     n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / gap - 1.0))
-    if n0 > pol.n_max:
-        achieved = c * q ** (pol.n_max + 1) / (1.0 - q)
+    while n0 < n_max and _majorant_tail(c, p, gap, n0) > target:
+        n0 = min(n_max, n0 + max(1, n0 // 8))
+    if n0 > n_max or _majorant_tail(c, p, gap, n0) > target:
         raise TruncationError(
-            f"series needs {n0} terms, policy allows {pol.n_max}", achieved=achieved
+            f"series needs more than {n_max} terms", achieved=_majorant_tail(c, p, gap, n_max)
         )
-    return inner_coeffs(np.arange(1, n0 + 1), x, L), c * q ** (n0 + 1) / (1.0 - q)
+    n = np.arange(1, n0 + 1)
+    return (boundary_coeffs(n, L) if p else inner_coeffs(n, x, L)), _majorant_tail(c, p, gap, n0)
 
 
-def _boundary_terms(pol, L, target, at_least=1):
-    """Edge-to-edge coefficients (2/pi) n / sinh(n L), n = 1..n0, for the
-    first n0 >= at_least (searched in steps of n0 // 8) whose tail is at
-    most target; returns (coefficients, tail)."""
-    q = math.exp(-L)
-    if q == 1.0:
-        # L below about 1e-16: no number of terms certifies the tail
-        raise TruncationError(f"series needs more than {pol.n_max} terms", achieved=math.inf)
-    c = 2.0 * _TWO_OVER_PI / -math.expm1(-2.0 * L)
-
-    def tail(n0):
-        # sum_{n > n0} n q^n in closed form, times c
-        return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) / (1.0 - q) ** 2
-
-    n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / L - 1.0))
-    while tail(n0) > target:
-        n0 += max(1, n0 // 8)
-        if n0 > pol.n_max:
-            raise TruncationError(
-                f"series needs more than {pol.n_max} terms", achieved=tail(pol.n_max)
-            )
-    return boundary_coeffs(np.arange(1, n0 + 1), L), tail(n0)
+def _inner_terms(pol, x, L, target, at_least=1):
+    """_series_terms of the interior family; needs L - x >= pol.min_gap."""
+    if L - x < pol.min_gap:
+        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {pol.min_gap:.3g}")
+    return _series_terms("inner", x, L, target, at_least, pol.n_max)
 
 
 def _interior_series(pol, x, L, theta, rho, skip=0):
@@ -202,16 +207,13 @@ def boundary_poisson_rect(cfg, pol, phi, rho):
 
     phi and rho broadcast together.  Returns TailBoundedValue(value, bound).
     """
-    coeffs, tail = _boundary_terms(pol, cfg.L, pol.tol)
+    coeffs, tail = _series_terms("boundary", 0.0, cfg.L, pol.tol, 1, pol.n_max)
     return TailBoundedValue(_sine_series(coeffs, phi, rho), tail)
 
 
 def _det_target(pol, c_n):
     """Coefficient-tail target of an N x N kernel determinant: min(pol.tol, u c_N)."""
-    target = min(pol.tol, UNIT_ROUNDOFF * float(c_n))
-    if not target > 0.0:
-        raise PrecisionError("kernel coefficients underflow; the determinant is out of range")
-    return target
+    return min(pol.tol, UNIT_ROUNDOFF * float(c_n))
 
 
 def _kernel_det(coeffs, start, rho):
@@ -233,7 +235,8 @@ def _boundary_det(pol, L, phi, rho):
     """(prod_{n<=N} c_n, the rest) of det[ H_boundary(i*phi_j, L + i*rho_k) ],
     c_n = (2/pi) n / sinh(n L); the rest needs only c_N representable."""
     n = weyl_point(phi).size
-    coeffs, _ = _boundary_terms(pol, L, _det_target(pol, boundary_coeffs(n, L)), n)
+    target = _det_target(pol, boundary_coeffs(n, L))
+    coeffs, _ = _series_terms("boundary", 0.0, L, target, n, pol.n_max)
     return np.prod(coeffs[:n]), _kernel_det(coeffs, phi, rho)
 
 
@@ -280,24 +283,20 @@ def hat_h(theta):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def crossing_ratio(cfg, phi, rho, partition_cap=8):
+def crossing_ratio(cfg, phi, rho):
     """Boundary determinant divided by the product of its diagonal entries.
 
     Measures the cost of keeping N paths mutually avoiding: decays like
     exp(-N(N-1)/2 * L) as the rectangle stretches.  The numerator and every
-    diagonal entry are graded determinants over the frequencies
-    1..N+partition_cap, so the ratio keeps its relative accuracy where the
-    assembled determinant cancels.
+    diagonal entry are graded determinants (fomin_boundary_det, N x N and
+    1 x 1) truncated at _det_target, so the ratio keeps its relative
+    accuracy where the assembled determinant cancels.
     """
     phi, rho = weyl_point(phi), weyl_point(rho)
-    if partition_cap < 0:
-        raise DomainError("partition_cap must be nonnegative")
-    coeffs = boundary_coeffs(np.arange(1, phi.size + partition_cap + 1), cfg.L)
-    diagonal = coeffs[: 1 + partition_cap]
-    den = math.prod(diagonal[0] * _kernel_det(diagonal, (p,), (r,)) for p, r in zip(phi, rho))
+    den = math.prod(fomin_boundary_det(cfg, DEFAULT_POLICY, (p,), (r,)) for p, r in zip(phi, rho))
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
-    return _assembled(np.prod(coeffs[: phi.size]), _kernel_det(coeffs, phi, rho)) / den
+    return fomin_boundary_det(cfg, DEFAULT_POLICY, phi, rho) / den
 
 
 # start and end angles of the built-in crossing fits, by number of paths
@@ -307,7 +306,7 @@ CROSSING_CASES = {
 }
 
 
-def crossing_exponent_fit(phi, rho, lengths, partition_cap=8):
+def crossing_exponent_fit(phi, rho, lengths):
     """Crossing ratios at each rectangle length and the decay exponent
     -d log(ratio)/dL of their least-squares line; returns (ratios, slope).
     A line needs at least two distinct lengths."""
@@ -315,9 +314,7 @@ def crossing_exponent_fit(phi, rho, lengths, partition_cap=8):
     # min < max rather than np.unique, which imports numpy.ma on float input
     if not (lengths.size and lengths.min() < lengths.max()):
         raise DomainError("need at least two distinct rectangle lengths to fit a slope")
-    ratios = np.array(
-        [crossing_ratio(RectConfig(float(L)), phi, rho, partition_cap) for L in lengths]
-    )
+    ratios = np.array([crossing_ratio(RectConfig(float(L)), phi, rho) for L in lengths])
     slope = -float(np.polyfit(lengths, np.log(ratios), 1)[0])
     return ratios, slope
 

@@ -27,7 +27,7 @@ from .correlation import (
     two_point_semicircle,
 )
 from .errors import DomainError
-from .graph_fomin import brute_force_fomin, fomin_det, fomin_det_bound, square_grid_network
+from .graph_fomin import grid_fomin_check
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
 from .passage_densities import norm_boundary, norm_inner
@@ -102,13 +102,8 @@ def check_fomin_identity(pol=DEFAULT_POLICY):
     enumeration over self-avoiding paths; must agree within the sum of both
     sides' certified rounding bounds."""
     del pol  # exact rational walk sums; no series policy involved
-    net, id_of = square_grid_network(3, 3)
-    a = (id_of[(0, -1)], id_of[(2, -1)])
-    b = (id_of[(0, 3)], id_of[(2, 3)])
     start = time.perf_counter()
-    det = fomin_det(net, (a, b))
-    brute, bound = brute_force_fomin(net, (a, b))
-    bound += fomin_det_bound(net, (a, b))
+    det, brute, bound = grid_fomin_check(3, (0, 2))
     elapsed = time.perf_counter() - start
     diff = abs(det - brute)
     return [

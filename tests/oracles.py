@@ -32,8 +32,6 @@ def joint_pdf_special_start_dets(pol, seq, thetas):
     None.
     """
     thetas = [weyl_point(t) for t in thetas]
-    if seq.L is not None:
-        raise DomainError("midpoint start lives in the infinite strip; seq.L must be None")
     if len(thetas) != seq.m:
         raise DomainError("need one angle tuple per cut")
     cuts = seq.cuts
@@ -62,3 +60,36 @@ def crossing_prefactor(phi, rho):
     n = phi.size
     sines = np.prod(np.sin(phi) * np.sin(rho))
     return 2.0 ** (n * (n - 1)) * math.factorial(n) * hat_h(phi) * hat_h(rho) / sines
+
+
+def poly_geom_tail(q, factors, n_start):
+    """Upper bound for sum_{n >= n_start} q**n * prod_i (n + c_i)**p_i, the
+    tail of the partition-expansion oracle in test_rect_kernels.
+
+    factors is a sequence of (c, p) pairs with c > -n_start and p >= 0.  The
+    sum is accumulated term by term until the one-step ratio drops below
+    (1+q)/2, at which point a geometric majorant closes the tail; the ratio
+    is monotone decreasing, so the bound is rigorous.
+    """
+    if not (0.0 < q < 1.0):
+        raise DomainError("q must lie in (0, 1)")
+    cutoff = 0.5 * (1.0 + q)
+
+    def term(n):
+        t = q**n
+        for c, p in factors:
+            t *= (n + c) ** p
+        return t
+
+    total = 0.0
+    n = n_start
+    t = term(n)
+    while True:
+        r = q
+        for c, p in factors:
+            r *= ((n + 1.0 + c) / (n + c)) ** p
+        if r <= cutoff:
+            return total + t / (1.0 - r)
+        total += t
+        n += 1
+        t = term(n)

@@ -373,18 +373,26 @@ def test_crossing_exponent_fit_columns():
 
 
 def test_crossing_exponent_rows_are_library_ratios():
-    code, out, _ = run_cli(["crossing-exponent", "--paths", "3", "--cap", "12"])
+    code, out, _ = run_cli(["crossing-exponent", "--paths", "3"])
     assert code == 0
     header, rows = rows_of(out)
     phi, rho = CROSSING_CASES[3]
     for row in rows:
         length = float(row[header.index("length")])
-        want = crossing_ratio(RectConfig(length), phi, rho, 12)
+        want = crossing_ratio(RectConfig(length), phi, rho)
         assert row[header.index("ratio")] == _fmt(want)
 
 
+def test_crossing_exponent_cap_is_validated_but_changes_nothing():
+    runs = [run_cli(["crossing-exponent", "--paths", "3", "--cap", cap]) for cap in ("3", "12")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    code, _, err = run_cli(["crossing-exponent", "--cap", "0"])
+    assert code == 2 and "--cap" in err
+
+
 def test_crossing_exponent_takes_no_series_policy():
-    # the partition expansion has no series policy; its old flags are gone
+    # the crossing ratio truncates at its own certified target; the
+    # policy flags are gone
     for flag in ("--tol", "--n-max", "--min-gap"):
         with pytest.raises(SystemExit) as exc:
             run_cli(["crossing-exponent", "--paths", "2", flag, "1"])

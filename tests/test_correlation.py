@@ -254,12 +254,9 @@ def test_joint_special_start_marginalizes():
 
 
 def test_joint_special_start_validates_input():
-    finite = ChamberSequence((0.4, 0.9), L=2.0)
-    with pytest.raises(DomainError):
-        joint_pdf(None, POL, finite, [(1.0,), (1.1,)])
-    with pytest.raises(DomainError, match="midpoint start"):
-        joint_pdf(RectConfig(2.0), POL, finite, [(1.0,), (1.1,)])
     seq = ChamberSequence((0.4, 0.9))
+    with pytest.raises(DomainError, match="midpoint start"):
+        joint_pdf(RectConfig(2.0), POL, seq, [(1.0,), (1.1,)])
     with pytest.raises(DomainError):
         joint_pdf(None, POL, seq, [(1.0,)])
     with pytest.raises(DomainError):
@@ -362,6 +359,8 @@ def test_semicircle_needs_radius_beyond_one():
     with pytest.raises(DomainError):
         density_semicircle(2, 0.9, 1.0)
     with pytest.raises(DomainError):
+        density_semicircle(2, np.array([[2.0], [0.9]]), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
         two_point_semicircle(POL, 2, 2.0, 1.0, 0.5, 1.2)
 
 
@@ -415,10 +414,12 @@ def test_series_branches_match_scalar_calls_bitwise():
     # near-diagonal and small-angle points, with enough paths (9) that a
     # sum over the wrong axis would change the last bits
     th = np.concatenate([np.linspace(0.0, 9e-4, 7), np.linspace(1.0, 1.0 + 1e-7, 5), [math.pi]])
-    dens = density_semicircle(9, 2.0, th)
+    radii = np.array([1.05, 2.0, 3.7])
+    dens = density_semicircle(9, radii[:, None], th)
     kern = kernel_semicircle(POL, 9, 2.0, th[:, None], 2.0, th[None, :]).value
     for i, t in enumerate(th.tolist()):
-        assert dens[i] == density_semicircle(9, 2.0, t)
+        for k, r in enumerate(radii.tolist()):
+            assert dens[k, i] == density_semicircle(9, r, t)
         for j, tp in enumerate(th.tolist()):
             assert kern[i, j] == kernel_semicircle(POL, 9, 2.0, t, 2.0, tp).value
 

@@ -19,7 +19,6 @@ from lebp.numerics import (
     graded_pfaffian,
     ordered_minor_sum,
     pfaffian,
-    poly_geom_tail,
     sinh_ratio,
 )
 
@@ -359,24 +358,6 @@ def test_sinh_ratio_vectorized_and_validated():
         sinh_ratio(0, 1.0, 2.0)
     with pytest.raises(DomainError):
         sinh_ratio(1, -1.0, 2.0)
-
-
-def test_poly_geom_tail_is_a_valid_and_reasonable_bound():
-    cases = [
-        (0.7, [(0.0, 2)], 5),
-        (0.95, [(1.0, 3)], 10),
-        (0.1, [(2.0, 1), (0.0, 1)], 1),
-    ]
-    for q, factors, n0 in cases:
-        actual = 0.0
-        for n in range(n0, 5000):
-            t = q**n
-            for c, p in factors:
-                t *= (n + c) ** p
-            actual += t
-        bound = poly_geom_tail(q, factors, n0)
-        assert bound >= actual
-        assert bound <= 100 * actual
 
 
 def test_ordered_minor_sum_matches_brute_force():

@@ -349,7 +349,7 @@ def test_joint_pdf_telescopes_into_transitions():
     cfg = RectConfig(2.0)
     phi = [0.9, 2.0]
     th_a, th_b = [1.0, 2.2], [0.8, 1.9]
-    seq = ChamberSequence((0.7, 1.2), L=2.0)
+    seq = ChamberSequence((0.7, 1.2))
     # the transition factor to the second cut: the interior determinant of
     # the sub-rectangle ending there times a norm ratio
     det = fomin_inner_det(RectConfig(1.2), POL, 0.7, th_a, th_b)
@@ -368,7 +368,7 @@ def test_joint_pdf_single_cut_reduces_to_marginal():
     cfg = RectConfig(2.0)
     phi = [0.9, 2.0]
     th = [1.0, 2.2]
-    seq = ChamberSequence((0.9,), L=2.0)
+    seq = ChamberSequence((0.9,))
     assert joint_pdf(cfg, POL, seq, [th], phi) == pytest.approx(
         _one_cut(cfg, 0.9, th, phi), rel=1e-13
     )
@@ -448,8 +448,6 @@ def test_chamber_sequence_validation():
         ChamberSequence((1.0, 0.5))
     with pytest.raises(DomainError):
         ChamberSequence((-0.5, 1.0))
-    with pytest.raises(DomainError):
-        ChamberSequence((0.5, 1.0), L=1.0)
 
 
 def test_density_domain_errors():
@@ -471,13 +469,5 @@ def test_density_domain_errors():
         joint_pdf(cfg, POL, ChamberSequence((0.7, 2.5)), [[1.0], [1.0]], [1.0])
     with pytest.raises(DomainError):
         joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0]], [1.0, 2.0])
-    with pytest.raises(DomainError):
-        joint_pdf(
-            cfg,
-            POL,
-            ChamberSequence((0.5, 1.0), L=3.0),
-            [[1.0], [1.1]],
-            [1.0],
-        )
     with pytest.raises(DomainError):
         joint_pdf(cfg, POL, ChamberSequence((0.5, 2.5)), [[1.0], [1.1]], [1.0])

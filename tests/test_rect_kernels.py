@@ -10,12 +10,12 @@ from lebp.numerics import (
     det_lu,
     gauss_legendre,
     graded_det,
-    poly_geom_tail,
 )
 from lebp import numerics
 from lebp.correlation import density_semicircle, kernel_strip
 from lebp.rect_kernels import (
     RectConfig,
+    _series_terms,
     _sine_series,
     boundary_coeffs,
     boundary_poisson_rect,
@@ -25,10 +25,11 @@ from lebp.rect_kernels import (
     fomin_boundary_det,
     fomin_inner_det,
     hat_h,
+    inner_coeffs,
     poisson_rect,
     weyl_point,
 )
-from oracles import crossing_prefactor
+from oracles import crossing_prefactor, poly_geom_tail
 
 PI = math.pi
 POL = SeriesPolicy(tol=1e-14)
@@ -172,6 +173,33 @@ def test_tail_bound_is_honest():
     loose = boundary_poisson_rect(cfg, loose_pol, 0.9, 2.0)
     tight = boundary_poisson_rect(cfg, POL, 0.9, 2.0)
     assert abs(loose.value - tight.value) <= loose.bound
+
+
+@pytest.mark.parametrize(
+    "kind, x, L, target, at_least",
+    [
+        ("inner", 0.4, 1.2, 1e-12, 1),
+        ("inner", 1.1, 1.2, 1e-16, 3),
+        ("inner", 2.0, 9.0, 1e-3, 5),
+        ("boundary", 0.0, 0.3, 2e-16, 3),
+        ("boundary", 0.0, 2.5, 1e-12, 1),
+        ("boundary", 0.0, 12.0, 1e-25, 2),
+    ],
+)
+def test_series_terms_certify_their_tail(kind, x, L, target, at_least):
+    # the one truncation rule of every series: the closed-form majorant tail
+    # meets the target and bounds the true tail of the coefficients
+    coeffs, tail = _series_terms(kind, x, L, target, at_least, 100_000)
+    n0 = coeffs.size
+    assert n0 >= at_least and tail <= target
+    rest = np.arange(n0 + 1, 40 * n0 + 200)
+    true_tail = (boundary_coeffs(rest, L) if kind == "boundary" else inner_coeffs(rest, x, L)).sum()
+    assert true_tail <= tail
+    # the search steps by n0 // 8, so half the terms never suffice
+    if n0 // 2 >= at_least:
+        with pytest.raises(TruncationError) as exc:
+            _series_terms(kind, x, L, target, at_least, n0 // 2)
+        assert exc.value.achieved > target
 
 
 def test_kernels_are_positive_inside():
@@ -433,6 +461,24 @@ def _graded_boundary_det(length, phi, rho, frequencies):
     return np.prod(c[: len(phi)]) * graded_det(a, c, b, det_lu(a[:, : len(phi)]))
 
 
+def test_poly_geom_tail_is_a_valid_and_reasonable_bound():
+    cases = [
+        (0.7, [(0.0, 2)], 5),
+        (0.95, [(1.0, 3)], 10),
+        (0.1, [(2.0, 1), (0.0, 1)], 1),
+    ]
+    for q, factors, n0 in cases:
+        actual = 0.0
+        for n in range(n0, 5000):
+            t = q**n
+            for c, p in factors:
+                t *= (n + c) ** p
+            actual += t
+        bound = poly_geom_tail(q, factors, n0)
+        assert bound >= actual
+        assert bound <= 100 * actual
+
+
 def test_partitions_graded_order():
     got = list(partitions(3, 2))
     assert got == [(0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 1)]
@@ -543,10 +589,11 @@ def _mp_crossing_ratio(length, phi, rho):
 )
 def test_crossing_ratio_matches_mpmath_oracle(phi, rho):
     # the ratio falls to 5e-14 at L = 12 (N = 3), far below the cancellation
-    # floor of a determinant of double-precision kernel values
-    for length in (6.0, 8.0, 10.0, 12.0):
+    # floor of a determinant of double-precision kernel values; at short
+    # lengths the series need hundreds of terms
+    for length in (0.3, 0.6, 6.0, 8.0, 10.0, 12.0):
         want = _mp_crossing_ratio(length, phi, rho)
-        got = crossing_ratio(RectConfig(length), phi, rho, 12)
+        got = crossing_ratio(RectConfig(length), phi, rho)
         assert abs(got - want) <= 1e-13 * abs(want), (length, got, want)
 
 
