@@ -29,11 +29,12 @@ _EXPORTS = {
     "lattice_validation": (
         "LatticeStrip", "boundary_refinement", "density_refinement",
         "discrete_first_passage_density", "discrete_green", "exit_right",
-        "first_passage_decomposition", "ordered_minor_sum",
+        "first_passage_decomposition",
     ),
     "numerics": (
         "DEFAULT_POLICY", "QuadratureRule", "SeriesPolicy", "TailBoundedValue",
-        "chamber_integrate", "det_lu", "det_lu_bounded", "gauss_legendre", "sinh_ratio",
+        "chamber_integrate", "det_lu", "det_lu_bounded", "gauss_legendre", "ordered_minor_sum",
+        "sinh_ratio",
     ),
     "passage_densities": (
         "ChamberSequence", "joint_pdf", "norm_boundary", "norm_inner",

@@ -17,9 +17,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .numerics import TailBoundedValue, det_lu, sinh_ratio
-from .rect_kernels import RectConfig, poisson_rect
-from .rect_kernels import _interior_series, _sine_series
+from .numerics import TailBoundedValue, det_lu
+from .rect_kernels import RectConfig, _series, _sine_series, inner_coeffs, poisson_rect
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -76,11 +75,9 @@ def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
     if not (x > 0.0 and x_prime > 0.0):
         raise DomainError("cut positions must be positive")
     if x <= x_prime:
-        n = np.arange(1, n_paths + 1)
-        coeffs = _TWO_OVER_PI * sinh_ratio(n, x_prime, x)
-        value = _sine_series(np.atleast_1d(coeffs), theta, theta_prime)
-        return TailBoundedValue(value, 0.0)
-    tail = _interior_series(pol, x_prime, x, theta, theta_prime, skip=n_paths)
+        coeffs = inner_coeffs(np.arange(1, n_paths + 1), x_prime, x)
+        return TailBoundedValue(_sine_series(coeffs, theta, theta_prime), 0.0)
+    tail = _series(pol, x_prime, x, theta, theta_prime, skip=n_paths)
     return TailBoundedValue(-tail.value, tail.bound)
 
 
@@ -93,9 +90,8 @@ def kernel_strip_dual(pol, n_paths, x, theta, x_prime, theta_prime):
     _check_paths(n_paths)
     if not (x > x_prime > 0.0):
         raise DomainError("dual form needs x > x' > 0")
-    n = np.arange(1, n_paths + 1)
-    coeffs = _TWO_OVER_PI * sinh_ratio(n, x_prime, x)
-    finite = _sine_series(np.atleast_1d(coeffs), theta, theta_prime)
+    coeffs = inner_coeffs(np.arange(1, n_paths + 1), x_prime, x)
+    finite = _sine_series(coeffs, theta, theta_prime)
     h = poisson_rect(RectConfig(x), pol, x_prime, theta_prime, theta)
     return TailBoundedValue(finite - h.value, h.bound)
 

@@ -33,9 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _ordered_minor_sums, block_rows, det_lu, ordered_minor_sum
-from .passage_densities import norm_boundary, norm_inner
-from .rect_kernels import RectConfig, boundary_poisson_rect, fomin_boundary_det
+from .numerics import block_rows, det_lu, ordered_minor_sum
+from .passage_densities import ChamberSequence, joint_pdf
+from .rect_kernels import RectConfig, boundary_poisson_rect
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,6 @@ def _green_block(strip, sources, columns):
     return out
 
 
-def _green_columns(strip, sources):
-    """Green's function columns G(source, .) for a list of interior sources."""
-    block = _green_block(strip, sources, range(1, strip.cols + 1))
-    return block.reshape(len(sources), strip.size).T
-
-
 def _exit_rows(strip, sources):
     """Right-edge exit probabilities, one row per interior source."""
     return 0.25 * _green_block(strip, sources, [strip.cols])[:, 0, :]
@@ -223,7 +217,7 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
         block = combos[start : start + step]
         left = det_lu(np.swapaxes(lm[:, block], 0, 1))
         if ends is None:
-            right = _ordered_minor_sums(rm[block])
+            right = ordered_minor_sum(rm[block])
         else:
             right = det_lu(rm[block[:, :, None], cols[None, None, :]])
         out[tuple(block.T)] = left * right / norm
@@ -268,12 +262,11 @@ def boundary_refinement(
 
 def density_refinement(pol, levels=(15, 31, 63), starts16=(6, 10)):
     """Two-path free-end first-passage density at the mid cut of square
-    strips against the continuum two-path density, compared at every
-    ordered lattice row pair.  Returns one row per level: (h, max error).
+    strips against the continuum two-path density (joint_pdf), compared at
+    every ordered lattice row pair.  Returns one row per level: (h, max error).
     """
     cfg = RectConfig(math.pi)
     phi = tuple(s * math.pi / 16.0 for s in starts16)
-    denom = norm_boundary(cfg, pol, phi)
     rows = []
     for level in sorted(levels):
         strip = LatticeStrip(level, level)
@@ -282,13 +275,7 @@ def density_refinement(pol, levels=(15, 31, 63), starts16=(6, 10)):
         cut = (level + 1) // 2
         dens = discrete_first_passage_density(strip, 2, cut, starts)
         combos = np.array(list(itertools.combinations(range(level), 2)), dtype=int)
-        theta = (combos + 1) * h
-        x = cut * h
-        cont = (
-            fomin_boundary_det(RectConfig(x), pol, phi, theta)
-            * norm_inner(cfg, pol, x, theta)
-            / denom
-        )
+        cont = joint_pdf(cfg, pol, ChamberSequence((cut * h,)), [(combos + 1) * h], phi)
         err = np.abs(dens[combos[:, 0], combos[:, 1]] / h**2 - cont)
         rows.append((h, float(err.max())))
     return rows

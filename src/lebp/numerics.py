@@ -405,26 +405,19 @@ def _apply_sign(q):
     return c[..., -1:, :] - 2.0 * c + q
 
 
-def _ordered_minor_sums(m):
-    """ordered_minor_sum over matrices stacked on the leading axes of m
-    (shape (..., N, K) with N <= K)."""
-    m = np.asarray(m, dtype=float)
-    return graded_pfaffian(np.swapaxes(m, -1, -2), _apply_sign, np.ones(m.shape[-1]))
-
-
 def ordered_minor_sum(m):
     """Sum of det M[:, (c_1..c_N)] over all strictly increasing column tuples.
 
     Ishikawa-Wakayama minor summation (Stembridge 1990): the sum equals
     Pf(M J M^T) with J[b, b'] = sgn(b' - b), bordered by M @ 1 for odd N.
-    m has shape (N, K); N > K has no minors and gives exactly 0.0.
+    m has shape (..., N, K), one sum per stacked matrix, and each matrix
+    gets the bits it gets alone; a float comes back for a single matrix.
+    N > K has no minors and gives exactly 0.0, and N = 0 gives 1.0.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DomainError("ordered_minor_sum needs a matrix")
-    nrows, ncols = m.shape
-    if nrows > ncols:
-        return 0.0
-    if nrows == 0:
-        return 1.0
-    return float(_ordered_minor_sums(m))
+    batch, (nrows, ncols) = m.shape[:-2], m.shape[-2:]
+    if nrows > ncols or nrows == 0:
+        return _unstack(np.full(batch, float(nrows == 0)), batch)
+    return _unstack(graded_pfaffian(np.swapaxes(m, -1, -2), _apply_sign, np.ones(ncols)), batch)

@@ -12,9 +12,9 @@ ends.  The density on one cut is the M = 1 case.  The
 determinants are graded (numerics.graded_det): their leading coefficients
 are split off and telescope exactly, so in the strip the density never
 forms a sinh and keeps its relative accuracy at cuts far from the start
-edge, where each determinant is exponentially small or large.  The
-determinants (rect_kernels.fomin_*_det) and the norms (norm_inner) also
-take a stack of angle tuples, so a grid of densities is one call of each.
+edge, where each determinant is exponentially small or large.  joint_pdf
+takes a stack of angle tuples at its last cut, as the determinants and
+norm_inner do, so a grid of densities is one call.
 
 The chamber integrals (norms) integrate a kernel determinant over the
 ordered chamber.  The kernel is a separable sine series, so by de Bruijn
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import block_rows, graded_pfaffian, pfaffian
-from .rect_kernels import _boundary_det, _inner_det, _majorant, _majorant_tail, _series_terms
-from .rect_kernels import angle_tuples, boundary_coeffs, hat_h, inner_coeffs, weyl_point
+from .rect_kernels import _coeffs, _kernel_det, _majorant, _majorant_tail, _series_terms
+from .rect_kernels import angle_tuples, boundary_coeffs, hat_h, weyl_point
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -116,13 +116,13 @@ def ordered_sine_det_integral(freqs):
 
 
 @lru_cache(maxsize=64)
-def _norm_series(kind, L, x, n, tol, n_max):
+def _norm_series(x, L, n, pol):
     """Truncated kernel coefficients for an N-path chamber norm.
 
-    The kernel is sum_m c_m sin(m theta) sin(m rho), and T is the
-    closed-form sum over every m of the majorant of c_m
-    (rect_kernels._majorant).  Dropping every m > M changes the norm by at
-    most
+    The kernel is sum_m c_m sin(m theta) sin(m rho), c_m = _coeffs(m, x, L)
+    (x = 0 the start edge), and T is the closed-form sum over every m of
+    the majorant of c_m (rect_kernels._majorant).  Dropping every m > M
+    changes the norm by at most
 
         N^N pi^N / (N! (N-1)!) * T^(N-1) * sum_{m>M} c_m
 
@@ -133,19 +133,17 @@ def _norm_series(kind, L, x, n, tol, n_max):
     factor: the policy tol, sharpened toward machine relative precision of
     the leading term so exponentially small norms stay relatively accurate.
 
-    kind "boundary" uses the boundary-kernel coefficients (x ignored); kind
-    "inner" the interior ones at cut x.  Returns (c_1..c_M, bound on the
-    norm); the array is cached, callers must not mutate it.
+    Returns (c_1..c_M, bound on the norm); the array is cached, callers
+    must not mutate it.
     """
-    first = np.arange(1.0, n + 1)
-    lead_coeffs = boundary_coeffs(first, L) if kind == "boundary" else inner_coeffs(first, x, L)
+    lead_coeffs = _coeffs(np.arange(1.0, n + 1), x, L)
     lead = abs(float(np.prod(lead_coeffs)) * ordered_sine_det_integral(tuple(range(1, n + 1))))
     if lead < sys.float_info.min:
         raise PrecisionError("chamber norm underflows; it is out of range")
     factor = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
-    factor *= _majorant_tail(*_majorant(kind, x, L), 0) ** (n - 1)
+    factor *= _majorant_tail(*_majorant(x, L), 0) ** (n - 1)
     try:
-        coefs, tail = _series_terms(kind, x, L, min(tol, lead * 1e-15) / factor, n, n_max)
+        coefs, tail = _series_terms(x, L, min(pol.tol, lead * 1e-15) / factor, n, pol)
     except TruncationError as exc:
         raise TruncationError(f"norm {exc}", factor * exc.achieved) from None
     return coefs, factor * tail
@@ -159,6 +157,14 @@ def _chamber_norm(coefs, angles):
     return graded_pfaffian(phi, _apply_sine_sign, _sine_integrals(freqs))
 
 
+def _norm(pol, x, L, angles):
+    """Chamber integral over rho of det[H(x + i*angles_j, L + i*rho_k)] for
+    one tuple (a float) or a (..., N) stack of tuples."""
+    coefs, _ = _norm_series(x, L, angles.shape[-1], pol)
+    out = _chamber_norm(coefs, angles)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def norm_boundary(cfg, pol, phi):
     """Chamber integral over rho of det[H_boundary(i*phi_j, L + i*rho_k)].
 
@@ -168,28 +174,23 @@ def norm_boundary(cfg, pol, phi):
     carries full relative accuracy even when it is exponentially small; a
     leading term below the normal double range raises PrecisionError.
     """
-    phi = weyl_point(phi)
-    coefs, _ = _norm_series("boundary", cfg.L, 0.0, phi.size, pol.tol, pol.n_max)
-    return float(_chamber_norm(coefs, phi))
+    return _norm(pol, 0.0, cfg.L, weyl_point(phi))
 
 
 def norm_inner(cfg, pol, x, theta):
     """Chamber integral over rho of det[H(x + i*theta_j, L + i*rho_k)].
 
     The total crossing weight of N paths currently at (x, theta), summed over
-    ordered right-edge exits.  Tolerance handling as in norm_boundary.
-    theta is one ordered tuple (a float comes back) or a (..., N) stack of
-    tuples (see rect_kernels.angle_tuples), where the norm is continued
-    antisymmetrically off the ordered chamber.
+    ordered right-edge exits.  Tolerance handling as in norm_boundary; a gap
+    L - x below pol.min_gap raises PrecisionError.  theta is one ordered
+    tuple (a float comes back) or a (..., N) stack of tuples (see
+    rect_kernels.angle_tuples), where the norm is continued antisymmetrically
+    off the ordered chamber.
     """
     theta = angle_tuples(theta)
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
-    if cfg.L - x < pol.min_gap:
-        raise PrecisionError(f"gap {cfg.L - x:.3g} below policy min_gap")
-    coefs, _ = _norm_series("inner", cfg.L, x, theta.shape[-1], pol.tol, pol.n_max)
-    out = _chamber_norm(coefs, theta)
-    return float(out) if np.ndim(out) == 0 else out
+    return _norm(pol, x, cfg.L, theta)
 
 
 # --- densities ---------------------------------------------------------------
@@ -197,6 +198,10 @@ def norm_inner(cfg, pol, x, theta):
 
 def joint_pdf(cfg, pol, seq, thetas, phi=None):
     """Joint density of the ordered passage points at every cut of `seq`.
+
+    thetas holds one ordered angle tuple per cut; the last may instead be a
+    (..., N) stack of tuples (see rect_kernels.angle_tuples), which gives
+    one density per tuple, with the bits of its single-tuple call.
 
     One telescoped product: the boundary determinant at the first cut, an
     interior determinant between each pair of consecutive cuts, and the
@@ -220,11 +225,12 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
     leading-mode density (2^{N^2} / pi^N) hat_h(theta)^2, the same at every
     cut.
     """
-    thetas = [weyl_point(t) for t in thetas]
+    thetas = list(thetas)
     if len(thetas) != seq.m:
         raise DomainError("need one angle tuple per cut")
-    n = thetas[0].size
-    if any(t.size != n for t in thetas):
+    thetas = [weyl_point(t) for t in thetas[:-1]] + [angle_tuples(thetas[-1])]
+    n = thetas[-1].shape[-1]
+    if any(t.size != n for t in thetas[:-1]):
         raise DomainError("all angle tuples must have equal length")
     cuts = seq.cuts
     if cfg is not None and not (cuts[-1] < cfg.L):
@@ -237,9 +243,9 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
         phi = weyl_point(phi)
         if phi.size != n:
             raise DomainError("all angle tuples must match phi in length")
-        value, start = _boundary_det(pol, cuts[0], phi, thetas[0])[1], hat_h(phi)
+        value, start = _kernel_det(pol, 0.0, cuts[0], phi, thetas[0])[1], hat_h(phi)
     for m in range(seq.m - 1):
-        value *= _inner_det(pol, cuts[m], cuts[m + 1], thetas[m], thetas[m + 1])[1]
+        value *= _kernel_det(pol, cuts[m], cuts[m + 1], thetas[m], thetas[m + 1])[1]
     if cfg is None:
         return _TWO_OVER_PI ** (n * seq.m) * value * hat_h(thetas[-1]) / start
     ratio = norm_inner(cfg, pol, cuts[-1], thetas[-1]) / norm_boundary(cfg, pol, phi)

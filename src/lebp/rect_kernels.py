@@ -1,14 +1,16 @@
 """Poisson kernels of the rectangle (0, L) x (0, pi) and their determinants.
 
-The interior-to-edge kernel and the edge-to-edge (normal derivative) kernel
-are Fourier sine series with sinh-ratio coefficients; one rule
-(_series_terms) truncates every series built from them, with a certified
-geometric tail bound.  Their determinants over tuples of ordered
+The kernels are one family keyed by the start position x: the interior
+kernel for 0 < x < L and, at x = 0, its normal derivative there, the
+edge-to-edge kernel.  Each is a Fourier sine series with coefficients
+_coeffs(n, x, L); one rule (_series_terms) truncates every series with a
+certified geometric tail bound over the gap L - x, and refuses an interior
+gap below the policy min_gap.  Their determinants over tuples of ordered
 angles, the building blocks of nonintersecting-path densities, all factor as
 det(A diag(c) B^T) with A[j, n] = sin(n phi_j), B[k, n] = sin(n rho_k), and go
-through numerics.graded_det, which keeps their leading exponential decay out
-of the cancellation; the crossing ratio measures that decay against the
-product of diagonal kernel values.
+through numerics.graded_det (_kernel_det), which keeps their leading
+exponential decay out of the cancellation; the crossing ratio measures that
+decay against the product of diagonal kernel values.
 """
 
 import itertools
@@ -79,6 +81,13 @@ def inner_coeffs(n, x, L):
     return _TWO_OVER_PI * sinh_ratio(n, x, L)
 
 
+def _coeffs(n, x, L):
+    """Coefficients of the kernel family from x + i*theta to L + i*rho: the
+    interior ones for 0 < x < L, and at x = 0 (the start edge) their normal
+    derivative there, the edge-to-edge ones."""
+    return boundary_coeffs(n, L) if x == 0.0 else inner_coeffs(n, x, L)
+
+
 def _sine_series(coeffs, theta, rho):
     """sum_n coeffs[n-1] * sin(n*theta) * sin(n*rho), broadcast over angles.
 
@@ -134,12 +143,11 @@ def _sine_series(coeffs, theta, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _majorant(kind, x, L):
-    """(c, p, gap) with every coefficient of the family `kind` at most
-    c n^p e^{-n gap}: "inner" (2/pi) sinh(n x)/sinh(n L) <= C e^{-n (L - x)},
-    "boundary" (2/pi) n/sinh(n L) <= 2C n e^{-n L}; C = (2/pi)/(1 - e^{-2L})."""
-    p = int(kind == "boundary")
-    gap = L if p else L - x
+def _majorant(x, L):
+    """(c, p, gap) with every coefficient _coeffs(n, x, L) at most
+    c n^p e^{-n gap}, gap = L - x: (2/pi) sinh(n x)/sinh(n L) <= C e^{-n (L - x)}
+    and, at x = 0, (2/pi) n/sinh(n L) <= 2C n e^{-n L}; C = (2/pi)/(1 - e^{-2L})."""
+    p, gap = int(x == 0.0), L - x
     if math.exp(-gap) == 1.0:
         raise TruncationError(f"no number of terms certifies a gap of {gap:.3g}", math.inf)
     return (1 + p) * _TWO_OVER_PI / -math.expm1(-2.0 * L), p, gap
@@ -151,17 +159,20 @@ def _majorant_tail(c, p, gap, n0):
     return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) ** p / (1.0 - q) ** (1 + p)
 
 
-def _series_terms(kind, x, L, target, at_least, n_max):
-    """The one truncation rule of every sine series: (c_1..c_n0, tail) of the
-    family `kind` for the first n0 >= at_least whose _majorant_tail is at
-    most target.  n0 starts at the closed-form inverse of the p = 0 tail
+def _series_terms(x, L, target, at_least, pol):
+    """The one truncation rule of every sine series: (c_1..c_n0, tail) of
+    _coeffs(., x, L) for the first n0 >= at_least whose _majorant_tail is at
+    most target.  An interior gap L - x (x > 0) below pol.min_gap raises
+    PrecisionError.  n0 starts at the closed-form inverse of the p = 0 tail
     (which meets the target of the interior family, up to rounding) and
-    steps by n0 // 8; more than n_max terms raise TruncationError with the
-    tail at n_max."""
+    steps by n0 // 8; more than pol.n_max terms raise TruncationError with
+    the tail at pol.n_max."""
+    if x > 0.0 and L - x < pol.min_gap:
+        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {pol.min_gap:.3g}")
     if not target > 0.0:
         raise PrecisionError("kernel coefficients underflow; the value is out of range")
-    c, p, gap = _majorant(kind, x, L)
-    q = math.exp(-gap)
+    c, p, gap = _majorant(x, L)
+    q, n_max = math.exp(-gap), pol.n_max
     n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / gap - 1.0))
     while n0 < n_max and _majorant_tail(c, p, gap, n0) > target:
         n0 = min(n_max, n0 + max(1, n0 // 8))
@@ -169,22 +180,14 @@ def _series_terms(kind, x, L, target, at_least, n_max):
         raise TruncationError(
             f"series needs more than {n_max} terms", achieved=_majorant_tail(c, p, gap, n_max)
         )
-    n = np.arange(1, n0 + 1)
-    return (boundary_coeffs(n, L) if p else inner_coeffs(n, x, L)), _majorant_tail(c, p, gap, n0)
+    return _coeffs(np.arange(1, n0 + 1), x, L), _majorant_tail(c, p, gap, n0)
 
 
-def _inner_terms(pol, x, L, target, at_least=1):
-    """_series_terms of the interior family; needs L - x >= pol.min_gap."""
-    if L - x < pol.min_gap:
-        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {pol.min_gap:.3g}")
-    return _series_terms("inner", x, L, target, at_least, pol.n_max)
-
-
-def _interior_series(pol, x, L, theta, rho, skip=0):
-    """(2/pi) * sum_{n > skip} sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho),
-    truncated by _inner_terms at pol.tol after at least max(skip, 1) terms.
+def _series(pol, x, L, theta, rho, skip=0):
+    """sum_{n > skip} _coeffs(n, x, L) * sin(n theta) * sin(n rho), truncated
+    by _series_terms at pol.tol after at least max(skip, 1) terms.
     Returns TailBoundedValue(value, bound); bound covers every entry."""
-    coeffs, tail = _inner_terms(pol, x, L, pol.tol, max(skip, 1))
+    coeffs, tail = _series_terms(x, L, pol.tol, max(skip, 1), pol)
     coeffs[:skip] = 0.0
     return TailBoundedValue(_sine_series(coeffs, theta, rho), tail)
 
@@ -194,60 +197,43 @@ def poisson_rect(cfg, pol, x, theta, rho):
     L + i*rho: (2/pi) * sum_n sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho).
 
     theta and rho broadcast together; x is a scalar with 0 < x < L and
-    L - x >= pol.min_gap.  Returns the TailBoundedValue of _interior_series.
+    L - x >= pol.min_gap.  Returns the TailBoundedValue of _series.
     """
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
-    return _interior_series(pol, x, cfg.L, theta, rho)
+    return _series(pol, x, cfg.L, theta, rho)
 
 
 def boundary_poisson_rect(cfg, pol, phi, rho):
-    """Edge-to-edge kernel from the left-edge point i*phi to L + i*rho:
+    """Edge-to-edge kernel from the left-edge point i*phi to L + i*rho, the
+    x = 0 member of the family:
     (2/pi) * sum_n n * sin(n phi) * sin(n rho) / sinh(n L).
 
     phi and rho broadcast together.  Returns TailBoundedValue(value, bound).
     """
-    coeffs, tail = _series_terms("boundary", 0.0, cfg.L, pol.tol, 1, pol.n_max)
-    return TailBoundedValue(_sine_series(coeffs, phi, rho), tail)
+    return _series(pol, 0.0, cfg.L, phi, rho)
 
 
-def _det_target(pol, c_n):
-    """Coefficient-tail target of an N x N kernel determinant: min(pol.tol, u c_N)."""
-    return min(pol.tol, UNIT_ROUNDOFF * float(c_n))
+def _kernel_det(pol, x, L, start, rho):
+    """(prod_{n<=N} c_n, the rest) of det[ H(x + i*start_j, L + i*rho_k) ],
+    c_n = _coeffs(n, x, L), for an ordered tuple `start` and one tuple or a
+    (..., N) stack of tuples `rho` (see angle_tuples), one rest per tuple (a
+    float for one tuple).
 
-
-def _kernel_det(coeffs, start, rho):
-    """det[ sum_n coeffs[n-1] sin(n start_j) sin(n rho_k) ] / prod_{n<=N}
-    coeffs[n-1] for an ordered tuple `start` and one tuple or a (..., N)
-    stack of tuples `rho` (see angle_tuples), one determinant per tuple (a
-    float for one tuple), by graded_det with det A1 the sine Vandermonde
-    2^{N(N-1)/2} hat_h(start)."""
+    The series is truncated at min(pol.tol, u c_N), so the rest needs only
+    c_N representable; it is the graded_det of the factored kernel with
+    det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start).
+    """
     start, rho = weyl_point(start), angle_tuples(rho)
     n = start.size
     if rho.shape[-1] != n:
         raise DomainError("angle tuples must have equal length")
+    target = min(pol.tol, UNIT_ROUNDOFF * float(_coeffs(n, x, L)))
+    coeffs, _ = _series_terms(x, L, target, n, pol)
     m = np.arange(1, coeffs.size + 1)
     head = 2.0 ** (n * (n - 1) // 2) * hat_h(start)
-    return graded_det(np.sin(np.outer(start, m)), coeffs, np.sin(rho[..., None] * m), head)
-
-
-def _boundary_det(pol, L, phi, rho):
-    """(prod_{n<=N} c_n, the rest) of det[ H_boundary(i*phi_j, L + i*rho_k) ],
-    c_n = (2/pi) n / sinh(n L); the rest needs only c_N representable."""
-    n = weyl_point(phi).size
-    target = _det_target(pol, boundary_coeffs(n, L))
-    coeffs, _ = _series_terms("boundary", 0.0, L, target, n, pol.n_max)
-    return np.prod(coeffs[:n]), _kernel_det(coeffs, phi, rho)
-
-
-def _inner_det(pol, x, L, theta, rho):
-    """(prod_{n<=N} c_n, the rest) of det[ H(x + i*theta_j, L + i*rho_k) ],
-    c_n = (2/pi) sinh(n x) / sinh(n L); the rest needs only c_N representable."""
-    if not (0.0 < x < L):
-        raise DomainError("need 0 < x < L")
-    n = weyl_point(theta).size
-    coeffs, _ = _inner_terms(pol, x, L, _det_target(pol, inner_coeffs(n, x, L)), n)
-    return np.prod(coeffs[:n]), _kernel_det(coeffs, theta, rho)
+    rest = graded_det(np.sin(np.outer(start, m)), coeffs, np.sin(rho[..., None] * m), head)
+    return np.prod(coeffs[:n]), rest
 
 
 def _assembled(lead, rest):
@@ -260,13 +246,15 @@ def _assembled(lead, rest):
 def fomin_boundary_det(cfg, pol, phi, rho):
     """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    return _assembled(*_boundary_det(pol, cfg.L, phi, rho))
+    return _assembled(*_kernel_det(pol, 0.0, cfg.L, phi, rho))
 
 
 def fomin_inner_det(cfg, pol, x, theta, rho):
     """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
-    return _assembled(*_inner_det(pol, x, cfg.L, theta, rho))
+    if not (0.0 < x < cfg.L):
+        raise DomainError("need 0 < x < L")
+    return _assembled(*_kernel_det(pol, x, cfg.L, theta, rho))
 
 
 def hat_h(theta):
@@ -289,7 +277,7 @@ def crossing_ratio(cfg, phi, rho):
     Measures the cost of keeping N paths mutually avoiding: decays like
     exp(-N(N-1)/2 * L) as the rectangle stretches.  The numerator and every
     diagonal entry are graded determinants (fomin_boundary_det, N x N and
-    1 x 1) truncated at _det_target, so the ratio keeps its relative
+    1 x 1) truncated at min(tol, u c_N), so the ratio keeps its relative
     accuracy where the assembled determinant cancels.
     """
     phi, rho = weyl_point(phi), weyl_point(rho)

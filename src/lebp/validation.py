@@ -30,7 +30,7 @@ from .errors import DomainError
 from .graph_fomin import grid_fomin_check
 from .lattice_validation import boundary_refinement, density_refinement
 from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
-from .passage_densities import norm_boundary, norm_inner
+from .passage_densities import ChamberSequence, joint_pdf, norm_boundary, norm_inner
 from .rect_kernels import (
     CROSSING_CASES,
     RectConfig,
@@ -233,11 +233,11 @@ def check_normalization(pol=DEFAULT_POLICY):
     cfg = RectConfig(length)
     order = QUADRATURE_ORDERS["rectangle_mass"]
 
-    # both determinants are antisymmetric in the angles, so their product is symmetric
+    # the density is symmetric in the angles, as chamber_integrate needs
     def density(pts):
-        return fomin_boundary_det(RectConfig(x), pol, phi, pts) * norm_inner(cfg, pol, x, pts)
+        return joint_pdf(cfg, pol, ChamberSequence((x,)), [pts], phi)
 
-    mass = chamber_integrate(density, gauss_legendre(order), 2) / norm_boundary(cfg, pol, phi)
+    mass = chamber_integrate(density, gauss_legendre(order), 2)
     out.append(
         _within(
             "two-path density mass, finite rectangle",

@@ -19,7 +19,7 @@ from lebp.lattice_validation import (
     ordered_minor_sum,
 )
 from lebp import numerics
-from lebp.lattice_validation import _green_columns
+from lebp.lattice_validation import _green_block
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
@@ -38,6 +38,13 @@ def mode_sum_exit(strip, a):
     modes = np.sin(np.outer(n, k * h))
     coefs = 2.0 / (rows + 1) * np.sin(n * j * h) * np.sinh(mu * i) / np.sinh(mu * (cols + 1))
     return coefs @ modes
+
+
+def green_columns(strip, sources):
+    """Green's function columns G(source, .) of the production mode sums,
+    one column per interior source."""
+    block = _green_block(strip, sources, range(1, strip.cols + 1))
+    return block.reshape(len(sources), strip.size).T
 
 
 def dense_green_columns(strip, sources):
@@ -106,7 +113,7 @@ def test_green_symmetry():
 
 def test_green_positive_and_diagonal_dominant():
     strip = LatticeStrip(5, 6)
-    g = _green_columns(strip, [(3, 3)])[:, 0]
+    g = green_columns(strip, [(3, 3)])[:, 0]
     assert np.all(g > 0.0)
     assert g[strip.index((3, 3))] == g.max()
 
@@ -129,7 +136,7 @@ def test_green_columns_match_dense_solve():
     ]:
         sources = [a, (strip.cols, 1), (1, strip.rows)]
         dense = dense_green_columns(strip, sources)
-        got = _green_columns(strip, sources)
+        got = green_columns(strip, sources)
         assert np.max(np.abs(got - dense) / dense) < 1e-13
         right = 0.25 * dense[(strip.cols - 1) * strip.rows :, 0]
         assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-13
@@ -159,7 +166,7 @@ def test_long_strip_stays_finite_and_matches_dense_solve():
     with pytest.raises(OverflowError):
         math.sinh(2.0 * math.asinh(math.sin(3 * strip.spacing / 2)) * (strip.cols + 1))
     sources = [(1, 2), (250, 1), (499, 3)]
-    got = _green_columns(strip, sources)
+    got = green_columns(strip, sources)
     assert np.all(np.isfinite(got)) and np.all(got > 0.0)
     dense = dense_green_columns(strip, sources)
     assert np.max(np.abs(got - dense) / dense) < 1e-12
@@ -172,7 +179,7 @@ def test_exit_probabilities_sum_to_one():
     # exits through all four edges exhaust the walk
     strip = LatticeStrip(8, 11)
     a = (4, 5)
-    g = _green_columns(strip, [a])[:, 0].reshape(strip.cols, strip.rows)
+    g = green_columns(strip, [a])[:, 0].reshape(strip.cols, strip.rows)
     total = 0.25 * (
         g[0, :].sum()      # left edge
         + g[-1, :].sum()   # right edge
@@ -258,7 +265,7 @@ def test_first_passage_single_path_dual_method():
     cut, start = 8, 6
     lm, _, _ = first_passage_decomposition(strip, cut, (start,))
     cut_sites = [(cut, m) for m in range(1, strip.rows + 1)]
-    g = _green_columns(strip, cut_sites)
+    g = green_columns(strip, cut_sites)
     gss = g[[strip.index(s) for s in cut_sites], :]
     ga = g[strip.index((1, start)), :]
     hit = np.linalg.solve(gss.T, ga)

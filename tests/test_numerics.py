@@ -370,6 +370,23 @@ def test_ordered_minor_sum_matches_brute_force():
         assert abs(ordered_minor_sum(m) - brute) <= 1e-12 * max(1.0, abs(brute))
 
 
+def test_ordered_minor_sum_stack_matches_single_calls_bitwise():
+    # a (..., N, K) stack gives every matrix the bits of its single call
+    rng = np.random.default_rng(11)
+    for nrows, ncols in [(1, 4), (2, 5), (3, 6), (4, 4)]:
+        stack = rng.normal(size=(3, 2, nrows, ncols))
+        out = ordered_minor_sum(stack)
+        assert out.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            single = ordered_minor_sum(stack[idx])
+            assert isinstance(single, float) and single == out[idx]
+    assert np.array_equal(ordered_minor_sum(np.ones((4, 3, 2))), np.zeros(4))
+    assert np.array_equal(ordered_minor_sum(np.ones((4, 0, 2))), np.ones(4))
+    assert ordered_minor_sum(np.ones((0, 2))) == 1.0
+    with pytest.raises(DomainError):
+        ordered_minor_sum(np.ones(4))
+
+
 def test_pfaffian_against_expansion_and_determinant():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(4, 4))

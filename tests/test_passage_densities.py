@@ -189,14 +189,14 @@ def test_norm_series_tail_bound_is_honest():
         ("inner", 3.0, 1.5, [0.7, 1.5, 2.5]),
     ]:
         n = len(theta)
-        full, _ = _norm_series(kind, L, x, n, tight.tol, tight.n_max)
+        full, _ = _norm_series(x, L, n, tight)
         exact = _chamber_norm(full, theta)
-        coefs, bound = _norm_series(kind, L, x, n, POL.tol, POL.n_max)
+        coefs, bound = _norm_series(x, L, n, POL)
         assert coefs.size < full.size
         assert abs(_chamber_norm(coefs, theta) - exact) <= bound
         for m_max in range(n, coefs.size // 2 + 1, 2):
             with pytest.raises(TruncationError) as exc:
-                _norm_series(kind, L, x, n, POL.tol, m_max)
+                _norm_series(x, L, n, SeriesPolicy(tol=POL.tol, n_max=m_max))
             assert abs(_chamber_norm(full[:m_max], theta) - exact) <= exc.value.achieved
 
 
@@ -293,11 +293,32 @@ def test_norm_series_budget_exhaustion():
     pol = SeriesPolicy(tol=1e-12, n_max=4)
     with pytest.raises(TruncationError) as exc:
         _norm_series.cache_clear()
-        _norm_series("inner", 2.0, 1.0, 3, pol.tol, pol.n_max)
+        _norm_series(1.0, 2.0, 3, pol)
     assert exc.value.achieved > 0.0
 
 
 # --- densities ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", ["strip", "midpoint", "rectangle"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_joint_pdf_stack_at_last_cut_matches_single_calls_bitwise(start, m):
+    # a (..., N) stack at the last cut gives every tuple the bits of its
+    # single-tuple call; earlier cuts take one tuple each
+    cfg = RectConfig(2.0) if start == "rectangle" else None
+    phi = None if start == "midpoint" else (0.8, 2.1)
+    seq = ChamberSequence((0.5, 1.1)[2 - m :])
+    earlier = [(0.9, 1.9)] * (m - 1)
+    rng = np.random.default_rng(5)
+    stack = np.sort(rng.uniform(0.05, math.pi - 0.05, size=(3, 4, 2)), axis=-1)
+    out = joint_pdf(cfg, POL, seq, [*earlier, stack], phi)
+    assert out.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        single = joint_pdf(cfg, POL, seq, [*earlier, stack[idx]], phi)
+        assert isinstance(single, float) and single == out[idx]
+    if m == 2:
+        with pytest.raises(DomainError):
+            joint_pdf(cfg, POL, seq, [stack, stack[0, 0]], phi)
 
 
 def test_pdf_single_path_matches_direct_series():

@@ -13,6 +13,7 @@ from lebp.numerics import (
 )
 from lebp import numerics
 from lebp.correlation import density_semicircle, kernel_strip
+from lebp.passage_densities import ChamberSequence, joint_pdf, norm_inner
 from lebp.rect_kernels import (
     RectConfig,
     _series_terms,
@@ -189,7 +190,7 @@ def test_tail_bound_is_honest():
 def test_series_terms_certify_their_tail(kind, x, L, target, at_least):
     # the one truncation rule of every series: the closed-form majorant tail
     # meets the target and bounds the true tail of the coefficients
-    coeffs, tail = _series_terms(kind, x, L, target, at_least, 100_000)
+    coeffs, tail = _series_terms(x, L, target, at_least, SeriesPolicy(n_max=100_000))
     n0 = coeffs.size
     assert n0 >= at_least and tail <= target
     rest = np.arange(n0 + 1, 40 * n0 + 200)
@@ -198,8 +199,30 @@ def test_series_terms_certify_their_tail(kind, x, L, target, at_least):
     # the search steps by n0 // 8, so half the terms never suffice
     if n0 // 2 >= at_least:
         with pytest.raises(TruncationError) as exc:
-            _series_terms(kind, x, L, target, at_least, n0 // 2)
+            _series_terms(x, L, target, at_least, SeriesPolicy(n_max=n0 // 2))
         assert exc.value.achieved > target
+
+
+def test_one_gap_precondition_for_every_interior_series():
+    # every route to an interior series refuses a gap below min_gap with the
+    # one message of _series_terms
+    length = 2.0
+    x = length - 2.0**-12
+    cfg, pair = RectConfig(length), (1.0, 2.0)
+    calls = [
+        lambda: poisson_rect(cfg, POL, x, 1.0, 2.0),
+        lambda: fomin_inner_det(cfg, POL, x, pair, pair),
+        lambda: norm_inner(cfg, POL, x, pair),
+        lambda: joint_pdf(cfg, POL, ChamberSequence((x,)), [pair], (0.8, 2.1)),
+        lambda: kernel_strip(POL, 2, length, 1.0, x, 2.0),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(PrecisionError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert "min_gap" in messages.pop()
 
 
 def test_kernels_are_positive_inside():
