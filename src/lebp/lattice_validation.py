@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import block_rows, det_lu, ordered_minor_sum
+from .numerics import PFAFFIAN_COPIES, block_rows, det_lu, ordered_minor_sum, stacked
 from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import RectConfig, boundary_poisson_rect
 
@@ -123,7 +123,9 @@ def _green_block(strip, sources, columns):
     i = np.asarray(columns, dtype=int)[None, :, None]
     j = np.arange(1, strip.rows + 1)
     out = np.empty((len(src), i.size, strip.rows))
-    step = block_rows(i.size * strip.rows * max(strip.rows, strip.cols))
+    # a block holds four mode-sum arrays of this size per source: the two
+    # forms' terms and the two temporaries of _mode_terms
+    step = block_rows(4 * i.size * strip.rows * max(strip.rows, strip.cols))
     for start in range(0, len(src), step):
         ip = src[start : start + step, 0, None, None]
         jp = src[start : start + step, 1, None, None]
@@ -211,16 +213,20 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
     combos = np.array(
         list(itertools.combinations(range(strip.rows), n_paths)), dtype=int
     )
-    out = np.zeros((strip.rows,) * n_paths)
-    step = block_rows(strip.rows * n_paths)
-    for start in range(0, len(combos), step):
-        block = combos[start : start + step]
+
+    def densities(block):
         left = det_lu(np.swapaxes(lm[:, block], 0, 1))
         if ends is None:
             right = ordered_minor_sum(rm[block])
         else:
             right = det_lu(rm[block[:, :, None], cols[None, None, :]])
-        out[tuple(block.T)] = left * right / norm
+        return left * right / norm
+
+    # per combo: the rm rows and the minor sum's Pfaffian work on them, or
+    # the gathered end columns, and the two N x N determinant copies
+    width = (PFAFFIAN_COPIES + 1) * n_paths * strip.rows + 4 * n_paths * n_paths
+    out = np.zeros((strip.rows,) * n_paths)
+    out[tuple(combos.T)] = stacked(densities, combos, width)
     return out
 
 

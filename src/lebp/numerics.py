@@ -62,16 +62,47 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 
-# entries (8 MB) of one working array in the blocked evaluators: sine
-# series, sine sign kernel rows, free-end minor sums.  It bounds memory; the
-# series and minor sums return the same bits at any value.  The graded
-# Pfaffian of a block of combos holds about five such arrays at once
-BLOCK_ENTRIES = 1_000_000
+# entries (1 MiB of doubles) that one block of a blocked evaluation holds at
+# once, summed over every array the block keeps alive: its inputs, results
+# and temporaries.  Every evaluation over a stack (sine series, kernel
+# determinants, chamber norms and densities, minor sums, chamber quadrature
+# and lattice Green sums) takes its rows through block_rows, so its memory
+# stays bounded however large the stack.  A blocked evaluation that calls
+# another counts only its own arrays; the callee blocks itself.  Stacked
+# results have the same bits at any value (which is why the sine sign
+# kernel's row blocks in passage_densities have a fixed size);
+# chamber_integrate sums its blocks in order, so its value moves by
+# rounding only
+BLOCK_ENTRIES = 131_072
 
 
 def block_rows(width):
-    """Rows of `width` entries that fit in one block of BLOCK_ENTRIES (at least 1)."""
+    """Rows of a block within the budget: BLOCK_ENTRIES // width, at least 1.
+
+    width is the cost of one row, counted in entries over every array the
+    block holds at once (a row's share of its inputs, results and
+    temporaries), not the length of one array's row.
+    """
     return max(1, BLOCK_ENTRIES // max(1, width))
+
+
+def stacked(f, stack, width, core=1):
+    """f over a stack of items, in blocks of block_rows(width) items.
+
+    The last `core` axes of `stack` form one item, and width is what one
+    item costs f (see block_rows).  f maps an (m, ...) block of items to m
+    values, each with the bits it gets alone, so the result does not depend
+    on the blocks.  Returns the values in the stack's leading shape, a
+    float for a single item.
+    """
+    stack = np.asarray(stack)
+    batch = stack.shape[: stack.ndim - core]
+    items = stack.reshape((-1,) + stack.shape[stack.ndim - core :])
+    out = np.empty(items.shape[0])
+    step = block_rows(width)
+    for start in range(0, items.shape[0], step):
+        out[start : start + step] = f(items[start : start + step])
+    return _unstack(out, batch)
 
 
 @dataclass(frozen=True)
@@ -151,10 +182,16 @@ def chamber_integrate(f, rule, ndim):
     by ordered node multisets: f is evaluated once per non-decreasing index
     tuple i_1 <= ... <= i_ndim, with weight prod_k w_{i_k} / prod_j m_j!,
     where the m_j count the repeated indices.  That is C(order+ndim-1, ndim)
-    points instead of order**ndim, in blocks of block_rows(ndim).  It equals
+    points instead of order**ndim, in blocks (see below).  It equals
     the chamber integral exactly when f is invariant under coordinate
     permutations (the only supported use); f sees each point with its
     coordinates sorted.
+
+    A block counts, per point, its own index, weight and node rows and the
+    integrand's temporaries, taken to be as many again: 4 ndim + 12
+    entries.  An integrand that evaluates a blocked stack function (say
+    joint_pdf) bounds its own work.  The blocks are summed in order, so
+    the value depends on BLOCK_ENTRIES by rounding only.
 
     Parameters
     ----------
@@ -168,7 +205,7 @@ def chamber_integrate(f, rule, ndim):
     if ndim < 1:
         raise DomainError("ndim must be at least 1")
     total = 0.0
-    for idx in _multisets(rule.order, ndim, block_rows(ndim)):
+    for idx in _multisets(rule.order, ndim, block_rows(4 * ndim + 12)):
         # run counts each index's position within its run of repeats, so
         # dividing by it at every step divides by prod_j m_j! in all
         wt = rule.weights[idx[:, 0]]
@@ -300,7 +337,9 @@ def graded_det(a, c, b, det_head):
     terms go into prod(C1), which the caller multiplies back or cancels
     against other factors, instead of cancelling; X holds only the ratios
     c_m / c_n, m > N >= n.  Only A1 is solved with, so B may hold unordered
-    or equal rows; every matrix of the stack gets the bits it gets alone.
+    or equal rows; every matrix of the stack gets the bits it gets alone,
+    so callers may run a stack in blocks (stacked).  Beyond B it holds
+    about 4 N^2 entries per matrix.
     """
     a, c, b = (np.asarray(v, dtype=float) for v in (a, c, b))
     n = a.shape[0]
@@ -316,16 +355,22 @@ def sinh_ratio(n, num, den):
     """sinh(n*num) / sinh(n*den) for positive arguments, in exponential form.
 
     Stable for arbitrarily large n*den when num <= den (never forms a large
-    sinh).  For num > den the result grows like exp(n*(num-den)) and will
-    overflow in the usual float sense; callers on that branch keep n*(num-den)
-    moderate.
+    sinh).  For num > den the result grows like exp(n*(num-den)); once it
+    leaves the double range (n*(num-den) beyond about 709) PrecisionError
+    is raised instead of returning inf.
     """
     n = np.asarray(n, dtype=float)
     if np.any(n <= 0.0):
         raise DomainError("n must be positive")
     if not (num > 0.0 and den > 0.0):
         raise DomainError("num and den must be positive")
-    out = np.exp(n * (num - den)) * (np.expm1(-2.0 * n * num) / np.expm1(-2.0 * n * den))
+    with np.errstate(over="ignore"):
+        out = np.exp(n * (num - den)) * (np.expm1(-2.0 * n * num) / np.expm1(-2.0 * n * den))
+    if not np.all(np.isfinite(out)):
+        raise PrecisionError(
+            f"sinh ratio overflows: n*(num - den) = {float(np.max(n)) * (num - den):.6g}"
+            " is beyond the double range"
+        )
     return float(out) if out.ndim == 0 else out
 
 
@@ -377,6 +422,11 @@ def pfaffian(a, border=None):
     return float(out) if out.ndim == 0 else out
 
 
+# K x N arrays per stacked matrix that a graded Pfaffian holds at once (B,
+# the QR's working copy and Q, X Q), measured with tracemalloc
+PFAFFIAN_COPIES = 4
+
+
 def graded_pfaffian(b, apply_x, border):
     """Pf(B^T X B) for K x N matrices B stacked on the leading axes of b.
 
@@ -390,6 +440,10 @@ def graded_pfaffian(b, apply_x, border):
     the Pfaffian only sees an orthonormal frame.  Forming B^T X B directly
     instead cancels catastrophically when B's rows decay geometrically or
     its columns are nearly parallel.
+
+    Every matrix of the stack gets the bits it gets alone, so callers may
+    run a stack in blocks (stacked).  With B, its factors and X Q, a block
+    holds about PFAFFIAN_COPIES arrays the size of B at once.
     """
     b = np.asarray(b, dtype=float)
     q, r = np.linalg.qr(b)
@@ -410,9 +464,10 @@ def ordered_minor_sum(m):
 
     Ishikawa-Wakayama minor summation (Stembridge 1990): the sum equals
     Pf(M J M^T) with J[b, b'] = sgn(b' - b), bordered by M @ 1 for odd N.
-    m has shape (..., N, K), one sum per stacked matrix, and each matrix
-    gets the bits it gets alone; a float comes back for a single matrix.
-    N > K has no minors and gives exactly 0.0, and N = 0 gives 1.0.
+    m has shape (..., N, K), one sum per stacked matrix, evaluated in
+    blocks (stacked); each matrix gets the bits it gets alone, and a float
+    comes back for a single matrix.  N > K has no minors and gives exactly
+    0.0, and N = 0 gives 1.0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
@@ -420,4 +475,9 @@ def ordered_minor_sum(m):
     batch, (nrows, ncols) = m.shape[:-2], m.shape[-2:]
     if nrows > ncols or nrows == 0:
         return _unstack(np.full(batch, float(nrows == 0)), batch)
-    return _unstack(graded_pfaffian(np.swapaxes(m, -1, -2), _apply_sign, np.ones(ncols)), batch)
+    border = np.ones(ncols)
+
+    def minor_sums(block):
+        return graded_pfaffian(np.swapaxes(block, -1, -2), _apply_sign, border)
+
+    return stacked(minor_sums, m, PFAFFIAN_COPIES * nrows * ncols, core=2)

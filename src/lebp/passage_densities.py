@@ -14,7 +14,8 @@ are split off and telescope exactly, so in the strip the density never
 forms a sinh and keeps its relative accuracy at cuts far from the start
 edge, where each determinant is exponentially small or large.  joint_pdf
 takes a stack of angle tuples at its last cut, as the determinants and
-norm_inner do, so a grid of densities is one call.
+norm_inner do, so a grid of densities is one call; every stack runs in
+blocks of numerics.BLOCK_ENTRIES, so its memory stays bounded.
 
 The chamber integrals (norms) integrate a kernel determinant over the
 ordered chamber.  The kernel is a separable sine series, so by de Bruijn
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import block_rows, graded_pfaffian, pfaffian
+from .numerics import PFAFFIAN_COPIES, graded_pfaffian, pfaffian, stacked
 from .rect_kernels import _coeffs, _kernel_det, _majorant, _majorant_tail, _series_terms
 from .rect_kernels import angle_tuples, boundary_coeffs, hat_h, weyl_point
 
@@ -88,13 +89,22 @@ def _sine_integrals(m):
     return np.where(m % 2.0 == 1.0, 2.0 / m, 0.0)
 
 
+# entries of one row block of the sine sign kernel in _apply_sine_sign.
+# Forming it holds about seven such arrays, so a block fits the default
+# BLOCK_ENTRIES; the size is fixed, not taken from the budget, because a
+# BLAS product's bits depend on how its rows are split, and the norms must
+# keep their bits at any budget
+_SIGN_BLOCK_ENTRIES = 16_384
+
+
 def _apply_sine_sign(q):
     """S @ q along axis -2, S the (K, K) sine sign kernel for frequencies
-    1..K; S is built in row blocks of at most BLOCK_ENTRIES entries."""
+    1..K, built in row blocks of _SIGN_BLOCK_ENTRIES entries (one block for
+    K <= 128).  The result has q's shape; the caller bounds q."""
     k = q.shape[-2]
     freqs = np.arange(1, k + 1)
     out = np.empty(q.shape)
-    step = block_rows(k)
+    step = max(1, _SIGN_BLOCK_ENTRIES // k)
     for start in range(0, k, step):
         rows = freqs[start : start + step, None]
         out[..., start : start + step, :] = _sine_sign_kernel(rows, freqs[None, :]) @ q
@@ -150,19 +160,25 @@ def _norm_series(x, L, n, pol):
 
 
 def _chamber_norm(coefs, angles):
-    """Pf(Phi^T S Phi) with Phi[m, j] = c_m sin(m angles_j), for every (..., N)
-    angle tuple; bordered by the single-sine integrals for odd N."""
+    """Pf(Phi^T S Phi) with Phi[m, j] = c_m sin(m angles_j), for one N-tuple
+    (a float) or every tuple of a (..., N) stack; bordered by the
+    single-sine integrals for odd N.  A stack runs in blocks (stacked),
+    each tuple with its single-tuple bits."""
     freqs = np.arange(1.0, coefs.size + 1)
-    phi = coefs[:, None] * np.sin(freqs[:, None] * np.asarray(angles)[..., None, :])
-    return graded_pfaffian(phi, _apply_sine_sign, _sine_integrals(freqs))
+    border = _sine_integrals(freqs)
+
+    def norms(block):
+        phi = coefs[:, None] * np.sin(freqs[:, None] * block[..., None, :])
+        return graded_pfaffian(phi, _apply_sine_sign, border)
+
+    return stacked(norms, angles, PFAFFIAN_COPIES * coefs.size * np.shape(angles)[-1])
 
 
 def _norm(pol, x, L, angles):
     """Chamber integral over rho of det[H(x + i*angles_j, L + i*rho_k)] for
     one tuple (a float) or a (..., N) stack of tuples."""
     coefs, _ = _norm_series(x, L, angles.shape[-1], pol)
-    out = _chamber_norm(coefs, angles)
-    return float(out) if np.ndim(out) == 0 else out
+    return _chamber_norm(coefs, angles)
 
 
 def norm_boundary(cfg, pol, phi):
@@ -185,7 +201,8 @@ def norm_inner(cfg, pol, x, theta):
     L - x below pol.min_gap raises PrecisionError.  theta is one ordered
     tuple (a float comes back) or a (..., N) stack of tuples (see
     rect_kernels.angle_tuples), where the norm is continued antisymmetrically
-    off the ordered chamber.
+    off the ordered chamber.  A stack runs in blocks of bounded memory, each
+    tuple with the bits of its single-tuple call.
     """
     theta = angle_tuples(theta)
     if not (0.0 < x < cfg.L):
@@ -201,7 +218,8 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
 
     thetas holds one ordered angle tuple per cut; the last may instead be a
     (..., N) stack of tuples (see rect_kernels.angle_tuples), which gives
-    one density per tuple, with the bits of its single-tuple call.
+    one density per tuple, with the bits of its single-tuple call.  A stack
+    runs in blocks, so memory stays bounded however many tuples it holds.
 
     One telescoped product: the boundary determinant at the first cut, an
     interior determinant between each pair of consecutive cuts, and the
@@ -238,18 +256,41 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
     if phi is None:
         if cfg is not None:
             raise DomainError("the midpoint start lives in the infinite strip; give no L")
-        value, start = 2.0 ** (n * (n - 1)) * hat_h(thetas[0]), 1.0
+        start = 1.0
     else:
         phi = weyl_point(phi)
         if phi.size != n:
             raise DomainError("all angle tuples must match phi in length")
-        value, start = _kernel_det(pol, 0.0, cuts[0], phi, thetas[0])[1], hat_h(phi)
-    for m in range(seq.m - 1):
-        value *= _kernel_det(pol, cuts[m], cuts[m + 1], thetas[m], thetas[m + 1])[1]
+        start = hat_h(phi)
+
+    def link(m, to):
+        """The determinant that ends at cut m on the tuples `to`, without
+        its leading coefficients."""
+        if m > 0:
+            return _kernel_det(pol, cuts[m - 1], cuts[m], thetas[m - 1], to)[1]
+        if phi is None:
+            return 2.0 ** (n * (n - 1)) * hat_h(to)
+        return _kernel_det(pol, 0.0, cuts[0], phi, to)[1]
+
+    # everything before the last cut is one number for the whole stack
+    head = math.prod(link(m, thetas[m]) for m in range(seq.m - 1))
     if cfg is None:
-        return _TWO_OVER_PI ** (n * seq.m) * value * hat_h(thetas[-1]) / start
-    ratio = norm_inner(cfg, pol, cuts[-1], thetas[-1]) / norm_boundary(cfg, pol, phi)
-    # nothing cancels N! / prod_n sinh(n x_M) here; put it back in the
-    # exponential form (pi/2)^N prod_n boundary_coeffs(n, x_M)
-    lead = float(np.prod(boundary_coeffs(np.arange(1.0, n + 1), cuts[-1])))
-    return _TWO_OVER_PI ** (n * (seq.m - 1)) * lead * value * ratio
+        scale = _TWO_OVER_PI ** (n * seq.m)
+
+        def densities(block):
+            return scale * (head * link(seq.m - 1, block)) * hat_h(block) / start
+
+    else:
+        # nothing cancels N! / prod_n sinh(n x_M) here; put it back in the
+        # exponential form (pi/2)^N prod_n boundary_coeffs(n, x_M)
+        lead = float(np.prod(boundary_coeffs(np.arange(1.0, n + 1), cuts[-1])))
+        scale = _TWO_OVER_PI ** (n * (seq.m - 1)) * lead
+        total = norm_boundary(cfg, pol, phi)
+
+        def densities(block):
+            ratio = norm_inner(cfg, pol, cuts[-1], block) / total
+            return scale * (head * link(seq.m - 1, block)) * ratio
+
+    # the determinants and norms block themselves; a block here holds the
+    # tuples and a few values per tuple
+    return stacked(densities, thetas[-1], 4 * n + 8)

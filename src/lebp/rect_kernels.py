@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import DEFAULT_POLICY, UNIT_ROUNDOFF, TailBoundedValue
-from .numerics import block_rows, graded_det, sinh_ratio
+from .numerics import block_rows, graded_det, sinh_ratio, stacked
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -103,6 +103,10 @@ def _sine_series(coeffs, theta, rho):
     taken directly).  So a theta[:, None] x rho[None, :] grid costs
     (len(theta) + len(rho)) * terms sines instead of twice the product,
     rho is theta costs one table, and no table outgrows the chunk.
+
+    Memory: a chunk holds the block, the second argument's sine rows and
+    the np.outer temporary that each np.sin reads, three rows of `terms`
+    entries per point, so a chunk has block_rows(3 * terms) points.
     """
     args = [np.asarray(theta, dtype=float)]
     if rho is not theta:
@@ -134,7 +138,7 @@ def _sine_series(coeffs, theta, rho):
         return np.sin(np.outer(flat[lo:hi], n))[idx - lo]
 
     total = np.empty(size)
-    step = block_rows(coeffs.size)
+    step = block_rows(3 * coeffs.size)
     for start in range(0, size, step):
         block = sines(*points[0], start, start + step)
         block *= block if len(points) == 1 else sines(*points[1], start, start + step)
@@ -222,7 +226,8 @@ def _kernel_det(pol, x, L, start, rho):
 
     The series is truncated at min(pol.tol, u c_N), so the rest needs only
     c_N representable; it is the graded_det of the factored kernel with
-    det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start).
+    det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start).  A stack runs
+    in blocks (numerics.stacked), each tuple with its single-tuple bits.
     """
     start, rho = weyl_point(start), angle_tuples(rho)
     n = start.size
@@ -231,9 +236,15 @@ def _kernel_det(pol, x, L, start, rho):
     target = min(pol.tol, UNIT_ROUNDOFF * float(_coeffs(n, x, L)))
     coeffs, _ = _series_terms(x, L, target, n, pol)
     m = np.arange(1, coeffs.size + 1)
+    a = np.sin(np.outer(start, m))
     head = 2.0 ** (n * (n - 1) // 2) * hat_h(start)
-    rest = graded_det(np.sin(np.outer(start, m)), coeffs, np.sin(rho[..., None] * m), head)
-    return np.prod(coeffs[:n]), rest
+
+    def rests(block):
+        return graded_det(a, coeffs, np.sin(block[..., None] * m), head)
+
+    # a block holds the N x M sine rows, their product temporary and the
+    # graded_det's N x N work per tuple
+    return np.prod(coeffs[:n]), stacked(rests, rho, 2 * n * (coeffs.size + 2 * n))
 
 
 def _assembled(lead, rest):
@@ -245,13 +256,17 @@ def _assembled(lead, rest):
 
 def fomin_boundary_det(cfg, pol, phi, rho):
     """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
-    one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
+    one rho tuple or a (..., N) stack of them (antisymmetric in rho).  A
+    stack runs in blocks of bounded memory, each tuple with the bits of its
+    single-tuple call."""
     return _assembled(*_kernel_det(pol, 0.0, cfg.L, phi, rho))
 
 
 def fomin_inner_det(cfg, pol, x, theta, rho):
     """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
-    one rho tuple or a (..., N) stack of them (antisymmetric in rho)."""
+    one rho tuple or a (..., N) stack of them (antisymmetric in rho).  A
+    stack runs in blocks of bounded memory, each tuple with the bits of its
+    single-tuple call."""
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
     return _assembled(*_kernel_det(pol, x, cfg.L, theta, rho))

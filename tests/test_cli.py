@@ -684,6 +684,10 @@ def test_usage_errors_name_the_precondition():
         (["joint-pdf", "--cuts", "1,250", "--theta", "0.6,1.2,1.9,2.6/0.6,1.2,1.9,2.6",
           "--phi", "0.5,1.1,1.8,2.5"], "coefficients underflow"),
         (["crossing-exponent", "--lengths", "800,900"], "coefficients underflow"),
+        (["kernel", "--domain", "strip", "--N", "20", "--x", "0.1", "--xp", "40",
+          "--theta", "1", "--thetap", "2"], "sinh ratio overflows"),
+        (["two-point", "--N", "3", "--r", "1.0000001", "--theta", "1", "--rp", "1e300",
+          "--thetap", "2"], "sinh ratio overflows"),
         (["pdf", "--theta", "1,2", "--output", str(DATA / "missing" / "out.csv")],
          "out.csv: No such file or directory"),
         (["pdf", "--theta", "1,2", "--output", str(DATA)], "data: Is a directory"),

@@ -48,6 +48,17 @@ def test_kernel_tail_branch_oracle():
     assert got.bound < 1e-11
 
 
+def test_kernel_finite_branch_refuses_coefficient_overflow():
+    # sinh(n x')/sinh(n x) leaves the double range once N (x' - x) passes
+    # about 709; pytest turns any numpy warning on the way into an error
+    with pytest.raises(PrecisionError, match="sinh ratio overflows"):
+        kernel_strip(POL, 20, 0.1, 1.0, 40.0, 2.0)
+    with pytest.raises(PrecisionError, match="sinh ratio overflows"):
+        kernel_strip(POL, 3, 1e-7, np.array([1.0, 2.0]), 690.0, 2.0)
+    # just inside the range the coefficients stay finite
+    assert math.isfinite(kernel_strip(POL, 7, 0.1, 1.0, 100.0, 2.0).value)
+
+
 def test_kernel_dual_form():
     # the tail-sum branch against the independent finite-sum-minus-kernel form
     rng = np.random.default_rng(7)

@@ -286,7 +286,8 @@ def test_density_normalization_and_sign():
 
 
 def test_density_combo_blocks_do_not_change_bits(monkeypatch):
-    # the benchmark shape: 31 rows, cut 16, three paths, one block by default
+    # the benchmark shape: 31 rows, cut 16, three paths; the 4495 row
+    # triples run in blocks of a few hundred by default and under twenty here
     strip = LatticeStrip(31, 31)
     for ends in (None, (5, 17, 29)):
         whole = discrete_first_passage_density(strip, 3, 16, (7, 15, 26), ends)

@@ -130,7 +130,7 @@ def test_factored_sine_tables_keep_scalar_bits(evaluate, angles):
 @pytest.mark.parametrize("block", [numerics.BLOCK_ENTRIES, 7 * 600])
 def test_factored_sine_tables_cross_chunk_edges(monkeypatch, block):
     # 41 x 50 points of 600 terms exceed BLOCK_ENTRIES, so chunks end inside
-    # rows of the grid; 7-row chunks also span more theta' than they hold
+    # rows of the grid; 2-point chunks also span more theta' than they hold
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", block)
     coeffs = 1.0 / np.arange(1.0, 601.0) ** 2
     th, tp = np.linspace(0.0, math.pi, 41), np.linspace(0.1, 3.0, 50)
