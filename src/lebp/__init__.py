@@ -18,17 +18,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "EnumerationBudgetError", "PrecisionError", "TruncationError"),
     "correlation": (
-        "basis_phi", "basis_phi_hat", "corr_strip", "density_semicircle", "kernel_semicircle",
-        "kernel_strip", "kernel_strip_dual", "limit_kernel", "two_point_semicircle",
+        "corr_strip", "density_semicircle", "kernel_semicircle", "kernel_strip",
+        "kernel_strip_dual", "limit_kernel", "two_point_semicircle",
     ),
     "graph_fomin": (
-        "BoundaryTuple", "Network", "brute_force_fomin", "fomin_det", "fomin_det_bound",
-        "lerw_weight", "load_network", "loop_erase", "save_network", "square_grid_network",
-        "walk_green", "walk_weight",
+        "BoundaryTuple", "Network", "brute_force_fomin", "fomin_det", "lerw_weight",
+        "load_network", "save_network", "square_grid_network", "walk_green",
     ),
     "lattice_validation": (
         "LatticeStrip", "boundary_refinement", "density_refinement",
-        "discrete_first_passage_density", "discrete_green", "exit_right",
+        "discrete_first_passage_density", "exit_right",
         "first_passage_decomposition",
     ),
     "numerics": (

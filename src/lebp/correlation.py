@@ -23,37 +23,6 @@ from .rect_kernels import RectConfig, _series, _sine_series, inner_coeffs, poiss
 _TWO_OVER_PI = 2.0 / math.pi
 
 
-# --- biorthogonal basis -------------------------------------------------------
-
-
-def _check_basis(n, x):
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 1.0) or not (x > 0.0):
-        raise DomainError("need n >= 1 and x > 0")
-    return n
-
-
-def basis_phi(n, x, theta):
-    """phi_n(x, theta) = sqrt(2/pi) sin(n theta) / sinh(n x), stable form.
-
-    n and theta broadcast together; x is a scalar.
-    """
-    n = _check_basis(n, x)
-    inv_sinh = 2.0 * np.exp(-n * x) / -np.expm1(-2.0 * n * x)
-    out = math.sqrt(_TWO_OVER_PI) * np.sin(n * theta) * inv_sinh
-    return float(out) if out.ndim == 0 else out
-
-
-def basis_phi_hat(n, x, theta):
-    """phi_hat_n(x, theta) = sqrt(2/pi) sinh(n x) sin(n theta).
-
-    n and theta broadcast together; x is a scalar.
-    """
-    n = _check_basis(n, x)
-    out = math.sqrt(_TWO_OVER_PI) * np.sinh(n * x) * np.sin(n * theta)
-    return float(out) if out.ndim == 0 else out
-
-
 # --- strip kernel -------------------------------------------------------------
 
 

@@ -5,9 +5,11 @@ boundary vertices, where walks stop on arrival.  The weight of a walk is the
 product of its edge weights, the walk matrix entry W(a, b) is the sum of walk
 weights over all walks from a to b, and minors of W built from boundary
 vertices equal sums over tuples of walks whose earlier loop erasures avoid all
-later walks (Fomin's identity).  This module evaluates both sides: W as one
-cached linear solve over all vertices, with a certified entrywise error, and
-the combinatorial side as the independent check, an exact sum over tuples of
+later walks (Fomin's identity).  This module evaluates both sides, each as
+one call returning (value, bound): the minor of W, one linear solve over all
+vertices made when the network is built, whose interior row sums certify
+that the network is sub-critical and bound W's entrywise error; and the
+combinatorial side as the independent check, an exact sum over tuples of
 disjoint self-avoiding paths (the loop erasures) with no walk enumeration.
 The weight of the walks with a given loop erasure is one minor of W times
 the step weights of the path, and for a tuple of paths on the shrinking
@@ -21,9 +23,6 @@ import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError
 from .numerics import UNIT_ROUNDOFF, det_lu, det_lu_bounded, rounding_gamma
-
-_RHO_THRESHOLD = 1.0 - 1e-6
-_POWER_ITERATIONS = 200
 
 
 class Network:
@@ -40,9 +39,12 @@ class Network:
     interior, boundary : iterables of vertex ids
         Disjoint, together covering all vertices.
 
-    The interior-to-interior weight matrix Q must be strictly sub-critical;
-    construction runs 200 power iterations on I + Q and rejects the network
-    unless the resulting Collatz-Wielandt bound gives rho(Q) < 1 - 1e-6.
+    The interior-to-interior weight matrix Q must be strictly sub-critical.
+    Construction solves for the walk matrix once and certifies rho(Q) < 1 in
+    rounded arithmetic: w, the interior row sums of the computed walk matrix,
+    must be positive with (I - Q) w >= s > 0, s = w - Qw - gamma (w + Qw).
+    A singular system or a failed test raises DomainError.  rho_bound is the
+    Collatz-Wielandt bound max (w - s) / w of the same vector.
     """
 
     def __init__(self, vertex_count, edges, interior, boundary):
@@ -83,48 +85,41 @@ class Network:
         self._p = p
         self._interior_mask = np.zeros(vertex_count)
         self._interior_mask[list(interior)] = 1.0
-        self._walk = None
+        eye = np.eye(vertex_count)
+        try:
+            walk = eye + np.linalg.solve(eye - p * self._interior_mask, p)
+        except np.linalg.LinAlgError:
+            raise DomainError(
+                "interior weight matrix is not strictly sub-critical (I - Q is singular)"
+            ) from None
+        walk.setflags(write=False)
+        self._walk = walk
         self._walk_err = None
 
-        if interior:
-            # power iteration on I + Q keeps the vector strictly positive, so
-            # max((v + Qv) / v) - 1 is a rigorous upper bound for rho(Q)
-            q = p[np.ix_(interior, interior)]
-            v = np.ones(len(interior))
-            for _ in range(_POWER_ITERATIONS):
-                v2 = v + q @ v
-                v = v2 / v2.max()
-            rho_bound = float(np.max((v + q @ v) / v)) - 1.0
-            if rho_bound >= _RHO_THRESHOLD:
-                raise DomainError(
-                    f"interior weight matrix is not strictly sub-critical "
-                    f"(spectral radius bound {rho_bound:.6g})"
-                )
-            self.rho_bound = rho_bound
-        else:
-            self.rho_bound = 0.0
-
-    def edge_weight(self, tail, head):
-        for h, w in self.out_edges.get(tail, ()):
-            if h == head:
-                return w
-        return 0.0
+        # a positive w with (I - Q) w >= s > 0, checked in rounded arithmetic,
+        # gives rho(Q) <= max (w - s) / w < 1; walk_error reuses w and s
+        idx = np.ix_(interior, interior)
+        w = walk[idx].sum(axis=1)
+        qw = p[idx] @ w
+        s = w - qw - rounding_gamma(len(interior) + 2) * (w + qw)
+        if not (np.all(w > 0.0) and np.all(s > 0.0)):
+            raise DomainError(
+                "interior weight matrix is not strictly sub-critical "
+                "(no positive w with (I - Q) w > 0 in rounded arithmetic)"
+            )
+        self._w, self._s = w, s
+        self.rho_bound = float(np.max((w - s) / w, initial=0.0))
 
     def is_interior(self, v):
         return v in self._int_index
 
     def walk_matrix(self):
-        """W = I + P (I - D P)^{-1} over all vertices, computed once and cached.
+        """W = I + P (I - D P)^{-1} over all vertices, solved at construction.
 
         P is the step matrix and D the interior indicator: every step but the
         last lands in the interior.  By push-through, P (I - D P)^{-1} equals
         (I - P D)^{-1} P, one linear solve.
         """
-        if self._walk is None:
-            eye = np.eye(self.vertex_count)
-            walk = eye + np.linalg.solve(eye - self._p * self._interior_mask, self._p)
-            walk.setflags(write=False)
-            self._walk = walk
         return self._walk
 
     def walk_error(self):
@@ -138,32 +133,24 @@ class Network:
         vector w with (I - Q) w >= s > 0, checked in rounded arithmetic, gives
         (I - Q)^{-1} r <= c w whenever r <= c s, so each column of K^{-1} |R|
         is bounded through its largest ratio |R_i| / s_i over the interior.
-        w is the row sums of W^ over the interior, close to (I - Q)^{-1} 1,
-        so s is close to 1 and no interior vertex is poorly weighted (the
-        power-iteration vector of the constructor can be 1e-24 on vertices
-        that Q does not feed).  |R| is bounded by the residual computed in
-        floating point plus that computation's own rounding.  Entries are
-        inf if the check on w fails, which takes a near-critical Q.
+        w and s are the constructor's sub-criticality certificate: w is the
+        row sums of W^ over the interior, close to (I - Q)^{-1} 1, so s is
+        close to 1 and no interior vertex is poorly weighted.  |R| is bounded
+        by the residual computed in floating point plus that computation's
+        own rounding.
         """
         if self._walk_err is None:
             eye = np.eye(self.vertex_count)
             k = eye - self._p * self._interior_mask
-            walk = self.walk_matrix()
-            y = walk - eye
+            y = self._walk - eye
             gam = rounding_gamma(self.vertex_count + 3)
             resid = np.abs(self._p - k @ y) + gam * (np.abs(self._p) + np.abs(k) @ np.abs(y))
             err = resid * (1.0 + gam)
             interior, boundary = list(self.interior), list(self.boundary)
             if interior:
-                w = walk[np.ix_(interior, interior)].sum(axis=1)
-                qw = self._p[np.ix_(interior, interior)] @ w
-                s = w - qw - rounding_gamma(len(interior) + 2) * (w + qw)
-                if np.all(s > 0.0):
-                    c = np.max(resid[interior] / s[:, None], axis=0) * (1.0 + gam)
-                    err[interior] = np.outer(w, c)
-                    err[boundary] += np.outer(self._p[np.ix_(boundary, interior)] @ w, c)
-                else:
-                    err[:] = np.inf
+                c = np.max(resid[interior] / self._s[:, None], axis=0) * (1.0 + gam)
+                err[interior] = np.outer(self._w, c)
+                err[boundary] += np.outer(self._p[np.ix_(boundary, interior)] @ self._w, c)
             err.setflags(write=False)
             self._walk_err = err
         return self._walk_err
@@ -216,61 +203,20 @@ def walk_green(net, a, b):
     return float(net.walk_matrix()[a, b])
 
 
-def loop_erase(walk):
-    """Chronological loop erasure: truncate back to the first visit whenever a
-    vertex repeats.  Equals iterated removal of the first loop."""
-    if len(walk) == 0:
-        raise DomainError("cannot loop-erase an empty walk")
-    pos = {}
-    out = []
-    for v in walk:
-        if v in pos:
-            cut = pos[v] + 1
-            for u in out[cut:]:
-                del pos[u]
-            del out[cut:]
-        else:
-            pos[v] = len(out)
-            out.append(v)
-    return tuple(out)
-
-
-def walk_weight(net, walk):
-    """Product of edge weights along a walk; DomainError on a missing edge or a
-    walk that passes through the absorbing boundary."""
-    if len(walk) == 0:
-        raise DomainError("empty walk")
-    for v in walk[1:-1]:
-        if not net.is_interior(v):
-            raise DomainError("intermediate walk vertices must be interior")
-    w = 1.0
-    for t, h in zip(walk, walk[1:]):
-        ew = net.edge_weight(t, h)
-        if ew == 0.0:
-            raise DomainError(f"no edge ({t}, {h})")
-        w *= ew
-    return w
-
-
 def fomin_det(net, ab):
     """Determinant of the walk matrix [W(a_j, b_k)] over a boundary tuple.
 
     For configurations where the only planar pairing of A onto B is the
     identity, this equals the total weight of N-tuples of walks a_j -> b_j in
     which the loop erasure of each earlier walk avoids every later walk.
+    Returns (value, bound): value is det_lu of the minor, and bound a
+    certified bound on its distance to the exact determinant, from one
+    det_lu_bounded call with the entrywise error of Network.walk_error.
     """
     ab = _as_boundary_tuple(ab)
     ab.validate(net)
-    return det_lu(net.walk_matrix()[np.ix_(ab.a, ab.b)])
-
-
-def fomin_det_bound(net, ab):
-    """Certified bound on |fomin_det(net, ab) - det W[A, B]|, W the exact walk
-    matrix: det_lu_bounded with the entrywise error of Network.walk_error."""
-    ab = _as_boundary_tuple(ab)
-    ab.validate(net)
     idx = np.ix_(ab.a, ab.b)
-    return det_lu_bounded(net.walk_matrix()[idx], net.walk_error()[idx])[1]
+    return det_lu_bounded(net.walk_matrix()[idx], net.walk_error()[idx])
 
 
 def _self_avoiding_paths(net, a, b, avoid, budget, handle):
@@ -520,6 +466,6 @@ def grid_fomin_check(size, rows):
     net, id_of = square_grid_network(size, size)
     a = tuple(id_of[(i, -1)] for i in rows)
     b = tuple(id_of[(i, size)] for i in rows)
-    det = fomin_det(net, (a, b))
-    brute, bound = brute_force_fomin(net, (a, b))
-    return det, brute, bound + fomin_det_bound(net, (a, b))
+    det, det_bound = fomin_det(net, (a, b))
+    brute, brute_bound = brute_force_fomin(net, (a, b))
+    return det, brute, brute_bound + det_bound

@@ -143,12 +143,6 @@ def _exit_rows(strip, sources):
     return 0.25 * _green_block(strip, sources, [strip.cols])[:, 0, :]
 
 
-def discrete_green(strip, a, b):
-    """Expected visits to b of the walk from a before absorption; symmetric."""
-    strip.index(b)
-    return float(_green_block(strip, [a], [b[0]])[0, 0, b[1] - 1])
-
-
 def exit_right(strip, a):
     """Probabilities that the walk from interior site a exits through the
     right edge, one entry per boundary row 1..rows."""

@@ -2,16 +2,25 @@
 
 The midpoint start (phi None in passage_densities.joint_pdf) is the start
 from x -> -infinity: the leading-mode density, the same at every cut.
+
+The helpers below the continuum closed forms serve single test modules:
+the biorthogonal basis builds the determinant route of
+joint_pdf_special_start_dets (test_correlation), loop_erase and
+walk_weight drive the walk enumeration that checks Fomin's identity and the
+loop-erased weights (test_graph_fomin), and discrete_green reads one entry
+of the lattice Green function (test_lattice_validation).
 """
 
 import math
 
 import numpy as np
 
-from lebp.correlation import basis_phi, basis_phi_hat
 from lebp.errors import DomainError
+from lebp.lattice_validation import _green_block
 from lebp.numerics import det_lu
 from lebp.rect_kernels import RectConfig, fomin_inner_det, hat_h, weyl_point
+
+_TWO_OVER_PI = 2.0 / math.pi
 
 
 def pdf_special_start(theta):
@@ -93,3 +102,83 @@ def poly_geom_tail(q, factors, n_start):
         total += t
         n += 1
         t = term(n)
+
+
+# --- biorthogonal basis (test_correlation) ------------------------------------
+
+
+def _check_basis(n, x):
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 1.0) or not (x > 0.0):
+        raise DomainError("need n >= 1 and x > 0")
+    return n
+
+
+def basis_phi(n, x, theta):
+    """phi_n(x, theta) = sqrt(2/pi) sin(n theta) / sinh(n x), stable form.
+
+    n and theta broadcast together; x is a scalar.
+    """
+    n = _check_basis(n, x)
+    inv_sinh = 2.0 * np.exp(-n * x) / -np.expm1(-2.0 * n * x)
+    out = math.sqrt(_TWO_OVER_PI) * np.sin(n * theta) * inv_sinh
+    return float(out) if out.ndim == 0 else out
+
+
+def basis_phi_hat(n, x, theta):
+    """phi_hat_n(x, theta) = sqrt(2/pi) sinh(n x) sin(n theta).
+
+    n and theta broadcast together; x is a scalar.
+    """
+    n = _check_basis(n, x)
+    out = math.sqrt(_TWO_OVER_PI) * np.sinh(n * x) * np.sin(n * theta)
+    return float(out) if out.ndim == 0 else out
+
+
+# --- walks on a network (test_graph_fomin) ------------------------------------
+
+
+def loop_erase(walk):
+    """Chronological loop erasure: truncate back to the first visit whenever a
+    vertex repeats.  Equals iterated removal of the first loop."""
+    if len(walk) == 0:
+        raise DomainError("cannot loop-erase an empty walk")
+    pos = {}
+    out = []
+    for v in walk:
+        if v in pos:
+            cut = pos[v] + 1
+            for u in out[cut:]:
+                del pos[u]
+            del out[cut:]
+        else:
+            pos[v] = len(out)
+            out.append(v)
+    return tuple(out)
+
+
+def walk_weight(net, walk):
+    """Product of edge weights along a walk on a graph_fomin.Network;
+    DomainError on a missing edge or a walk that passes through the
+    absorbing boundary."""
+    if len(walk) == 0:
+        raise DomainError("empty walk")
+    for v in walk[1:-1]:
+        if not net.is_interior(v):
+            raise DomainError("intermediate walk vertices must be interior")
+    w = 1.0
+    for t, h in zip(walk, walk[1:]):
+        ew = dict(net.out_edges.get(t, ())).get(h, 0.0)
+        if ew == 0.0:
+            raise DomainError(f"no edge ({t}, {h})")
+        w *= ew
+    return w
+
+
+# --- lattice Green function (test_lattice_validation) -------------------------
+
+
+def discrete_green(strip, a, b):
+    """Expected visits to b of the walk from a before absorption; symmetric."""
+    strip.index(b)
+    return float(_green_block(strip, [a], [b[0]])[0, 0, b[1] - 1])

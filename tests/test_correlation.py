@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lebp.correlation import (
-    basis_phi,
-    basis_phi_hat,
     corr_strip,
     density_semicircle,
     kernel_semicircle,
@@ -24,7 +22,7 @@ from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.numerics import SeriesPolicy, gauss_legendre
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, fomin_boundary_det, hat_h, weyl_point
-from oracles import joint_pdf_special_start_dets, pdf_special_start
+from oracles import basis_phi, basis_phi_hat, joint_pdf_special_start_dets, pdf_special_start
 
 RULE = gauss_legendre(200)
 

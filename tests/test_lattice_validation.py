@@ -13,7 +13,6 @@ from lebp.lattice_validation import (
     boundary_refinement,
     density_refinement,
     discrete_first_passage_density,
-    discrete_green,
     exit_right,
     first_passage_decomposition,
     ordered_minor_sum,
@@ -23,6 +22,7 @@ from lebp.lattice_validation import _green_block
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
+from oracles import discrete_green
 
 
 def mode_sum_exit(strip, a):

@@ -161,6 +161,10 @@ def test_every_public_name_resolves():
     assert set(lebp.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="'no_such_name'"):
         lebp.no_such_name
+    # test-only helpers live in tests/oracles.py, and fomin_det carries its bound
+    for name in ("loop_erase", "walk_weight", "discrete_green", "basis_phi", "basis_phi_hat",
+                 "fomin_det_bound"):
+        assert not hasattr(lebp, name), name
     from lebp import validation
 
     assert validation is sys.modules["lebp.validation"]

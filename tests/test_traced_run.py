@@ -28,14 +28,17 @@ def _job(args):
 @pytest.mark.parametrize(
     "args, recorded",
     [
-        (["figure", "--id", "10"], "rect_kernels._sine_series"),
-        (["lattice-validate", "--levels", "15,31"], "lattice_validation.ordered_minor_sum"),
+        (["cli", "figure", "--id", "10"], "rect_kernels._sine_series"),
+        (["cli", "lattice-validate", "--levels", "15,31"], "lattice_validation.ordered_minor_sum"),
+        (["cli", "fomin-check", "--size", "4", "--paths", "3", "--max-len", "12"],
+         "graph_fomin.fomin_det"),
+        (["lib", "lerw-weight"], "graph_fomin.lerw_weight"),
     ],
 )
 def test_traced_job_prints_the_untraced_bytes(tmp_path, args, recorded):
     dump = tmp_path / "spans.json"
-    traced = _job(["--spans", str(dump), "--job-id", "0", "cli"] + args)
-    plain = _job(["cli"] + args)
+    traced = _job(["--spans", str(dump), "--job-id", "0"] + args)
+    plain = _job(args)
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
