@@ -24,8 +24,8 @@ class TruncationError(RuntimeError):
 class EnumerationBudgetError(RuntimeError):
     """A combinatorial enumeration exceeded its configured budget.
 
-    ``reached`` records how far the enumeration got (e.g. the walk length or
-    partition size at which the budget ran out).
+    ``reached`` records how far the enumeration got: the depth of the path
+    being extended when the budget ran out.
     """
 
     def __init__(self, message, reached=None):

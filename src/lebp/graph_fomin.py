@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError
-from .numerics import UNIT_ROUNDOFF, det_lu, det_lu_bounded, rounding_gamma
+from .numerics import UNIT_ROUNDOFF, det_lu_bounded, rounding_gamma
 
 
 class Network:
@@ -336,8 +336,8 @@ def brute_force_fomin(net, ab, *, node_budget=20_000_000):
 
 def lerw_weight(net, zeta, max_len=None):
     """Total weight of walks whose loop erasure equals the self-avoiding path
-    zeta, as one minor of the walk matrix.  Returns (value, 0.0): nothing is
-    truncated.
+    zeta, as one minor of the walk matrix.  Returns (value, bound), bound a
+    certified bound on the rounding error of value: nothing is truncated.
 
     Splitting a walk at its last visits to zeta[0], zeta[1], ... writes the
     weight as prod_i G_i(zeta_i, zeta_i) * prod_i w(zeta_i, zeta_{i+1}), where
@@ -347,8 +347,9 @@ def lerw_weight(net, zeta, max_len=None):
     vertex contributes no loops: a walk that reaches it is absorbed there.  So
     the weight is 0 when zeta passes through the boundary before its end or
     uses a missing edge, and the one special case is zeta = (b,) with b on the
-    boundary, whose weight is W[b, b].  The minor goes through det_lu, so zeta
-    may hold at most 64 interior vertices.
+    boundary, whose weight is W[b, b].  The minor and its bound come from
+    det_lu_bounded with Network.walk_error, as in fomin_det, so zeta may hold
+    at most 64 interior vertices; the bound also covers the step products.
 
     max_len is ignored, because nothing is truncated; it stays optional so
     that callers which still pass a step cutoff keep working.
@@ -361,14 +362,17 @@ def lerw_weight(net, zeta, max_len=None):
     for v in zeta:
         if not (0 <= v < net.vertex_count):
             raise DomainError("zeta vertex out of range")
-    w = net.walk_matrix()
+    w, w_err = net.walk_matrix(), net.walk_error()
     if len(zeta) == 1 and not net.is_interior(zeta[0]):
-        return float(w[zeta[0], zeta[0]]), 0.0
+        return float(w[zeta[0], zeta[0]]), float(w_err[zeta[0], zeta[0]])
     if not all(net.is_interior(v) for v in zeta[1:-1]):
         return 0.0, 0.0
     z = [v for v in zeta if net.is_interior(v)]
+    det, det_err = det_lu_bounded(w[np.ix_(z, z)], w_err[np.ix_(z, z)])
     steps = float(np.prod(net._p[zeta[:-1], zeta[1:]]))
-    return det_lu(w[np.ix_(z, z)]) * steps, 0.0
+    # len(zeta) - 1 roundings in the products, two in the bound itself
+    gam = rounding_gamma(len(zeta) + 2)
+    return det * steps, float((det_err * (1.0 + gam) + gam * abs(det)) * steps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +424,17 @@ def save_network(net, path):
                 fh.write(f"{v} {head} {weight!r}\n")
 
 
-def square_grid_network(nx, ny, step_weight=0.25):
+# the step weight of the simple random walk on square_grid_network
+GRID_STEP_WEIGHT = 0.25
+
+
+def square_grid_network(nx, ny):
     """Simple-random-walk network on an nx-wide, ny-tall interior grid with an
     absorbing boundary ring.
 
     Interior cells are (i, j) with 0 <= i < ny (row) and 0 <= j < nx (column);
     the ring adds cells at i = -1, ny and j = -1, nx (no corners).  Every cell
-    has out-edges of weight `step_weight` to its lattice neighbors, except
+    has out-edges of weight GRID_STEP_WEIGHT to its lattice neighbors, except
     that boundary cells only step back into the interior (walks are absorbed
     there anyway).  Returns (net, id_of) with id_of mapping cell coordinates
     to vertex ids.
@@ -449,12 +457,12 @@ def square_grid_network(nx, ny, step_weight=0.25):
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nb = (i + di, j + dj)
             if nb in id_of:
-                edges.append((id_of[(i, j)], id_of[nb], step_weight))
+                edges.append((id_of[(i, j)], id_of[nb], GRID_STEP_WEIGHT))
     for (i, j) in ring:
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nb = (i + di, j + dj)
             if nb in id_of and id_of[nb] in interior_set:
-                edges.append((id_of[(i, j)], id_of[nb], step_weight))
+                edges.append((id_of[(i, j)], id_of[nb], GRID_STEP_WEIGHT))
     net = Network(len(id_of), edges, interior, boundary)
     return net, id_of
 

@@ -227,6 +227,12 @@ def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
 # --- refinement against the continuum -----------------------------------------
 
 
+# (left row, right row) points of boundary_refinement and the start rows of
+# density_refinement, in sixteenths of pi
+REFINEMENT_POINTS16 = ((4, 8), (8, 8), (12, 4), (6, 10), (10, 12))
+REFINEMENT_STARTS16 = (6, 10)
+
+
 def _sixteenth_indices(level, points16):
     if (level + 1) % 16:
         raise DomainError("levels must keep multiples of pi/16 on the grid")
@@ -234,44 +240,38 @@ def _sixteenth_indices(level, points16):
     return [tuple(scale * p for p in pt) for pt in points16]
 
 
-def boundary_refinement(
-    pol,
-    levels=(15, 31, 63),
-    points16=((4, 8), (8, 8), (12, 4), (6, 10), (10, 12)),
-):
+def boundary_refinement(pol, levels=(15, 31, 63)):
     """Edge-to-edge kernel on square strips (height and length pi) against
-    the continuum kernel, on a fixed set of (left row, right row) points
-    given in sixteenths of pi.  Returns one row per level:
-    (h, [absolute error per point]).
+    the continuum kernel at the (left row, right row) points
+    REFINEMENT_POINTS16.  Returns one row per level: (h, [error per point]).
     """
-    cfg = RectConfig(math.pi)
+    j16, k16 = np.array(REFINEMENT_POINTS16).T
+    cont = boundary_poisson_rect(
+        RectConfig(math.pi), pol, j16 * math.pi / 16.0, k16 * math.pi / 16.0
+    ).value
     rows = []
     for level in sorted(levels):
         strip = LatticeStrip(level, level)
         h = strip.spacing
-        errs = []
-        for (j, k), (j16, k16) in zip(_sixteenth_indices(level, points16), points16):
-            scaled = exit_right(strip, (1, j))[k - 1] / h**2
-            cont = boundary_poisson_rect(
-                cfg, pol, j16 * math.pi / 16.0, k16 * math.pi / 16.0
-            ).value
-            errs.append(abs(scaled - cont))
-        rows.append((h, errs))
+        j, k = np.array(_sixteenth_indices(level, REFINEMENT_POINTS16)).T
+        scaled = _exit_rows(strip, [(1, r) for r in j])[np.arange(j.size), k - 1] / h**2
+        rows.append((h, list(np.abs(scaled - cont))))
     return rows
 
 
-def density_refinement(pol, levels=(15, 31, 63), starts16=(6, 10)):
+def density_refinement(pol, levels=(15, 31, 63)):
     """Two-path free-end first-passage density at the mid cut of square
-    strips against the continuum two-path density (joint_pdf), compared at
-    every ordered lattice row pair.  Returns one row per level: (h, max error).
+    strips, started at the rows REFINEMENT_STARTS16, against the continuum
+    two-path density (joint_pdf), compared at every ordered lattice row
+    pair.  Returns one row per level: (h, max error).
     """
     cfg = RectConfig(math.pi)
-    phi = tuple(s * math.pi / 16.0 for s in starts16)
+    phi = tuple(s * math.pi / 16.0 for s in REFINEMENT_STARTS16)
     rows = []
     for level in sorted(levels):
         strip = LatticeStrip(level, level)
         h = strip.spacing
-        starts = _sixteenth_indices(level, [tuple(starts16)])[0]
+        starts = _sixteenth_indices(level, [REFINEMENT_STARTS16])[0]
         cut = (level + 1) // 2
         dens = discrete_first_passage_density(strip, 2, cut, starts)
         combos = np.array(list(itertools.combinations(range(level), 2)), dtype=int)

@@ -263,22 +263,23 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
             raise DomainError("all angle tuples must match phi in length")
         start = hat_h(phi)
 
-    def link(m, to):
-        """The determinant that ends at cut m on the tuples `to`, without
-        its leading coefficients."""
+    def link(m, to, hat_to):
+        """The determinant that ends at cut m on the tuples `to` (hat_to is
+        hat_h(to)), without its leading coefficients."""
         if m > 0:
             return _kernel_det(pol, cuts[m - 1], cuts[m], thetas[m - 1], to)[1]
         if phi is None:
-            return 2.0 ** (n * (n - 1)) * hat_h(to)
+            return 2.0 ** (n * (n - 1)) * hat_to
         return _kernel_det(pol, 0.0, cuts[0], phi, to)[1]
 
     # everything before the last cut is one number for the whole stack
-    head = math.prod(link(m, thetas[m]) for m in range(seq.m - 1))
+    head = math.prod(link(m, thetas[m], hat_h(thetas[m])) for m in range(seq.m - 1))
     if cfg is None:
         scale = _TWO_OVER_PI ** (n * seq.m)
 
         def densities(block):
-            return scale * (head * link(seq.m - 1, block)) * hat_h(block) / start
+            end = hat_h(block)
+            return scale * (head * link(seq.m - 1, block, end)) * end / start
 
     else:
         # nothing cancels N! / prod_n sinh(n x_M) here; put it back in the
@@ -289,7 +290,7 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
 
         def densities(block):
             ratio = norm_inner(cfg, pol, cuts[-1], block) / total
-            return scale * (head * link(seq.m - 1, block)) * ratio
+            return scale * (head * link(seq.m - 1, block, None)) * ratio
 
     # the determinants and norms block themselves; a block here holds the
     # tuples and a few values per tuple

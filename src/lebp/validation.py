@@ -2,7 +2,8 @@
 independent route: walk determinants against brute-force enumeration,
 kernel composition under quadrature, crossing-exponent fits, density
 normalizations, closed forms against series, lattice refinement against
-the continuum, and the conformal strip/semicircle identity.
+the continuum, and conformal covariance under w = cosh z.  Each check
+calls the production route its record names, never a copy of its formula.
 
 Each check returns `CheckResult` records carrying the measured error and
 the tolerance it must meet; `run_suite` groups the checks into the named
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .correlation import (
 from .errors import DomainError
 from .graph_fomin import grid_fomin_check
 from .lattice_validation import boundary_refinement, density_refinement
-from .numerics import DEFAULT_POLICY, chamber_integrate, gauss_legendre
+from .numerics import DEFAULT_POLICY, UNIT_ROUNDOFF, chamber_integrate, gauss_legendre
 from .passage_densities import ChamberSequence, joint_pdf, norm_boundary, norm_inner
 from .rect_kernels import (
     CROSSING_CASES,
@@ -38,7 +39,6 @@ from .rect_kernels import (
     crossing_decay_rate,
     crossing_exponent_fit,
     fomin_boundary_det,
-    hat_h,
     poisson_rect,
 )
 
@@ -73,16 +73,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
     elapsed: float | None = None
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-            "elapsed": self.elapsed,
-        }
 
 
 def _within(name, measured, tolerance, detail="", elapsed=None):
@@ -224,24 +214,24 @@ def check_crossing_exponent(pol=DEFAULT_POLICY):
 
 
 def check_normalization(pol=DEFAULT_POLICY):
-    """Total mass one: the two-path density in a finite rectangle, the
-    midpoint-start densities for two and three paths, and the two-cut
-    two-path joint density."""
-    out = []
+    """Total mass one: joint_pdf for two paths in a finite rectangle and for
+    the midpoint start with two and three paths, and the two-cut two-path
+    joint density composed from its kernels."""
+    out, x = [], 0.8
 
-    length, x, phi = 2.0, 0.8, (0.9, 2.1)
-    cfg = RectConfig(length)
+    def mass(cfg, phi, n, rule):
+        # the density is symmetric in the angles, as chamber_integrate needs
+        def density(pts):
+            return joint_pdf(cfg, pol, ChamberSequence((x,)), [pts], phi)
+
+        return chamber_integrate(density, rule, n)
+
+    length, phi = 2.0, (0.9, 2.1)
     order = QUADRATURE_ORDERS["rectangle_mass"]
-
-    # the density is symmetric in the angles, as chamber_integrate needs
-    def density(pts):
-        return joint_pdf(cfg, pol, ChamberSequence((x,)), [pts], phi)
-
-    mass = chamber_integrate(density, gauss_legendre(order), 2)
     out.append(
         _within(
             "two-path density mass, finite rectangle",
-            abs(mass - 1.0),
+            abs(mass(RectConfig(length), phi, 2, gauss_legendre(order)) - 1.0),
             1e-6,
             f"length={length} cut={x} starts={phi} order={order}",
         )
@@ -250,20 +240,12 @@ def check_normalization(pol=DEFAULT_POLICY):
     order = QUADRATURE_ORDERS["midpoint_mass"]
     rule = gauss_legendre(order)
     for n in (2, 3):
-        scale = 2.0 ** (n * n) / math.pi**n
-        points = []
-
-        def integrand(pts, scale=scale, points=points):
-            points.append(len(pts))
-            return scale * hat_h(pts) ** 2
-
-        mass = chamber_integrate(integrand, rule, n)
         out.append(
             _within(
                 f"midpoint-start density mass, {n} paths",
-                abs(mass - 1.0),
+                abs(mass(None, None, n, rule) - 1.0),
                 1e-8,
-                f"order={order}, {sum(points)} chamber points",
+                f"cut={x} order={order}",
             )
         )
 
@@ -291,15 +273,16 @@ def check_normalization(pol=DEFAULT_POLICY):
 
 
 def check_kernel_marginal(pol=DEFAULT_POLICY):
-    """One-point function of the two-path determinantal kernel against the
-    direct quadrature marginal of the midpoint-start density."""
+    """One-point function of the two-path determinantal kernel (corr_strip)
+    against the quadrature marginal of the midpoint-start density
+    (joint_pdf), both at the cut 0.9."""
+    x, angles = 0.9, (0.7, 1.3, 2.9)
     rule = gauss_legendre(QUADRATURE_ORDERS["marginal"])
-    worst = 0.0
-    for th in (0.7, 1.3, 2.9):
-        hh = math.sin(th) * np.sin(rule.nodes) * (np.cos(rule.nodes) - math.cos(th))
-        marginal = 16.0 / math.pi**2 * (rule.weights @ hh**2)
-        one_point = corr_strip(pol, 2, [0.9], [[th]])
-        worst = max(worst, abs(one_point - marginal))
+    pairs = np.stack(np.broadcast_arrays(np.array(angles)[:, None], rule.nodes), axis=-1)
+    marginal = joint_pdf(None, pol, ChamberSequence((x,)), [pairs]) @ rule.weights
+    worst = max(
+        abs(corr_strip(pol, 2, [x], [[th]]) - m) for th, m in zip(angles, marginal)
+    )
     return [
         _within(
             "two-path one-point function vs density marginal",
@@ -490,27 +473,34 @@ def check_scaling_limit(pol=DEFAULT_POLICY):
 
 
 def check_conformal(pol=DEFAULT_POLICY):
-    """Semicircle kernel against the strip kernel carried through the
-    exponential map with its derivative factor."""
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    checked = 0
-    while checked < 50:
-        r, rp = np.exp(rng.uniform(0.05, 2.0, 2))
-        if abs(math.log(r) - math.log(rp)) < pol.min_gap:
-            continue
-        th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
-        n = int(rng.integers(1, 6))
-        a = kernel_semicircle(pol, n, r, th, rp, tp).value
-        b = kernel_strip(pol, n, math.log(r), th, math.log(rp), tp).value / r
-        worst = max(worst, abs(a - b))
-        checked += 1
+    """Conformal covariance: poisson_rect read off the right edge of a long
+    rectangle, the half-strip Poisson kernel (2/pi) sum_n e^{-nx} sin(n theta)
+    sin(n phi) up to a gap, against the half-plane Poisson kernel
+    Im w sin(phi) / (pi |w - cos phi|^2) pulled back through w = cosh z.
+    A point's tolerance is the series' tail bound, plus that gap (2/pi)
+    sum_n e^{-n(2L - x)} / (1 - e^{-2nL}), plus 64 unit roundoffs of the
+    closed form and of the absolute series (2/pi) q / (1 - q), q = e^{-x}.
+    The record is the worst ratio of error to tolerance."""
+    length, rng, worst = 30.0, np.random.default_rng(11), (0.0, 0.0, 0.0)
+    for _ in range(50):
+        x = rng.uniform(0.05, 2.0)
+        th, phi = rng.uniform(0.05, math.pi - 0.05, 2)
+        series = poisson_rect(RectConfig(length), pol, length - x, th, phi)
+        w = complex(math.cosh(x) * math.cos(th), math.sinh(x) * math.sin(th))
+        closed = w.imag * math.sin(phi) / (math.pi * abs(w - math.cos(phi)) ** 2)
+        q, far = math.exp(-x), math.exp(x - 2.0 * length)
+        gap = 2.0 / math.pi * far / ((1.0 - far) * -math.expm1(-2.0 * length))
+        rounding = 64 * UNIT_ROUNDOFF * (2.0 / math.pi * q / (1.0 - q) + abs(closed))
+        err, tol = abs(series.value - closed), series.bound + gap + rounding
+        worst = max(worst, (err / tol, err, tol))
+    ratio, err, tol = worst
     return [
         _within(
-            "semicircle kernel vs mapped strip kernel",
-            worst,
-            1e-12,
-            "50-point random sample",
+            "rectangle kernel vs half-plane kernel under w = cosh z",
+            ratio,
+            1.0,
+            f"50-point sample, length {length:g}; worst error {err:.2e} against "
+            f"its tolerance {tol:.2e} (measured = worst error / tolerance)",
         )
     ]
 
@@ -600,5 +590,5 @@ def suite_report(name, pol=DEFAULT_POLICY):
     return {
         "suite": name,
         "passed": all(r.passed for r in results),
-        "checks": [r.to_dict() for r in results],
+        "checks": [asdict(r) for r in results],
     }

@@ -7,6 +7,8 @@ passing runs) and then asserts the outcome.
 
 import time
 
+import pytest
+
 from lebp import validation
 
 
@@ -82,3 +84,38 @@ def test_acceptance_11_lattice_refinement():
 
 def test_acceptance_12_conformal_covariance():
     _report(validation.check_conformal())
+
+
+# each record with the production route it calls: scaling the route's value
+# by 1 + eps must fail the record, which passes with a nonzero measured
+# error as it is
+PERTURBED_ROUTES = [
+    ("joint_pdf", 1e-6, "check_normalization", "midpoint-start density mass, 2 paths"),
+    ("joint_pdf", 1e-6, "check_normalization", "midpoint-start density mass, 3 paths"),
+    ("joint_pdf", 1e-6, "check_kernel_marginal", "two-path one-point function vs density marginal"),
+    (
+        "poisson_rect",
+        1e-8,
+        "check_conformal",
+        "rectangle kernel vs half-plane kernel under w = cosh z",
+    ),
+]
+
+
+@pytest.mark.parametrize("route, eps, check, name", PERTURBED_ROUTES)
+def test_record_fails_when_its_route_is_perturbed(monkeypatch, route, eps, check, name):
+    def record():
+        return next(r for r in getattr(validation, check)() if r.name == name)
+
+    plain = record()
+    assert plain.passed and plain.measured > 0.0
+    original = getattr(validation, route)
+
+    def perturbed(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if hasattr(out, "bound"):
+            return out._replace(value=out.value * (1.0 + eps))
+        return out * (1.0 + eps)
+
+    monkeypatch.setattr(validation, route, perturbed)
+    assert not record().passed

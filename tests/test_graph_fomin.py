@@ -346,8 +346,9 @@ def test_lerw_weight_on_path(path_net):
     value, tail = lerw_weight(path_net, (1, 0))
     assert tail < 1e-6
     assert abs(value - 0.75) <= tail + 1e-13
+    # the walk-matrix solve may round this weight off 1/2; the bound covers it
     value, tail = lerw_weight(path_net, (2, 1, 0))
-    assert abs(value - 0.5) <= tail + 1e-13
+    assert abs(value - 0.5) <= tail
     # the benchmark passes a step cutoff positionally; it changes nothing
     for zeta in ((1, 0), (2, 1, 0), (0,)):
         assert lerw_weight(path_net, zeta, 34) == lerw_weight(path_net, zeta)
@@ -459,10 +460,18 @@ def test_lerw_partition_identity(two_leg_net):
 
 
 def test_lerw_weights_sum_to_walk_green(two_leg_net):
+    # exact weights in rational arithmetic: the loops 1 -> 2 -> 1 at vertex
+    # 1, then the steps of the path
+    p = {(1, 2): 0.3, (2, 1): 0.25, (1, 0): 0.2, (2, 0): 0.15}
+    p = {edge: Fraction(w) for edge, w in p.items()}
+    loops = 1 / (1 - p[1, 2] * p[2, 1])
+    exact = {(1, 0): loops * p[1, 0], (1, 2, 0): loops * p[1, 2] * p[2, 0]}
     total = 0.0
-    for zeta in [(1, 0), (1, 2, 0)]:
+    for zeta, want in exact.items():
         v, t = lerw_weight(two_leg_net, zeta)
-        assert t == 0.0
+        # nothing is truncated: the bound covers rounding only
+        assert 0.0 < t < 1e-14
+        assert abs(Fraction(v) - want) <= Fraction(t)
         total += v
     green = walk_green(two_leg_net, 1, 0)
     assert abs(total - green) <= 1e-15 * green
