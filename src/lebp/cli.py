@@ -24,8 +24,8 @@ Conventions
   subcommand, raw parameters, series policy, quadrature orders, output
   path and tool version; ``lebp --manifest FILE`` replays the record and
   reproduces the output byte for byte.
-* Grids are evaluated one broadcast library call per cut pair (x, x')
-  or radius pair (r, r') over the whole angle grid; every row prints
+* Each grid is one library call, broadcast over every cut pair (x, x')
+  or radius pair (r, r') and the whole angle grid; every row prints
   exactly what the per-point library call returns.
 * Each handler imports the library modules it runs when it runs, and
   ``json`` is imported only to write or read a report or a manifest, so
@@ -141,11 +141,12 @@ def _write_csv(stream, header, columns):
 
     A column is a numeric array, or a sequence whose cells are numbers or
     preformatted strings (coordinates, integer fields, flags, names, an
-    empty cell); _fmt formats every numeric cell of a sequence.  Each line
-    is one %-template, "%.17g" per array column and "%s" per sequence
-    column; '%.17g' % v prints the bytes of _fmt(v), -0, inf and nan
-    included.  No field can hold a comma, a quote or a newline, so no
-    field needs RFC-4180 quoting.
+    empty cell); _fmt formats every numeric cell of a sequence.  The rows
+    are one %-line template, "%.17g" per array column and "%s" per sequence
+    column, repeated once per row and applied to every cell at once;
+    '%.17g' % v prints the bytes of _fmt(v), -0, inf and nan included.  No
+    field can hold a comma, a quote or a newline, so no field needs
+    RFC-4180 quoting.
     """
     template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
     cells = [
@@ -154,7 +155,9 @@ def _write_csv(stream, header, columns):
         else [v if isinstance(v, str) else _fmt(v) for v in c]
         for c in columns
     ]
-    stream.write(",".join(header) + "\n" + "".join(map(template.__mod__, zip(*cells))))
+    rows = min(map(len, cells), default=0)
+    text = (template * rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
+    stream.write(",".join(header) + "\n" + text)
 
 
 def _policy_from(ns):
@@ -183,14 +186,14 @@ def _coordinates(*axes):
     return [",".join(p) for p in itertools.product(*([_fmt(t) for t in a] for a in axes))]
 
 
-def _stack(evaluate, axes, inner):
-    """evaluate(*point) over the product grid of `axes`, each call one
-    broadcast call over the `inner` grid; one array per output of
-    evaluate, shaped (*axis lengths, *inner)."""
-    points = itertools.product(*(np.asarray(a).tolist() for a in axes))
-    outputs = zip(*(evaluate(*p) for p in points))
-    shape = (*map(len, axes), *inner)
-    return [np.reshape([np.broadcast_to(x, inner) for x in out], shape) for out in outputs]
+def _spread(column, shape):
+    """A numeric column laid out over `shape`: the array itself if it fills
+    the shape, else each of its entries formatted once and repeated over
+    the rows it broadcasts to (a per-pair bound over a pair grid)."""
+    if column.shape == shape:
+        return column
+    cells = np.array([_fmt(v) for v in column.ravel().tolist()], dtype=object)
+    return np.broadcast_to(cells.reshape(column.shape), shape).ravel().tolist()
 
 
 def _pair_grid(ns, names, evaluate):
@@ -199,16 +202,13 @@ def _pair_grid(ns, names, evaluate):
     bound.
 
     evaluate(u, theta, v, theta_p) returns a TailBoundedValue; it is called
-    once per (first, second) pair, broadcast over the theta x theta_p grid.
+    once, broadcast over the whole first x theta x second x theta_p grid.
     """
     first, theta, second, theta_p = (parse_grid(getattr(ns, f), "--" + f) for f in names)
-    grids = _stack(
-        lambda u, v: evaluate(u, theta[:, None], v, theta_p[None, :]),
-        (first, second),
-        (len(theta), len(theta_p)),
+    value, bound = evaluate(
+        first[:, None, None, None], theta[:, None, None], second[:, None], theta_p
     )
-    columns = [_coordinates(first, theta, second, theta_p)]
-    columns += [g.transpose(0, 2, 1, 3) for g in grids]
+    columns = [_coordinates(first, theta, second, theta_p), value, _spread(bound, value.shape)]
     return [*names, "value", "tail_bound"], columns
 
 
@@ -394,7 +394,7 @@ def _cmd_figure(ns):
     # gap snap onto it, where both kernels are the exact finite sum
     radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
     thetas = np.linspace(0.0, math.pi, 121)
-    g2 = _stack(lambda r: two_point_semicircle(pol, 3, r0, th0, r, thetas), [radii], thetas.shape)
+    g2 = two_point_semicircle(pol, 3, r0, th0, radii[:, None], thetas)
     return ["x_prime", "y_prime", "value", "tail_bound"], [*_cartesian(radii, thetas), *g2]
 
 

@@ -7,9 +7,11 @@ edge, not the limit of paths that coalesce at pi/2 on the left edge.  Its
 passage points across any family of vertical cuts form a determinantal
 point process.  This module provides the two-branch correlation kernel in
 the strip, its conformal image in the half-disk |w| > 1 under w = e^z, and
-the scaling limit of the kernel for large N.  Every arc quantity (kernel, density, two-point function) is the
-strip kernel pulled back through w = e^z; at equal radii that is its exact
-finite branch.
+the scaling limit of the kernel for large N.  Every arc quantity (kernel,
+density, two-point function) is the strip kernel pulled back through
+w = e^z; at equal radii that is its exact finite branch.  Cut positions and
+radii broadcast like the angles: one call evaluates a whole grid of them,
+with one sine table per angle argument.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu
-from .rect_kernels import RectConfig, _series, _sine_series, inner_coeffs, poisson_rect
+from .rect_kernels import RectConfig, _series_terms, _sine_series, inner_coeffs, poisson_rect
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -37,17 +39,29 @@ def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
     For x <= x' the kernel is the exact finite sum
     (2/pi) sum_{n<=N} [sinh(n x')/sinh(n x)] sin(n theta) sin(n theta');
     for x > x' it is minus the tail of the same series over n > N, truncated
-    with a certified geometric bound.  Angles broadcast; positions are
-    scalars.  Returns TailBoundedValue (bound 0 on the finite branch).
+    with a certified geometric bound.  Positions and angles all broadcast
+    together: each (x, x') pair takes its own branch, and every entry has
+    the bits of its single-point call.  Returns TailBoundedValue; the bound
+    has the broadcast shape of the positions (0 on the finite branch), a
+    float when they are scalars.
     """
     _check_paths(n_paths)
-    if not (x > 0.0 and x_prime > 0.0):
+    x, x_prime = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
+    if not ((x > 0.0).all() and (x_prime > 0.0).all()):
         raise DomainError("cut positions must be positive")
-    if x <= x_prime:
-        coeffs = inner_coeffs(np.arange(1, n_paths + 1), x_prime, x)
-        return TailBoundedValue(_sine_series(coeffs, theta, theta_prime), 0.0)
-    tail = _series(pol, x_prime, x, theta, theta_prime, skip=n_paths)
-    return TailBoundedValue(-tail.value, tail.bound)
+    cuts = np.broadcast(x, x_prime)
+    pairs = cuts.shape
+    coeffs, sign, bound = np.empty(pairs, dtype=object), np.ones(pairs), np.zeros(pairs)
+    for i, (u, v) in enumerate(cuts):
+        if u <= v:
+            coeffs.flat[i] = inner_coeffs(np.arange(1, n_paths + 1), v, u)
+        else:
+            tail, bound.flat[i] = _series_terms(v, u, pol.tol, n_paths, pol)
+            tail[:n_paths] = 0.0
+            coeffs.flat[i], sign.flat[i] = tail, -1.0
+    # scalar positions pass their one coefficient vector as it is
+    value = sign * _sine_series(coeffs if pairs else coeffs[()], theta, theta_prime)
+    return TailBoundedValue(*(a if a.ndim else float(a) for a in (value, bound)))
 
 
 def kernel_strip_dual(pol, n_paths, x, theta, x_prime, theta_prime):
@@ -99,21 +113,28 @@ def _check_radius(r):
         raise DomainError("radius must exceed 1")
 
 
+def _log(r):
+    """math.log of each radius, as a single-point call takes it (np.log may
+    round differently)."""
+    r = np.asarray(r, dtype=float)
+    return np.reshape([math.log(v) for v in r.ravel().tolist()], r.shape)
+
+
 def kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     """Correlation kernel on semicircular arcs of radii r, r' > 1: the strip
     kernel at x = log r with the 1/r Jacobian of w = e^z.  At r = r' it is
     the exact N-term sum (2/(pi r)) sum_n sin(n theta) sin(n theta') with
-    bound 0."""
+    bound 0.  Radii and angles broadcast together, as in kernel_strip."""
     _check_radius(r)
     _check_radius(r_prime)
-    ks = kernel_strip(pol, n_paths, math.log(r), theta, math.log(r_prime), theta_prime)
+    ks = kernel_strip(pol, n_paths, _log(r), theta, _log(r_prime), theta_prime)
     return TailBoundedValue(ks.value / r, ks.bound / r)
 
 
 def density_semicircle(n_paths, r, theta):
     """One-point density on the arc of radius r, the kernel diagonal
-    (2/(pi r)) sum_{n<=N} sin^2(n theta).  theta and r may be arrays that
-    broadcast together: the series is summed once over theta, divided by r."""
+    (2/(pi r)) sum_{n<=N} sin^2(n theta).  Radii and angles broadcast
+    together: the series is summed once over theta, then divided by r."""
     _check_paths(n_paths)
     _check_radius(r)
     return _sine_series(np.full(n_paths, _TWO_OVER_PI), theta, theta) / r
@@ -125,7 +146,8 @@ def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     Both kernels come from kernel_semicircle.  At distinct radii one of them
     is a truncated tail, and the bound |K| b' + |K'| b + b b' covers each
     returned entry; at equal radii both are exact and the bound is 0.
-    Angles broadcast.  Returns TailBoundedValue.
+    Radii and angles broadcast together; each kernel is one call over the
+    whole grid.  Returns TailBoundedValue.
     """
     _check_paths(n_paths)
     _check_radius(r)

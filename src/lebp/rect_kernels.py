@@ -91,30 +91,44 @@ def _coeffs(n, x, L):
 def _sine_series(coeffs, theta, rho):
     """sum_n coeffs[n-1] * sin(n*theta) * sin(n*rho), broadcast over angles.
 
-    Each point's whole series is one contiguous dot product over a
-    (points x terms) block, chunked over points, so an entry has the same
-    bits however many other points share the call.
+    coeffs is one coefficient vector, or an object array of them laid out
+    over a grid of pairs (a kernel's cut pairs): then each pair's series is
+    summed over every angle point, and the result has the broadcast shape
+    of the pair grid and the angles.  The pairs may have different lengths.
 
-    Cost: sines are paid per distinct angle, not per broadcast point.  In
-    each chunk an argument that is not broadcast contributes its own rows;
-    a broadcast one contributes sin(n * angle) over the range of its own
-    points that the chunk uses, and the block gathers rows from that
+    Each point's whole series is one contiguous dot product over a
+    (points x terms) block, chunked over angle points; a pair reads the
+    prefix of the block that its own coefficients cover (a prefix of
+    sin(n * angle) has the bits of the narrower table).  So an entry has
+    the same bits however many other points and pairs share the call.
+
+    Cost: sines are paid per distinct angle, not per broadcast point or
+    pair.  Each chunk builds its block once, at the longest pair's length.
+    In each chunk an argument that is not broadcast contributes its own
+    rows; a broadcast one contributes sin(n * angle) over the range of its
+    own points that the chunk uses, and the block gathers rows from that
     table (if the range is longer than the chunk, the chunk's points are
     taken directly).  So a theta[:, None] x rho[None, :] grid costs
     (len(theta) + len(rho)) * terms sines instead of twice the product,
-    rho is theta costs one table, and no table outgrows the chunk.
+    rho is theta costs one table, and no table outgrows the chunk.  Pairs
+    and angles that vary along the same axis are evaluated over their
+    product, pairs times angle points.
 
     Memory: a chunk holds the block, the second argument's sine rows and
     the np.outer temporary that each np.sin reads, three rows of `terms`
-    entries per point, so a chunk has block_rows(3 * terms) points.
+    entries per point (the longest pair's), so a chunk has
+    block_rows(3 * terms) points.
     """
+    stack = np.asarray(coeffs)
+    pairs, series = (stack.shape, list(stack.flat)) if stack.dtype == object else ((), [stack])
     args = [np.asarray(theta, dtype=float)]
     if rho is not theta:
         args.append(np.asarray(rho, dtype=float))
     _check_angles(*args)
     shape = np.broadcast_shapes(*(a.shape for a in args))
     size = math.prod(shape)
-    n = np.arange(1, coeffs.size + 1)
+    width = max((c.size for c in series), default=0)
+    n = np.arange(1, width + 1)
     # each argument's own points and, if it is broadcast, the index of the
     # point that each broadcast point takes from it
     points = [
@@ -137,13 +151,14 @@ def _sine_series(coeffs, theta, rho):
             return np.sin(np.outer(flat[idx], n))
         return np.sin(np.outer(flat[lo:hi], n))[idx - lo]
 
-    total = np.empty(size)
-    step = block_rows(3 * coeffs.size)
+    total = np.empty((len(series), size))
+    step = block_rows(3 * width)
     for start in range(0, size, step):
         block = sines(*points[0], start, start + step)
         block *= block if len(points) == 1 else sines(*points[1], start, start + step)
-        total[start : start + step] = np.vecdot(block, coeffs)
-    out = total.reshape(shape)
+        for row, c in zip(total, series):
+            row[start : start + step] = np.vecdot(block[:, : c.size], c)
+    out = total[np.arange(len(series)).reshape(pairs), np.arange(size).reshape(shape)]
     return float(out) if out.ndim == 0 else out
 
 
@@ -187,12 +202,11 @@ def _series_terms(x, L, target, at_least, pol):
     return _coeffs(np.arange(1, n0 + 1), x, L), _majorant_tail(c, p, gap, n0)
 
 
-def _series(pol, x, L, theta, rho, skip=0):
-    """sum_{n > skip} _coeffs(n, x, L) * sin(n theta) * sin(n rho), truncated
-    by _series_terms at pol.tol after at least max(skip, 1) terms.
-    Returns TailBoundedValue(value, bound); bound covers every entry."""
-    coeffs, tail = _series_terms(x, L, pol.tol, max(skip, 1), pol)
-    coeffs[:skip] = 0.0
+def _series(pol, x, L, theta, rho):
+    """sum_n _coeffs(n, x, L) * sin(n theta) * sin(n rho), truncated by
+    _series_terms at pol.tol.  Returns TailBoundedValue(value, bound); bound
+    covers every entry."""
+    coeffs, tail = _series_terms(x, L, pol.tol, 1, pol)
     return TailBoundedValue(_sine_series(coeffs, theta, rho), tail)
 
 

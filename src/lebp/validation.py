@@ -232,7 +232,7 @@ def check_normalization(pol=DEFAULT_POLICY):
         _within(
             "two-path density mass, finite rectangle",
             abs(mass(RectConfig(length), phi, 2, gauss_legendre(order)) - 1.0),
-            1e-6,
+            1e-12,
             f"length={length} cut={x} starts={phi} order={order}",
         )
     )
@@ -244,7 +244,7 @@ def check_normalization(pol=DEFAULT_POLICY):
             _within(
                 f"midpoint-start density mass, {n} paths",
                 abs(mass(None, None, n, rule) - 1.0),
-                1e-8,
+                1e-12,
                 f"cut={x} order={order}",
             )
         )
@@ -265,7 +265,7 @@ def check_normalization(pol=DEFAULT_POLICY):
         _within(
             "two-cut two-path joint mass, finite rectangle",
             abs(mass - 1.0),
-            1e-4,
+            1e-12,
             f"cuts=({x1}, {x2}) starts={phi} order={order}",
         )
     )

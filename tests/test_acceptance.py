@@ -92,6 +92,13 @@ def test_acceptance_12_conformal_covariance():
 PERTURBED_ROUTES = [
     ("joint_pdf", 1e-6, "check_normalization", "midpoint-start density mass, 2 paths"),
     ("joint_pdf", 1e-6, "check_normalization", "midpoint-start density mass, 3 paths"),
+    ("joint_pdf", 1e-6, "check_normalization", "two-path density mass, finite rectangle"),
+    (
+        "poisson_rect",
+        1e-6,
+        "check_normalization",
+        "two-cut two-path joint mass, finite rectangle",
+    ),
     ("joint_pdf", 1e-6, "check_kernel_marginal", "two-path one-point function vs density marginal"),
     (
         "poisson_rect",

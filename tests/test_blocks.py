@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lebp import numerics
+from lebp.correlation import two_point_semicircle
 from lebp.lattice_validation import LatticeStrip, discrete_first_passage_density
 from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.numerics import ordered_minor_sum
@@ -92,6 +93,30 @@ def test_normalization_suite_stays_within_the_peak_budget():
 def test_discrete_density_stays_within_the_peak_budget():
     strip = LatticeStrip(31, 31)
     assert _peak(discrete_first_passage_density, strip, 3, 16, (3, 11, 30)) <= PEAK_BYTES
+
+
+# figure 10's grid: the probe radius 2 against 60 radii, two of them
+# (1.95 and 2.05) next to it, so one call holds 60 kernel pairs and the
+# longest tail needs about 1 300 terms: the shared sine table spans
+# several chunks of angle points
+RADII, ARC = np.linspace(1.05, 4.0, 60)[:, None], np.linspace(0.0, math.pi, 121)
+
+
+def _many_pairs():
+    return two_point_semicircle(POL, 3, 2.0, math.pi / 2, RADII, ARC)
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+def test_many_pair_blocks_keep_the_default_bits(monkeypatch, budget):
+    want = _many_pairs()
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
+    got = _many_pairs()
+    assert got.value.shape == got.bound.shape == (60, 121)
+    assert np.array_equal(got.value, want.value) and np.array_equal(got.bound, want.bound)
+
+
+def test_many_pair_grid_stays_within_the_peak_budget():
+    assert _peak(_many_pairs) <= PEAK_BYTES
 
 
 def test_sine_series_grid_stays_within_the_peak_budget():

@@ -518,6 +518,43 @@ def test_grid_output_is_scalar_library_calls(monkeypatch):
         assert run_cli(args)[1] == out
 
 
+# each grid subcommand, the library function it calls and the number of
+# sine-series evaluations that one call makes (one per kernel or density)
+_ONE_CALL_GRIDS = [
+    (["kernel", "--domain", "strip", "--N", "3", "--x", "0.4:1.4:3", "--theta", "0.2:2.9:4",
+      "--xp", "0.5:0.9:2", "--thetap", "0.3:3.0:5"], "kernel_strip", 1),
+    (["kernel", "--domain", "semicircle", "--N", "3", "--r", "1.5:3:3", "--theta", "0.2:2.9:4",
+      "--rp", "2:2.5:2", "--thetap", "0.3:3.0:5"], "kernel_semicircle", 1),
+    (["two-point", "--N", "4", "--r", "2:3:2", "--theta", "0.2:2.9:4", "--rp", "2:2.2:3",
+      "--thetap", "0.3:3.0:5"], "two_point_semicircle", 4),
+    (["figure", "--id", "10"], "two_point_semicircle", 4),
+]
+
+
+@pytest.mark.parametrize("args, name, series", _ONE_CALL_GRIDS, ids=lambda v: str(v)[:24])
+def test_grid_is_one_library_call(monkeypatch, args, name, series):
+    # every cut or radius pair of a grid shares one library call, and so
+    # one sine table per angle argument and series
+    import lebp.correlation as correlation
+
+    calls = {name: 0, "_sine_series": 0}
+
+    def counted(key):
+        original = getattr(correlation, key)
+
+        def wrapper(*a, **k):
+            calls[key] += 1
+            return original(*a, **k)
+
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(correlation, key, counted(key))
+    code, out, _ = run_cli(args)
+    assert code == 0 and out.count("\n") > 20
+    assert calls == {name: 1, "_sine_series": series}
+
+
 def test_manifest_roundtrip(tmp_path):
     first = tmp_path / "a.csv"
     manifest = tmp_path / "run.json"
@@ -797,6 +834,11 @@ def test_csv_writer_bytes_equal_per_cell_formatting():
     out = io.StringIO()
     _write_csv(out, header, columns)
     assert out.getvalue() == _per_cell(header, columns)
+    # a table without rows is its header line
+    empty = [np.empty((0, 3)), np.array([], dtype=np.float32), []]
+    out = io.StringIO()
+    _write_csv(out, ["a", "b", "c"], empty)
+    assert out.getvalue() == _per_cell(["a", "b", "c"], empty) == "a,b,c\n"
 
 
 @pytest.mark.parametrize(

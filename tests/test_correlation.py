@@ -111,6 +111,32 @@ def test_kernel_tail_grid_matches_scalar_calls_bitwise():
             assert got.value[i, j] == kernel_strip(POL, 3, 1.05, float(t), 1.0, float(tp)).value
 
 
+def test_kernel_position_broadcast_matches_scalar_calls():
+    # cut positions broadcast like angles, each pair on its own branch
+    # (x <, = and > x', tails of different lengths), with scalar-call bits
+    x, xp = np.array([0.4, 0.9, 1.05, 1.6])[:, None, None], np.array([0.9, 1.0])[:, None]
+    theta, theta_p = np.array([0.3, 1.9])[:, None, None, None], np.array([0.0, 1.1, 2.9])
+    got = kernel_strip(POL, 3, x, theta, xp, theta_p)
+    assert got.value.shape == (2, 4, 2, 3) and got.bound.shape == (4, 2, 1)
+    assert np.count_nonzero(got.bound) == 4
+    for (a, i, j, k), value in np.ndenumerate(got.value):
+        one = kernel_strip(POL, 3, x[i, 0, 0], theta[a, 0, 0, 0], xp[j, 0], theta_p[k])
+        assert value == one.value and got.bound[i, j, 0] == one.bound
+
+
+def test_kernel_position_preconditions_hold_elementwise():
+    with pytest.raises(DomainError, match="cut positions must be positive"):
+        kernel_strip(POL, 2, np.array([0.5, 0.0]), 1.0, 1.0, 1.0)
+    with pytest.raises(PrecisionError, match="below policy min_gap"):
+        kernel_strip(POL, 2, np.array([0.5, 1.0 + 1e-5]), 1.0, 1.0, 1.0)
+    with pytest.raises(TruncationError):
+        kernel_strip(SeriesPolicy(n_max=10), 1, 1.0, 1.0, np.array([2.0, 0.999]), 1.0)
+    with pytest.raises(DomainError, match="radius must exceed 1"):
+        kernel_semicircle(POL, 2, np.array([2.0, 1.0]), 1.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match="radius must exceed 1"):
+        two_point_semicircle(POL, 2, 2.0, 1.0, np.array([[3.0], [0.5]]), 1.2)
+
+
 def test_kernel_trace_counts_paths():
     for n in (1, 2, 5):
         diag = kernel_strip(POL, n, 0.7, RULE.nodes, 0.7, RULE.nodes).value

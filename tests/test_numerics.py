@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lebp import numerics
 from lebp.errors import DomainError, PrecisionError
 from lebp.rect_kernels import hat_h
 from lebp.numerics import (
@@ -36,6 +38,36 @@ def test_polynomial_exactness():
         got = rule.weights @ rule.nodes**k
         want = math.pi ** (k + 1) / (k + 1)
         assert abs(got - want) <= 1e-13 * want
+
+
+def _mp_legendre_rule(order, guesses):
+    """40-digit nodes and weights of the order-`order` rule on (-1, 1):
+    Newton's method from `guesses` on mpmath's own Legendre function."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, guesses):
+            for _ in range(4):
+                p, q = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+                dp = order * (q - x * p) / (1 - x * x)
+                x -= p / dp
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("order", [20, 48, 64, 120, 200])
+def test_legendre_rule_matches_mpmath(order):
+    # numpy's eigenvalue rule has weights 1.3e-12 (48, 64 nodes) to 2e-11
+    # (200 nodes) off; the Newton rule keeps every node within 2 unit
+    # roundoffs and every weight within 2e-13 relative
+    x, w = numerics._legendre_rule(order)
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+    nodes, weights = _mp_legendre_rule(order, x.tolist())
+    with mpmath.workdps(40):
+        node_err = max(abs(float(a - b)) for a, b in zip(x.tolist(), nodes))
+        weight_err = max(abs(float(a / b - 1)) for a, b in zip(w.tolist(), weights))
+    assert node_err <= 2 * numerics.UNIT_ROUNDOFF
+    assert weight_err <= 2e-13
 
 
 def test_sine_orthogonality_order_64_low_frequencies():
