@@ -371,9 +371,14 @@ def test_det_lu_rejects_oversize_and_nonfinite():
     gap=st.floats(min_value=0.0, max_value=4.0),
 )
 def test_sinh_ratio_matches_direct_evaluation(n, num, gap):
+    # the direct quotient in 40 digits: in doubles its own rounding of n*num
+    # and n*den is up to 4.3e-14 relative (n=48, num=2.8, gap=3), as large as
+    # the tolerance
     den = num + gap
-    direct = math.sinh(n * num) / math.sinh(n * den)
-    assert abs(sinh_ratio(n, num, den) - direct) <= 5e-14 * direct
+    with mpmath.workdps(40):
+        direct = mpmath.sinh(n * mpmath.mpf(num)) / mpmath.sinh(n * mpmath.mpf(den))
+        err = abs(sinh_ratio(n, num, den) - direct)
+    assert err <= 5e-14 * direct
 
 
 def test_sinh_ratio_huge_argument():
