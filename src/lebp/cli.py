@@ -356,13 +356,12 @@ def _cmd_crossing(ns):
 def _cmd_lattice_validate(ns):
     from .lattice_validation import boundary_refinement, density_refinement
 
-    pol = _policy_from(ns)
     levels = tuple(_parse_int(v, "--levels") for v in str(ns.levels).split(","))
     if len(set(levels)) != len(levels):
         raise UsageError(f"--levels: each level must appear once, got {ns.levels}")
     tables = {
-        "boundary_kernel": [(h, max(e)) for h, e in boundary_refinement(pol, levels=levels)],
-        "two_path_density": density_refinement(pol, levels=levels),
+        "boundary_kernel": [(h, max(e)) for h, e in boundary_refinement(levels)],
+        "two_path_density": density_refinement(levels),
     }
     quantity, steps, errors, ratios = [], [], [], []
     for name, table in tables.items():
@@ -390,9 +389,8 @@ def _cmd_figure(ns):
         return ["theta_prime", "value"], [thetas, values]
     r0, th0 = 2.0, math.pi / 2
     radii = np.linspace(1.05, 4.0, 60)
-    # radii indistinguishable from the probe radius within the policy
-    # gap snap onto it, where both kernels are the exact finite sum
-    radii = np.where(np.abs(np.log(radii / r0)) < pol.min_gap, r0, radii)
+    # the grid radius nearest r0 snaps onto it, where the kernels are exact finite sums
+    radii[np.argmin(np.abs(radii - r0))] = r0
     thetas = np.linspace(0.0, math.pi, 121)
     g2 = two_point_semicircle(pol, 3, r0, th0, radii[:, None], thetas)
     return ["x_prime", "y_prime", "value", "tail_bound"], [*_cartesian(radii, thetas), *g2]
@@ -404,9 +402,8 @@ def _cmd_validate(ns):
 
     from . import validation
 
-    pol = _policy_from(ns)
     names = _SUITE_NAMES if ns.suite == "all" else [ns.suite]
-    reports = [validation.suite_report(name, pol) for name in names]
+    reports = [validation.suite_report(name) for name in names]
     passed = all(r["passed"] for r in reports)
     payload = reports[0] if len(reports) == 1 else {"passed": passed, "suites": reports}
     return json.dumps(payload, indent=2) + "\n", 0 if passed else 1
@@ -511,21 +508,21 @@ def build_parser():
     p.add_argument("--cap", default="8", help="ignored: the truncation is certified")
     _add_common(p, policy=False)
 
-    p = sub.add_parser("lattice-validate", help="random-walk refinement table")
+    p = sub.add_parser("lattice-validate", help="lattice refinement table at the default policy")
     p.add_argument("--levels", default="15,31,63", help="comma tuple of strip heights")
-    _add_common(p, policy=True)
+    _add_common(p, policy=False)
 
     p = sub.add_parser("figure", help="emit the data set behind one figure")
     p.add_argument("--id", required=True, choices=("7", "8", "9", "10"))
     _add_common(p, policy=True)
 
-    p = sub.add_parser("validate", help="run a validation suite")
+    p = sub.add_parser("validate", help="run a validation suite at the default series policy")
     p.add_argument(
         "--suite",
         required=True,
         choices=(*_SUITE_NAMES, "all"),
     )
-    _add_common(p, policy=True)
+    _add_common(p, policy=False)
 
     return parser
 

@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .numerics import DEFAULT_POLICY as POL
 from .numerics import PFAFFIAN_COPIES, block_rows, det_lu, ordered_minor_sum, stacked
 from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import RectConfig, boundary_poisson_rect
@@ -240,14 +241,14 @@ def _sixteenth_indices(level, points16):
     return [tuple(scale * p for p in pt) for pt in points16]
 
 
-def boundary_refinement(pol, levels=(15, 31, 63)):
+def boundary_refinement(levels=(15, 31, 63)):
     """Edge-to-edge kernel on square strips (height and length pi) against
     the continuum kernel at the (left row, right row) points
     REFINEMENT_POINTS16.  Returns one row per level: (h, [error per point]).
     """
     j16, k16 = np.array(REFINEMENT_POINTS16).T
     cont = boundary_poisson_rect(
-        RectConfig(math.pi), pol, j16 * math.pi / 16.0, k16 * math.pi / 16.0
+        RectConfig(math.pi), POL, j16 * math.pi / 16.0, k16 * math.pi / 16.0
     ).value
     rows = []
     for level in sorted(levels):
@@ -259,7 +260,7 @@ def boundary_refinement(pol, levels=(15, 31, 63)):
     return rows
 
 
-def density_refinement(pol, levels=(15, 31, 63)):
+def density_refinement(levels=(15, 31, 63)):
     """Two-path free-end first-passage density at the mid cut of square
     strips, started at the rows REFINEMENT_STARTS16, against the continuum
     two-path density (joint_pdf), compared at every ordered lattice row
@@ -275,7 +276,7 @@ def density_refinement(pol, levels=(15, 31, 63)):
         cut = (level + 1) // 2
         dens = discrete_first_passage_density(strip, 2, cut, starts)
         combos = np.array(list(itertools.combinations(range(level), 2)), dtype=int)
-        cont = joint_pdf(cfg, pol, ChamberSequence((cut * h,)), [(combos + 1) * h], phi)
+        cont = joint_pdf(cfg, POL, ChamberSequence((cut * h,)), [(combos + 1) * h], phi)
         err = np.abs(dens[combos[:, 0], combos[:, 1]] / h**2 - cont)
         rows.append((h, float(err.max())))
     return rows

@@ -7,7 +7,8 @@ calls the production route its record names, never a copy of its formula.
 
 Each check returns `CheckResult` records carrying the measured error and
 the tolerance it must meet; `run_suite` groups the checks into the named
-suites exposed by the command line.
+suites exposed by the command line.  Every check runs at DEFAULT_POLICY,
+the series policy its tolerance was set against, and takes no arguments.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .correlation import (
 from .errors import DomainError
 from .graph_fomin import grid_fomin_check
 from .lattice_validation import boundary_refinement, density_refinement
-from .numerics import DEFAULT_POLICY, UNIT_ROUNDOFF, chamber_integrate, gauss_legendre
+from .numerics import DEFAULT_POLICY as POL, UNIT_ROUNDOFF, chamber_integrate, gauss_legendre
 from .passage_densities import ChamberSequence, joint_pdf, norm_boundary, norm_inner
 from .rect_kernels import (
     CROSSING_CASES,
@@ -47,8 +48,8 @@ from .rect_kernels import (
 QUADRATURE_ORDERS = {
     "composition": 200,
     "marginal": 200,
-    "rectangle_mass": 64,
-    "midpoint_mass": 120,
+    "rectangle_mass": 48,
+    "midpoint_mass": 48,
     "joint_mass": 48,
     "limit_panel": 20,
 }
@@ -87,11 +88,10 @@ def _count(name, got, expected, detail=""):
 # --- walk determinants ---------------------------------------------------------
 
 
-def check_fomin_identity(pol=DEFAULT_POLICY):
+def check_fomin_identity():
     """Two-path walk determinant on the 3x3 grid against the exact
     enumeration over self-avoiding paths; must agree within the sum of both
     sides' certified rounding bounds."""
-    del pol  # exact rational walk sums; no series policy involved
     start = time.perf_counter()
     det, brute, bound = grid_fomin_check(3, (0, 2))
     elapsed = time.perf_counter() - start
@@ -122,7 +122,7 @@ def _semigroup_sample(seed=7, count=10):
     return out
 
 
-def check_semigroup(pol=DEFAULT_POLICY):
+def check_semigroup():
     """Interior and edge-start kernels composed across an intermediate cut
     reproduce the single-step kernel (quadrature over the cut)."""
     order = QUADRATURE_ORDERS["composition"]
@@ -136,14 +136,14 @@ def check_semigroup(pol=DEFAULT_POLICY):
         cfg = RectConfig(length)
         mid = RectConfig(x_mid)
         start = time.perf_counter()
-        second = poisson_rect(cfg, pol, x_mid, nodes, rho).value
-        lhs = poisson_rect(cfg, pol, x, th, rho).value
-        rhs = weights @ (poisson_rect(mid, pol, x, th, nodes).value * second)
+        second = poisson_rect(cfg, POL, x_mid, nodes, rho).value
+        lhs = poisson_rect(cfg, POL, x, th, rho).value
+        rhs = weights @ (poisson_rect(mid, POL, x, th, nodes).value * second)
         t_int += time.perf_counter() - start
         err_int = max(err_int, abs(lhs - rhs))
         start = time.perf_counter()
-        lhs_b = boundary_poisson_rect(cfg, pol, phi, rho).value
-        rhs_b = weights @ (boundary_poisson_rect(mid, pol, phi, nodes).value * second)
+        lhs_b = boundary_poisson_rect(cfg, POL, phi, rho).value
+        rhs_b = weights @ (boundary_poisson_rect(mid, POL, phi, nodes).value * second)
         t_bdy += time.perf_counter() - start
         err_bdy = max(err_bdy, abs(lhs_b - rhs_b))
     return [
@@ -164,7 +164,7 @@ def check_semigroup(pol=DEFAULT_POLICY):
     ]
 
 
-def check_kernel_dual(pol=DEFAULT_POLICY):
+def check_kernel_dual():
     """Backward-cut correlation kernel: certified tail sum against the
     (finite sum - interior kernel) rearrangement."""
     rng = np.random.default_rng(5)
@@ -174,8 +174,8 @@ def check_kernel_dual(pol=DEFAULT_POLICY):
         x = x_prime + rng.uniform(0.1, 1.5)
         th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
         n = int(rng.integers(1, 6))
-        a = kernel_strip(pol, n, x, th, x_prime, tp).value
-        b = kernel_strip_dual(pol, n, x, th, x_prime, tp).value
+        a = kernel_strip(POL, n, x, th, x_prime, tp).value
+        b = kernel_strip_dual(POL, n, x, th, x_prime, tp).value
         worst = max(worst, abs(a - b))
     return [
         _within(
@@ -190,10 +190,9 @@ def check_kernel_dual(pol=DEFAULT_POLICY):
 # --- crossing exponent ---------------------------------------------------------
 
 
-def check_crossing_exponent(pol=DEFAULT_POLICY):
+def check_crossing_exponent():
     """Least-squares slope of the log nonintersection ratio over rectangle
     lengths 6, 8, 10, 12 against the exact decay rate n(n-1)/2."""
-    del pol  # graded determinants over fixed frequencies; no series policy
     out = []
     for n, (phi, rho) in CROSSING_CASES.items():
         _, slope = crossing_exponent_fit(phi, rho, (6.0, 8.0, 10.0, 12.0))
@@ -213,18 +212,17 @@ def check_crossing_exponent(pol=DEFAULT_POLICY):
 # --- normalizations --------------------------------------------------------------
 
 
-def check_normalization(pol=DEFAULT_POLICY):
+def check_normalization():
     """Total mass one: joint_pdf for two paths in a finite rectangle and for
     the midpoint start with two and three paths, and the two-cut two-path
-    joint density composed from its kernels."""
+    joint density, both composed from its kernels and through joint_pdf's
+    multi-cut route, whose last-cut marginal is the one-cut density."""
     out, x = [], 0.8
 
-    def mass(cfg, phi, n, rule):
-        # the density is symmetric in the angles, as chamber_integrate needs
-        def density(pts):
-            return joint_pdf(cfg, pol, ChamberSequence((x,)), [pts], phi)
-
-        return chamber_integrate(density, rule, n)
+    def mass(cfg, phi, n, rule, cuts=(x,), head=()):
+        # the density is symmetric in the last cut's angles, as chamber_integrate needs
+        seq = ChamberSequence(cuts)
+        return chamber_integrate(lambda t: joint_pdf(cfg, POL, seq, [*head, t], phi), rule, n)
 
     length, phi = 2.0, (0.9, 2.1)
     order = QUADRATURE_ORDERS["rectangle_mass"]
@@ -255,33 +253,36 @@ def check_normalization(pol=DEFAULT_POLICY):
     rule = gauss_legendre(order)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    first = fomin_boundary_det(RectConfig(x1), pol, phi, grid) * np.outer(w, w)
-    last = norm_inner(cfg, pol, x2, grid) * np.outer(w, w)
-    step = poisson_rect(RectConfig(x2), pol, x1, nodes[:, None], nodes[None, :]).value
+    first = fomin_boundary_det(RectConfig(x1), POL, phi, grid) * np.outer(w, w)
+    last = norm_inner(cfg, POL, x2, grid) * np.outer(w, w)
+    step = poisson_rect(RectConfig(x2), POL, x1, nodes[:, None], nodes[None, :]).value
     t1 = np.einsum("ab,ac,bd,cd->", first, step, step, last, optimize=True)
     t2 = np.einsum("ab,ad,bc,cd->", first, step, step, last, optimize=True)
-    mass = (t1 - t2) / 4.0 / norm_boundary(cfg, pol, phi)
+    composed = abs((t1 - t2) / 4.0 / norm_boundary(cfg, POL, phi) - 1.0)
+    single = joint_pdf(cfg, POL, ChamberSequence((x1,)), [phi], phi)
+    marginal = abs(mass(cfg, phi, 2, rule, (x1, x2), [phi]) / single - 1.0)
     out.append(
         _within(
             "two-cut two-path joint mass, finite rectangle",
-            abs(mass - 1.0),
+            max(composed, marginal),
             1e-12,
-            f"cuts=({x1}, {x2}) starts={phi} order={order}",
+            f"cuts=({x1}, {x2}) starts={phi} order={order}; composed {composed:.2e}, "
+            f"last-cut marginal at theta_1=starts vs one cut {marginal:.2e} (relative)",
         )
     )
     return out
 
 
-def check_kernel_marginal(pol=DEFAULT_POLICY):
+def check_kernel_marginal():
     """One-point function of the two-path determinantal kernel (corr_strip)
     against the quadrature marginal of the midpoint-start density
     (joint_pdf), both at the cut 0.9."""
     x, angles = 0.9, (0.7, 1.3, 2.9)
     rule = gauss_legendre(QUADRATURE_ORDERS["marginal"])
     pairs = np.stack(np.broadcast_arrays(np.array(angles)[:, None], rule.nodes), axis=-1)
-    marginal = joint_pdf(None, pol, ChamberSequence((x,)), [pairs]) @ rule.weights
+    marginal = joint_pdf(None, POL, ChamberSequence((x,)), [pairs]) @ rule.weights
     worst = max(
-        abs(corr_strip(pol, 2, [x], [[th]]) - m) for th, m in zip(angles, marginal)
+        abs(corr_strip(POL, 2, [x], [[th]]) - m) for th, m in zip(angles, marginal)
     )
     return [
         _within(
@@ -312,7 +313,7 @@ def _closed_kernel(n, r, th, tp):
     return num / (math.pi * r * (math.cos(th) - math.cos(tp)))
 
 
-def check_closed_density(pol=DEFAULT_POLICY):
+def check_closed_density():
     """The arc density and the equal-radius kernel, both the exact finite
     sum of the strip kernel, against their closed forms away from the 0/0
     points; and the exact three-path value 4/(pi r) on the imaginary axis."""
@@ -323,7 +324,7 @@ def check_closed_density(pol=DEFAULT_POLICY):
             worst = max(worst, abs(density_semicircle(n, 2.0, th) - _closed_density(n, 2.0, th)))
             for tp in angles:
                 if tp != th:
-                    k = kernel_semicircle(pol, n, 2.0, th, 2.0, tp).value
+                    k = kernel_semicircle(POL, n, 2.0, th, 2.0, tp).value
                     worst = max(worst, abs(k - _closed_kernel(n, 2.0, th, tp)))
     axis = 0.0
     for r in (1.5, 2.0, 10.0):
@@ -345,7 +346,7 @@ def check_closed_density(pol=DEFAULT_POLICY):
     ]
 
 
-def check_figure_shapes(pol=DEFAULT_POLICY):
+def check_figure_shapes():
     """Shape counts behind the figures: three density ridges for three
     paths, four repulsion peaks in the five-path two-point scan, and the
     two-point function vanishing at coincident angles."""
@@ -354,14 +355,14 @@ def check_figure_shapes(pol=DEFAULT_POLICY):
     inner = rho[1:-1]
     ridges = int(np.sum((inner > rho[:-2]) & (inner > rho[2:])))
 
-    g2 = two_point_semicircle(pol, 5, 4.0, math.pi / 2, 4.0, th).value
+    g2 = two_point_semicircle(POL, 5, 4.0, math.pi / 2, 4.0, th).value
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
 
     near = max(
         abs(
             two_point_semicircle(
-                pol, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
+                POL, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
             ).value
         )
         for sign in (1.0, -1.0)
@@ -383,10 +384,9 @@ def check_figure_shapes(pol=DEFAULT_POLICY):
     ]
 
 
-def check_uniform_density(pol=DEFAULT_POLICY):
+def check_uniform_density():
     """Many-path flatness: pi*r*density/N within 2% of one away from the
     arc endpoints."""
-    del pol
     th = np.linspace(math.pi / 6, 5 * math.pi / 6, 1001)
     rho = density_semicircle(200, 3.7, th)
     dev = float(np.max(np.abs(math.pi * 3.7 * rho / 200.0 - 1.0)))
@@ -439,14 +439,14 @@ def _limit_kernel_quadrature(u, a, u_prime, a_prime, rule, t_max=None):
     return value, bound
 
 
-def check_scaling_limit(pol=DEFAULT_POLICY):
+def check_scaling_limit():
     """Edge scaling: the 500-path kernel at radius N+u, angle a/N against
     the closed-form limit kernel, and the limit kernel against direct
     quadrature of its defining integral."""
     big = 500
     worst = 0.0
     for u, up, a, ap in [(0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 2.0), (-1.0, 2.0, 2.0, 1.0)]:
-        scaled = kernel_semicircle(pol, big, big + u, a / big, big + up, ap / big).value
+        scaled = kernel_semicircle(POL, big, big + u, a / big, big + up, ap / big).value
         worst = max(worst, abs(scaled - limit_kernel(u, a, up, ap)))
 
     order = QUADRATURE_ORDERS["limit_panel"]
@@ -472,7 +472,7 @@ def check_scaling_limit(pol=DEFAULT_POLICY):
     ]
 
 
-def check_conformal(pol=DEFAULT_POLICY):
+def check_conformal():
     """Conformal covariance: poisson_rect read off the right edge of a long
     rectangle, the half-strip Poisson kernel (2/pi) sum_n e^{-nx} sin(n theta)
     sin(n phi) up to a gap, against the half-plane Poisson kernel
@@ -485,7 +485,7 @@ def check_conformal(pol=DEFAULT_POLICY):
     for _ in range(50):
         x = rng.uniform(0.05, 2.0)
         th, phi = rng.uniform(0.05, math.pi - 0.05, 2)
-        series = poisson_rect(RectConfig(length), pol, length - x, th, phi)
+        series = poisson_rect(RectConfig(length), POL, length - x, th, phi)
         w = complex(math.cosh(x) * math.cos(th), math.sinh(x) * math.sin(th))
         closed = w.imag * math.sin(phi) / (math.pi * abs(w - math.cos(phi)) ** 2)
         q, far = math.exp(-x), math.exp(x - 2.0 * length)
@@ -515,11 +515,11 @@ def _ratio_rows(rows, errs):
     return "; ".join(parts)
 
 
-def check_lattice_refinement(pol=DEFAULT_POLICY):
+def check_lattice_refinement():
     """Random-walk boundary kernel and two-path first-passage density on
     square strips: errors against the continuum must fall strictly at
     every halving of the mesh."""
-    rows = boundary_refinement(pol)
+    rows = boundary_refinement()
     per_point = np.array([errs for _, errs in rows])
     ratios = per_point[1:] / per_point[:-1]
     worst_ratio = float(ratios.max())
@@ -532,7 +532,7 @@ def check_lattice_refinement(pol=DEFAULT_POLICY):
         _ratio_rows(rows, maxerr) + " (max over 5 points; measured = worst ratio)",
     )
 
-    rows = density_refinement(pol)
+    rows = density_refinement()
     errs = np.array([err for _, err in rows])
     ratios = errs[1:] / errs[:-1]
     density = CheckResult(
@@ -564,9 +564,9 @@ SUITES = {
 }
 
 
-def run_suite(name, pol=DEFAULT_POLICY):
-    """Run one named suite and return its CheckResult list, every record with
-    its elapsed time set."""
+def run_suite(name):
+    """Run one named suite at the default series policy and return its
+    CheckResult list, every record with its elapsed time set."""
     if name not in SUITES:
         raise DomainError(
             "unknown suite %r; choose from %s" % (name, ", ".join(sorted(SUITES)))
@@ -574,7 +574,7 @@ def run_suite(name, pol=DEFAULT_POLICY):
     results = []
     for fn in SUITES[name]:
         start = time.perf_counter()
-        out = fn(pol)
+        out = fn()
         elapsed = time.perf_counter() - start
         for r in out:
             if r.elapsed is None:
@@ -583,10 +583,10 @@ def run_suite(name, pol=DEFAULT_POLICY):
     return results
 
 
-def suite_report(name, pol=DEFAULT_POLICY):
-    """Machine-readable report for one suite: dict with per-check rows and
-    an overall flag."""
-    results = run_suite(name, pol)
+def suite_report(name):
+    """Machine-readable report for one suite, run at the default series
+    policy: dict with per-check rows and an overall flag."""
+    results = run_suite(name)
     return {
         "suite": name,
         "passed": all(r.passed for r in results),

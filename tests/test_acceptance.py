@@ -126,3 +126,42 @@ def test_record_fails_when_its_route_is_perturbed(monkeypatch, route, eps, check
 
     monkeypatch.setattr(validation, route, perturbed)
     assert not record().passed
+
+
+def test_two_cut_record_fails_when_its_interior_links_are_perturbed(monkeypatch):
+    # joint_pdf's links between consecutive cuts (_kernel_det at x > 0) reach
+    # the two-cut record only through its last-cut marginal
+    from lebp import passage_densities
+
+    name = "two-cut two-path joint mass, finite rectangle"
+    original = passage_densities._kernel_det
+
+    def perturbed(pol, x, L, start, rho):
+        lead, rest = original(pol, x, L, start, rho)
+        return lead, (rest * (1.0 + 1e-6) if x > 0.0 else rest)
+
+    monkeypatch.setattr(passage_densities, "_kernel_det", perturbed)
+    (record,) = [r for r in validation.check_normalization() if r.name == name]
+    assert not record.passed
+
+
+@pytest.mark.parametrize(
+    "key, larger, names",
+    [
+        ("midpoint_mass", 120, ("midpoint-start density mass, 2 paths",
+                                "midpoint-start density mass, 3 paths")),
+        ("rectangle_mass", 64, ("two-path density mass, finite rectangle",)),
+    ],
+)
+def test_mass_records_are_converged_at_their_order(monkeypatch, key, larger, names):
+    # each mass record reads at rounding level, and where it read at the
+    # larger order it used before
+    def records():
+        return {r.name: r.measured for r in validation.check_normalization() if r.name in names}
+
+    now = records()
+    monkeypatch.setitem(validation.QUADRATURE_ORDERS, key, larger)
+    before = records()
+    for name in names:
+        assert now[name] <= 2e-15, name
+        assert abs(now[name] - before[name]) <= 4e-15, name

@@ -390,13 +390,44 @@ def test_crossing_exponent_cap_is_validated_but_changes_nothing():
     assert code == 2 and "--cap" in err
 
 
-def test_crossing_exponent_takes_no_series_policy():
-    # the crossing ratio truncates at its own certified target; the
-    # policy flags are gone
+def test_crossing_exponent_explicit_builtin_angles_print_the_same_bytes():
+    phi, rho = CROSSING_CASES[2]
+    explicit = ["--phi", ",".join(map(repr, phi)), "--rho", ",".join(map(repr, rho))]
+    builtin = run_cli(["crossing-exponent", "--paths", "2"])
+    assert builtin[0] == 0
+    assert run_cli(["crossing-exponent", "--paths", "2", *explicit]) == builtin
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["crossing-exponent", "--paths", "2"],
+        ["validate", "--suite", "fomin"],
+        ["lattice-validate", "--levels", "15"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_crossing_exponent_takes_no_series_policy(args, tmp_path):
+    # the crossing ratio truncates at its own certified target, and the
+    # validation verdicts and the refinement table run at the default
+    # policy their tolerances were set against; the policy flags are gone
     for flag in ("--tol", "--n-max", "--min-gap"):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["crossing-exponent", "--paths", "2", flag, "1"])
+            run_cli([*args, flag, "1"])
         assert exc.value.code == 2
+    output, manifest = tmp_path / "out", tmp_path / "run.json"
+    code, out, _ = run_cli([*args, "--output", str(output), "--save-manifest", str(manifest)])
+    assert code == 0 and out == "" and output.read_text()
+    payload = json.loads(manifest.read_text())
+    assert payload["policy"] is None
+    # a manifest that records the policy flags replays with exit 2 and
+    # names them
+    payload["arguments"].update(tol="1e-12", n_max="100000", min_gap="1e-3")
+    manifest.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        main(["--manifest", str(manifest)])
+    assert exc.value.code == 2 and "--tol" in err.getvalue()
 
 
 def test_lattice_validate_ratios_fall():
@@ -662,7 +693,7 @@ def test_validate_failure_sets_exit_code(monkeypatch):
     from lebp import validation
 
     monkeypatch.setattr(
-        validation, "suite_report", lambda name, pol: {"suite": name, "passed": False, "checks": []}
+        validation, "suite_report", lambda name: {"suite": name, "passed": False, "checks": []}
     )
     code, out, _ = run_cli(["validate", "--suite", "crossing"])
     assert code == 1
@@ -711,6 +742,11 @@ def test_usage_errors_name_the_precondition():
         (["kernel", "--domain", "strip", "--N", "2", "--x", "inf", "--theta", "1",
           "--xp", "1", "--thetap", "1"], "'inf' is not a finite number"),
         (["crossing-exponent", "--paths", "2", "--lengths", "6,6"], "two distinct"),
+        (["crossing-exponent", "--paths", "2", "--phi", "1,2,2.5", "--rho", "1.2,1.9"],
+         "one angle per path"),
+        (["crossing-exponent", "--paths", "3", "--phi", "1,2,2.5", "--rho", "1.2,1.9"],
+         "one angle per path"),
+        (["crossing-exponent", "--paths", "4"], "give --phi and --rho explicitly"),
         (["pdf", "--theta", "1,2", "--tol", "-1"], "tol must be a positive"),
         (["pdf", "--theta", "1,2", "--tol", "-1", "--save-manifest", os.devnull],
          "tol must be a positive"),
@@ -750,10 +786,10 @@ def test_run_suite_times_every_check(monkeypatch):
     # times its own computation keeps that time
     from lebp import validation
 
-    def untimed(pol):
+    def untimed():
         return [validation.CheckResult("a", 0.0, 1.0, True), validation.CheckResult("b", 0.0, 1.0, True)]
 
-    def timed(pol):
+    def timed():
         return [validation.CheckResult("c", 0.0, 1.0, True, elapsed=123.0)]
 
     monkeypatch.setitem(validation.SUITES, "probe", (untimed, timed))

@@ -307,6 +307,9 @@ def test_density_rejects_degenerate_input():
         discrete_first_passage_density(strip, 2, 0, (6, 10))
     with pytest.raises(DomainError):
         discrete_first_passage_density(strip, 2, 8, (6, 10), (5,))
+    for starts in ((0, 6), (6, 16)):
+        with pytest.raises(DomainError, match="start rows"):
+            first_passage_decomposition(strip, 8, starts)
 
 
 def test_density_free_ends_matches_explicit_sum():
@@ -341,7 +344,7 @@ def test_single_path_density_tracks_continuum():
 
 
 def test_boundary_refinement_strictly_decreases():
-    rows = boundary_refinement(POL)
+    rows = boundary_refinement()
     assert [round(h, 6) for h, _ in rows] == [
         round(math.pi / 16, 6),
         round(math.pi / 32, 6),
@@ -358,7 +361,7 @@ def test_boundary_refinement_strictly_decreases():
 
 
 def test_density_refinement_strictly_decreases():
-    rows = density_refinement(POL)
+    rows = density_refinement()
     errs = [err for _, err in rows]
     assert errs[0] > errs[1] > errs[2]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -367,4 +370,4 @@ def test_density_refinement_strictly_decreases():
 
 def test_refinement_levels_must_fit_grid():
     with pytest.raises(DomainError):
-        boundary_refinement(POL, levels=(14, 31))
+        boundary_refinement(levels=(14, 31))

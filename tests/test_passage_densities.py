@@ -492,3 +492,5 @@ def test_density_domain_errors():
         joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0]], [1.0, 2.0])
     with pytest.raises(DomainError):
         joint_pdf(cfg, POL, ChamberSequence((0.5, 2.5)), [[1.0], [1.1]], [1.0])
+    with pytest.raises(DomainError, match="all angle tuples must have equal length"):
+        joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0], [1.0]], [1.0])
