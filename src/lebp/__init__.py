@@ -31,9 +31,8 @@ _EXPORTS = {
         "first_passage_decomposition",
     ),
     "numerics": (
-        "DEFAULT_POLICY", "QuadratureRule", "SeriesPolicy", "TailBoundedValue",
-        "chamber_integrate", "det_lu", "det_lu_bounded", "gauss_legendre", "ordered_minor_sum",
-        "sinh_ratio",
+        "QuadratureRule", "TailBoundedValue", "chamber_integrate", "det_lu", "det_lu_bounded",
+        "gauss_legendre", "ordered_minor_sum", "sinh_ratio",
     ),
     "passage_densities": (
         "ChamberSequence", "joint_pdf", "norm_boundary", "norm_inner",

@@ -21,15 +21,17 @@ Conventions
   ``tail_bound`` column with the certified truncation bound; rows from
   exact finite sums either omit the column or report 0.
 * Runs are deterministic.  ``--save-manifest FILE`` records the
-  subcommand, raw parameters, series policy, quadrature orders, output
-  path and tool version; ``lebp --manifest FILE`` replays the record and
+  subcommand, raw parameters, quadrature orders, output path and tool
+  version; ``lebp --manifest FILE`` replays the record and
   reproduces the output byte for byte.
 * Each grid is one library call, broadcast over every cut pair (x, x')
   or radius pair (r, r') and the whole angle grid; every row prints
   exactly what the per-point library call returns.
 * Each handler imports the library modules it runs when it runs, and
   ``json`` is imported only to write or read a report or a manifest, so
-  building the parser loads no compute module but ``numerics``.
+  building the parser loads no compute module.
+* Every series is truncated at the library's fixed targets
+  (``rect_kernels.SERIES_TOL``, ``N_MAX``, ``MIN_GAP``); no flag sets them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, EnumerationBudgetError, PrecisionError, TruncationError
-from .numerics import SeriesPolicy
 
 # the keys of validation.SUITES, sorted; the parser's --suite choices
 _SUITE_NAMES = ("crossing", "fomin", "lattice", "limits", "normalization", "semigroup")
@@ -160,15 +161,6 @@ def _write_csv(stream, header, columns):
     stream.write(",".join(header) + "\n" + text)
 
 
-def _policy_from(ns):
-    try:
-        return SeriesPolicy(
-            tol=float(ns.tol), n_max=_parse_int(ns.n_max, "--n-max"), min_gap=float(ns.min_gap)
-        )
-    except ValueError as exc:
-        raise UsageError(f"series policy: {exc}") from None
-
-
 # --- subcommand handlers -------------------------------------------------------------
 #
 # A CSV handler returns (header, columns), or (header, columns, exit_code);
@@ -222,7 +214,6 @@ def _cartesian(radii, thetas):
 def _cmd_kernel(ns):
     from .correlation import kernel_semicircle, kernel_strip
 
-    pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     if ns.domain == "strip":
         names, kernel = ["x", "theta", "xp", "thetap"], kernel_strip
@@ -231,7 +222,7 @@ def _cmd_kernel(ns):
     missing = [f for f in names if getattr(ns, f) is None]
     if missing:
         raise UsageError(f"{ns.domain} kernel needs --" + ", --".join(missing))
-    return _pair_grid(ns, names, lambda *p: kernel(pol, n_paths, *p))
+    return _pair_grid(ns, names, lambda *p: kernel(n_paths, *p))
 
 
 def _cmd_density(ns):
@@ -247,10 +238,9 @@ def _cmd_density(ns):
 def _cmd_two_point(ns):
     from .correlation import two_point_semicircle
 
-    pol = _policy_from(ns)
     n_paths = _parse_int(ns.N, "--N")
     names = ["r", "theta", "rp", "thetap"]
-    return _pair_grid(ns, names, lambda *p: two_point_semicircle(pol, n_paths, *p))
+    return _pair_grid(ns, names, lambda *p: two_point_semicircle(n_paths, *p))
 
 
 def _passage_density(ns, cuts, thetas, header, fields):
@@ -261,7 +251,6 @@ def _passage_density(ns, cuts, thetas, header, fields):
     from .passage_densities import ChamberSequence, joint_pdf
     from .rect_kernels import RectConfig
 
-    pol = _policy_from(ns)
     phi = cfg = None
     if ns.phi is not None:
         phi = parse_tuple(ns.phi, "--phi")
@@ -269,7 +258,7 @@ def _passage_density(ns, cuts, thetas, header, fields):
     if ns.L is not None:
         cfg = RectConfig(parse_pi_literal(ns.L))
         header, fields = [*header, "length"], [*fields, cfg.L]
-    value = joint_pdf(cfg, pol, ChamberSequence(cuts), thetas, phi)
+    value = joint_pdf(cfg, ChamberSequence(cuts), thetas, phi)
     return [*header, "value"], [[v] for v in (*fields, value)]
 
 
@@ -376,7 +365,6 @@ def _cmd_lattice_validate(ns):
 def _cmd_figure(ns):
     from .correlation import density_semicircle, two_point_semicircle
 
-    pol = _policy_from(ns)
     if ns.id == "7":
         radii = np.linspace(1.05, 3.0, 40)
         thetas = np.linspace(0.0, math.pi, 181)
@@ -385,14 +373,14 @@ def _cmd_figure(ns):
     if ns.id in ("8", "9"):
         n_paths = 5 if ns.id == "8" else 20
         thetas = np.linspace(0.0, math.pi, 2001)
-        values = two_point_semicircle(pol, n_paths, 4.0, math.pi / 2, 4.0, thetas).value
+        values = two_point_semicircle(n_paths, 4.0, math.pi / 2, 4.0, thetas).value
         return ["theta_prime", "value"], [thetas, values]
     r0, th0 = 2.0, math.pi / 2
     radii = np.linspace(1.05, 4.0, 60)
     # the grid radius nearest r0 snaps onto it, where the kernels are exact finite sums
     radii[np.argmin(np.abs(radii - r0))] = r0
     thetas = np.linspace(0.0, math.pi, 121)
-    g2 = two_point_semicircle(pol, 3, r0, th0, radii[:, None], thetas)
+    g2 = two_point_semicircle(3, r0, th0, radii[:, None], thetas)
     return ["x_prime", "y_prime", "value", "tail_bound"], [*_cartesian(radii, thetas), *g2]
 
 
@@ -425,13 +413,7 @@ _HANDLERS = {
 }
 
 
-def _add_common(parser, policy):
-    if policy:
-        parser.add_argument("--tol", default="1e-12", help="series truncation target")
-        parser.add_argument("--n-max", dest="n_max", default="100000", help="series term cap")
-        parser.add_argument(
-            "--min-gap", dest="min_gap", default="1e-3", help="smallest certified series gap"
-        )
+def _add_common(parser):
     parser.add_argument("--output", default=None, help="CSV/JSON file (default: stdout)")
     parser.add_argument(
         "--save-manifest", dest="save_manifest", default=None, help="record the run as JSON"
@@ -459,13 +441,13 @@ def build_parser():
     p.add_argument("--rp", default=None, help="semicircle second radius (grid)")
     p.add_argument("--theta", required=True, help="first angle (grid)")
     p.add_argument("--thetap", required=True, help="second angle (grid)")
-    _add_common(p, policy=True)
+    _add_common(p)
 
     p = sub.add_parser("density", help="arc density on a grid")
     p.add_argument("--N", required=True, help="number of paths")
     p.add_argument("--r", required=True, help="radius (grid)")
     p.add_argument("--theta", required=True, help="angle (grid)")
-    _add_common(p, policy=False)
+    _add_common(p)
 
     p = sub.add_parser("two-point", help="two-point correlation on a grid")
     p.add_argument("--N", required=True, help="number of paths")
@@ -473,21 +455,21 @@ def build_parser():
     p.add_argument("--theta", required=True, help="first angle (grid)")
     p.add_argument("--rp", required=True, help="second radius (grid)")
     p.add_argument("--thetap", required=True, help="second angle (grid)")
-    _add_common(p, policy=True)
+    _add_common(p)
 
     p = sub.add_parser("pdf", help="first-passage density at one cut")
     p.add_argument("--x", default=None, help="cut position")
     p.add_argument("--theta", required=True, help="comma tuple of passage angles")
     p.add_argument("--phi", default=None, help=_PHI_HELP)
     p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
-    _add_common(p, policy=True)
+    _add_common(p)
 
     p = sub.add_parser("joint-pdf", help="joint passage density across several cuts")
     p.add_argument("--cuts", required=True, help="comma tuple of cut positions")
     p.add_argument("--theta", required=True, help="angle tuples, one per cut, '/'-separated")
     p.add_argument("--phi", default=None, help=_PHI_HELP)
     p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
-    _add_common(p, policy=True)
+    _add_common(p)
 
     p = sub.add_parser("fomin-check", help="walk determinant vs brute-force enumeration")
     p.add_argument("--size", default="3", help="interior grid size")
@@ -498,7 +480,7 @@ def build_parser():
         default="14",
         help="ignored: the enumeration is exact; still checked and printed",
     )
-    _add_common(p, policy=False)
+    _add_common(p)
 
     p = sub.add_parser("crossing-exponent", help="fit the nonintersection decay exponent")
     p.add_argument("--paths", default="2", help="number of paths")
@@ -506,23 +488,23 @@ def build_parser():
     p.add_argument("--phi", default=None, help="comma tuple of start angles")
     p.add_argument("--rho", default=None, help="comma tuple of end angles")
     p.add_argument("--cap", default="8", help="ignored: the truncation is certified")
-    _add_common(p, policy=False)
+    _add_common(p)
 
-    p = sub.add_parser("lattice-validate", help="lattice refinement table at the default policy")
+    p = sub.add_parser("lattice-validate", help="lattice refinement table")
     p.add_argument("--levels", default="15,31,63", help="comma tuple of strip heights")
-    _add_common(p, policy=False)
+    _add_common(p)
 
     p = sub.add_parser("figure", help="emit the data set behind one figure")
     p.add_argument("--id", required=True, choices=("7", "8", "9", "10"))
-    _add_common(p, policy=True)
+    _add_common(p)
 
-    p = sub.add_parser("validate", help="run a validation suite at the default series policy")
+    p = sub.add_parser("validate", help="run a validation suite")
     p.add_argument(
         "--suite",
         required=True,
         choices=(*_SUITE_NAMES, "all"),
     )
-    _add_common(p, policy=False)
+    _add_common(p)
 
     return parser
 
@@ -539,7 +521,7 @@ def _manifest_payload(ns):
         from .validation import QUADRATURE_ORDERS
 
         orders = dict(QUADRATURE_ORDERS)
-    payload = {
+    return {
         "tool": "lebp",
         "version": __version__,
         "subcommand": ns.subcommand,
@@ -547,14 +529,6 @@ def _manifest_payload(ns):
         "orders": orders,
         "output": ns.output,
     }
-    # a subcommand takes a series policy exactly when _add_common gave its
-    # parser the policy flags
-    if hasattr(ns, "tol"):
-        pol = _policy_from(ns)
-        payload["policy"] = {"tol": pol.tol, "n_max": pol.n_max, "min_gap": pol.min_gap}
-    else:
-        payload["policy"] = None
-    return payload
 
 
 def _replay(path, output_override):

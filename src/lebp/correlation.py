@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu
-from .rect_kernels import RectConfig, _series_terms, _sine_series, inner_coeffs, poisson_rect
+from .rect_kernels import SERIES_TOL, RectConfig, _series_terms, _sine_series, inner_coeffs
+from .rect_kernels import poisson_rect
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -33,7 +34,7 @@ def _check_paths(n_paths):
         raise DomainError("n_paths must be an integer >= 1")
 
 
-def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
+def kernel_strip(n_paths, x, theta, x_prime, theta_prime):
     """Correlation kernel between cut points (x, theta) and (x', theta').
 
     For x <= x' the kernel is the exact finite sum
@@ -56,7 +57,7 @@ def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
         if u <= v:
             coeffs.flat[i] = inner_coeffs(np.arange(1, n_paths + 1), v, u)
         else:
-            tail, bound.flat[i] = _series_terms(v, u, pol.tol, n_paths, pol)
+            tail, bound.flat[i] = _series_terms(v, u, SERIES_TOL, n_paths)
             tail[:n_paths] = 0.0
             coeffs.flat[i], sign.flat[i] = tail, -1.0
     # scalar positions pass their one coefficient vector as it is
@@ -64,7 +65,7 @@ def kernel_strip(pol, n_paths, x, theta, x_prime, theta_prime):
     return TailBoundedValue(*(a if a.ndim else float(a) for a in (value, bound)))
 
 
-def kernel_strip_dual(pol, n_paths, x, theta, x_prime, theta_prime):
+def kernel_strip_dual(n_paths, x, theta, x_prime, theta_prime):
     """The x > x' kernel by its other representation: the full finite sum
     minus the sub-rectangle kernel H_{R_x}(x' + i theta', x + i theta).
 
@@ -75,11 +76,11 @@ def kernel_strip_dual(pol, n_paths, x, theta, x_prime, theta_prime):
         raise DomainError("dual form needs x > x' > 0")
     coeffs = inner_coeffs(np.arange(1, n_paths + 1), x_prime, x)
     finite = _sine_series(coeffs, theta, theta_prime)
-    h = poisson_rect(RectConfig(x), pol, x_prime, theta_prime, theta)
+    h = poisson_rect(RectConfig(x), x_prime, theta_prime, theta)
     return TailBoundedValue(finite - h.value, h.bound)
 
 
-def corr_strip(pol, n_paths, cuts, angle_lists):
+def corr_strip(n_paths, cuts, angle_lists):
     """Multipoint correlation function on cut columns: the determinant of the
     kernel matrix over all listed points.
 
@@ -98,7 +99,7 @@ def corr_strip(pol, n_paths, cuts, angle_lists):
         raise DomainError("need at least one point")
     mat = np.block(
         [
-            [kernel_strip(pol, n_paths, x, t[:, None], xp, tp[None, :]).value for xp, tp in groups]
+            [kernel_strip(n_paths, x, t[:, None], xp, tp[None, :]).value for xp, tp in groups]
             for x, t in groups
         ]
     )
@@ -120,14 +121,14 @@ def _log(r):
     return np.reshape([math.log(v) for v in r.ravel().tolist()], r.shape)
 
 
-def kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
+def kernel_semicircle(n_paths, r, theta, r_prime, theta_prime):
     """Correlation kernel on semicircular arcs of radii r, r' > 1: the strip
     kernel at x = log r with the 1/r Jacobian of w = e^z.  At r = r' it is
     the exact N-term sum (2/(pi r)) sum_n sin(n theta) sin(n theta') with
     bound 0.  Radii and angles broadcast together, as in kernel_strip."""
     _check_radius(r)
     _check_radius(r_prime)
-    ks = kernel_strip(pol, n_paths, _log(r), theta, _log(r_prime), theta_prime)
+    ks = kernel_strip(n_paths, _log(r), theta, _log(r_prime), theta_prime)
     return TailBoundedValue(ks.value / r, ks.bound / r)
 
 
@@ -140,7 +141,7 @@ def density_semicircle(n_paths, r, theta):
     return _sine_series(np.full(n_paths, _TWO_OVER_PI), theta, theta) / r
 
 
-def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
+def two_point_semicircle(n_paths, r, theta, r_prime, theta_prime):
     """Two-point correlation function on the arcs, rho rho' - K(w, w') K(w', w).
 
     Both kernels come from kernel_semicircle.  At distinct radii one of them
@@ -154,8 +155,8 @@ def two_point_semicircle(pol, n_paths, r, theta, r_prime, theta_prime):
     _check_radius(r_prime)
     rho = density_semicircle(n_paths, r, theta)
     rho_p = density_semicircle(n_paths, r_prime, theta_prime)
-    k12 = kernel_semicircle(pol, n_paths, r, theta, r_prime, theta_prime)
-    k21 = kernel_semicircle(pol, n_paths, r_prime, theta_prime, r, theta)
+    k12 = kernel_semicircle(n_paths, r, theta, r_prime, theta_prime)
+    k21 = kernel_semicircle(n_paths, r_prime, theta_prime, r, theta)
     value = rho * rho_p - k12.value * k21.value
     bound = abs(k12.value) * k21.bound + abs(k21.value) * k12.bound + k12.bound * k21.bound
     return TailBoundedValue(value, bound)

@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class PrecisionError(ValueError):
-    """A requested tolerance or policy parameter is unusable."""
+    """A value cannot be certified to the library's fixed precision: a series
+    gap below rect_kernels.MIN_GAP, or coefficients that underflow."""
 
 
 class TruncationError(RuntimeError):

@@ -33,7 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_POLICY as POL
 from .numerics import PFAFFIAN_COPIES, block_rows, det_lu, ordered_minor_sum, stacked
 from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import RectConfig, boundary_poisson_rect
@@ -247,9 +246,7 @@ def boundary_refinement(levels=(15, 31, 63)):
     REFINEMENT_POINTS16.  Returns one row per level: (h, [error per point]).
     """
     j16, k16 = np.array(REFINEMENT_POINTS16).T
-    cont = boundary_poisson_rect(
-        RectConfig(math.pi), POL, j16 * math.pi / 16.0, k16 * math.pi / 16.0
-    ).value
+    cont = boundary_poisson_rect(RectConfig(math.pi), j16 * math.pi / 16, k16 * math.pi / 16).value
     rows = []
     for level in sorted(levels):
         strip = LatticeStrip(level, level)
@@ -276,7 +273,7 @@ def density_refinement(levels=(15, 31, 63)):
         cut = (level + 1) // 2
         dens = discrete_first_passage_density(strip, 2, cut, starts)
         combos = np.array(list(itertools.combinations(range(level), 2)), dtype=int)
-        cont = joint_pdf(cfg, POL, ChamberSequence((cut * h,)), [(combos + 1) * h], phi)
+        cont = joint_pdf(cfg, ChamberSequence((cut * h,)), [(combos + 1) * h], phi)
         err = np.abs(dens[combos[:, 0], combos[:, 1]] / h**2 - cont)
         rows.append((h, float(err.max())))
     return rows

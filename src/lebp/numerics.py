@@ -30,38 +30,6 @@ class TailBoundedValue(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for sine-series evaluations.
-
-    Parameters
-    ----------
-    tol : float
-        Absolute truncation target.  Series evaluators stop once their
-        certified tail bound drops below this (they may keep a few extra
-        terms for free relative accuracy, but never fewer).
-    n_max : int
-        Hard cap on the series index; exceeding it raises TruncationError.
-    min_gap : float
-        Smallest geometric gap (distance to the boundary, or |x - x'| in
-        kernel tails) accepted before the evaluator refuses to certify.
-    """
-
-    tol: float = 1e-12
-    n_max: int = 100_000
-    min_gap: float = 1e-3
-
-    def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise PrecisionError("tol must be a positive finite number")
-        if self.n_max < 1:
-            raise PrecisionError("n_max must be at least 1")
-        if not (self.min_gap > 0.0):
-            raise PrecisionError("min_gap must be positive")
-
-
-DEFAULT_POLICY = SeriesPolicy()
-
 UNIT_ROUNDOFF = 2.0**-53
 
 # entries (1 MiB of doubles) that one block of a blocked evaluation holds at

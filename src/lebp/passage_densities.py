@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import PFAFFIAN_COPIES, graded_pfaffian, pfaffian, stacked
-from .rect_kernels import _coeffs, _kernel_det, _majorant, _majorant_tail, _series_terms
-from .rect_kernels import angle_tuples, boundary_coeffs, hat_h, weyl_point
+from .rect_kernels import SERIES_TOL, _coeffs, _kernel_det, _majorant, _majorant_tail
+from .rect_kernels import _series_terms, angle_tuples, boundary_coeffs, hat_h, weyl_point
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -126,7 +126,7 @@ def ordered_sine_det_integral(freqs):
 
 
 @lru_cache(maxsize=64)
-def _norm_series(x, L, n, pol):
+def _norm_series(x, L, n):
     """Truncated kernel coefficients for an N-path chamber norm.
 
     The kernel is sum_m c_m sin(m theta) sin(m rho), c_m = _coeffs(m, x, L)
@@ -140,8 +140,8 @@ def _norm_series(x, L, n, pol):
     determinants, and the sets using some m > M carry at most that tail
     times the elementary symmetric sum of the rest).  So M is the
     rect_kernels._series_terms truncation at the norm's target over that
-    factor: the policy tol, sharpened toward machine relative precision of
-    the leading term so exponentially small norms stay relatively accurate.
+    factor: SERIES_TOL, sharpened toward machine relative precision of the
+    leading term so exponentially small norms stay relatively accurate.
 
     Returns (c_1..c_M, bound on the norm); the array is cached, callers
     must not mutate it.
@@ -153,7 +153,7 @@ def _norm_series(x, L, n, pol):
     factor = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
     factor *= _majorant_tail(*_majorant(x, L), 0) ** (n - 1)
     try:
-        coefs, tail = _series_terms(x, L, min(pol.tol, lead * 1e-15) / factor, n, pol)
+        coefs, tail = _series_terms(x, L, min(SERIES_TOL, lead * 1e-15) / factor, n)
     except TruncationError as exc:
         raise TruncationError(f"norm {exc}", factor * exc.achieved) from None
     return coefs, factor * tail
@@ -174,31 +174,31 @@ def _chamber_norm(coefs, angles):
     return stacked(norms, angles, PFAFFIAN_COPIES * coefs.size * np.shape(angles)[-1])
 
 
-def _norm(pol, x, L, angles):
+def _norm(x, L, angles):
     """Chamber integral over rho of det[H(x + i*angles_j, L + i*rho_k)] for
     one tuple (a float) or a (..., N) stack of tuples."""
-    coefs, _ = _norm_series(x, L, angles.shape[-1], pol)
+    coefs, _ = _norm_series(x, L, angles.shape[-1])
     return _chamber_norm(coefs, angles)
 
 
-def norm_boundary(cfg, pol, phi):
+def norm_boundary(cfg, phi):
     """Chamber integral over rho of det[H_boundary(i*phi_j, L + i*rho_k)].
 
     The total crossing weight of N paths started at phi, summed over ordered
-    right-edge exits.  The series is summed down to pol.tol or to machine
+    right-edge exits.  The series is summed down to SERIES_TOL or to machine
     relative precision of its leading term, whichever is sharper, so the value
     carries full relative accuracy even when it is exponentially small; a
     leading term below the normal double range raises PrecisionError.
     """
-    return _norm(pol, 0.0, cfg.L, weyl_point(phi))
+    return _norm(0.0, cfg.L, weyl_point(phi))
 
 
-def norm_inner(cfg, pol, x, theta):
+def norm_inner(cfg, x, theta):
     """Chamber integral over rho of det[H(x + i*theta_j, L + i*rho_k)].
 
     The total crossing weight of N paths currently at (x, theta), summed over
     ordered right-edge exits.  Tolerance handling as in norm_boundary; a gap
-    L - x below pol.min_gap raises PrecisionError.  theta is one ordered
+    L - x below MIN_GAP raises PrecisionError.  theta is one ordered
     tuple (a float comes back) or a (..., N) stack of tuples (see
     rect_kernels.angle_tuples), where the norm is continued antisymmetrically
     off the ordered chamber.  A stack runs in blocks of bounded memory, each
@@ -207,13 +207,13 @@ def norm_inner(cfg, pol, x, theta):
     theta = angle_tuples(theta)
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
-    return _norm(pol, x, cfg.L, theta)
+    return _norm(x, cfg.L, theta)
 
 
 # --- densities ---------------------------------------------------------------
 
 
-def joint_pdf(cfg, pol, seq, thetas, phi=None):
+def joint_pdf(cfg, seq, thetas, phi=None):
     """Joint density of the ordered passage points at every cut of `seq`.
 
     thetas holds one ordered angle tuple per cut; the last may instead be a
@@ -267,10 +267,10 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
         """The determinant that ends at cut m on the tuples `to` (hat_to is
         hat_h(to)), without its leading coefficients."""
         if m > 0:
-            return _kernel_det(pol, cuts[m - 1], cuts[m], thetas[m - 1], to)[1]
+            return _kernel_det(cuts[m - 1], cuts[m], thetas[m - 1], to)[1]
         if phi is None:
             return 2.0 ** (n * (n - 1)) * hat_to
-        return _kernel_det(pol, 0.0, cuts[0], phi, to)[1]
+        return _kernel_det(0.0, cuts[0], phi, to)[1]
 
     # everything before the last cut is one number for the whole stack
     head = math.prod(link(m, thetas[m], hat_h(thetas[m])) for m in range(seq.m - 1))
@@ -286,10 +286,10 @@ def joint_pdf(cfg, pol, seq, thetas, phi=None):
         # exponential form (pi/2)^N prod_n boundary_coeffs(n, x_M)
         lead = float(np.prod(boundary_coeffs(np.arange(1.0, n + 1), cuts[-1])))
         scale = _TWO_OVER_PI ** (n * (seq.m - 1)) * lead
-        total = norm_boundary(cfg, pol, phi)
+        total = norm_boundary(cfg, phi)
 
         def densities(block):
-            ratio = norm_inner(cfg, pol, cuts[-1], block) / total
+            ratio = norm_inner(cfg, cuts[-1], block) / total
             return scale * (head * link(seq.m - 1, block, None)) * ratio
 
     # the determinants and norms block themselves; a block here holds the

@@ -4,9 +4,10 @@ The kernels are one family keyed by the start position x: the interior
 kernel for 0 < x < L and, at x = 0, its normal derivative there, the
 edge-to-edge kernel.  Each is a Fourier sine series with coefficients
 _coeffs(n, x, L); one rule (_series_terms) truncates every series with a
-certified geometric tail bound over the gap L - x, and refuses an interior
-gap below the policy min_gap.  Their determinants over tuples of ordered
-angles, the building blocks of nonintersecting-path densities, all factor as
+certified geometric tail bound over the gap L - x, at the fixed targets
+below, and refuses an interior gap below MIN_GAP or a series longer than
+N_MAX terms.  Their determinants over tuples of ordered angles, the
+building blocks of nonintersecting-path densities, all factor as
 det(A diag(c) B^T) with A[j, n] = sin(n phi_j), B[k, n] = sin(n rho_k), and go
 through numerics.graded_det (_kernel_det), which keeps their leading
 exponential decay out of the cancellation; the crossing ratio measures that
@@ -20,10 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import DEFAULT_POLICY, UNIT_ROUNDOFF, TailBoundedValue
+from .numerics import UNIT_ROUNDOFF, TailBoundedValue
 from .numerics import block_rows, graded_det, sinh_ratio, stacked
 
 _TWO_OVER_PI = 2.0 / math.pi
+
+# the fixed targets of _series_terms: the absolute truncation target of a
+# single series (kernel entries), the largest number of terms, and the
+# smallest interior gap L - x it certifies
+SERIES_TOL = 1e-12
+N_MAX = 100_000
+MIN_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -178,67 +186,67 @@ def _majorant_tail(c, p, gap, n0):
     return c * q ** (n0 + 1) * ((n0 + 1) * (1.0 - q) + q) ** p / (1.0 - q) ** (1 + p)
 
 
-def _series_terms(x, L, target, at_least, pol):
+def _series_terms(x, L, target, at_least):
     """The one truncation rule of every sine series: (c_1..c_n0, tail) of
     _coeffs(., x, L) for the first n0 >= at_least whose _majorant_tail is at
-    most target.  An interior gap L - x (x > 0) below pol.min_gap raises
+    most target.  An interior gap L - x (x > 0) below MIN_GAP raises
     PrecisionError.  n0 starts at the closed-form inverse of the p = 0 tail
     (which meets the target of the interior family, up to rounding) and
-    steps by n0 // 8; more than pol.n_max terms raise TruncationError with
-    the tail at pol.n_max."""
-    if x > 0.0 and L - x < pol.min_gap:
-        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {pol.min_gap:.3g}")
+    steps by n0 // 8; more than N_MAX terms raise TruncationError with the
+    tail at N_MAX."""
+    if x > 0.0 and L - x < MIN_GAP:
+        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {MIN_GAP:.3g}")
     if not target > 0.0:
         raise PrecisionError("kernel coefficients underflow; the value is out of range")
     c, p, gap = _majorant(x, L)
-    q, n_max = math.exp(-gap), pol.n_max
+    q = math.exp(-gap)
     n0 = max(at_least, math.ceil((math.log(c) - math.log(target) - math.log1p(-q)) / gap - 1.0))
-    while n0 < n_max and _majorant_tail(c, p, gap, n0) > target:
-        n0 = min(n_max, n0 + max(1, n0 // 8))
-    if n0 > n_max or _majorant_tail(c, p, gap, n0) > target:
+    while n0 < N_MAX and _majorant_tail(c, p, gap, n0) > target:
+        n0 = min(N_MAX, n0 + max(1, n0 // 8))
+    if n0 > N_MAX or _majorant_tail(c, p, gap, n0) > target:
         raise TruncationError(
-            f"series needs more than {n_max} terms", achieved=_majorant_tail(c, p, gap, n_max)
+            f"series needs more than {N_MAX} terms", achieved=_majorant_tail(c, p, gap, N_MAX)
         )
     return _coeffs(np.arange(1, n0 + 1), x, L), _majorant_tail(c, p, gap, n0)
 
 
-def _series(pol, x, L, theta, rho):
+def _series(x, L, theta, rho):
     """sum_n _coeffs(n, x, L) * sin(n theta) * sin(n rho), truncated by
-    _series_terms at pol.tol.  Returns TailBoundedValue(value, bound); bound
-    covers every entry."""
-    coeffs, tail = _series_terms(x, L, pol.tol, 1, pol)
+    _series_terms at SERIES_TOL.  Returns TailBoundedValue(value, bound);
+    bound covers every entry."""
+    coeffs, tail = _series_terms(x, L, SERIES_TOL, 1)
     return TailBoundedValue(_sine_series(coeffs, theta, rho), tail)
 
 
-def poisson_rect(cfg, pol, x, theta, rho):
+def poisson_rect(cfg, x, theta, rho):
     """Poisson kernel of the rectangle from x + i*theta to the right-edge point
     L + i*rho: (2/pi) * sum_n sinh(n x)/sinh(n L) * sin(n theta) * sin(n rho).
 
     theta and rho broadcast together; x is a scalar with 0 < x < L and
-    L - x >= pol.min_gap.  Returns the TailBoundedValue of _series.
+    L - x >= MIN_GAP.  Returns the TailBoundedValue of _series.
     """
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
-    return _series(pol, x, cfg.L, theta, rho)
+    return _series(x, cfg.L, theta, rho)
 
 
-def boundary_poisson_rect(cfg, pol, phi, rho):
+def boundary_poisson_rect(cfg, phi, rho):
     """Edge-to-edge kernel from the left-edge point i*phi to L + i*rho, the
     x = 0 member of the family:
     (2/pi) * sum_n n * sin(n phi) * sin(n rho) / sinh(n L).
 
     phi and rho broadcast together.  Returns TailBoundedValue(value, bound).
     """
-    return _series(pol, 0.0, cfg.L, phi, rho)
+    return _series(0.0, cfg.L, phi, rho)
 
 
-def _kernel_det(pol, x, L, start, rho):
+def _kernel_det(x, L, start, rho):
     """(prod_{n<=N} c_n, the rest) of det[ H(x + i*start_j, L + i*rho_k) ],
     c_n = _coeffs(n, x, L), for an ordered tuple `start` and one tuple or a
     (..., N) stack of tuples `rho` (see angle_tuples), one rest per tuple (a
     float for one tuple).
 
-    The series is truncated at min(pol.tol, u c_N), so the rest needs only
+    The series is truncated at min(SERIES_TOL, u c_N), so the rest needs only
     c_N representable; it is the graded_det of the factored kernel with
     det A1 the sine Vandermonde 2^{N(N-1)/2} hat_h(start).  A stack runs
     in blocks (numerics.stacked), each tuple with its single-tuple bits.
@@ -247,8 +255,8 @@ def _kernel_det(pol, x, L, start, rho):
     n = start.size
     if rho.shape[-1] != n:
         raise DomainError("angle tuples must have equal length")
-    target = min(pol.tol, UNIT_ROUNDOFF * float(_coeffs(n, x, L)))
-    coeffs, _ = _series_terms(x, L, target, n, pol)
+    target = min(SERIES_TOL, UNIT_ROUNDOFF * float(_coeffs(n, x, L)))
+    coeffs, _ = _series_terms(x, L, target, n)
     m = np.arange(1, coeffs.size + 1)
     a = np.sin(np.outer(start, m))
     head = 2.0 ** (n * (n - 1) // 2) * hat_h(start)
@@ -268,22 +276,22 @@ def _assembled(lead, rest):
     return lead * rest
 
 
-def fomin_boundary_det(cfg, pol, phi, rho):
+def fomin_boundary_det(cfg, phi, rho):
     """det[ H_boundary(i*phi_j, L + i*rho_k) ] for an ordered tuple phi and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho).  A
     stack runs in blocks of bounded memory, each tuple with the bits of its
     single-tuple call."""
-    return _assembled(*_kernel_det(pol, 0.0, cfg.L, phi, rho))
+    return _assembled(*_kernel_det(0.0, cfg.L, phi, rho))
 
 
-def fomin_inner_det(cfg, pol, x, theta, rho):
+def fomin_inner_det(cfg, x, theta, rho):
     """det[ H(x + i*theta_j, L + i*rho_k) ] for an ordered tuple theta and
     one rho tuple or a (..., N) stack of them (antisymmetric in rho).  A
     stack runs in blocks of bounded memory, each tuple with the bits of its
     single-tuple call."""
     if not (0.0 < x < cfg.L):
         raise DomainError("need 0 < x < L")
-    return _assembled(*_kernel_det(pol, x, cfg.L, theta, rho))
+    return _assembled(*_kernel_det(x, cfg.L, theta, rho))
 
 
 def hat_h(theta):
@@ -306,14 +314,14 @@ def crossing_ratio(cfg, phi, rho):
     Measures the cost of keeping N paths mutually avoiding: decays like
     exp(-N(N-1)/2 * L) as the rectangle stretches.  The numerator and every
     diagonal entry are graded determinants (fomin_boundary_det, N x N and
-    1 x 1) truncated at min(tol, u c_N), so the ratio keeps its relative
+    1 x 1) truncated at min(SERIES_TOL, u c_N), so the ratio keeps its relative
     accuracy where the assembled determinant cancels.
     """
     phi, rho = weyl_point(phi), weyl_point(rho)
-    den = math.prod(fomin_boundary_det(cfg, DEFAULT_POLICY, (p,), (r,)) for p, r in zip(phi, rho))
+    den = math.prod(fomin_boundary_det(cfg, (p,), (r,)) for p, r in zip(phi, rho))
     if den == 0.0:
         raise DomainError("diagonal kernel product vanishes")
-    return fomin_boundary_det(cfg, DEFAULT_POLICY, phi, rho) / den
+    return fomin_boundary_det(cfg, phi, rho) / den
 
 
 # start and end angles of the built-in crossing fits, by number of paths

@@ -7,8 +7,9 @@ calls the production route its record names, never a copy of its formula.
 
 Each check returns `CheckResult` records carrying the measured error and
 the tolerance it must meet; `run_suite` groups the checks into the named
-suites exposed by the command line.  Every check runs at DEFAULT_POLICY,
-the series policy its tolerance was set against, and takes no arguments.
+suites exposed by the command line.  Every check runs at the library's
+fixed series targets (rect_kernels.SERIES_TOL, N_MAX, MIN_GAP), the ones its
+tolerance was set against, and takes no arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .correlation import (
 from .errors import DomainError
 from .graph_fomin import grid_fomin_check
 from .lattice_validation import boundary_refinement, density_refinement
-from .numerics import DEFAULT_POLICY as POL, UNIT_ROUNDOFF, chamber_integrate, gauss_legendre
+from .numerics import UNIT_ROUNDOFF, chamber_integrate, gauss_legendre
 from .passage_densities import ChamberSequence, joint_pdf, norm_boundary, norm_inner
 from .rect_kernels import (
     CROSSING_CASES,
@@ -136,14 +137,14 @@ def check_semigroup():
         cfg = RectConfig(length)
         mid = RectConfig(x_mid)
         start = time.perf_counter()
-        second = poisson_rect(cfg, POL, x_mid, nodes, rho).value
-        lhs = poisson_rect(cfg, POL, x, th, rho).value
-        rhs = weights @ (poisson_rect(mid, POL, x, th, nodes).value * second)
+        second = poisson_rect(cfg, x_mid, nodes, rho).value
+        lhs = poisson_rect(cfg, x, th, rho).value
+        rhs = weights @ (poisson_rect(mid, x, th, nodes).value * second)
         t_int += time.perf_counter() - start
         err_int = max(err_int, abs(lhs - rhs))
         start = time.perf_counter()
-        lhs_b = boundary_poisson_rect(cfg, POL, phi, rho).value
-        rhs_b = weights @ (boundary_poisson_rect(mid, POL, phi, nodes).value * second)
+        lhs_b = boundary_poisson_rect(cfg, phi, rho).value
+        rhs_b = weights @ (boundary_poisson_rect(mid, phi, nodes).value * second)
         t_bdy += time.perf_counter() - start
         err_bdy = max(err_bdy, abs(lhs_b - rhs_b))
     return [
@@ -174,8 +175,8 @@ def check_kernel_dual():
         x = x_prime + rng.uniform(0.1, 1.5)
         th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
         n = int(rng.integers(1, 6))
-        a = kernel_strip(POL, n, x, th, x_prime, tp).value
-        b = kernel_strip_dual(POL, n, x, th, x_prime, tp).value
+        a = kernel_strip(n, x, th, x_prime, tp).value
+        b = kernel_strip_dual(n, x, th, x_prime, tp).value
         worst = max(worst, abs(a - b))
     return [
         _within(
@@ -222,7 +223,7 @@ def check_normalization():
     def mass(cfg, phi, n, rule, cuts=(x,), head=()):
         # the density is symmetric in the last cut's angles, as chamber_integrate needs
         seq = ChamberSequence(cuts)
-        return chamber_integrate(lambda t: joint_pdf(cfg, POL, seq, [*head, t], phi), rule, n)
+        return chamber_integrate(lambda t: joint_pdf(cfg, seq, [*head, t], phi), rule, n)
 
     length, phi = 2.0, (0.9, 2.1)
     order = QUADRATURE_ORDERS["rectangle_mass"]
@@ -253,13 +254,13 @@ def check_normalization():
     rule = gauss_legendre(order)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    first = fomin_boundary_det(RectConfig(x1), POL, phi, grid) * np.outer(w, w)
-    last = norm_inner(cfg, POL, x2, grid) * np.outer(w, w)
-    step = poisson_rect(RectConfig(x2), POL, x1, nodes[:, None], nodes[None, :]).value
+    first = fomin_boundary_det(RectConfig(x1), phi, grid) * np.outer(w, w)
+    last = norm_inner(cfg, x2, grid) * np.outer(w, w)
+    step = poisson_rect(RectConfig(x2), x1, nodes[:, None], nodes[None, :]).value
     t1 = np.einsum("ab,ac,bd,cd->", first, step, step, last, optimize=True)
     t2 = np.einsum("ab,ad,bc,cd->", first, step, step, last, optimize=True)
-    composed = abs((t1 - t2) / 4.0 / norm_boundary(cfg, POL, phi) - 1.0)
-    single = joint_pdf(cfg, POL, ChamberSequence((x1,)), [phi], phi)
+    composed = abs((t1 - t2) / 4.0 / norm_boundary(cfg, phi) - 1.0)
+    single = joint_pdf(cfg, ChamberSequence((x1,)), [phi], phi)
     marginal = abs(mass(cfg, phi, 2, rule, (x1, x2), [phi]) / single - 1.0)
     out.append(
         _within(
@@ -280,10 +281,8 @@ def check_kernel_marginal():
     x, angles = 0.9, (0.7, 1.3, 2.9)
     rule = gauss_legendre(QUADRATURE_ORDERS["marginal"])
     pairs = np.stack(np.broadcast_arrays(np.array(angles)[:, None], rule.nodes), axis=-1)
-    marginal = joint_pdf(None, POL, ChamberSequence((x,)), [pairs]) @ rule.weights
-    worst = max(
-        abs(corr_strip(POL, 2, [x], [[th]]) - m) for th, m in zip(angles, marginal)
-    )
+    marginal = joint_pdf(None, ChamberSequence((x,)), [pairs]) @ rule.weights
+    worst = max(abs(corr_strip(2, [x], [[th]]) - m) for th, m in zip(angles, marginal))
     return [
         _within(
             "two-path one-point function vs density marginal",
@@ -324,7 +323,7 @@ def check_closed_density():
             worst = max(worst, abs(density_semicircle(n, 2.0, th) - _closed_density(n, 2.0, th)))
             for tp in angles:
                 if tp != th:
-                    k = kernel_semicircle(POL, n, 2.0, th, 2.0, tp).value
+                    k = kernel_semicircle(n, 2.0, th, 2.0, tp).value
                     worst = max(worst, abs(k - _closed_kernel(n, 2.0, th, tp)))
     axis = 0.0
     for r in (1.5, 2.0, 10.0):
@@ -355,17 +354,13 @@ def check_figure_shapes():
     inner = rho[1:-1]
     ridges = int(np.sum((inner > rho[:-2]) & (inner > rho[2:])))
 
-    g2 = two_point_semicircle(POL, 5, 4.0, math.pi / 2, 4.0, th).value
+    g2 = two_point_semicircle(5, 4.0, math.pi / 2, 4.0, th).value
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
 
     near = max(
-        abs(
-            two_point_semicircle(
-                POL, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
-            ).value
-        )
-        for sign in (1.0, -1.0)
+        abs(two_point_semicircle(5, 4.0, math.pi / 2, 4.0, math.pi / 2 + s * 1e-4 * math.pi).value)
+        for s in (1.0, -1.0)
     )
     return [
         _count("three-path density ridge count", ridges, 3, "4001-point angle scan"),
@@ -446,7 +441,7 @@ def check_scaling_limit():
     big = 500
     worst = 0.0
     for u, up, a, ap in [(0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 2.0), (-1.0, 2.0, 2.0, 1.0)]:
-        scaled = kernel_semicircle(POL, big, big + u, a / big, big + up, ap / big).value
+        scaled = kernel_semicircle(big, big + u, a / big, big + up, ap / big).value
         worst = max(worst, abs(scaled - limit_kernel(u, a, up, ap)))
 
     order = QUADRATURE_ORDERS["limit_panel"]
@@ -485,7 +480,7 @@ def check_conformal():
     for _ in range(50):
         x = rng.uniform(0.05, 2.0)
         th, phi = rng.uniform(0.05, math.pi - 0.05, 2)
-        series = poisson_rect(RectConfig(length), POL, length - x, th, phi)
+        series = poisson_rect(RectConfig(length), length - x, th, phi)
         w = complex(math.cosh(x) * math.cos(th), math.sinh(x) * math.sin(th))
         closed = w.imag * math.sin(phi) / (math.pi * abs(w - math.cos(phi)) ** 2)
         q, far = math.exp(-x), math.exp(x - 2.0 * length)
@@ -565,8 +560,8 @@ SUITES = {
 
 
 def run_suite(name):
-    """Run one named suite at the default series policy and return its
-    CheckResult list, every record with its elapsed time set."""
+    """Run one named suite and return its CheckResult list, every record
+    with its elapsed time set."""
     if name not in SUITES:
         raise DomainError(
             "unknown suite %r; choose from %s" % (name, ", ".join(sorted(SUITES)))
@@ -584,8 +579,8 @@ def run_suite(name):
 
 
 def suite_report(name):
-    """Machine-readable report for one suite, run at the default series
-    policy: dict with per-check rows and an overall flag."""
+    """Machine-readable report for one suite: dict with per-check rows and
+    an overall flag."""
     results = run_suite(name)
     return {
         "suite": name,

@@ -31,7 +31,7 @@ def pdf_special_start(theta):
     return 2.0 ** (n * n) / math.pi**n * hat_h(theta) ** 2
 
 
-def joint_pdf_special_start_dets(pol, seq, thetas):
+def joint_pdf_special_start_dets(seq, thetas):
     """The joint passage density across the cuts of seq for the midpoint
     start as a product of determinants: a basis determinant at the first cut,
     sub-rectangle kernel determinants between consecutive cuts, and the dual
@@ -48,9 +48,7 @@ def joint_pdf_special_start_dets(pol, seq, thetas):
     n = np.arange(1.0, thetas[0].size + 1.0)[:, None]
     value = det_lu(basis_phi(n, cuts[0], thetas[0]))
     for m in range(seq.m - 1):
-        value *= fomin_inner_det(
-            RectConfig(cuts[m + 1]), pol, cuts[m], thetas[m], thetas[m + 1]
-        )
+        value *= fomin_inner_det(RectConfig(cuts[m + 1]), cuts[m], thetas[m], thetas[m + 1])
     value *= det_lu(basis_phi_hat(n, cuts[-1], thetas[-1]))
     return value
 

@@ -136,8 +136,8 @@ def test_two_cut_record_fails_when_its_interior_links_are_perturbed(monkeypatch)
     name = "two-cut two-path joint mass, finite rectangle"
     original = passage_densities._kernel_det
 
-    def perturbed(pol, x, L, start, rho):
-        lead, rest = original(pol, x, L, start, rho)
+    def perturbed(x, L, start, rho):
+        lead, rest = original(x, L, start, rho)
         return lead, (rest * (1.0 + 1e-6) if x > 0.0 else rest)
 
     monkeypatch.setattr(passage_densities, "_kernel_det", perturbed)

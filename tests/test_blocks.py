@@ -16,7 +16,6 @@ import pytest
 from lebp import numerics
 from lebp.correlation import two_point_semicircle
 from lebp.lattice_validation import LatticeStrip, discrete_first_passage_density
-from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.numerics import ordered_minor_sum
 from lebp.passage_densities import ChamberSequence, joint_pdf, norm_inner
 from lebp.rect_kernels import RectConfig, _sine_series, fomin_boundary_det, fomin_inner_det
@@ -30,17 +29,17 @@ PEAK_BYTES = 8_000_000
 CFG = RectConfig(2.0)
 
 STACK_CASES = {
-    "fomin_boundary_det": (2, lambda s: fomin_boundary_det(CFG, POL, (0.9, 2.1), s)),
-    "fomin_inner_det": (3, lambda s: fomin_inner_det(CFG, POL, 0.8, (0.7, 1.5, 2.5), s)),
-    "norm_inner": (2, lambda s: norm_inner(CFG, POL, 1.2, s)),
+    "fomin_boundary_det": (2, lambda s: fomin_boundary_det(CFG, (0.9, 2.1), s)),
+    "fomin_inner_det": (3, lambda s: fomin_inner_det(CFG, 0.8, (0.7, 1.5, 2.5), s)),
+    "norm_inner": (2, lambda s: norm_inner(CFG, 1.2, s)),
     "joint_pdf strip with phi": (
         2,
-        lambda s: joint_pdf(None, POL, ChamberSequence((0.5, 0.9)), [(1.0, 2.0), s], (0.9, 2.1)),
+        lambda s: joint_pdf(None, ChamberSequence((0.5, 0.9)), [(1.0, 2.0), s], (0.9, 2.1)),
     ),
-    "joint_pdf midpoint start": (3, lambda s: joint_pdf(None, POL, ChamberSequence((0.7,)), [s])),
+    "joint_pdf midpoint start": (3, lambda s: joint_pdf(None, ChamberSequence((0.7,)), [s])),
     "joint_pdf rectangle": (
         2,
-        lambda s: joint_pdf(CFG, POL, ChamberSequence((0.6, 1.1)), [(0.8, 2.2), s], (0.9, 2.1)),
+        lambda s: joint_pdf(CFG, ChamberSequence((0.6, 1.1)), [(0.8, 2.2), s], (0.9, 2.1)),
     ),
 }
 
@@ -103,7 +102,7 @@ RADII, ARC = np.linspace(1.05, 4.0, 60)[:, None], np.linspace(0.0, math.pi, 121)
 
 
 def _many_pairs():
-    return two_point_semicircle(POL, 3, 2.0, math.pi / 2, RADII, ARC)
+    return two_point_semicircle(3, 2.0, math.pi / 2, RADII, ARC)
 
 
 @pytest.mark.parametrize("budget", [1, 500])

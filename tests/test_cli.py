@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import math
-import os
 import pathlib
 import re
 
@@ -19,7 +18,6 @@ from lebp.cli import (
     _HANDLERS,
     UsageError,
     _fmt,
-    _manifest_payload,
     _write_csv,
     build_parser,
     main,
@@ -32,8 +30,7 @@ from lebp.correlation import (
     kernel_strip,
     two_point_semicircle,
 )
-from lebp.numerics import DEFAULT_POLICY as POL
-from lebp.rect_kernels import CROSSING_CASES, RectConfig, crossing_ratio
+from lebp.rect_kernels import CROSSING_CASES, MIN_GAP, RectConfig, crossing_ratio
 from oracles import pdf_special_start
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -156,7 +153,7 @@ def test_two_point_equal_and_cross_radius():
     assert code == 0
     _, rows = rows_of(out)
     assert float(rows[0][4]) == pytest.approx(
-        two_point_semicircle(POL, 3, 2.0, 1.0, 2.0, 2.0).value, rel=1e-14
+        two_point_semicircle(3, 2.0, 1.0, 2.0, 2.0).value, rel=1e-14
     )
     assert float(rows[0][5]) == 0.0
 
@@ -404,13 +401,18 @@ def test_crossing_exponent_explicit_builtin_angles_print_the_same_bytes():
         ["crossing-exponent", "--paths", "2"],
         ["validate", "--suite", "fomin"],
         ["lattice-validate", "--levels", "15"],
+        ["kernel", "--domain", "strip", "--N", "2", "--x", "0.5", "--theta", "1",
+         "--xp", "0.4", "--thetap", "2"],
+        ["two-point", "--N", "2", "--r", "2", "--theta", "1", "--rp", "3", "--thetap", "2"],
+        ["pdf", "--x", "0.8", "--theta", "0.9,2.1", "--phi", "1,2", "--L", "2"],
+        ["joint-pdf", "--cuts", "0.5,1.2", "--theta", "0.3,1.3/0.7,1.5", "--phi", "0.7,1.4"],
+        ["figure", "--id", "8"],
     ],
     ids=lambda a: a[0],
 )
 def test_crossing_exponent_takes_no_series_policy(args, tmp_path):
-    # the crossing ratio truncates at its own certified target, and the
-    # validation verdicts and the refinement table run at the default
-    # policy their tolerances were set against; the policy flags are gone
+    # every series truncates at the library's fixed certified targets; no
+    # subcommand takes the old policy flags, and no manifest records them
     for flag in ("--tol", "--n-max", "--min-gap"):
         with pytest.raises(SystemExit) as exc:
             run_cli([*args, flag, "1"])
@@ -419,7 +421,8 @@ def test_crossing_exponent_takes_no_series_policy(args, tmp_path):
     code, out, _ = run_cli([*args, "--output", str(output), "--save-manifest", str(manifest)])
     assert code == 0 and out == "" and output.read_text()
     payload = json.loads(manifest.read_text())
-    assert payload["policy"] is None
+    assert "policy" not in payload
+    assert not {"tol", "n_max", "min_gap"} & set(payload["arguments"])
     # a manifest that records the policy flags replays with exit 2 and
     # names them
     payload["arguments"].update(tol="1e-12", n_max="100000", min_gap="1e-3")
@@ -512,11 +515,11 @@ def test_grid_output_is_scalar_library_calls(monkeypatch):
     pair = ("2:3:2", "0.2:2.9:4", "2", "0.3:3.0:5")  # equal and distinct radii
     cases = [
         (["kernel", "--domain", "strip", "--N", "3"], ("--x", "--theta", "--xp", "--thetap"),
-         strip, lambda *p: kernel_strip(POL, 3, *p)),
+         strip, lambda *p: kernel_strip(3, *p)),
         (["kernel", "--domain", "semicircle", "--N", "4"], ("--r", "--theta", "--rp", "--thetap"),
-         semi, lambda *p: kernel_semicircle(POL, 4, *p)),
+         semi, lambda *p: kernel_semicircle(4, *p)),
         (["two-point", "--N", "4"], ("--r", "--theta", "--rp", "--thetap"),
-         pair, lambda *p: two_point_semicircle(POL, 4, *p)),
+         pair, lambda *p: two_point_semicircle(4, *p)),
     ]
     outputs = []
     for head, flags, grids, evaluate in cases:
@@ -530,14 +533,14 @@ def test_grid_output_is_scalar_library_calls(monkeypatch):
     assert code == 0
     _, rows = rows_of(fig10)
     radii = np.linspace(1.05, 4.0, 60)
-    radii = np.where(np.abs(np.log(radii / 2.0)) < POL.min_gap, 2.0, radii)
+    radii = np.where(np.abs(np.log(radii / 2.0)) < MIN_GAP, 2.0, radii)
     thetas = np.linspace(0.0, math.pi, 121)
     probed = 0
     for i, r in enumerate(radii.tolist()):
         if i % 6 and r != 2.0:
             continue
         for row, th in zip(rows[121 * i : 121 * (i + 1)], thetas.tolist()):
-            value, bound = two_point_semicircle(POL, 3, 2.0, math.pi / 2, r, th)
+            value, bound = two_point_semicircle(3, 2.0, math.pi / 2, r, th)
             want = [_fmt(r * math.cos(th)), _fmt(r * math.sin(th)), _fmt(value), _fmt(bound)]
             assert row == want
             probed += 1
@@ -599,41 +602,11 @@ def test_manifest_roundtrip(tmp_path):
     payload = json.loads(manifest.read_text())
     assert payload["subcommand"] == "kernel"
     assert payload["arguments"]["theta"] == "pi/3"
-    assert payload["policy"]["tol"] == 1e-12
+    assert "policy" not in payload
     assert payload["version"]
     code = main(["--manifest", str(manifest), "--output", str(replayed)])
     assert code == 0
     assert replayed.read_bytes() == first.read_bytes()
-
-
-# the fewest arguments each subcommand parses with
-_MINIMAL_ARGV = {
-    "kernel": ["--domain", "strip", "--N", "2", "--theta", "1", "--thetap", "1"],
-    "density": ["--N", "2", "--r", "2", "--theta", "1"],
-    "two-point": ["--N", "2", "--r", "2", "--theta", "1", "--rp", "3", "--thetap", "1"],
-    "pdf": ["--theta", "1"],
-    "joint-pdf": ["--cuts", "1", "--theta", "1"],
-    "fomin-check": [],
-    "crossing-exponent": [],
-    "lattice-validate": [],
-    "figure": ["--id", "7"],
-    "validate": ["--suite", "fomin"],
-}
-
-
-def test_manifest_policy_exactly_when_the_parser_takes_tol():
-    assert set(_MINIMAL_ARGV) == set(_HANDLERS)
-    parser = build_parser()
-    for name, args in _MINIMAL_ARGV.items():
-        payload = _manifest_payload(parser.parse_args([name] + args))
-        try:
-            with redirect_stderr(io.StringIO()):
-                ns = parser.parse_args([name] + args + ["--tol", "1e-9"])
-        except SystemExit:
-            assert payload["policy"] is None, name
-        else:
-            assert payload["policy"]["tol"] == 1e-12, name
-            assert _manifest_payload(ns)["policy"]["tol"] == 1e-9, name
 
 
 def test_manifest_orders_are_the_orders_validate_uses(tmp_path, monkeypatch):
@@ -747,9 +720,6 @@ def test_usage_errors_name_the_precondition():
         (["crossing-exponent", "--paths", "3", "--phi", "1,2,2.5", "--rho", "1.2,1.9"],
          "one angle per path"),
         (["crossing-exponent", "--paths", "4"], "give --phi and --rho explicitly"),
-        (["pdf", "--theta", "1,2", "--tol", "-1"], "tol must be a positive"),
-        (["pdf", "--theta", "1,2", "--tol", "-1", "--save-manifest", os.devnull],
-         "tol must be a positive"),
         (["lattice-validate", "--levels", "15,15"], "each level must appear once"),
         (["density", "--N", "3", "--r", "2", "--theta", "4"], "angles must lie in [0, pi]"),
         (["pdf", "--x", "200", "--theta", "0.6,1.2,1.9,2.6", "--phi", "0.5,1.1,1.8,2.5"],

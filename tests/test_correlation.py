@@ -18,10 +18,10 @@ from lebp.correlation import (
     two_point_semicircle,
 )
 from lebp.errors import DomainError, PrecisionError, TruncationError
-from lebp.numerics import DEFAULT_POLICY as POL
-from lebp.numerics import SeriesPolicy, gauss_legendre
+from lebp import rect_kernels
+from lebp.numerics import gauss_legendre
 from lebp.passage_densities import ChamberSequence, joint_pdf
-from lebp.rect_kernels import RectConfig, fomin_boundary_det, hat_h, weyl_point
+from lebp.rect_kernels import MIN_GAP, RectConfig, fomin_boundary_det, hat_h, weyl_point
 from oracles import basis_phi, basis_phi_hat, joint_pdf_special_start_dets, pdf_special_start
 
 RULE = gauss_legendre(200)
@@ -32,14 +32,14 @@ RULE = gauss_legendre(200)
 
 def test_kernel_finite_branch_oracle():
     # 40-digit reference for the two-term exact sum, N=2
-    got = kernel_strip(POL, 2, 0.7, 1.1, 1.3, 2.2)
+    got = kernel_strip(2, 0.7, 1.1, 1.3, 2.2)
     assert got.bound == 0.0
     assert math.isclose(got.value, -0.6949160730421223861414, rel_tol=1e-13)
 
 
 def test_kernel_tail_branch_oracle():
     # 40-digit reference for the n > 2 tail, summed far past any truncation
-    got = kernel_strip(POL, 2, 1.3, 2.2, 0.7, 1.1)
+    got = kernel_strip(2, 1.3, 2.2, 0.7, 1.1)
     ref = 0.01223128637321123035332
     assert got.bound > 0.0
     assert abs(got.value - ref) <= got.bound + 1e-14
@@ -50,11 +50,11 @@ def test_kernel_finite_branch_refuses_coefficient_overflow():
     # sinh(n x')/sinh(n x) leaves the double range once N (x' - x) passes
     # about 709; pytest turns any numpy warning on the way into an error
     with pytest.raises(PrecisionError, match="sinh ratio overflows"):
-        kernel_strip(POL, 20, 0.1, 1.0, 40.0, 2.0)
+        kernel_strip(20, 0.1, 1.0, 40.0, 2.0)
     with pytest.raises(PrecisionError, match="sinh ratio overflows"):
-        kernel_strip(POL, 3, 1e-7, np.array([1.0, 2.0]), 690.0, 2.0)
+        kernel_strip(3, 1e-7, np.array([1.0, 2.0]), 690.0, 2.0)
     # just inside the range the coefficients stay finite
-    assert math.isfinite(kernel_strip(POL, 7, 0.1, 1.0, 100.0, 2.0).value)
+    assert math.isfinite(kernel_strip(7, 0.1, 1.0, 100.0, 2.0).value)
 
 
 def test_kernel_dual_form():
@@ -65,18 +65,18 @@ def test_kernel_dual_form():
         x = xp + rng.uniform(0.1, 2.0)
         th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
         n = int(rng.integers(1, 5))
-        a = kernel_strip(POL, n, x, th, xp, tp)
-        b = kernel_strip_dual(POL, n, x, th, xp, tp)
+        a = kernel_strip(n, x, th, xp, tp)
+        b = kernel_strip_dual(n, x, th, xp, tp)
         assert abs(a.value - b.value) < 1e-10
         assert abs(a.value - b.value) <= a.bound + b.bound + 1e-12
 
 
 def test_kernel_equal_cut_symmetric_cross_cut_not():
-    a = kernel_strip(POL, 2, 0.8, 1.0, 0.8, 2.0).value
-    b = kernel_strip(POL, 2, 0.8, 2.0, 0.8, 1.0).value
+    a = kernel_strip(2, 0.8, 1.0, 0.8, 2.0).value
+    b = kernel_strip(2, 0.8, 2.0, 0.8, 1.0).value
     assert a == b
-    fwd = kernel_strip(POL, 2, 0.5, 1.0, 1.2, 2.0).value
-    bwd = kernel_strip(POL, 2, 1.2, 2.0, 0.5, 1.0).value
+    fwd = kernel_strip(2, 0.5, 1.0, 1.2, 2.0).value
+    bwd = kernel_strip(2, 1.2, 2.0, 0.5, 1.0).value
     assert abs(fwd - bwd) > 0.1
 
 
@@ -88,27 +88,27 @@ def test_kernel_equal_cut_symmetric_cross_cut_not():
 )
 @settings(max_examples=40, deadline=None)
 def test_kernel_equal_cut_symmetry_property(n, x, th, tp):
-    a = kernel_strip(POL, n, x, th, x, tp).value
-    b = kernel_strip(POL, n, x, tp, x, th).value
+    a = kernel_strip(n, x, th, x, tp).value
+    b = kernel_strip(n, x, tp, x, th).value
     assert a == pytest.approx(b, abs=1e-14)
 
 
 def test_kernel_angle_broadcast():
     theta = np.array([0.3, 1.1, 2.7])
-    got = kernel_strip(POL, 3, 0.6, theta, 1.1, 1.9).value
+    got = kernel_strip(3, 0.6, theta, 1.1, 1.9).value
     for i, t in enumerate(theta):
-        assert got[i] == kernel_strip(POL, 3, 0.6, float(t), 1.1, 1.9).value
+        assert got[i] == kernel_strip(3, 0.6, float(t), 1.1, 1.9).value
 
 
 def test_kernel_tail_grid_matches_scalar_calls_bitwise():
     # x > x' with a 0.05 gap: a tail of several hundred terms
     theta = np.linspace(0.05, 3.05, 13)
     theta_p = np.linspace(0.1, 3.0, 17)
-    got = kernel_strip(POL, 3, 1.05, theta[:, None], 1.0, theta_p[None, :])
+    got = kernel_strip(3, 1.05, theta[:, None], 1.0, theta_p[None, :])
     assert got.value.shape == (13, 17) and got.bound > 0.0
     for i, t in enumerate(theta):
         for j, tp in enumerate(theta_p):
-            assert got.value[i, j] == kernel_strip(POL, 3, 1.05, float(t), 1.0, float(tp)).value
+            assert got.value[i, j] == kernel_strip(3, 1.05, float(t), 1.0, float(tp)).value
 
 
 def test_kernel_position_broadcast_matches_scalar_calls():
@@ -116,30 +116,31 @@ def test_kernel_position_broadcast_matches_scalar_calls():
     # (x <, = and > x', tails of different lengths), with scalar-call bits
     x, xp = np.array([0.4, 0.9, 1.05, 1.6])[:, None, None], np.array([0.9, 1.0])[:, None]
     theta, theta_p = np.array([0.3, 1.9])[:, None, None, None], np.array([0.0, 1.1, 2.9])
-    got = kernel_strip(POL, 3, x, theta, xp, theta_p)
+    got = kernel_strip(3, x, theta, xp, theta_p)
     assert got.value.shape == (2, 4, 2, 3) and got.bound.shape == (4, 2, 1)
     assert np.count_nonzero(got.bound) == 4
     for (a, i, j, k), value in np.ndenumerate(got.value):
-        one = kernel_strip(POL, 3, x[i, 0, 0], theta[a, 0, 0, 0], xp[j, 0], theta_p[k])
+        one = kernel_strip(3, x[i, 0, 0], theta[a, 0, 0, 0], xp[j, 0], theta_p[k])
         assert value == one.value and got.bound[i, j, 0] == one.bound
 
 
-def test_kernel_position_preconditions_hold_elementwise():
+def test_kernel_position_preconditions_hold_elementwise(monkeypatch):
     with pytest.raises(DomainError, match="cut positions must be positive"):
-        kernel_strip(POL, 2, np.array([0.5, 0.0]), 1.0, 1.0, 1.0)
+        kernel_strip(2, np.array([0.5, 0.0]), 1.0, 1.0, 1.0)
     with pytest.raises(PrecisionError, match="below policy min_gap"):
-        kernel_strip(POL, 2, np.array([0.5, 1.0 + 1e-5]), 1.0, 1.0, 1.0)
+        kernel_strip(2, np.array([0.5, 1.0 + 1e-5]), 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="radius must exceed 1"):
+        kernel_semicircle(2, np.array([2.0, 1.0]), 1.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match="radius must exceed 1"):
+        two_point_semicircle(2, 2.0, 1.0, np.array([[3.0], [0.5]]), 1.2)
+    monkeypatch.setattr(rect_kernels, "N_MAX", 10)
     with pytest.raises(TruncationError):
-        kernel_strip(SeriesPolicy(n_max=10), 1, 1.0, 1.0, np.array([2.0, 0.999]), 1.0)
-    with pytest.raises(DomainError, match="radius must exceed 1"):
-        kernel_semicircle(POL, 2, np.array([2.0, 1.0]), 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError, match="radius must exceed 1"):
-        two_point_semicircle(POL, 2, 2.0, 1.0, np.array([[3.0], [0.5]]), 1.2)
+        kernel_strip(1, 1.0, 1.0, np.array([2.0, 0.999]), 1.0)
 
 
 def test_kernel_trace_counts_paths():
     for n in (1, 2, 5):
-        diag = kernel_strip(POL, n, 0.7, RULE.nodes, 0.7, RULE.nodes).value
+        diag = kernel_strip(n, 0.7, RULE.nodes, 0.7, RULE.nodes).value
         assert abs(RULE.weights @ diag - n) < 1e-10
 
 
@@ -147,34 +148,34 @@ def test_kernel_reproducing_property():
     # integrating out a middle cut x <= x'' <= x' reproduces the kernel
     for n, (x1, x2, x3) in [(1, (0.5, 0.9, 1.4)), (3, (0.4, 1.0, 1.3)), (2, (0.6, 0.6, 1.1))]:
         th, tp = 1.1, 2.3
-        a = kernel_strip(POL, n, x1, th, x2, RULE.nodes).value
-        b = kernel_strip(POL, n, x2, RULE.nodes, x3, tp).value
+        a = kernel_strip(n, x1, th, x2, RULE.nodes).value
+        b = kernel_strip(n, x2, RULE.nodes, x3, tp).value
         lhs = RULE.weights @ (a * b)
-        rhs = kernel_strip(POL, n, x1, th, x3, tp).value
+        rhs = kernel_strip(n, x1, th, x3, tp).value
         assert abs(lhs - rhs) < 1e-9
 
 
 def test_kernel_composition_needs_ordering():
     # with the middle cut outside [x, x'] the composition identity fails
-    a = kernel_strip(POL, 2, 0.5, 1.1, 0.9, RULE.nodes).value
-    b = kernel_strip(POL, 2, 0.9, RULE.nodes, 0.7, 2.3).value
-    rhs = kernel_strip(POL, 2, 0.5, 1.1, 0.7, 2.3).value
+    a = kernel_strip(2, 0.5, 1.1, 0.9, RULE.nodes).value
+    b = kernel_strip(2, 0.9, RULE.nodes, 0.7, 2.3).value
+    rhs = kernel_strip(2, 0.5, 1.1, 0.7, 2.3).value
     assert abs(RULE.weights @ (a * b) - rhs) > 0.1
 
 
-def test_kernel_domain_and_budget_errors():
+def test_kernel_domain_and_budget_errors(monkeypatch):
     with pytest.raises(DomainError):
-        kernel_strip(POL, 0, 0.5, 1.0, 1.0, 1.0)
+        kernel_strip(0, 0.5, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        kernel_strip(POL, 2, 0.0, 1.0, 1.0, 1.0)
+        kernel_strip(2, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(PrecisionError):
-        kernel_strip(POL, 2, 1.0 + 1e-5, 1.0, 1.0, 1.0)
-    tight = SeriesPolicy(tol=1e-12, n_max=10, min_gap=1e-3)
-    with pytest.raises(TruncationError) as err:
-        kernel_strip(tight, 1, 1.0012, 1.0, 1.0, 1.0)
-    assert err.value.achieved > 0.0
+        kernel_strip(2, 1.0 + 1e-5, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        kernel_strip_dual(POL, 2, 0.5, 1.0, 1.0, 1.0)
+        kernel_strip_dual(2, 0.5, 1.0, 1.0, 1.0)
+    monkeypatch.setattr(rect_kernels, "N_MAX", 10)
+    with pytest.raises(TruncationError) as err:
+        kernel_strip(1, 1.0012, 1.0, 1.0, 1.0)
+    assert err.value.achieved > 0.0
 
 
 # --- correlation functions ----------------------------------------------------
@@ -182,8 +183,8 @@ def test_kernel_domain_and_budget_errors():
 
 def test_corr_strip_matches_explicit_determinant():
     x1, x2, t1, t2 = 0.6, 1.1, 0.9, 2.1
-    got = corr_strip(POL, 2, [x1, x2], [[t1], [t2]])
-    k = lambda xa, ta, xb, tb: kernel_strip(POL, 2, xa, ta, xb, tb).value
+    got = corr_strip(2, [x1, x2], [[t1], [t2]])
+    k = lambda xa, ta, xb, tb: kernel_strip(2, xa, ta, xb, tb).value
     det = k(x1, t1, x1, t1) * k(x2, t2, x2, t2) - k(x1, t1, x2, t2) * k(x2, t2, x1, t1)
     assert got == pytest.approx(det, rel=1e-12)
 
@@ -195,23 +196,23 @@ def test_corr_strip_matrix_matches_scalar_construction(monkeypatch):
     monkeypatch.setattr(correlation, "det_lu", lambda m: seen.append(m) or 0.0)
     cuts = [0.6, 1.1, 0.6, 0.9]
     angle_lists = [[0.4, 2.0], [1.3], [2.7, 0.9, 1.8], [1.1, 2.2]]
-    corr_strip(POL, 3, cuts, angle_lists)
+    corr_strip(3, cuts, angle_lists)
     points = [(x, t) for x, angles in zip(cuts, angle_lists) for t in angles]
     want = np.array(
-        [[kernel_strip(POL, 3, xi, ti, xj, tj).value for xj, tj in points] for xi, ti in points]
+        [[kernel_strip(3, xi, ti, xj, tj).value for xj, tj in points] for xi, ti in points]
     )
     assert np.array_equal(seen[0], want)
 
 
 def test_corr_strip_repeated_point_vanishes():
-    assert corr_strip(POL, 3, [0.8], [[1.0, 1.0]]) == 0.0
+    assert corr_strip(3, [0.8], [[1.0, 1.0]]) == 0.0
 
 
 def test_corr_strip_validates_input():
     with pytest.raises(DomainError):
-        corr_strip(POL, 2, [0.5, 1.0], [[1.0]])
+        corr_strip(2, [0.5, 1.0], [[1.0]])
     with pytest.raises(DomainError):
-        corr_strip(POL, 2, [], [])
+        corr_strip(2, [], [])
 
 
 def test_one_point_function_matches_density_marginal():
@@ -224,7 +225,7 @@ def test_one_point_function_matches_density_marginal():
             * (np.cos(RULE.nodes) - math.cos(th))
         )
         marginal = 16.0 / math.pi**2 * (RULE.weights @ hh**2)
-        one_point = corr_strip(POL, 2, [0.9], [[th]])
+        one_point = corr_strip(2, [0.9], [[th]])
         assert abs(one_point - marginal) < 1e-8
 
 
@@ -272,8 +273,8 @@ def test_joint_special_start_routes_agree():
         [(0.5, 1.2, 2.0), (0.7, 1.5, 2.3), (0.4, 1.1, 2.6)],
     ]
     for thetas in cases:
-        a = joint_pdf(None, POL, seq, thetas)
-        b = joint_pdf_special_start_dets(POL, seq, thetas)
+        a = joint_pdf(None, seq, thetas)
+        b = joint_pdf_special_start_dets(seq, thetas)
         assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -281,9 +282,7 @@ def test_joint_special_start_marginalizes():
     # integrating out the second cut recovers the one-cut density
     seq = ChamberSequence((0.5, 1.1))
     th1 = 1.3
-    vals = np.array(
-        [joint_pdf(None, POL, seq, [(th1,), (t,)]) for t in RULE.nodes]
-    )
+    vals = np.array([joint_pdf(None, seq, [(th1,), (t,)]) for t in RULE.nodes])
     marginal = RULE.weights @ vals
     assert abs(marginal - pdf_special_start((th1,))) < 1e-12
 
@@ -291,11 +290,11 @@ def test_joint_special_start_marginalizes():
 def test_joint_special_start_validates_input():
     seq = ChamberSequence((0.4, 0.9))
     with pytest.raises(DomainError, match="midpoint start"):
-        joint_pdf(RectConfig(2.0), POL, seq, [(1.0,), (1.1,)])
+        joint_pdf(RectConfig(2.0), seq, [(1.0,), (1.1,)])
     with pytest.raises(DomainError):
-        joint_pdf(None, POL, seq, [(1.0,)])
+        joint_pdf(None, seq, [(1.0,)])
     with pytest.raises(DomainError):
-        joint_pdf_special_start_dets(POL, seq, [(1.0,), (1.1, 2.0)])
+        joint_pdf_special_start_dets(seq, [(1.0,), (1.1, 2.0)])
 
 
 @given(
@@ -312,7 +311,7 @@ def test_basis_product_invariant(n, x, th):
 # --- coalescing start limit -----------------------------------------------------
 
 
-def schur_limit_factor(cfg, pol, phi, rho):
+def schur_limit_factor(cfg, phi, rho):
     """Diagnostic ratio det[H_boundary(i phi_j, L + i rho_k)] / hat_h(phi).
 
     As the start angles phi coalesce at pi/2 the ratio approaches
@@ -320,7 +319,7 @@ def schur_limit_factor(cfg, pol, phi, rho):
     in L from higher terms of the partition expansion.
     """
     phi = weyl_point(phi)
-    return fomin_boundary_det(cfg, pol, phi, rho) / hat_h(phi)
+    return fomin_boundary_det(cfg, phi, rho) / hat_h(phi)
 
 
 def coincident_limit_value(cfg, rho):
@@ -342,7 +341,7 @@ def test_schur_limit_factor_converges():
     vals = []
     for eps in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
         phi = (math.pi / 2 - eps, math.pi / 2 + eps)
-        vals.append(schur_limit_factor(cfg, POL, phi, rho))
+        vals.append(schur_limit_factor(cfg, phi, rho))
     steps = [abs(a - b) for a, b in zip(vals, vals[1:])]
     assert all(s1 > s2 for s1, s2 in zip(steps, steps[1:]))
     assert abs(vals[-1] / limit - 1.0) < 2e-3
@@ -350,7 +349,7 @@ def test_schur_limit_factor_converges():
 
 def test_schur_limit_factor_single_path():
     # N=1: the ratio at phi = pi/2 is the boundary kernel itself over sin(pi/2)
-    got = schur_limit_factor(RectConfig(3.0), POL, (math.pi / 2,), (1.1,))
+    got = schur_limit_factor(RectConfig(3.0), (math.pi / 2,), (1.1,))
     direct = sum(
         2.0 / math.pi * n * math.sin(n * math.pi / 2) * math.sin(n * 1.1) / math.sinh(3.0 * n)
         for n in range(1, 200)
@@ -365,7 +364,7 @@ def test_coincident_limit_longer_rectangle_tightens():
     for length in (3.0, 4.0, 5.0):
         cfg = RectConfig(length)
         phi = (math.pi / 2 - 1e-3, math.pi / 2 + 1e-3)
-        val = schur_limit_factor(cfg, POL, phi, rho)
+        val = schur_limit_factor(cfg, phi, rho)
         residuals.append(abs(val / coincident_limit_value(cfg, rho) - 1.0))
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -378,25 +377,25 @@ def test_semicircle_kernel_matches_strip():
     checked = 0
     while checked < 50:
         r, rp = np.exp(rng.uniform(0.05, 2.0, 2))
-        if abs(math.log(r) - math.log(rp)) < POL.min_gap:
+        if abs(math.log(r) - math.log(rp)) < MIN_GAP:
             continue
         th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
         n = int(rng.integers(1, 6))
-        a = kernel_semicircle(POL, n, r, th, rp, tp).value
-        b = kernel_strip(POL, n, math.log(r), th, math.log(rp), tp).value / r
+        a = kernel_semicircle(n, r, th, rp, tp).value
+        b = kernel_strip(n, math.log(r), th, math.log(rp), tp).value / r
         assert abs(a - b) < 1e-12
         checked += 1
 
 
 def test_semicircle_needs_radius_beyond_one():
     with pytest.raises(DomainError):
-        kernel_semicircle(POL, 2, 1.0, 1.0, 2.0, 1.0)
+        kernel_semicircle(2, 1.0, 1.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         density_semicircle(2, 0.9, 1.0)
     with pytest.raises(DomainError):
         density_semicircle(2, np.array([[2.0], [0.9]]), np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
-        two_point_semicircle(POL, 2, 2.0, 1.0, 0.5, 1.2)
+        two_point_semicircle(2, 2.0, 1.0, 0.5, 1.2)
 
 
 def test_equal_radius_closed_form():
@@ -404,12 +403,12 @@ def test_equal_radius_closed_form():
     # closed form of the validation suite agrees off the diagonal
     from lebp.validation import _closed_kernel
 
-    got = kernel_semicircle(POL, 3, 2.0, 0.9, 2.0, 2.2)
+    got = kernel_semicircle(3, 2.0, 0.9, 2.0, 2.2)
     assert got.bound == 0.0
     assert math.isclose(got.value, -0.05100977204597252439616, rel_tol=1e-13)
     for n in (1, 2, 5):
         a = _closed_kernel(n, 2.0, 0.9, 2.2)
-        b = kernel_semicircle(POL, n, 2.0, 0.9, 2.0, 2.2).value
+        b = kernel_semicircle(n, 2.0, 0.9, 2.0, 2.2).value
         assert a == pytest.approx(b, abs=1e-13)
 
 
@@ -429,7 +428,7 @@ def test_equal_radius_kernel_near_diagonal_matches_mpmath():
         for th in (0.3, 1.0, 2.6):
             for d in (1e-9, 1e-8, 1e-7, 1e-6, 1.001e-6, 1e-5, 1e-4, 1e-3, 1e-2):
                 for tp in (th + d, th - d):
-                    got = kernel_semicircle(POL, n, 2.0, th, 2.0, tp)
+                    got = kernel_semicircle(n, 2.0, th, 2.0, tp)
                     want = _mp_arc_kernel(n, 2.0, th, tp)
                     assert got.bound == 0.0
                     assert abs(got.value / float(want) - 1.0) < 1e-14, (n, th, tp)
@@ -451,19 +450,19 @@ def test_series_branches_match_scalar_calls_bitwise():
     th = np.concatenate([np.linspace(0.0, 9e-4, 7), np.linspace(1.0, 1.0 + 1e-7, 5), [math.pi]])
     radii = np.array([1.05, 2.0, 3.7])
     dens = density_semicircle(9, radii[:, None], th)
-    kern = kernel_semicircle(POL, 9, 2.0, th[:, None], 2.0, th[None, :]).value
+    kern = kernel_semicircle(9, 2.0, th[:, None], 2.0, th[None, :]).value
     for i, t in enumerate(th.tolist()):
         for k, r in enumerate(radii.tolist()):
             assert dens[k, i] == density_semicircle(9, r, t)
         for j, tp in enumerate(th.tolist()):
-            assert kern[i, j] == kernel_semicircle(POL, 9, 2.0, t, 2.0, tp).value
+            assert kern[i, j] == kernel_semicircle(9, 2.0, t, 2.0, tp).value
 
 
 def test_density_matches_kernel_diagonal():
     for n in (1, 3, 7):
         for th in (0.4, 1.234, 2.8):
             a = density_semicircle(n, 2.0, th)
-            b = kernel_semicircle(POL, n, 2.0, th, 2.0, th).value
+            b = kernel_semicircle(n, 2.0, th, 2.0, th).value
             assert abs(a - b) < 1e-10
 
 
@@ -512,38 +511,38 @@ def test_two_point_matches_kernel_determinant():
     for r, th, rp, tp in [(2.0, 1.0, 3.0, 2.0), (4.0, 0.8, 1.5, 2.5), (2.0, 1.0, 2.0, 2.2)]:
         n = 3
         det = density_semicircle(n, r, th) * density_semicircle(n, rp, tp) - (
-            kernel_semicircle(POL, n, r, th, rp, tp).value
-            * kernel_semicircle(POL, n, rp, tp, r, th).value
+            kernel_semicircle(n, r, th, rp, tp).value
+            * kernel_semicircle(n, rp, tp, r, th).value
         )
-        got = two_point_semicircle(POL, n, r, th, rp, tp).value
+        got = two_point_semicircle(n, r, th, rp, tp).value
         assert got == pytest.approx(det, abs=1e-10)
-        swapped = two_point_semicircle(POL, n, rp, tp, r, th).value
+        swapped = two_point_semicircle(n, rp, tp, r, th).value
         assert got == pytest.approx(swapped, rel=1e-12)
 
 
 def test_two_point_frozen_oracle():
     # 40-digit reference: N=3, (r, theta) = (2, 1), (r', theta') = (3, 2)
-    got = two_point_semicircle(POL, 3, 2.0, 1.0, 3.0, 2.0).value
+    got = two_point_semicircle(3, 2.0, 1.0, 3.0, 2.0).value
     assert math.isclose(got, 0.1565720742434987580453, rel_tol=1e-11)
 
 
 def test_two_point_repulsion_peaks():
     # five paths, probe at i*4: four peaks left for the other four paths
     tp = np.linspace(0.0, math.pi, 4001)
-    g2 = two_point_semicircle(POL, 5, 4.0, math.pi / 2, 4.0, tp).value
+    g2 = two_point_semicircle(5, 4.0, math.pi / 2, 4.0, tp).value
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
     assert peaks == 4
     for sign in (+1.0, -1.0):
         near = two_point_semicircle(
-            POL, 5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
+            5, 4.0, math.pi / 2, 4.0, math.pi / 2 + sign * 1e-4 * math.pi
         ).value
         assert abs(near) < 1e-6
 
 
-def test_two_point_close_radii_need_policy_gap():
+def test_two_point_close_radii_need_the_minimum_gap():
     with pytest.raises(PrecisionError):
-        two_point_semicircle(POL, 2, 2.0, 1.0, 2.0 * (1.0 + 1e-9), 1.5)
+        two_point_semicircle(2, 2.0, 1.0, 2.0 * (1.0 + 1e-9), 1.5)
 
 
 # --- large-N limit ----------------------------------------------------------------
@@ -640,7 +639,5 @@ def test_scaled_kernel_approaches_limit():
     # kernel at radius N+u and angle a/N against the limit, N = 500
     big = 500
     for u, up, a, ap in [(0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 2.0), (-1.0, 2.0, 2.0, 1.0)]:
-        scaled = kernel_semicircle(
-            POL, big, big + u, a / big, big + up, ap / big
-        ).value
+        scaled = kernel_semicircle(big, big + u, a / big, big + up, ap / big).value
         assert abs(scaled - limit_kernel(u, a, up, ap)) < 1e-2

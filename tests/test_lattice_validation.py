@@ -19,7 +19,6 @@ from lebp.lattice_validation import (
 )
 from lebp import numerics
 from lebp.lattice_validation import _green_block
-from lebp.numerics import DEFAULT_POLICY as POL
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
 from oracles import discrete_green
@@ -200,7 +199,7 @@ def test_interior_exit_scales_to_poisson_kernel():
         a = (4 * scale, 6 * scale)
         k = 10 * scale
         got = exit_right(strip, a)[k - 1] / h
-        cont = poisson_rect(cfg, POL, 4 * math.pi / 16, 6 * math.pi / 16, 10 * math.pi / 16)
+        cont = poisson_rect(cfg, 4 * math.pi / 16, 6 * math.pi / 16, 10 * math.pi / 16)
         errs.append(abs(got - cont.value))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 2e-4
@@ -336,7 +335,7 @@ def test_single_path_density_tracks_continuum():
     cfg = RectConfig(math.pi)
     cont = np.array(
         [
-            joint_pdf(cfg, POL, ChamberSequence((cut * h,)), [(m * h,)], (12 * h,))
+            joint_pdf(cfg, ChamberSequence((cut * h,)), [(m * h,)], (12 * h,))
             for m in range(1, level + 1)
         ]
     )

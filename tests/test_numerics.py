@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebp import numerics
-from lebp.errors import DomainError, PrecisionError
+from lebp.errors import DomainError
 from lebp.rect_kernels import hat_h
 from lebp.numerics import (
     QuadratureRule,
-    SeriesPolicy,
     TailBoundedValue,
     chamber_integrate,
     det_lu,
@@ -92,17 +91,6 @@ def test_quadrature_rule_validation():
         QuadratureRule(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
         gauss_legendre(0)
-
-
-def test_series_policy_validation():
-    with pytest.raises(PrecisionError):
-        SeriesPolicy(tol=0.0)
-    with pytest.raises(PrecisionError):
-        SeriesPolicy(n_max=0)
-    with pytest.raises(PrecisionError):
-        SeriesPolicy(min_gap=-1.0)
-    pol = SeriesPolicy(tol=1e-10)
-    assert pol.n_max == 100_000 and pol.min_gap == 1e-3
 
 
 def test_chamber_volume():

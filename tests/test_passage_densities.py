@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lebp.errors import DomainError, PrecisionError, TruncationError
-from lebp.numerics import DEFAULT_POLICY, SeriesPolicy, gauss_legendre
+from lebp import passage_densities, rect_kernels
+from lebp.numerics import gauss_legendre
 from lebp.passage_densities import (
     ChamberSequence,
     _chamber_norm,
@@ -27,12 +28,9 @@ from lebp.rect_kernels import (
 )
 from oracles import pdf_special_start
 
-POL = DEFAULT_POLICY
-
-
 def _one_cut(cfg, x, theta, phi):
     # the first-passage density on the single cut x (cfg None: infinite strip)
-    return joint_pdf(cfg, POL, ChamberSequence((x,)), [theta], phi)
+    return joint_pdf(cfg, ChamberSequence((x,)), [theta], phi)
 
 
 def _strip_weight(x, n):
@@ -134,9 +132,9 @@ def test_ordered_integral_matches_simplex_quadrature():
 def test_norm_frozen_high_precision_values():
     # 30-digit references from an exact-rational version of the chamber
     # integrals combined with a 40-digit evaluation of the series
-    nb = norm_boundary(RectConfig(2.0), POL, [0.9, 2.1])
+    nb = norm_boundary(RectConfig(2.0), [0.9, 2.1])
     assert nb == pytest.approx(0.0328334204323592209747022822839, rel=5e-15)
-    ni = norm_inner(RectConfig(2.0), POL, 0.8, [0.9, 2.1])
+    ni = norm_inner(RectConfig(2.0), 0.8, [0.9, 2.1])
     assert ni == pytest.approx(0.0339327867123395464593390468185, rel=5e-15)
 
 
@@ -144,9 +142,7 @@ def _norm_boundary_quad(L, phi, order):
     cfg = RectConfig(L)
     n = len(phi)
     rho, w = chamber_points(order, n)
-    ent = boundary_poisson_rect(
-        cfg, POL, np.asarray(phi)[:, None, None], rho[None, :, :]
-    ).value
+    ent = boundary_poisson_rect(cfg, np.asarray(phi)[:, None, None], rho[None, :, :]).value
     vals = np.linalg.det(np.swapaxes(ent, 0, 1))
     return float(vals @ w)
 
@@ -154,14 +150,14 @@ def _norm_boundary_quad(L, phi, order):
 def _norm_inner_quad(L, x, theta, order):
     cfg = RectConfig(L)
     rho, w = chamber_points(order, len(theta))
-    ent = poisson_rect(cfg, POL, x, np.asarray(theta)[:, None, None], rho[None, :, :]).value
+    ent = poisson_rect(cfg, x, np.asarray(theta)[:, None, None], rho[None, :, :]).value
     vals = np.linalg.det(np.swapaxes(ent, 0, 1))
     return float(vals @ w)
 
 
 def test_norm_boundary_matches_chamber_quadrature():
     for L, phi in [(2.0, [1.0]), (2.0, [0.9, 2.1]), (3.0, [0.7, 1.5, 2.5])]:
-        mine = norm_boundary(RectConfig(L), POL, phi)
+        mine = norm_boundary(RectConfig(L), phi)
         ref = _norm_boundary_quad(L, phi, 48)
         assert mine == pytest.approx(ref, rel=1e-10)
 
@@ -173,30 +169,36 @@ def test_norm_inner_matches_chamber_quadrature():
         (3.0, 1.5, [0.7, 1.5, 2.5]),
         (1.5, 0.4, [1.1, 1.9]),
     ]:
-        mine = norm_inner(RectConfig(L), POL, x, theta)
+        mine = norm_inner(RectConfig(L), x, theta)
         ref = _norm_inner_quad(L, x, theta, 48)
         assert mine == pytest.approx(ref, rel=1e-10)
 
 
-def test_norm_series_tail_bound_is_honest():
+def test_norm_series_tail_bound_is_honest(monkeypatch):
     # the certified bound covers the truncation error of the default run
-    # (against a much tighter run), and of every shorter truncation, whose
-    # bound the budget error reports
-    tight = SeriesPolicy(tol=1e-22)
+    # (against a run at target 1e-22), and of every shorter truncation, whose
+    # bound the budget error reports.  The runs at other targets bypass the
+    # cache of _norm_series.
+    def uncached(target, n_max, *args):
+        with monkeypatch.context() as m:
+            m.setattr(passage_densities, "SERIES_TOL", target)
+            m.setattr(rect_kernels, "N_MAX", n_max)
+            return _norm_series.__wrapped__(*args)
+
     for kind, L, x, theta in [
         ("boundary", 2.0, 0.0, [0.9, 2.1]),
         ("inner", 2.0, 0.8, [0.9, 2.1]),
         ("inner", 3.0, 1.5, [0.7, 1.5, 2.5]),
     ]:
         n = len(theta)
-        full, _ = _norm_series(x, L, n, tight)
+        full, _ = uncached(1e-22, rect_kernels.N_MAX, x, L, n)
         exact = _chamber_norm(full, theta)
-        coefs, bound = _norm_series(x, L, n, POL)
+        coefs, bound = _norm_series(x, L, n)
         assert coefs.size < full.size
         assert abs(_chamber_norm(coefs, theta) - exact) <= bound
         for m_max in range(n, coefs.size // 2 + 1, 2):
             with pytest.raises(TruncationError) as exc:
-                _norm_series(x, L, n, SeriesPolicy(tol=POL.tol, n_max=m_max))
+                uncached(passage_densities.SERIES_TOL, m_max, x, L, n)
             assert abs(_chamber_norm(full[:m_max], theta) - exact) <= exc.value.achieved
 
 
@@ -256,11 +258,11 @@ def test_norm_matches_mpmath_pfaffian_oracle():
     cases = []
     for n in (2, 3, 4, 5):
         phi = [0.3 + 2.5 * (j + 0.5) / n for j in range(n)]
-        cases.append((norm_boundary(RectConfig(2.0), POL, phi), boundary(2), phi))
+        cases.append((norm_boundary(RectConfig(2.0), phi), boundary(2), phi))
     theta = [0.2 + 2.7 * j / 7 for j in range(8)]
-    cases.append((norm_inner(RectConfig(3.0), POL, 1.0, theta), inner(3, 1), theta))
+    cases.append((norm_inner(RectConfig(3.0), 1.0, theta), inner(3, 1), theta))
     theta = [0.4, 1.1, 1.9, 2.7]
-    cases.append((norm_inner(RectConfig(8.0), POL, 1.0, theta), inner(8, 1), theta))
+    cases.append((norm_inner(RectConfig(8.0), 1.0, theta), inner(8, 1), theta))
     with mp.workdps(50):
         for value, coef, angles in cases:
             ref = _mp_chamber_norm(mp, coef, angles)
@@ -271,11 +273,11 @@ def test_norm_matches_mpmath_pfaffian_oracle():
 def test_norm_inner_grid_matches_scalar():
     cfg = RectConfig(2.0)
     grid = np.array([[0.9, 2.1], [0.4, 1.0], [1.5, 2.8]])
-    vals = norm_inner(cfg, POL, 0.8, grid)
+    vals = norm_inner(cfg, 0.8, grid)
     for row, v in zip(grid, vals):
-        assert v == pytest.approx(norm_inner(cfg, POL, 0.8, row), rel=1e-13)
+        assert v == pytest.approx(norm_inner(cfg, 0.8, row), rel=1e-13)
     # antisymmetric continuation: swapping two angles flips the sign
-    swapped = norm_inner(cfg, POL, 0.8, grid[:, ::-1].copy())
+    swapped = norm_inner(cfg, 0.8, grid[:, ::-1].copy())
     assert np.allclose(swapped, -vals, rtol=1e-13)
 
 
@@ -283,17 +285,16 @@ def test_boundary_det_grid_matches_determinant():
     cfg = RectConfig(1.1)
     phi = [0.9, 2.0]
     grid = np.array([[0.7, 1.9], [1.2, 2.4]])
-    vals = fomin_boundary_det(cfg, POL, phi, grid)
+    vals = fomin_boundary_det(cfg, phi, grid)
     for row, v in zip(grid, vals):
-        ref = fomin_boundary_det(cfg, POL, phi, row)
+        ref = fomin_boundary_det(cfg, phi, row)
         assert v == pytest.approx(ref, rel=1e-12)
 
 
-def test_norm_series_budget_exhaustion():
-    pol = SeriesPolicy(tol=1e-12, n_max=4)
+def test_norm_series_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(rect_kernels, "N_MAX", 4)
     with pytest.raises(TruncationError) as exc:
-        _norm_series.cache_clear()
-        _norm_series(1.0, 2.0, 3, pol)
+        _norm_series.__wrapped__(1.0, 2.0, 3)
     assert exc.value.achieved > 0.0
 
 
@@ -311,14 +312,14 @@ def test_joint_pdf_stack_at_last_cut_matches_single_calls_bitwise(start, m):
     earlier = [(0.9, 1.9)] * (m - 1)
     rng = np.random.default_rng(5)
     stack = np.sort(rng.uniform(0.05, math.pi - 0.05, size=(3, 4, 2)), axis=-1)
-    out = joint_pdf(cfg, POL, seq, [*earlier, stack], phi)
+    out = joint_pdf(cfg, seq, [*earlier, stack], phi)
     assert out.shape == (3, 4)
     for idx in np.ndindex(3, 4):
-        single = joint_pdf(cfg, POL, seq, [*earlier, stack[idx]], phi)
+        single = joint_pdf(cfg, seq, [*earlier, stack[idx]], phi)
         assert isinstance(single, float) and single == out[idx]
     if m == 2:
         with pytest.raises(DomainError):
-            joint_pdf(cfg, POL, seq, [stack, stack[0, 0]], phi)
+            joint_pdf(cfg, seq, [stack, stack[0, 0]], phi)
 
 
 def test_pdf_single_path_matches_direct_series():
@@ -328,7 +329,7 @@ def test_pdf_single_path_matches_direct_series():
     def sinh_ratio(n, a, b):
         return math.exp(n * (a - b)) * math.expm1(-2 * n * a) / math.expm1(-2 * n * b)
 
-    hb = boundary_poisson_rect(RectConfig(x), POL, phi, th).value
+    hb = boundary_poisson_rect(RectConfig(x), phi, th).value
     n1 = sum(
         (2 / math.pi) * sinh_ratio(n, x, L) * math.sin(n * th) * _single_sine_integral(n)
         for n in range(1, 400)
@@ -352,10 +353,10 @@ def test_pdf_two_paths_normalizes():
     rule = gauss_legendre(64)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
-    ni = norm_inner(cfg, POL, x, grid)
+    fb = fomin_boundary_det(RectConfig(x), phi, grid)
+    ni = norm_inner(cfg, x, grid)
     mass = float(np.einsum("i,j,ij->", w, w, fb * ni)) / 2.0
-    mass /= norm_boundary(cfg, POL, phi)
+    mass /= norm_boundary(cfg, phi)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -373,13 +374,13 @@ def test_joint_pdf_telescopes_into_transitions():
     seq = ChamberSequence((0.7, 1.2))
     # the transition factor to the second cut: the interior determinant of
     # the sub-rectangle ending there times a norm ratio
-    det = fomin_inner_det(RectConfig(1.2), POL, 0.7, th_a, th_b)
-    j = joint_pdf(cfg, POL, seq, [th_a, th_b], phi)
+    det = fomin_inner_det(RectConfig(1.2), 0.7, th_a, th_b)
+    j = joint_pdf(cfg, seq, [th_a, th_b], phi)
     p1 = _one_cut(cfg, 0.7, th_a, phi)
-    q = det * norm_inner(cfg, POL, 1.2, th_b) / norm_inner(cfg, POL, 0.7, th_a)
+    q = det * norm_inner(cfg, 1.2, th_b) / norm_inner(cfg, 0.7, th_a)
     assert j == pytest.approx(p1 * q, rel=1e-12)
 
-    j_inf = joint_pdf(None, POL, ChamberSequence((0.7, 1.2)), [th_a, th_b], phi)
+    j_inf = joint_pdf(None, ChamberSequence((0.7, 1.2)), [th_a, th_b], phi)
     p1_inf = _one_cut(None, 0.7, th_a, phi)
     ratio = _strip_weight(1.2, 2) * hat_h(th_b) / (_strip_weight(0.7, 2) * hat_h(th_a))
     assert j_inf == pytest.approx(p1_inf * det * ratio, rel=1e-12)
@@ -390,9 +391,7 @@ def test_joint_pdf_single_cut_reduces_to_marginal():
     phi = [0.9, 2.0]
     th = [1.0, 2.2]
     seq = ChamberSequence((0.9,))
-    assert joint_pdf(cfg, POL, seq, [th], phi) == pytest.approx(
-        _one_cut(cfg, 0.9, th, phi), rel=1e-13
-    )
+    assert joint_pdf(cfg, seq, [th], phi) == pytest.approx(_one_cut(cfg, 0.9, th, phi), rel=1e-13)
 
 
 def test_joint_mass_two_cuts_two_paths():
@@ -401,14 +400,14 @@ def test_joint_mass_two_cuts_two_paths():
     rule = gauss_legendre(48)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    A = fomin_boundary_det(RectConfig(x1), POL, phi, grid)
-    B = norm_inner(cfg, POL, x2, grid)
-    K = poisson_rect(RectConfig(x2), POL, x1, nodes[:, None], nodes[None, :]).value
+    A = fomin_boundary_det(RectConfig(x1), phi, grid)
+    B = norm_inner(cfg, x2, grid)
+    K = poisson_rect(RectConfig(x2), x1, nodes[:, None], nodes[None, :]).value
     Aw = A * np.outer(w, w)
     Bw = B * np.outer(w, w)
     t1 = np.einsum("ab,ac,bd,cd->", Aw, K, K, Bw, optimize=True)
     t2 = np.einsum("ab,ad,bc,cd->", Aw, K, K, Bw, optimize=True)
-    mass = (t1 - t2) / 4.0 / norm_boundary(cfg, POL, phi)
+    mass = (t1 - t2) / 4.0 / norm_boundary(cfg, phi)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -441,7 +440,7 @@ def test_infinite_pdf_normalizes():
     rule = gauss_legendre(64)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
+    fb = fomin_boundary_det(RectConfig(x), phi, grid)
     pdf = _strip_weight(x, 2) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,ij->", w, w, pdf)) / 2.0
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -452,7 +451,7 @@ def test_infinite_pdf_normalizes_three_paths():
     rule = gauss_legendre(40)
     nodes, w = rule.nodes, rule.weights
     grid = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1)
-    fb = fomin_boundary_det(RectConfig(x), POL, phi, grid)
+    fb = fomin_boundary_det(RectConfig(x), phi, grid)
     pdf = _strip_weight(x, 3) * fb * hat_h(grid) / hat_h(phi)
     mass = float(np.einsum("i,j,k,ijk->", w, w, w, pdf)) / math.factorial(3)
     assert mass == pytest.approx(1.0, abs=1e-10)
@@ -478,19 +477,19 @@ def test_density_domain_errors():
     with pytest.raises(DomainError):
         _one_cut(cfg, 0.9, [1.0, 2.0], [1.0])
     with pytest.raises(DomainError):
-        norm_inner(cfg, POL, -0.1, [1.0])
+        norm_inner(cfg, -0.1, [1.0])
     with pytest.raises(PrecisionError):
-        norm_inner(cfg, POL, 2.0 - 1e-6, [1.0])
+        norm_inner(cfg, 2.0 - 1e-6, [1.0])
     # below the normal double range a norm keeps no relative accuracy
     with pytest.raises(PrecisionError, match="norm underflows"):
-        norm_boundary(RectConfig(120.0), POL, [0.5, 1.8, 2.5])
+        norm_boundary(RectConfig(120.0), [0.5, 1.8, 2.5])
     with pytest.raises(DomainError):
-        joint_pdf(cfg, POL, ChamberSequence((1.2, 0.7)), [[1.0], [1.0]], [1.0])
+        joint_pdf(cfg, ChamberSequence((1.2, 0.7)), [[1.0], [1.0]], [1.0])
     with pytest.raises(DomainError):
-        joint_pdf(cfg, POL, ChamberSequence((0.7, 2.5)), [[1.0], [1.0]], [1.0])
+        joint_pdf(cfg, ChamberSequence((0.7, 2.5)), [[1.0], [1.0]], [1.0])
     with pytest.raises(DomainError):
-        joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0]], [1.0, 2.0])
+        joint_pdf(cfg, ChamberSequence((0.5, 1.0)), [[1.0, 2.0]], [1.0, 2.0])
     with pytest.raises(DomainError):
-        joint_pdf(cfg, POL, ChamberSequence((0.5, 2.5)), [[1.0], [1.1]], [1.0])
+        joint_pdf(cfg, ChamberSequence((0.5, 2.5)), [[1.0], [1.1]], [1.0])
     with pytest.raises(DomainError, match="all angle tuples must have equal length"):
-        joint_pdf(cfg, POL, ChamberSequence((0.5, 1.0)), [[1.0, 2.0], [1.0]], [1.0])
+        joint_pdf(cfg, ChamberSequence((0.5, 1.0)), [[1.0, 2.0], [1.0]], [1.0])

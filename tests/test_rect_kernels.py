@@ -5,13 +5,12 @@ import pytest
 
 from lebp.errors import DomainError, PrecisionError, TruncationError
 from lebp.numerics import (
-    SeriesPolicy,
     TailBoundedValue,
     det_lu,
     gauss_legendre,
     graded_det,
 )
-from lebp import numerics
+from lebp import numerics, rect_kernels
 from lebp.correlation import density_semicircle, kernel_strip
 from lebp.passage_densities import ChamberSequence, joint_pdf, norm_inner
 from lebp.rect_kernels import (
@@ -33,7 +32,15 @@ from lebp.rect_kernels import (
 from oracles import crossing_prefactor, poly_geom_tail
 
 PI = math.pi
-POL = SeriesPolicy(tol=1e-14)
+# the single-series target of these checks, two digits below SERIES_TOL
+TIGHT = 1e-14
+
+
+@pytest.fixture(autouse=True)
+def tight_series(monkeypatch):
+    """Truncate every single series and kernel determinant of rect_kernels
+    at TIGHT instead of SERIES_TOL."""
+    monkeypatch.setattr(rect_kernels, "SERIES_TOL", TIGHT)
 
 # reference values computed by 400-term direct summation at 50 decimal digits
 POISSON_REFS = [
@@ -49,25 +56,25 @@ BOUNDARY_REFS = [
 
 def test_poisson_rect_reference_values():
     for (L, x, th, rho), want in POISSON_REFS:
-        got = poisson_rect(RectConfig(L), POL, x, th, rho)
+        got = poisson_rect(RectConfig(L), x, th, rho)
         assert abs(got.value - want) <= got.bound + 1e-14
-        assert got.bound <= POL.tol
+        assert got.bound <= TIGHT
 
 
 def test_boundary_poisson_reference_values():
     for (L, phi, rho), want in BOUNDARY_REFS:
-        got = boundary_poisson_rect(RectConfig(L), POL, phi, rho)
+        got = boundary_poisson_rect(RectConfig(L), phi, rho)
         assert abs(got.value - want) <= got.bound + 1e-14
 
 
 def test_poisson_rect_broadcasts():
     cfg = RectConfig(2.0)
     th = np.linspace(0.3, 2.8, 7)
-    out = poisson_rect(cfg, POL, 1.0, th[:, None], th[None, :])
+    out = poisson_rect(cfg, 1.0, th[:, None], th[None, :])
     assert out.value.shape == (7, 7)
     # symmetric in (theta, rho)
     assert np.abs(out.value - out.value.T).max() < 1e-15
-    single = poisson_rect(cfg, POL, 1.0, th[2], th[5]).value
+    single = poisson_rect(cfg, 1.0, th[2], th[5]).value
     assert abs(out.value[2, 5] - single) < 1e-15
 
 
@@ -77,8 +84,8 @@ def test_matrix_grids_match_scalar_calls_bitwise():
     th = np.linspace(0.05, 3.0, 9)
     rho = np.linspace(0.2, 3.1, 11)
     grids = [
-        (poisson_rect, (RectConfig(2.0), POL, 1.9)),
-        (boundary_poisson_rect, (RectConfig(0.3), POL)),
+        (poisson_rect, (RectConfig(2.0), 1.9)),
+        (boundary_poisson_rect, (RectConfig(0.3),)),
     ]
     for kernel, args in grids:
         got = kernel(*args, th[:, None], rho[None, :]).value
@@ -105,19 +112,19 @@ RHO = np.linspace(0.2, 3.1, 11)
     "evaluate, angles",
     [
         # x <= x': the exact four-term sum
-        (lambda t, r: kernel_strip(POL, 4, 0.7, t, 1.3, r).value, (TH[:, None], RHO[None, :])),
+        (lambda t, r: kernel_strip(4, 0.7, t, 1.3, r).value, (TH[:, None], RHO[None, :])),
         # x > x': the tail, several hundred terms
-        (lambda t, r: kernel_strip(POL, 3, 1.05, t, 1.0, r).value, (TH[:, None], RHO[None, :])),
+        (lambda t, r: kernel_strip(3, 1.05, t, 1.0, r).value, (TH[:, None], RHO[None, :])),
         # the same array as both arguments: one sine table
         (lambda t: density_semicircle(7, 2.0, t), (np.concatenate([TH, RHO]).reshape(4, 5),)),
         # three axes: theta varies along two of them, rho along the third
         (
-            lambda t, r: poisson_rect(RectConfig(2.0), POL, 1.9, t, r).value,
+            lambda t, r: poisson_rect(RectConfig(2.0), 1.9, t, r).value,
             (TH[:3, None, None] + RHO[None, None, :4] / 10.0, RHO[None, :5, None]),
         ),
         # equal shapes: nothing is broadcast
         (
-            lambda t, r: boundary_poisson_rect(RectConfig(0.3), POL, t, r).value,
+            lambda t, r: boundary_poisson_rect(RectConfig(0.3), t, r).value,
             (np.resize(TH, (6, 7)), np.resize(RHO[::-1], (6, 7))),
         ),
     ],
@@ -140,40 +147,49 @@ def test_factored_sine_tables_cross_chunk_edges(monkeypatch, block):
     assert np.array_equal(got, want)
 
 
-def test_poisson_rect_domain_checks():
+def test_poisson_rect_domain_checks(monkeypatch):
     cfg = RectConfig(2.0)
     with pytest.raises(DomainError):
-        poisson_rect(cfg, POL, 2.5, 1.0, 1.0)
+        poisson_rect(cfg, 2.5, 1.0, 1.0)
     with pytest.raises(DomainError):
-        poisson_rect(cfg, POL, -0.1, 1.0, 1.0)
+        poisson_rect(cfg, -0.1, 1.0, 1.0)
     with pytest.raises(DomainError):
-        poisson_rect(cfg, POL, 1.0, 3.5, 1.0)
+        poisson_rect(cfg, 1.0, 3.5, 1.0)
     with pytest.raises(PrecisionError):
-        poisson_rect(cfg, POL, 2.0 - 1e-5, 1.0, 1.0)  # gap below min_gap
+        poisson_rect(cfg, 2.0 - 1e-5, 1.0, 1.0)  # gap below MIN_GAP
+    monkeypatch.setattr(rect_kernels, "N_MAX", 3)
+    monkeypatch.setattr(rect_kernels, "MIN_GAP", 1e-6)
     with pytest.raises(TruncationError):
-        poisson_rect(cfg, SeriesPolicy(tol=1e-14, n_max=3, min_gap=1e-6), 1.999, 1.0, 1.0)
+        poisson_rect(cfg, 1.999, 1.0, 1.0)
 
 
-def test_truncation_error_carries_achieved_bound():
+def test_truncation_error_carries_achieved_bound(monkeypatch):
+    monkeypatch.setattr(rect_kernels, "N_MAX", 3)
+    monkeypatch.setattr(rect_kernels, "MIN_GAP", 1e-6)
     try:
-        poisson_rect(RectConfig(2.0), SeriesPolicy(tol=1e-14, n_max=3, min_gap=1e-6), 1.99, 1.0, 1.0)
+        poisson_rect(RectConfig(2.0), 1.99, 1.0, 1.0)
     except TruncationError as err:
         assert err.achieved is not None and err.achieved > 1e-14
     else:
         pytest.fail("expected TruncationError")
 
 
-def test_tail_bound_is_honest():
-    # a loose-tolerance evaluation must sit within its own bound of a tight one
+def test_tail_bound_is_honest(monkeypatch):
+    # a loose-target evaluation must sit within its own bound of a tight one
     cfg = RectConfig(1.2)
-    loose_pol = SeriesPolicy(tol=1e-5)
+
+    def loose(kernel, *args):
+        with monkeypatch.context() as m:
+            m.setattr(rect_kernels, "SERIES_TOL", 1e-5)
+            return kernel(cfg, *args)
+
     for x, th, rho in [(0.4, 0.9, 2.0), (1.0, 2.7, 0.3)]:
-        loose = poisson_rect(cfg, loose_pol, x, th, rho)
-        tight = poisson_rect(cfg, POL, x, th, rho)
-        assert abs(loose.value - tight.value) <= loose.bound
-    loose = boundary_poisson_rect(cfg, loose_pol, 0.9, 2.0)
-    tight = boundary_poisson_rect(cfg, POL, 0.9, 2.0)
-    assert abs(loose.value - tight.value) <= loose.bound
+        got = loose(poisson_rect, x, th, rho)
+        tight = poisson_rect(cfg, x, th, rho)
+        assert abs(got.value - tight.value) <= got.bound
+    got = loose(boundary_poisson_rect, 0.9, 2.0)
+    tight = boundary_poisson_rect(cfg, 0.9, 2.0)
+    assert abs(got.value - tight.value) <= got.bound
 
 
 @pytest.mark.parametrize(
@@ -187,10 +203,10 @@ def test_tail_bound_is_honest():
         ("boundary", 0.0, 12.0, 1e-25, 2),
     ],
 )
-def test_series_terms_certify_their_tail(kind, x, L, target, at_least):
+def test_series_terms_certify_their_tail(monkeypatch, kind, x, L, target, at_least):
     # the one truncation rule of every series: the closed-form majorant tail
     # meets the target and bounds the true tail of the coefficients
-    coeffs, tail = _series_terms(x, L, target, at_least, SeriesPolicy(n_max=100_000))
+    coeffs, tail = _series_terms(x, L, target, at_least)
     n0 = coeffs.size
     assert n0 >= at_least and tail <= target
     rest = np.arange(n0 + 1, 40 * n0 + 200)
@@ -198,23 +214,24 @@ def test_series_terms_certify_their_tail(kind, x, L, target, at_least):
     assert true_tail <= tail
     # the search steps by n0 // 8, so half the terms never suffice
     if n0 // 2 >= at_least:
+        monkeypatch.setattr(rect_kernels, "N_MAX", n0 // 2)
         with pytest.raises(TruncationError) as exc:
-            _series_terms(x, L, target, at_least, SeriesPolicy(n_max=n0 // 2))
+            _series_terms(x, L, target, at_least)
         assert exc.value.achieved > target
 
 
 def test_one_gap_precondition_for_every_interior_series():
-    # every route to an interior series refuses a gap below min_gap with the
+    # every route to an interior series refuses a gap below MIN_GAP with the
     # one message of _series_terms
     length = 2.0
     x = length - 2.0**-12
     cfg, pair = RectConfig(length), (1.0, 2.0)
     calls = [
-        lambda: poisson_rect(cfg, POL, x, 1.0, 2.0),
-        lambda: fomin_inner_det(cfg, POL, x, pair, pair),
-        lambda: norm_inner(cfg, POL, x, pair),
-        lambda: joint_pdf(cfg, POL, ChamberSequence((x,)), [pair], (0.8, 2.1)),
-        lambda: kernel_strip(POL, 2, length, 1.0, x, 2.0),
+        lambda: poisson_rect(cfg, x, 1.0, 2.0),
+        lambda: fomin_inner_det(cfg, x, pair, pair),
+        lambda: norm_inner(cfg, x, pair),
+        lambda: joint_pdf(cfg, ChamberSequence((x,)), [pair], (0.8, 2.1)),
+        lambda: kernel_strip(2, length, 1.0, x, 2.0),
     ]
     messages = set()
     for call in calls:
@@ -228,8 +245,8 @@ def test_one_gap_precondition_for_every_interior_series():
 def test_kernels_are_positive_inside():
     cfg = RectConfig(2.0)
     th = np.linspace(0.1, PI - 0.1, 9)
-    assert np.all(poisson_rect(cfg, POL, 0.8, th[:, None], th[None, :]).value > 0)
-    assert np.all(boundary_poisson_rect(cfg, POL, th[:, None], th[None, :]).value > 0)
+    assert np.all(poisson_rect(cfg, 0.8, th[:, None], th[None, :]).value > 0)
+    assert np.all(boundary_poisson_rect(cfg, th[:, None], th[None, :]).value > 0)
 
 
 # --- determinants ----------------------------------------------------------
@@ -237,12 +254,12 @@ def test_kernels_are_positive_inside():
 
 def test_fomin_boundary_det_reference():
     # 50-digit reference for L=4, phi=(1, 2), rho=(1.2, 1.9)
-    got = fomin_boundary_det(RectConfig(4.0), POL, (1.0, 2.0), (1.2, 1.9))
+    got = fomin_boundary_det(RectConfig(4.0), (1.0, 2.0), (1.2, 1.9))
     assert abs(got - 3.5335356527294706959e-05) < 1e-15
 
 
 def test_fomin_inner_det_reference():
-    got = fomin_inner_det(RectConfig(3.0), POL, 1.3, (0.9, 2.0), (1.1, 2.4))
+    got = fomin_inner_det(RectConfig(3.0), 1.3, (0.9, 2.0), (1.1, 2.4))
     assert abs(got - 0.004666554921820348305) < 1e-14
 
 
@@ -251,8 +268,8 @@ def test_fomin_det_single_point_reduces_to_kernel():
     # series: the determinant is held to rounding, the kernel to its bound
     cfg = RectConfig(2.0)
     want = 0.1126154911851301650623237  # 50 digits
-    d = fomin_boundary_det(cfg, POL, (1.1,), (2.0,))
-    k = boundary_poisson_rect(cfg, POL, 1.1, 2.0)
+    d = fomin_boundary_det(cfg, (1.1,), (2.0,))
+    k = boundary_poisson_rect(cfg, 1.1, 2.0)
     assert abs(d - want) <= 1e-15 * want
     assert abs(d - k.value) <= k.bound
 
@@ -264,8 +281,8 @@ def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
         start = np.sort(rng.uniform(0.2, 2.9, n))
         stack = np.sort(rng.uniform(0.05, PI - 0.05, (3, 5, n)), axis=-1)
         evaluations = [
-            lambda rho: fomin_boundary_det(cfg, POL, start, rho),
-            lambda rho: fomin_inner_det(cfg, POL, 1.1, start, rho),
+            lambda rho: fomin_boundary_det(cfg, start, rho),
+            lambda rho: fomin_inner_det(cfg, 1.1, start, rho),
         ]
         for det in evaluations:
             dets = det(stack)
@@ -282,9 +299,9 @@ def test_stacked_fomin_dets_match_per_tuple_calls_bitwise():
                     assert swapped[idx] == det(off[idx][None, :])[0]
                 assert np.allclose(swapped, -dets, rtol=1e-10, atol=0.0)
     with pytest.raises(DomainError):
-        fomin_boundary_det(cfg, POL, (0.5, 1.5), np.full((2, 2), 4.0))
+        fomin_boundary_det(cfg, (0.5, 1.5), np.full((2, 2), 4.0))
     with pytest.raises(DomainError):
-        fomin_inner_det(cfg, POL, 1.1, (0.5, 1.5), np.ones((2, 3)))
+        fomin_inner_det(cfg, 1.1, (0.5, 1.5), np.ones((2, 3)))
 
 
 # 50-digit oracles: each entry summed directly until its terms fall below 1e-60
@@ -331,7 +348,7 @@ def test_fomin_boundary_det_matches_mpmath(n):
     phi, rho = DET_CASES[n]
     for x in range(2, 11):
         want = _mp_boundary_det(x, phi, rho)
-        got = fomin_boundary_det(RectConfig(float(x)), POL, phi, rho)
+        got = fomin_boundary_det(RectConfig(float(x)), phi, rho)
         assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
 
 
@@ -340,7 +357,7 @@ def test_fomin_inner_det_matches_mpmath(n):
     theta, rho = DET_CASES[n]
     for length, x in [(6.0, 5.0), (3.0, 1.0), (5.0, 2.0), (8.0, 2.0), (12.0, 1.5), (12.0, 4.0)]:
         want = _mp_inner_det(length, x, theta, rho)
-        got = fomin_inner_det(RectConfig(length), POL, x, theta, rho)
+        got = fomin_inner_det(RectConfig(length), x, theta, rho)
         assert abs(got - want) <= 1e-13 * abs(want), (length, x, got, want)
 
 
@@ -359,10 +376,10 @@ def test_fomin_dets_at_close_angles_match_mpmath(delta):
     for x in (1.0, 2.0):
         for start, end in pairs:
             want = _mp_boundary_det(x, start, end)
-            got = fomin_boundary_det(RectConfig(x), POL, start, end)
+            got = fomin_boundary_det(RectConfig(x), start, end)
             assert abs(got - want) <= tol * abs(want), (x, start, end)
             want = _mp_inner_det(x + 1.0, x, start, end)
-            got = fomin_inner_det(RectConfig(x + 1.0), POL, x, start, end)
+            got = fomin_inner_det(RectConfig(x + 1.0), x, start, end)
             assert abs(got - want) <= tol * abs(want), (x, start, end)
 
 
@@ -381,7 +398,7 @@ def test_weyl_point_validation():
     assert wp.shape == (3,) and not wp.flags.writeable
     assert np.array_equal(weyl_point(wp), wp)
     with pytest.raises(DomainError):
-        fomin_boundary_det(RectConfig(2.0), POL, (0.5, 1.5), (1.0,))
+        fomin_boundary_det(RectConfig(2.0), (0.5, 1.5), (1.0,))
 
 
 # --- hat_h and the sine Vandermonde ----------------------------------------
@@ -544,9 +561,9 @@ def test_interior_kernel_semigroup_single_point():
     rule = gauss_legendre(200)
     x, xp = 0.5, 1.2
     theta0, rho0 = 1.3, 2.1
-    lhs = poisson_rect(cfg, POL, x, theta0, rho0).value
-    first = poisson_rect(RectConfig(xp), POL, x, theta0, rule.nodes).value
-    second = poisson_rect(cfg, POL, xp, rule.nodes, rho0).value
+    lhs = poisson_rect(cfg, x, theta0, rho0).value
+    first = poisson_rect(RectConfig(xp), x, theta0, rule.nodes).value
+    second = poisson_rect(cfg, xp, rule.nodes, rho0).value
     assert abs(lhs - rule.weights @ (first * second)) < 1e-12
 
 
@@ -555,9 +572,9 @@ def test_boundary_kernel_semigroup_single_point():
     rule = gauss_legendre(200)
     xp = 1.2
     phi0, rho0 = 1.3, 2.1
-    lhs = boundary_poisson_rect(cfg, POL, phi0, rho0).value
-    first = boundary_poisson_rect(RectConfig(xp), POL, phi0, rule.nodes).value
-    second = poisson_rect(cfg, POL, xp, rule.nodes, rho0).value
+    lhs = boundary_poisson_rect(cfg, phi0, rho0).value
+    first = boundary_poisson_rect(RectConfig(xp), phi0, rule.nodes).value
+    second = poisson_rect(cfg, xp, rule.nodes, rho0).value
     assert abs(lhs - rule.weights @ (first * second)) < 1e-12
 
 

@@ -109,10 +109,10 @@ def test_lattice_and_quadrature_checks_import_no_scipy():
         assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
 
 
-_CLI = ["cli", "errors", "numerics"]
-_ARC = sorted(_CLI + ["rect_kernels", "correlation"])
-_PASSAGE = sorted(_CLI + ["rect_kernels", "passage_densities"])
-_EVERY = sorted(_CLI + ["correlation", "graph_fomin", "lattice_validation",
+_CLI = ["cli", "errors"]
+_ARC = sorted(_CLI + ["numerics", "rect_kernels", "correlation"])
+_PASSAGE = sorted(_CLI + ["numerics", "rect_kernels", "passage_densities"])
+_EVERY = sorted(_CLI + ["correlation", "graph_fomin", "lattice_validation", "numerics",
                         "passage_densities", "rect_kernels", "validation"])
 
 
@@ -136,8 +136,9 @@ _EVERY = sorted(_CLI + ["correlation", "graph_fomin", "lattice_validation",
         (["joint-pdf", "--cuts", "0.5,1.2", "--theta", "0.3,1.3/0.7,1.5", "--phi", "0.7,1.4",
           "--L", "2"], _PASSAGE),
         (["crossing-exponent", "--paths", "2", "--lengths", "6,8"],
-         sorted(_CLI + ["rect_kernels"])),
-        (["fomin-check", "--size", "3", "--paths", "2"], sorted(_CLI + ["graph_fomin"])),
+         sorted(_CLI + ["numerics", "rect_kernels"])),
+        (["fomin-check", "--size", "3", "--paths", "2"],
+         sorted(_CLI + ["graph_fomin", "numerics"])),
         (["lattice-validate", "--levels", "15"], sorted(_PASSAGE + ["lattice_validation"])),
         (["validate", "--suite", "fomin"], _EVERY),
     ],
@@ -165,6 +166,17 @@ def test_every_public_name_resolves():
     for name in ("loop_erase", "walk_weight", "discrete_green", "basis_phi", "basis_phi_hat",
                  "fomin_det_bound"):
         assert not hasattr(lebp, name), name
+    # the series truncation targets are fixed constants of rect_kernels; no
+    # policy object is left to pass
+    from lebp import numerics, rect_kernels
+
+    for name in ("SeriesPolicy", "DEFAULT_POLICY"):
+        with pytest.raises(AttributeError, match=repr(name)):
+            getattr(lebp, name)
+        assert not hasattr(numerics, name), name
+    assert (rect_kernels.SERIES_TOL, rect_kernels.N_MAX, rect_kernels.MIN_GAP) == (
+        1e-12, 100_000, 1e-3
+    )
     from lebp import validation
 
     assert validation is sys.modules["lebp.validation"]
