@@ -550,7 +550,7 @@ def _replay(path, output_override):
         raise UsageError(f"manifest {path} names unknown subcommand {sub_name!r}")
     argv = [sub_name]
     for key, value in arguments.items():
-        argv += ["--" + key.replace("_", "-") if len(key) > 1 else "--" + key, str(value)]
+        argv += ["--" + key.replace("_", "-"), str(value)]
     output = output_override if output_override is not None else payload.get("output")
     if output:
         argv += ["--output", str(output)]

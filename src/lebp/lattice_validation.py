@@ -156,7 +156,10 @@ def first_passage_decomposition(strip, cut, starts):
     Returns (lm, rm, f): lm[q, m] is the probability the walk from boundary
     row starts[q] first reaches column `cut` at row m+1, rm[m, b] the
     probability the walk from (cut, m+1) exits right at boundary row b+1,
-    and f[q, b] the through probability; f = lm @ rm exactly.
+    and f[q, b] the through probability; f = lm @ rm exactly.  Given the
+    first-passage row, a walk's pieces before and after the cut are
+    independent, which is what lets discrete_first_passage_density impose
+    Fomin's condition on each piece separately.
     """
     if not (1 <= cut <= strip.cols):
         raise DomainError("cut column must be an interior column")
@@ -178,6 +181,15 @@ def first_passage_decomposition(strip, cut, starts):
 def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):
     """Joint density that n_paths nonintersecting walk families from left
     rows `starts` first reach column `cut` at row tuples m_1 < ... < m_N.
+
+    The density at m is det lm[:, m], Fomin's determinant of the pieces from
+    the starts to their first passages, times the minor sum of rm[m] over
+    increasing end rows (det rm[m][:, ends] with `ends` given), the pieces
+    from the cut to the right edge, divided by the through minor sum (det
+    f[:, ends]); lm, rm and f are first_passage_decomposition's.  So
+    Fomin's condition (walk j avoids the loop-erasure of every walk i < j)
+    holds separately on the pieces before and after the first passage, not
+    on whole walks.
 
     Returns an array of shape (rows,)*n_paths filled on strictly increasing
     index tuples (density of tuple (m_1..m_N) at index (m_1-1..m_N-1)) and

@@ -13,6 +13,7 @@ rule of the sine series lives with their coefficients, in
 rect_kernels._series_terms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -159,34 +160,6 @@ def gauss_legendre(order, a=0.0, b=math.pi):
     return QuadratureRule(nodes, weights)
 
 
-def _multisets(order, ndim, step):
-    """The non-decreasing index tuples i_1 <= ... <= i_ndim of range(order),
-    in lexicographic order, as integer arrays of at most `step` rows.
-
-    Each block is unranked from its row numbers, one searchsorted per
-    coordinate: among tuples of length m, those with first index below i
-    number below[i] = C(order+m-1, m) - C(order-i+m-1, m), and how many
-    follow a given first index does not depend on the indices before it.
-    """
-    below = []
-    for m in range(ndim, 1, -1):
-        tail = [math.comb(order - i + m - 1, m) for i in range(order + 1)]
-        below.append(tail[0] - np.array(tail))
-    count = math.comb(order + ndim - 1, ndim)
-    for start in range(0, count, step):
-        rank = np.arange(start, min(start + step, count))
-        low = np.zeros_like(rank)
-        idx = np.empty((rank.size, ndim), dtype=rank.dtype)
-        for k, table in enumerate(below):
-            rank += table[low]
-            low = np.searchsorted(table, rank, side="right") - 1
-            rank -= table[low]
-            idx[:, k] = low
-        # the last coordinate needs no search: for m = 1, below[i] = i
-        idx[:, -1] = low + rank
-        yield idx
-
-
 def chamber_integrate(f, rule, ndim):
     """Integrate a symmetric function over the ordered chamber 0 < t_1 < ... < t_ndim < b.
 
@@ -194,7 +167,8 @@ def chamber_integrate(f, rule, ndim):
     by ordered node multisets: f is evaluated once per non-decreasing index
     tuple i_1 <= ... <= i_ndim, with weight prod_k w_{i_k} / prod_j m_j!,
     where the m_j count the repeated indices.  That is C(order+ndim-1, ndim)
-    points instead of order**ndim, in blocks (see below).  It equals
+    points instead of order**ndim, taken in lexicographic order from
+    itertools.combinations_with_replacement, in blocks (see below).  It equals
     the chamber integral exactly when f is invariant under coordinate
     permutations (the only supported use); f sees each point with its
     coordinates sorted.
@@ -216,8 +190,11 @@ def chamber_integrate(f, rule, ndim):
     """
     if ndim < 1:
         raise DomainError("ndim must be at least 1")
-    total = 0.0
-    for idx in _multisets(rule.order, ndim, block_rows(4 * ndim + 12)):
+    total, step = 0.0, block_rows(4 * ndim + 12)
+    tuples = itertools.combinations_with_replacement(range(rule.order), ndim)
+    flat = itertools.chain.from_iterable(tuples)
+    while (idx := np.fromiter(itertools.islice(flat, step * ndim), np.intp)).size:
+        idx = idx.reshape(-1, ndim)
         # run counts each index's position within its run of repeats, so
         # dividing by it at every step divides by prod_j m_j! in all
         wt = rule.weights[idx[:, 0]]

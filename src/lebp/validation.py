@@ -315,7 +315,8 @@ def _closed_kernel(n, r, th, tp):
 def check_closed_density():
     """The arc density and the equal-radius kernel, both the exact finite
     sum of the strip kernel, against their closed forms away from the 0/0
-    points; and the exact three-path value 4/(pi r) on the imaginary axis."""
+    points, also at 200 paths relative to the value; and the exact
+    three-path value 4/(pi r) on the imaginary axis."""
     angles = (0.4, 1.234, 2.8)
     worst = 0.0
     for n in (1, 3, 7):
@@ -325,6 +326,11 @@ def check_closed_density():
                 if tp != th:
                     k = kernel_semicircle(n, 2.0, th, 2.0, tp).value
                     worst = max(worst, abs(k - _closed_kernel(n, 2.0, th, tp)))
+    th = np.linspace(math.pi / 6, 5 * math.pi / 6, 1001)
+    many = max(
+        abs(d / _closed_density(200, 3.7, t) - 1.0)
+        for t, d in zip(th, density_semicircle(200, 3.7, th))
+    )
     axis = 0.0
     for r in (1.5, 2.0, 10.0):
         expect = 4.0 / (math.pi * r)
@@ -335,6 +341,12 @@ def check_closed_density():
             worst,
             1e-13,
             "paths in {1,3,7}, three angles and their pairs, radius 2",
+        ),
+        _within(
+            "200-path arc density vs closed form (relative)",
+            many,
+            1e-13,
+            "radius 3.7, 1001 angles over the middle two thirds of the arc",
         ),
         _within(
             "three-path density on the imaginary axis vs 4/(pi r)",
@@ -348,7 +360,8 @@ def check_closed_density():
 def check_figure_shapes():
     """Shape counts behind the figures: three density ridges for three
     paths, four repulsion peaks in the five-path two-point scan, and the
-    two-point function vanishing at coincident angles."""
+    two-point function near coincident angles against its cancellation-free
+    form."""
     th = np.linspace(0.0, math.pi, 4001)
     rho = density_semicircle(3, 2.0, th)
     inner = rho[1:-1]
@@ -358,10 +371,22 @@ def check_figure_shapes():
     inner = g2[1:-1]
     peaks = int(np.sum((inner > g2[:-2]) & (inner > g2[2:])))
 
-    near = max(
-        abs(two_point_semicircle(5, 4.0, math.pi / 2, 4.0, math.pi / 2 + s * 1e-4 * math.pi).value)
-        for s in (1.0, -1.0)
-    )
+    # near coincidence rho rho' - K^2 cancels to 1.5e-7; Lagrange's identity
+    # gives it without cancellation, (2/(pi r))^2 sum_{m<n} (a_m b_n - a_n b_m)^2
+    # with a_k = sin k theta, b_k = sin k theta'.  The route's rounding is
+    # within 16 u (rho rho' + K^2)
+    c = 2.0 / (math.pi * 4.0)
+    a = [math.sin(k * math.pi / 2) for k in range(1, 6)]
+    near, tol = 0.0, math.inf
+    for s in (1.0, -1.0):
+        tp = math.pi / 2 + s * 1e-4 * math.pi
+        b = [math.sin(k * tp) for k in range(1, 6)]
+        pairs = ((a[m] * b[n] - a[n] * b[m]) ** 2 for n in range(5) for m in range(n))
+        exact = c * c * math.fsum(pairs)
+        aa, bb, ab = (math.fsum(x * y for x, y in zip(u, v)) for u, v in ((a, a), (b, b), (a, b)))
+        g2 = two_point_semicircle(5, 4.0, math.pi / 2, 4.0, tp).value
+        near = max(near, abs(g2 - exact))
+        tol = min(tol, 16 * UNIT_ROUNDOFF * c * c * (aa * bb + ab * ab))
     return [
         _count("three-path density ridge count", ridges, 3, "4001-point angle scan"),
         _count(
@@ -373,25 +398,10 @@ def check_figure_shapes():
         _within(
             "two-point function vanishes at coincident angles",
             near,
-            1e-6,
-            "five paths, angle offset 1e-4*pi both ways",
+            tol,
+            "five paths, radius 4, angle offset 1e-4*pi both ways, "
+            "vs Lagrange's identity within 16 u (rho rho' + K^2)",
         ),
-    ]
-
-
-def check_uniform_density():
-    """Many-path flatness: pi*r*density/N within 2% of one away from the
-    arc endpoints."""
-    th = np.linspace(math.pi / 6, 5 * math.pi / 6, 1001)
-    rho = density_semicircle(200, 3.7, th)
-    dev = float(np.max(np.abs(math.pi * 3.7 * rho / 200.0 - 1.0)))
-    return [
-        _within(
-            "many-path density flatness",
-            dev,
-            0.02,
-            "200 paths, radius 3.7, middle two thirds of the arc",
-        )
     ]
 
 
@@ -551,7 +561,6 @@ SUITES = {
     "limits": (
         check_closed_density,
         check_figure_shapes,
-        check_uniform_density,
         check_scaling_limit,
         check_conformal,
     ),
