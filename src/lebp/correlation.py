@@ -60,8 +60,7 @@ def kernel_strip(n_paths, x, theta, x_prime, theta_prime):
             tail, bound.flat[i] = _series_terms(v, u, SERIES_TOL, n_paths)
             tail[:n_paths] = 0.0
             coeffs.flat[i], sign.flat[i] = tail, -1.0
-    # scalar positions pass their one coefficient vector as it is
-    value = sign * _sine_series(coeffs if pairs else coeffs[()], theta, theta_prime)
+    value = sign * _sine_series(coeffs, theta, theta_prime)
     return TailBoundedValue(*(a if a.ndim else float(a) for a in (value, bound)))
 
 

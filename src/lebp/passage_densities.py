@@ -233,6 +233,13 @@ def joint_pdf(cfg, seq, thetas, phi=None):
     normalization is the norm ratio norm_inner(x_M, theta_M) /
     norm_boundary(phi).
 
+    The conditioning is chamber by chamber, as in the lattice model of
+    lattice_validation.discrete_first_passage_density: each determinant is
+    Fomin's determinant of the path pieces in one chamber (start to the
+    first cut, between consecutive cuts, after the last cut), so Fomin's
+    condition holds on each chamber's pieces separately, not on whole
+    paths.
+
     phi None is the midpoint start, in the strip only: the paths enter from
     x -> -infinity, the origin of the half-plane under w = e^z.  Only the
     leading modes n <= N reach the first cut, so the boundary determinant

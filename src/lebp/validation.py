@@ -5,18 +5,23 @@ normalizations, closed forms against series, lattice refinement against
 the continuum, and conformal covariance under w = cosh z.  Each check
 calls the production route its record names, never a copy of its formula.
 
-Each check returns `CheckResult` records carrying the measured error and
-the tolerance it must meet; `run_suite` groups the checks into the named
-suites exposed by the command line.  Every check runs at the library's
-fixed series targets (rect_kernels.SERIES_TOL, N_MAX, MIN_GAP), the ones its
-tolerance was set against, and takes no arguments.
+`RECORDS` declares every record once: its name, the check that measures
+it, its tolerance and pass rule, and the production route it checks with
+the scaling of that route's value that must fail it.  Each check takes no
+arguments and returns only what it measured, one `Measured` per record in
+table order; `run_check` pairs those with the table into `CheckResult`s,
+and `run_suite` runs the named suites exposed by the command line.  Every
+check runs at the library's fixed series targets (rect_kernels.SERIES_TOL,
+N_MAX, MIN_GAP), the ones its tolerance was set against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,9 +69,8 @@ class CheckResult:
     """One measured quantity next to the tolerance it must meet.
 
     `elapsed` is the wall time in seconds of the computation the check
-    times for this quantity.  Where the check does not time it, run_suite
-    sets it to the wall time of the whole check function that produced it;
-    it is None only on a record that did not come through run_suite.
+    times for this quantity.  Where the check does not time it, run_check
+    sets it to the wall time of the whole check function that produced it.
     """
 
     name: str
@@ -77,13 +81,15 @@ class CheckResult:
     elapsed: float | None = None
 
 
-def _within(name, measured, tolerance, detail="", elapsed=None):
-    measured = float(measured)
-    return CheckResult(name, measured, float(tolerance), measured <= tolerance, detail, elapsed)
+class Measured(NamedTuple):
+    """What a check measured for one record: the value, a detail line, the
+    tolerance where the check computes it, and the wall time of the
+    computation where the check times it."""
 
-
-def _count(name, got, expected, detail=""):
-    return CheckResult(name, float(got), float(expected), got == expected, detail)
+    value: float
+    detail: str = ""
+    tolerance: float | None = None
+    elapsed: float | None = None
 
 
 # --- walk determinants ---------------------------------------------------------
@@ -96,16 +102,8 @@ def check_fomin_identity():
     start = time.perf_counter()
     det, brute, bound = grid_fomin_check(3, (0, 2))
     elapsed = time.perf_counter() - start
-    diff = abs(det - brute)
-    return [
-        _within(
-            "walk determinant vs brute force, 3x3 grid, two paths",
-            diff,
-            bound,
-            f"determinant={det:.9e} enumeration={brute:.9e} tail_bound={bound:.3e}",
-            elapsed,
-        )
-    ]
+    detail = f"determinant={det:.9e} enumeration={brute:.9e} tail_bound={bound:.3e}"
+    return [Measured(abs(det - brute), detail, bound, elapsed)]
 
 
 # --- kernel composition ----------------------------------------------------------
@@ -147,22 +145,8 @@ def check_semigroup():
         rhs_b = weights @ (boundary_poisson_rect(mid, phi, nodes).value * second)
         t_bdy += time.perf_counter() - start
         err_bdy = max(err_bdy, abs(lhs_b - rhs_b))
-    return [
-        _within(
-            "interior kernel composition across a cut",
-            err_int,
-            1e-10,
-            f"10-point sample, {order}-node quadrature",
-            t_int,
-        ),
-        _within(
-            "edge-start kernel composition across a cut",
-            err_bdy,
-            1e-10,
-            f"10-point sample, {order}-node quadrature",
-            t_bdy,
-        ),
-    ]
+    detail = f"10-point sample, {order}-node quadrature"
+    return [Measured(err_int, detail, elapsed=t_int), Measured(err_bdy, detail, elapsed=t_bdy)]
 
 
 def check_kernel_dual():
@@ -178,14 +162,7 @@ def check_kernel_dual():
         a = kernel_strip(n, x, th, x_prime, tp).value
         b = kernel_strip_dual(n, x, th, x_prime, tp).value
         worst = max(worst, abs(a - b))
-    return [
-        _within(
-            "backward kernel: tail sum vs finite-sum rearrangement",
-            worst,
-            1e-10,
-            "20-point sample with cut separation >= 0.1",
-        )
-    ]
+    return [Measured(worst, "20-point sample with cut separation >= 0.1")]
 
 
 # --- crossing exponent ---------------------------------------------------------
@@ -199,14 +176,7 @@ def check_crossing_exponent():
         _, slope = crossing_exponent_fit(phi, rho, (6.0, 8.0, 10.0, 12.0))
         target = float(crossing_decay_rate(n))
         rel = abs(slope - target) / target
-        out.append(
-            _within(
-                f"crossing exponent fit, {n} paths",
-                rel,
-                0.01,
-                f"fitted={slope:.8f} expected={target:g} (relative error)",
-            )
-        )
+        out.append(Measured(rel, f"fitted={slope:.8f} expected={target:g} (relative error)"))
     return out
 
 
@@ -228,10 +198,8 @@ def check_normalization():
     length, phi = 2.0, (0.9, 2.1)
     order = QUADRATURE_ORDERS["rectangle_mass"]
     out.append(
-        _within(
-            "two-path density mass, finite rectangle",
+        Measured(
             abs(mass(RectConfig(length), phi, 2, gauss_legendre(order)) - 1.0),
-            1e-12,
             f"length={length} cut={x} starts={phi} order={order}",
         )
     )
@@ -239,14 +207,7 @@ def check_normalization():
     order = QUADRATURE_ORDERS["midpoint_mass"]
     rule = gauss_legendre(order)
     for n in (2, 3):
-        out.append(
-            _within(
-                f"midpoint-start density mass, {n} paths",
-                abs(mass(None, None, n, rule) - 1.0),
-                1e-12,
-                f"cut={x} order={order}",
-            )
-        )
+        out.append(Measured(abs(mass(None, None, n, rule) - 1.0), f"cut={x} order={order}"))
 
     length, x1, x2, phi = 2.0, 0.7, 1.2, (0.9, 2.0)
     cfg = RectConfig(length)
@@ -263,10 +224,8 @@ def check_normalization():
     single = joint_pdf(cfg, ChamberSequence((x1,)), [phi], phi)
     marginal = abs(mass(cfg, phi, 2, rule, (x1, x2), [phi]) / single - 1.0)
     out.append(
-        _within(
-            "two-cut two-path joint mass, finite rectangle",
+        Measured(
             max(composed, marginal),
-            1e-12,
             f"cuts=({x1}, {x2}) starts={phi} order={order}; composed {composed:.2e}, "
             f"last-cut marginal at theta_1=starts vs one cut {marginal:.2e} (relative)",
         )
@@ -283,14 +242,7 @@ def check_kernel_marginal():
     pairs = np.stack(np.broadcast_arrays(np.array(angles)[:, None], rule.nodes), axis=-1)
     marginal = joint_pdf(None, ChamberSequence((x,)), [pairs]) @ rule.weights
     worst = max(abs(corr_strip(2, [x], [[th]]) - m) for th, m in zip(angles, marginal))
-    return [
-        _within(
-            "two-path one-point function vs density marginal",
-            worst,
-            1e-8,
-            "angles 0.7, 1.3, 2.9",
-        )
-    ]
+    return [Measured(worst, "angles 0.7, 1.3, 2.9")]
 
 
 # --- closed forms and figure shapes ------------------------------------------------
@@ -336,24 +288,9 @@ def check_closed_density():
         expect = 4.0 / (math.pi * r)
         axis = max(axis, abs(density_semicircle(3, r, math.pi / 2) - expect) / expect)
     return [
-        _within(
-            "arc density and equal-radius kernel vs closed forms",
-            worst,
-            1e-13,
-            "paths in {1,3,7}, three angles and their pairs, radius 2",
-        ),
-        _within(
-            "200-path arc density vs closed form (relative)",
-            many,
-            1e-13,
-            "radius 3.7, 1001 angles over the middle two thirds of the arc",
-        ),
-        _within(
-            "three-path density on the imaginary axis vs 4/(pi r)",
-            axis,
-            1e-14,
-            "radii 1.5, 2, 10 (relative error)",
-        ),
+        Measured(worst, "paths in {1,3,7}, three angles and their pairs, radius 2"),
+        Measured(many, "radius 3.7, 1001 angles over the middle two thirds of the arc"),
+        Measured(axis, "radii 1.5, 2, 10 (relative error)"),
     ]
 
 
@@ -388,19 +325,13 @@ def check_figure_shapes():
         near = max(near, abs(g2 - exact))
         tol = min(tol, 16 * UNIT_ROUNDOFF * c * c * (aa * bb + ab * ab))
     return [
-        _count("three-path density ridge count", ridges, 3, "4001-point angle scan"),
-        _count(
-            "five-path two-point repulsion peak count",
-            peaks,
-            4,
-            "radius 4, probe at the top of the arc",
-        ),
-        _within(
-            "two-point function vanishes at coincident angles",
+        Measured(ridges, "4001-point angle scan"),
+        Measured(peaks, "radius 4, probe at the top of the arc"),
+        Measured(
             near,
-            tol,
             "five paths, radius 4, angle offset 1e-4*pi both ways, "
             "vs Lagrange's identity within 16 u (rho rho' + K^2)",
+            tol,
         ),
     ]
 
@@ -462,17 +393,9 @@ def check_scaling_limit():
         quad_err = max(quad_err, abs(limit_kernel(*point) - ref))
         tail = max(tail, bound)
     return [
-        _within(
-            "500-path kernel vs limit kernel",
-            worst,
-            1e-2,
-            "three scaled evaluation points",
-        ),
-        _within(
-            "limit kernel closed form vs quadrature",
-            quad_err,
-            1e-10,
-            f"10-point random sample, {order}-node unit panels, tail bound {tail:.2e}",
+        Measured(worst, "three scaled evaluation points"),
+        Measured(
+            quad_err, f"10-point random sample, {order}-node unit panels, tail bound {tail:.2e}"
         ),
     ]
 
@@ -500,10 +423,8 @@ def check_conformal():
         worst = max(worst, (err / tol, err, tol))
     ratio, err, tol = worst
     return [
-        _within(
-            "rectangle kernel vs half-plane kernel under w = cosh z",
+        Measured(
             ratio,
-            1.0,
             f"50-point sample, length {length:g}; worst error {err:.2e} against "
             f"its tolerance {tol:.2e} (measured = worst error / tolerance)",
         )
@@ -514,10 +435,7 @@ def check_conformal():
 
 
 def _ratio_rows(rows, errs):
-    parts = []
-    for (h, _), err in zip(rows, errs):
-        parts.append(f"h={h:.5f} err={err:.3e}")
-    return "; ".join(parts)
+    return "; ".join(f"h={h:.5f} err={err:.3e}" for (h, _), err in zip(rows, errs))
 
 
 def check_lattice_refinement():
@@ -526,31 +444,88 @@ def check_lattice_refinement():
     every halving of the mesh."""
     rows = boundary_refinement()
     per_point = np.array([errs for _, errs in rows])
-    ratios = per_point[1:] / per_point[:-1]
-    worst_ratio = float(ratios.max())
-    maxerr = per_point.max(axis=1)
-    boundary = CheckResult(
-        "boundary kernel error falls at every refinement",
-        worst_ratio,
-        1.0,
-        bool(np.all(ratios < 1.0)),
-        _ratio_rows(rows, maxerr) + " (max over 5 points; measured = worst ratio)",
+    boundary = Measured(
+        (per_point[1:] / per_point[:-1]).max(),
+        _ratio_rows(rows, per_point.max(axis=1)) + " (max over 5 points; measured = worst ratio)",
     )
-
     rows = density_refinement()
     errs = np.array([err for _, err in rows])
-    ratios = errs[1:] / errs[:-1]
-    density = CheckResult(
-        "two-path density error falls at every refinement",
-        float(ratios.max()),
-        1.0,
-        bool(np.all(ratios < 1.0)),
-        _ratio_rows(rows, errs) + " (measured = worst ratio)",
+    density = Measured(
+        (errs[1:] / errs[:-1]).max(), _ratio_rows(rows, errs) + " (measured = worst ratio)"
     )
     return [boundary, density]
 
 
-# --- suites ---------------------------------------------------------------------
+# --- records and suites -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Record:
+    """One validate record, declared once.
+
+    `check` measures it; `tolerance` is None where the check computes it;
+    `rule(measured, tolerance)` is the pass rule.  `route` is the
+    production route the record checks, as `module.attribute` of lebp, and
+    scaling that route's value by 1 + `eps` must fail the record; `eps` is
+    None where no scaling of the route fails it yet.
+    """
+
+    name: str
+    check: Callable
+    tolerance: float | None
+    route: str
+    eps: float | None
+    rule: Callable = operator.le
+
+
+# every record, in report order within each check
+RECORDS = (
+    Record("walk determinant vs brute force, 3x3 grid, two paths", check_fomin_identity,
+           None, "graph_fomin.fomin_det", 1e-6),
+    Record("interior kernel composition across a cut", check_semigroup,
+           1e-10, "rect_kernels.poisson_rect", 1e-6),
+    # scaling boundary_poisson_rect cannot fail this one: it scales both sides
+    Record("edge-start kernel composition across a cut", check_semigroup,
+           1e-10, "rect_kernels.poisson_rect", 1e-6),
+    Record("backward kernel: tail sum vs finite-sum rearrangement", check_kernel_dual,
+           1e-10, "correlation.kernel_strip", 1e-6),
+    Record("crossing exponent fit, 2 paths", check_crossing_exponent,
+           0.01, "rect_kernels.crossing_exponent_fit", None),
+    Record("crossing exponent fit, 3 paths", check_crossing_exponent,
+           0.01, "rect_kernels.crossing_exponent_fit", None),
+    Record("two-path density mass, finite rectangle", check_normalization,
+           1e-12, "passage_densities.joint_pdf", 1e-6),
+    Record("midpoint-start density mass, 2 paths", check_normalization,
+           1e-12, "passage_densities.joint_pdf", 1e-6),
+    Record("midpoint-start density mass, 3 paths", check_normalization,
+           1e-12, "passage_densities.joint_pdf", 1e-6),
+    Record("two-cut two-path joint mass, finite rectangle", check_normalization,
+           1e-12, "rect_kernels.poisson_rect", 1e-6),
+    Record("two-path one-point function vs density marginal", check_kernel_marginal,
+           1e-8, "passage_densities.joint_pdf", 1e-6),
+    Record("arc density and equal-radius kernel vs closed forms", check_closed_density,
+           1e-13, "correlation.density_semicircle", 1e-6),
+    Record("200-path arc density vs closed form (relative)", check_closed_density,
+           1e-13, "correlation.density_semicircle", 1e-6),
+    Record("three-path density on the imaginary axis vs 4/(pi r)", check_closed_density,
+           1e-14, "correlation.density_semicircle", 1e-6),
+    Record("three-path density ridge count", check_figure_shapes,
+           3, "correlation.density_semicircle", None, operator.eq),
+    Record("five-path two-point repulsion peak count", check_figure_shapes,
+           4, "correlation.two_point_semicircle", None, operator.eq),
+    Record("two-point function vanishes at coincident angles", check_figure_shapes,
+           None, "correlation.two_point_semicircle", 1e-6),
+    Record("500-path kernel vs limit kernel", check_scaling_limit,
+           1e-2, "correlation.kernel_semicircle", None),
+    Record("limit kernel closed form vs quadrature", check_scaling_limit,
+           1e-10, "correlation.limit_kernel", 1e-6),
+    Record("rectangle kernel vs half-plane kernel under w = cosh z", check_conformal,
+           1.0, "rect_kernels.poisson_rect", 1e-8),
+    Record("boundary kernel error falls at every refinement", check_lattice_refinement,
+           1.0, "rect_kernels.boundary_poisson_rect", None, operator.lt),
+    Record("two-path density error falls at every refinement", check_lattice_refinement,
+           1.0, "passage_densities.joint_pdf", None, operator.lt),
+)
 
 
 SUITES = {
@@ -568,23 +543,29 @@ SUITES = {
 }
 
 
+def run_check(check):
+    """Run one check and pair what it measured with its RECORDS, in table
+    order: the CheckResult list, every record with its elapsed time set."""
+    start = time.perf_counter()
+    measured = check()
+    elapsed = time.perf_counter() - start
+    results = []
+    for record, m in zip([r for r in RECORDS if r.check is check], measured, strict=True):
+        value = float(m.value)
+        tol = float(m.tolerance if record.tolerance is None else record.tolerance)
+        passed = record.rule(value, tol)
+        spent = elapsed if m.elapsed is None else m.elapsed
+        results.append(CheckResult(record.name, value, tol, passed, m.detail, spent))
+    return results
+
+
 def run_suite(name):
-    """Run one named suite and return its CheckResult list, every record
-    with its elapsed time set."""
+    """Run one named suite and return its CheckResult list."""
     if name not in SUITES:
         raise DomainError(
             "unknown suite %r; choose from %s" % (name, ", ".join(sorted(SUITES)))
         )
-    results = []
-    for fn in SUITES[name]:
-        start = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - start
-        for r in out:
-            if r.elapsed is None:
-                r.elapsed = elapsed
-        results.extend(out)
-    return results
+    return [r for check in SUITES[name] for r in run_check(check)]
 
 
 def suite_report(name):

@@ -757,11 +757,16 @@ def test_run_suite_times_every_check(monkeypatch):
     from lebp import validation
 
     def untimed():
-        return [validation.CheckResult("a", 0.0, 1.0, True), validation.CheckResult("b", 0.0, 1.0, True)]
+        return [validation.Measured(0.0), validation.Measured(0.0)]
 
     def timed():
-        return [validation.CheckResult("c", 0.0, 1.0, True, elapsed=123.0)]
+        return [validation.Measured(0.0, elapsed=123.0)]
 
+    probes = tuple(
+        validation.Record(name, check, 1.0, "numerics.det_lu", None)
+        for name, check in (("a", untimed), ("b", untimed), ("c", timed))
+    )
+    monkeypatch.setattr(validation, "RECORDS", validation.RECORDS + probes)
     monkeypatch.setitem(validation.SUITES, "probe", (untimed, timed))
     a, b, c = validation.run_suite("probe")
     assert a.elapsed == b.elapsed and 0.0 < a.elapsed < 1.0
