@@ -11,7 +11,7 @@ the scaling limit of the kernel for large N.  Every arc quantity (kernel,
 density, two-point function) is the strip kernel pulled back through
 w = e^z; at equal radii that is its exact finite branch.  Cut positions and
 radii broadcast like the angles: one call evaluates a whole grid of them,
-with one sine table per angle argument.
+with one sine per distinct angle and term.
 """
 
 import math
@@ -20,10 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu
-from .rect_kernels import SERIES_TOL, RectConfig, _series_terms, _sine_series, inner_coeffs
-from .rect_kernels import poisson_rect
-
-_TWO_OVER_PI = 2.0 / math.pi
+from .rect_kernels import _TWO_OVER_PI, SERIES_TOL, RectConfig, _series_terms, _sine_series
+from .rect_kernels import inner_coeffs, poisson_rect
 
 
 # --- strip kernel -------------------------------------------------------------

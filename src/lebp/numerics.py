@@ -6,7 +6,8 @@ det_lu_bounded, the same value with a certified Hadamard-type bound on its
 rounding and on given entrywise errors), batched
 Pfaffians (plain and in the graded form Pf(B^T X B) that the chamber norms
 and free-end minor sums reduce to), the graded determinant det(A C B^T) that
-every kernel determinant reduces to, and overflow-safe sinh ratios.
+every kernel determinant reduces to, the sine tables sin(n * angle) of
+every sine series (sine_multiples), and overflow-safe sinh ratios.
 Everything downstream (rectangle kernels, passage densities, correlation
 kernels, lattice checks) builds on these primitives.  The one truncation
 rule of the sine series lives with their coefficients, in
@@ -335,6 +336,21 @@ def graded_det(a, c, b, det_head):
     # core[..., k, j] = (B1 + B2 X^T)[k, j], one dot product per entry
     core = np.vecdot(b[..., :, None, :], np.concatenate([np.eye(n), x], axis=1))
     return det_head * det_lu(core)
+
+
+def sine_multiples(angles, terms):
+    """sin(angle * n) for n = 1..terms, on a new last axis of `angles`.
+
+    Each distinct angle is evaluated once.  Distinct means distinct bits,
+    taken through an int64 view, so -0.0 stays apart from 0.0 (and
+    np.unique on floats would load numpy.ma on a NaN).  Every entry is
+    np.sin of the product angle * n, so it has the bits of the same entry
+    in any other table, whatever the angles and terms around it.
+    """
+    a = np.asarray(angles, dtype=float)
+    bits, index = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    table = np.sin(np.outer(bits.view(np.float64), np.arange(1, terms + 1)))
+    return table[index].reshape(a.shape + (terms,))
 
 
 def sinh_ratio(n, num, den):

@@ -37,11 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
-from .numerics import PFAFFIAN_COPIES, graded_pfaffian, pfaffian, stacked
-from .rect_kernels import SERIES_TOL, _coeffs, _kernel_det, _majorant, _majorant_tail
+from .numerics import PFAFFIAN_COPIES, graded_pfaffian, pfaffian, sine_multiples, stacked
+from .rect_kernels import _TWO_OVER_PI, SERIES_TOL, _coeffs, _kernel_det, _majorant, _majorant_tail
 from .rect_kernels import _series_terms, angle_tuples, boundary_coeffs, hat_h, weyl_point
-
-_TWO_OVER_PI = 2.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -164,11 +162,10 @@ def _chamber_norm(coefs, angles):
     (a float) or every tuple of a (..., N) stack; bordered by the
     single-sine integrals for odd N.  A stack runs in blocks (stacked),
     each tuple with its single-tuple bits."""
-    freqs = np.arange(1.0, coefs.size + 1)
-    border = _sine_integrals(freqs)
+    border = _sine_integrals(np.arange(1.0, coefs.size + 1))
 
     def norms(block):
-        phi = coefs[:, None] * np.sin(freqs[:, None] * block[..., None, :])
+        phi = coefs[:, None] * np.swapaxes(sine_multiples(block, coefs.size), -1, -2)
         return graded_pfaffian(phi, _apply_sine_sign, border)
 
     return stacked(norms, angles, PFAFFIAN_COPIES * coefs.size * np.shape(angles)[-1])

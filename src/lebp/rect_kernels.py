@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import UNIT_ROUNDOFF, TailBoundedValue
-from .numerics import block_rows, graded_det, sinh_ratio, stacked
+from .numerics import block_rows, graded_det, sine_multiples, sinh_ratio, stacked
 
 _TWO_OVER_PI = 2.0 / math.pi
 
@@ -61,7 +61,7 @@ def weyl_point(angles):
 
 def _check_angles(*arrays):
     for arr in arrays:
-        if np.any((arr < 0.0) | (arr > math.pi)):
+        if not np.all((arr >= 0.0) & (arr <= math.pi)):
             raise DomainError("angles must lie in [0, pi]")
 
 
@@ -110,22 +110,16 @@ def _sine_series(coeffs, theta, rho):
     sin(n * angle) has the bits of the narrower table).  So an entry has
     the same bits however many other points and pairs share the call.
 
-    Cost: sines are paid per distinct angle, not per broadcast point or
-    pair.  Each chunk builds its block once, at the longest pair's length.
-    In each chunk an argument that is not broadcast contributes its own
-    rows; a broadcast one contributes sin(n * angle) over the range of its
-    own points that the chunk uses, and the block gathers rows from that
-    table (if the range is longer than the chunk, the chunk's points are
-    taken directly).  So a theta[:, None] x rho[None, :] grid costs
-    (len(theta) + len(rho)) * terms sines instead of twice the product,
-    rho is theta costs one table, and no table outgrows the chunk.  Pairs
-    and angles that vary along the same axis are evaluated over their
-    product, pairs times angle points.
+    Cost: each chunk takes its sine rows from numerics.sine_multiples, at
+    the longest pair's length, so sines are paid per distinct angle in a
+    chunk, not per broadcast point or pair: a theta[:, None] x
+    rho[None, :] grid pays for its rows and columns, and rho is theta
+    costs one table.  Pairs and angles that vary along the same axis are
+    evaluated over their product, pairs times angle points.
 
     Memory: a chunk holds the block, the second argument's sine rows and
-    the np.outer temporary that each np.sin reads, three rows of `terms`
-    entries per point (the longest pair's), so a chunk has
-    block_rows(3 * terms) points.
+    their table of distinct angles, three rows of `terms` entries per point
+    (the longest pair's), so a chunk has block_rows(3 * terms) points.
     """
     stack = np.asarray(coeffs)
     pairs, series = (stack.shape, list(stack.flat)) if stack.dtype == object else ((), [stack])
@@ -136,34 +130,13 @@ def _sine_series(coeffs, theta, rho):
     shape = np.broadcast_shapes(*(a.shape for a in args))
     size = math.prod(shape)
     width = max((c.size for c in series), default=0)
-    n = np.arange(1, width + 1)
-    # each argument's own points and, if it is broadcast, the index of the
-    # point that each broadcast point takes from it
-    points = [
-        (
-            a.reshape(-1),
-            None
-            if a.size == size
-            else np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).reshape(-1),
-        )
-        for a in args
-    ]
-
-    def sines(flat, index, start, stop):
-        """sin(n * angle) rows for the broadcast points start..stop-1."""
-        if index is None:
-            return np.sin(np.outer(flat[start:stop], n))
-        idx = index[start:stop]
-        lo, hi = idx.min(), idx.max() + 1
-        if hi - lo > idx.size:
-            return np.sin(np.outer(flat[idx], n))
-        return np.sin(np.outer(flat[lo:hi], n))[idx - lo]
-
+    flats = [np.broadcast_to(a, shape).reshape(-1) for a in args]
     total = np.empty((len(series), size))
     step = block_rows(3 * width)
     for start in range(0, size, step):
-        block = sines(*points[0], start, start + step)
-        block *= block if len(points) == 1 else sines(*points[1], start, start + step)
+        rows = [sine_multiples(f[start : start + step], width) for f in flats]
+        block = rows[0]
+        block *= rows[-1]
         for row, c in zip(total, series):
             row[start : start + step] = np.vecdot(block[:, : c.size], c)
     out = total[np.arange(len(series)).reshape(pairs), np.arange(size).reshape(shape)]
@@ -257,15 +230,14 @@ def _kernel_det(x, L, start, rho):
         raise DomainError("angle tuples must have equal length")
     target = min(SERIES_TOL, UNIT_ROUNDOFF * float(_coeffs(n, x, L)))
     coeffs, _ = _series_terms(x, L, target, n)
-    m = np.arange(1, coeffs.size + 1)
-    a = np.sin(np.outer(start, m))
+    a = sine_multiples(start, coeffs.size)
     head = 2.0 ** (n * (n - 1) // 2) * hat_h(start)
 
     def rests(block):
-        return graded_det(a, coeffs, np.sin(block[..., None] * m), head)
+        return graded_det(a, coeffs, sine_multiples(block, coeffs.size), head)
 
-    # a block holds the N x M sine rows, their product temporary and the
-    # graded_det's N x N work per tuple
+    # a block holds the N x M sine rows, their table of distinct angles and
+    # the graded_det's N x N work per tuple
     return np.prod(coeffs[:n]), stacked(rests, rho, 2 * n * (coeffs.size + 2 * n))
 
 

@@ -49,18 +49,26 @@ def _tuples(shape, n, seed=3):
     return np.sort(rng.uniform(0.05, math.pi - 0.05, shape + (n,)), axis=-1)
 
 
+def _chamber_grid(n):
+    """Every n-tuple of 5 nodes (ordered, unordered and with equal angles),
+    as a (5, ..., 5, n) stack: each angle recurs across tuples and slots."""
+    nodes = np.linspace(0.3, 2.8, 5)
+    return np.stack(np.meshgrid(*[nodes] * n, indexing="ij"), axis=-1)
+
+
 # 1 puts every tuple in a block of its own; 500 gives blocks of a few
 # tuples, which end inside the rows of the stack
 @pytest.mark.parametrize("budget", [1, 500])
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_stacked_blocks_keep_the_default_bits(monkeypatch, name, budget):
     n, evaluate = STACK_CASES[name]
-    stack = _tuples((5, 7), n)
-    want = evaluate(stack)
-    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
-    got = evaluate(stack)
-    assert got.shape == (5, 7)
-    assert np.array_equal(got, want)
+    for stack in (_tuples((5, 7), n), _chamber_grid(n)):
+        want = evaluate(stack)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "BLOCK_ENTRIES", budget)
+            got = evaluate(stack)
+        assert got.shape == stack.shape[:-1]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("budget", [1, 500])

@@ -20,6 +20,7 @@ from lebp.numerics import (
     graded_pfaffian,
     ordered_minor_sum,
     pfaffian,
+    sine_multiples,
     sinh_ratio,
 )
 
@@ -383,6 +384,24 @@ def test_sinh_ratio_vectorized_and_validated():
         sinh_ratio(0, 1.0, 2.0)
     with pytest.raises(DomainError):
         sinh_ratio(1, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sine_multiples_are_the_direct_sines_bitwise(seed):
+    # seeded angles with repeats, both zeros and pi: one table per distinct
+    # bit pattern, every entry np.sin(angle * n) with the direct table's bits
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0, math.pi], rng.uniform(0.0, math.pi, 5)])
+    angles = rng.choice(pool, size=(4, 6))
+    angles[0, :3] = pool[:3]
+    terms = int(rng.integers(1, 40))
+    got = sine_multiples(angles, terms)
+    assert got.shape == (4, 6, terms)
+    want = np.sin(angles[..., None] * np.arange(1, terms + 1))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # -0.0 gives -0.0 rows, 0.0 gives +0.0 rows
+    assert np.all(np.signbit(got[0, 1])) and not np.any(np.signbit(got[0, 0]))
+    assert sine_multiples(np.empty((0, 2)), terms).shape == (0, 2, terms)
 
 
 def test_ordered_minor_sum_matches_brute_force():

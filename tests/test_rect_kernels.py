@@ -163,6 +163,21 @@ def test_poisson_rect_domain_checks(monkeypatch):
         poisson_rect(cfg, 1.999, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: kernel_strip(3, 1.0, math.nan, 2.0, 0.5),
+        lambda: density_semicircle(3, 2.0, np.array([0.5, math.nan])),
+        lambda: norm_inner(RectConfig(2.0), 1.0, np.array([[0.5, math.nan]])),
+        lambda: fomin_boundary_det(RectConfig(2.0), (0.5, 1.5), np.array([[0.5, math.nan]])),
+    ],
+    ids=["kernel_strip", "density_semicircle", "norm_inner", "fomin_boundary_det"],
+)
+def test_nan_angles_are_out_of_range(evaluate):
+    with pytest.raises(DomainError, match=r"angles must lie in \[0, pi\]"):
+        evaluate()
+
+
 def test_truncation_error_carries_achieved_bound(monkeypatch):
     monkeypatch.setattr(rect_kernels, "N_MAX", 3)
     monkeypatch.setattr(rect_kernels, "MIN_GAP", 1e-6)
