@@ -318,7 +318,8 @@ def _cmd_fomin_check(ns):
 def _cmd_crossing(ns):
     from .rect_kernels import CROSSING_CASES, crossing_decay_rate, crossing_exponent_fit
 
-    n_paths = _parse_int(ns.paths, "--paths")
+    # one path has decay rate 0, so the fit has no relative error to report
+    n_paths = _parse_int(ns.paths, "--paths", minimum=2)
     if ns.phi is None or ns.rho is None:
         if n_paths not in CROSSING_CASES:
             raise UsageError(

@@ -124,7 +124,7 @@ class Network:
 
     def walk_error(self):
         """Entrywise certified bound on |walk_matrix() - W|, W the exact walk
-        matrix; computed once and cached.
+        matrix; computed on the first call and kept with the network.
 
         With K = I - P D, the exact W is I + K^{-1} P, so the computed W^
         misses it by K^{-1} R for the residual R = P - K (W^ - I).  K^{-1} is
@@ -193,10 +193,10 @@ def _as_boundary_tuple(ab):
 def walk_green(net, a, b):
     """Total weight of walks from a to b (absorbing at the boundary).
 
-    Entry W[a, b] of the cached walk matrix: the empty walk when a == b, and
-    every walk whose intermediate vertices are interior.  Walks from a
-    boundary vertex leave through its out-edges on the first step; walks
-    reaching a boundary vertex stop there.
+    Entry W[a, b] of the walk matrix solved at construction: the empty walk
+    when a == b, and every walk whose intermediate vertices are interior.
+    Walks from a boundary vertex leave through its out-edges on the first
+    step; walks reaching a boundary vertex stop there.
     """
     if not (0 <= a < net.vertex_count and 0 <= b < net.vertex_count):
         raise DomainError("vertex id out of range")

@@ -28,7 +28,6 @@ these matrices give the discrete nonintersecting first-passage densities.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class LatticeStrip:
         return (i - 1) * self.rows + (j - 1)
 
 
-@lru_cache(maxsize=32)
 def _modes(n):
     """Orthonormal sine modes sqrt(2/(n+1)) sin(p k pi/(n+1)) across n
     interior points, symmetric in (p, k), and the rates mu_k with
@@ -81,19 +79,18 @@ def _modes(n):
     phase = np.outer(k, k) % (2 * (n + 1)) * (math.pi / (n + 1))
     modes = math.sqrt(2.0 / (n + 1)) * np.sin(phase)
     mu = 2.0 * np.arcsinh(np.sin(0.5 * math.pi / (n + 1) * k))
-    modes.setflags(write=False)
-    mu.setflags(write=False)
     return modes, mu
 
 
-def _mode_terms(n, m, p, pp, q, qp):
+def _mode_terms(table, m, p, pp, q, qp):
     """Terms k = 1..n (last axis) of the Green's function between sites
     (q, p) and (q', p') of a grid with n interior points across and m along:
     modes[p, k] modes[p', k] g_k(q, q') with the one-dimensional Green
     function g_k(q, q') = 4 sinh(mu q<) sinh(mu (m+1-q>)) /
     (sinh mu sinh(mu (m+1))), in exponential form so that long grids never
-    form a large sinh."""
-    modes, mu = _modes(n)
+    form a large sinh.  table is _modes(n), which the caller evaluates once
+    for all its blocks."""
+    modes, mu = table
     lo = np.minimum(q, qp)[..., None]
     hi = np.maximum(q, qp)[..., None]
     g = (
@@ -115,7 +112,8 @@ def _green_block(strip, sources, columns):
     with the smaller condition number sum|terms| / |sum|: a small entry comes
     from cancelling terms in one form (source and target far apart across a
     narrow direction) and from a dominant first term in the other, so
-    exponentially small entries keep their relative accuracy.
+    exponentially small entries keep their relative accuracy.  The two mode
+    tables are evaluated once per call and shared by every block.
     """
     for site in sources:
         strip.index(site)
@@ -123,15 +121,16 @@ def _green_block(strip, sources, columns):
     i = np.asarray(columns, dtype=int)[None, :, None]
     j = np.arange(1, strip.rows + 1)
     out = np.empty((len(src), i.size, strip.rows))
+    row_modes, col_modes = _modes(strip.rows), _modes(strip.cols)
     # a block holds four mode-sum arrays of this size per source: the two
     # forms' terms and the two temporaries of _mode_terms
     step = block_rows(4 * i.size * strip.rows * max(strip.rows, strip.cols))
     for start in range(0, len(src), step):
         ip = src[start : start + step, 0, None, None]
         jp = src[start : start + step, 1, None, None]
-        rows_first = _mode_terms(strip.rows, strip.cols, j, jp, i, ip)
+        rows_first = _mode_terms(row_modes, strip.cols, j, jp, i, ip)
         value, size = rows_first.sum(axis=-1), np.abs(rows_first).sum(axis=-1)
-        cols_first = _mode_terms(strip.cols, strip.rows, i, ip, j, jp)
+        cols_first = _mode_terms(col_modes, strip.rows, i, ip, j, jp)
         alt, alt_size = cols_first.sum(axis=-1), np.abs(cols_first).sum(axis=-1)
         better = alt_size * np.abs(value) < size * np.abs(alt)
         out[start : start + step] = np.where(better, alt, value)

@@ -17,7 +17,6 @@ rect_kernels._series_terms.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -141,24 +140,15 @@ def _legendre_rule(n):
     return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
-@lru_cache(maxsize=None)
-def _leggauss_cached(order, a, b):
-    x, w = _legendre_rule(order)
-    nodes = 0.5 * (b - a) * (x + 1.0) + a
-    weights = 0.5 * (b - a) * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def gauss_legendre(order, a=0.0, b=math.pi):
     """Gauss-Legendre rule with `order` nodes on (a, b); exact through degree 2*order-1."""
     if order < 1:
         raise DomainError("order must be at least 1")
     if not b > a:
         raise DomainError("need b > a")
-    nodes, weights = _leggauss_cached(int(order), float(a), float(b))
-    return QuadratureRule(nodes, weights)
+    x, w = _legendre_rule(int(order))
+    a, b = float(a), float(b)
+    return QuadratureRule(0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w)
 
 
 def chamber_integrate(f, rule, ndim):

@@ -32,7 +32,6 @@ so that exponentially small norms keep their relative accuracy.
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,9 +108,9 @@ def _apply_sine_sign(q):
     return out
 
 
-@lru_cache(maxsize=None)
 def ordered_sine_det_integral(freqs):
-    """Integral of det[sin(freqs_i * t_k)] over the ordered chamber in (0, pi)^k.
+    """Integral of det[sin(freqs_i * t_k)] over the ordered chamber in (0, pi)^k,
+    for any sequence of k frequencies.
 
     de Bruijn (1955): the Pfaffian of the sine sign kernel on the
     frequencies, bordered by the single-sine integrals for odd k.
@@ -123,7 +122,6 @@ def ordered_sine_det_integral(freqs):
 # --- chamber norms as one Pfaffian -------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _norm_series(x, L, n):
     """Truncated kernel coefficients for an N-path chamber norm.
 
@@ -141,11 +139,10 @@ def _norm_series(x, L, n):
     factor: SERIES_TOL, sharpened toward machine relative precision of the
     leading term so exponentially small norms stay relatively accurate.
 
-    Returns (c_1..c_M, bound on the norm); the array is cached, callers
-    must not mutate it.
+    Returns (c_1..c_M, bound on the norm).
     """
     lead_coeffs = _coeffs(np.arange(1.0, n + 1), x, L)
-    lead = abs(float(np.prod(lead_coeffs)) * ordered_sine_det_integral(tuple(range(1, n + 1))))
+    lead = abs(float(np.prod(lead_coeffs)) * ordered_sine_det_integral(range(1, n + 1)))
     if lead < sys.float_info.min:
         raise PrecisionError("chamber norm underflows; it is out of range")
     factor = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))

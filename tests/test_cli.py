@@ -720,6 +720,8 @@ def test_usage_errors_name_the_precondition():
         (["crossing-exponent", "--paths", "3", "--phi", "1,2,2.5", "--rho", "1.2,1.9"],
          "one angle per path"),
         (["crossing-exponent", "--paths", "4"], "give --phi and --rho explicitly"),
+        (["crossing-exponent", "--paths", "1", "--phi", "1", "--rho", "1", "--lengths", "1,2"],
+         "--paths: must be at least 2"),
         (["lattice-validate", "--levels", "15,15"], "each level must appear once"),
         (["density", "--N", "3", "--r", "2", "--theta", "4"], "angles must lie in [0, pi]"),
         (["pdf", "--x", "200", "--theta", "0.6,1.2,1.9,2.6", "--phi", "0.5,1.1,1.8,2.5"],

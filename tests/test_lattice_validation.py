@@ -17,7 +17,7 @@ from lebp.lattice_validation import (
     first_passage_decomposition,
     ordered_minor_sum,
 )
-from lebp import numerics
+from lebp import lattice_validation, numerics
 from lebp.lattice_validation import _green_block
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
@@ -139,6 +139,26 @@ def test_green_columns_match_dense_solve():
         assert np.max(np.abs(got - dense) / dense) < 1e-13
         right = 0.25 * dense[(strip.cols - 1) * strip.rows :, 0]
         assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-13
+
+
+def test_green_block_evaluates_each_mode_table_once(monkeypatch):
+    # one source per block here: every block shares the call's two tables,
+    # and the blocks give the bits of the one-block call
+    strip = LatticeStrip(9, 13)
+    sources = [(3, 4), (strip.cols, 1), (1, strip.rows), (7, 5)]
+    whole = _green_block(strip, sources, [2, strip.cols])
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    original = lattice_validation._modes
+    monkeypatch.setattr(lattice_validation, "_modes", counted)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
+    blocked = _green_block(strip, sources, [2, strip.cols])
+    assert sorted(calls) == [strip.rows, strip.cols]
+    assert np.array_equal(blocked, whole)
 
 
 def test_decomposition_matches_mpmath_mode_sum():

@@ -177,13 +177,12 @@ def test_norm_inner_matches_chamber_quadrature():
 def test_norm_series_tail_bound_is_honest(monkeypatch):
     # the certified bound covers the truncation error of the default run
     # (against a run at target 1e-22), and of every shorter truncation, whose
-    # bound the budget error reports.  The runs at other targets bypass the
-    # cache of _norm_series.
-    def uncached(target, n_max, *args):
+    # bound the budget error reports.
+    def at_targets(target, n_max, *args):
         with monkeypatch.context() as m:
             m.setattr(passage_densities, "SERIES_TOL", target)
             m.setattr(rect_kernels, "N_MAX", n_max)
-            return _norm_series.__wrapped__(*args)
+            return _norm_series(*args)
 
     for kind, L, x, theta in [
         ("boundary", 2.0, 0.0, [0.9, 2.1]),
@@ -191,15 +190,28 @@ def test_norm_series_tail_bound_is_honest(monkeypatch):
         ("inner", 3.0, 1.5, [0.7, 1.5, 2.5]),
     ]:
         n = len(theta)
-        full, _ = uncached(1e-22, rect_kernels.N_MAX, x, L, n)
+        full, _ = at_targets(1e-22, rect_kernels.N_MAX, x, L, n)
         exact = _chamber_norm(full, theta)
         coefs, bound = _norm_series(x, L, n)
         assert coefs.size < full.size
         assert abs(_chamber_norm(coefs, theta) - exact) <= bound
         for m_max in range(n, coefs.size // 2 + 1, 2):
             with pytest.raises(TruncationError) as exc:
-                uncached(passage_densities.SERIES_TOL, m_max, x, L, n)
+                at_targets(passage_densities.SERIES_TOL, m_max, x, L, n)
             assert abs(_chamber_norm(full[:m_max], theta) - exact) <= exc.value.achieved
+
+
+def test_norm_series_reads_the_target_in_force(monkeypatch):
+    # every call truncates at the targets set when it runs, not at those of
+    # an earlier call with the same (x, L, n).  An interior norm's leading
+    # term is below 1e3, so its target is lead * 1e-15 unless SERIES_TOL is
+    # set tighter than that.
+    x, L, theta = 0.8, 2.0, [0.9, 2.1]
+    norm_inner(RectConfig(L), x, theta)
+    default, _ = _norm_series(x, L, len(theta))
+    monkeypatch.setattr(passage_densities, "SERIES_TOL", 1e-22)
+    tight, _ = _norm_series(x, L, len(theta))
+    assert tight.size > default.size
 
 
 def _exact_single(k):
@@ -294,7 +306,7 @@ def test_boundary_det_grid_matches_determinant():
 def test_norm_series_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(rect_kernels, "N_MAX", 4)
     with pytest.raises(TruncationError) as exc:
-        _norm_series.__wrapped__(1.0, 2.0, 3)
+        _norm_series(1.0, 2.0, 3)
     assert exc.value.achieved > 0.0
 
 
