@@ -15,9 +15,11 @@ h^2 times the edge-to-edge kernel.
 The Green's function of the walk needs no linear solve: separation of
 variables writes it as a finite sine series, sine modes across the strip
 times a discrete sinh ratio along it (the discrete analogue of the
-boundary Poisson kernel), or the same with the axes swapped.  Each call
-evaluates only the columns it reads, so an exit distribution through the
-right edge costs O(rows * max(rows, cols)) per source.
+boundary Poisson kernel), or the same with the axes swapped.  Both sums are
+matrix products over the mode axis, and each call evaluates only the
+columns it reads, so an exit distribution through the right edge costs
+O(rows * (rows + cols)) multiply-adds and O(rows + cols) exponentials per
+source, on top of mode and factor tables evaluated once per call.
 
 First-passage distributions across a cut column factor exactly through the
 cut (strong Markov property), which is the discrete, quadrature-free form
@@ -35,6 +37,11 @@ from .errors import DomainError
 from .numerics import PFAFFIAN_COPIES, block_rows, det_lu, ordered_minor_sum, stacked
 from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import RectConfig, boundary_poisson_rect
+
+
+# target rows per block of _green_block's columns-first products: with
+# mu < 2 asinh 1 no referenced exponential exceeds exp(1.77 * 255) < 1e197
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -82,24 +89,25 @@ def _modes(n):
     return modes, mu
 
 
-def _mode_terms(table, m, p, pp, q, qp):
-    """Terms k = 1..n (last axis) of the Green's function between sites
-    (q, p) and (q', p') of a grid with n interior points across and m along:
-    modes[p, k] modes[p', k] g_k(q, q') with the one-dimensional Green
-    function g_k(q, q') = 4 sinh(mu q<) sinh(mu (m+1-q>)) /
-    (sinh mu sinh(mu (m+1))), in exponential form so that long grids never
-    form a large sinh.  table is _modes(n), which the caller evaluates once
-    for all its blocks."""
-    modes, mu = table
-    lo = np.minimum(q, qp)[..., None]
-    hi = np.maximum(q, qp)[..., None]
-    g = (
-        4.0
-        * np.exp(-mu * (hi - lo + 1))
-        * (np.expm1(-2.0 * mu * lo) * np.expm1(-2.0 * mu * (m + 1 - hi)))
-        / (np.expm1(-2.0 * mu) * np.expm1(-2.0 * mu * (m + 1)))
-    )
-    return modes[p - 1] * modes[pp - 1] * g
+def _exp(mu, n):
+    """exp(mu * n) for rates mu (last axis) and integers n, to a few units in
+    the last place however large mu * n: mu splits into a float32 head,
+    whose products with integers below 2**29 are exact, and a tail below
+    2**-24 mu, whose products round invisibly."""
+    head = mu.astype(np.float32).astype(float)
+    return np.exp(head * n) * np.exp((mu - head) * n)
+
+
+def _line_factors(mu, m):
+    """The one-dimensional Green function along m points with rates mu,
+    g_k(lo, hi) = 4 sinh(mu lo) sinh(mu (m+1-hi)) / (sinh mu sinh(mu (m+1)))
+    for lo <= hi, split as 4 e^{-mu_k} e^{-mu_k (hi - lo)} a_k(lo) b_k(hi) /
+    den_k in exponential form, so that no factor grows with m.  Returns
+    4 e^{-mu} and den (over the rates) and the tables a, b (positions 1..m
+    by rates)."""
+    q = np.arange(1, m + 1)[:, None]
+    den = np.expm1(-2.0 * mu) * np.expm1(-2.0 * mu * (m + 1))
+    return 4.0 * np.exp(-mu), den, -np.expm1(-2.0 * mu * q), -np.expm1(-2.0 * mu * (m + 1 - q))
 
 
 def _green_block(strip, sources, columns):
@@ -112,26 +120,71 @@ def _green_block(strip, sources, columns):
     with the smaller condition number sum|terms| / |sum|: a small entry comes
     from cancelling terms in one form (source and target far apart across a
     narrow direction) and from a dominant first term in the other, so
-    exponentially small entries keep their relative accuracy.  The two mode
-    tables are evaluated once per call and shared by every block.
+    exponentially small entries keep their relative accuracy.
+
+    Both sums are matrix products over the mode axis, per source, and the
+    sums of |terms| are the same products of absolute values.  Rows first:
+    (modes[j'] g_cols(i, i')) @ modes, with g_cols evaluated per column and
+    source.  Columns first, the row factor g_k(lo, hi) = lead a(lo) b(hi)
+    exp(-mu (hi - lo)) of _line_factors (lead = 4 e^{-mu} / den) separates
+    target row j from source row j', so with psi = modes[i] modes[i'] the
+    targets j <= j' take (psi lead b(j') e^{-mu j'}) @ (a(j) e^{mu j}) and
+    those above take (psi lead a(j') e^{mu j'}) @ (b(j) e^{-mu j}).  Every
+    exponential is referenced to an edge of its block of ROW_BLOCK target
+    rows, so no factor exceeds e^{mu (ROW_BLOCK - 1)} whatever the strip's
+    size, and its exponent is formed exactly (_exp).  A source costs
+    O(len(columns) * rows * (rows + cols)) multiply-adds in BLAS and
+    O(len(columns) * rows + cols) exponentials; the two mode tables, the
+    factor tables and the target blocks' factors are evaluated once per
+    call and shared by every source block, and each source's entries have
+    the bits they get alone.
     """
     for site in sources:
         strip.index(site)
     src = np.array(sources, dtype=int).reshape(-1, 2)
-    i = np.asarray(columns, dtype=int)[None, :, None]
-    j = np.arange(1, strip.rows + 1)
-    out = np.empty((len(src), i.size, strip.rows))
-    row_modes, col_modes = _modes(strip.rows), _modes(strip.cols)
-    # a block holds four mode-sum arrays of this size per source: the two
-    # forms' terms and the two temporaries of _mode_terms
-    step = block_rows(4 * i.size * strip.rows * max(strip.rows, strip.cols))
+    i = np.asarray(columns, dtype=int)
+    rows = strip.rows
+    row_modes, row_mu = _modes(rows)
+    col_modes, col_mu = _modes(strip.cols)
+    abs_row_modes = np.abs(row_modes)
+    row_num, row_den, row_a, row_b = _line_factors(row_mu, strip.cols)
+    col_num, col_den, col_a, col_b = _line_factors(col_mu, rows)
+    col_lead = col_num / col_den
+    # per block of target rows r0..r1: the target factors of the j <= j'
+    # and the j > j' products, each at most 1
+    spans = []
+    for lo in range(0, rows, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, rows)
+        t = np.arange(lo + 1, hi + 1)[:, None]
+        down = (col_a[lo:hi] * _exp(col_mu, t - hi)).T
+        up = (col_b[lo:hi] * _exp(col_mu, lo + 1 - t)).T
+        spans.append((lo, hi, down, up))
+    out = np.empty((len(src), i.size, rows))
+    # per source and column: about 12 arrays across the rows (the rows-first
+    # factors, terms and sums, the columns-first sums and the selection)
+    # and 6 across the columns (the mode pairs and the scaled products)
+    step = block_rows(i.size * (12 * rows + 6 * strip.cols))
     for start in range(0, len(src), step):
-        ip = src[start : start + step, 0, None, None]
-        jp = src[start : start + step, 1, None, None]
-        rows_first = _mode_terms(row_modes, strip.cols, j, jp, i, ip)
-        value, size = rows_first.sum(axis=-1), np.abs(rows_first).sum(axis=-1)
-        cols_first = _mode_terms(col_modes, strip.rows, i, ip, j, jp)
-        alt, alt_size = cols_first.sum(axis=-1), np.abs(cols_first).sum(axis=-1)
+        ip, jp = src[start : start + step].T
+        near, far = np.minimum(i, ip[:, None]), np.maximum(i, ip[:, None])
+        g = row_num * _exp(row_mu, (near - far)[..., None])
+        g = g * (row_a[near - 1] * row_b[far - 1]) / row_den
+        terms = row_modes[jp - 1, None, :] * g
+        # the row modes are symmetric, so terms @ row_modes sums over k
+        value, size = terms @ row_modes, np.abs(terms) @ abs_row_modes
+        pair = col_modes[i - 1] * col_modes[ip - 1, None, :]
+        alt, alt_size = np.empty_like(value), np.empty_like(value)
+        for lo, hi, down, up in spans:
+            # source factors, clipped to the block where their targets lie
+            to_down = col_b[jp - 1] * _exp(col_mu, (hi - np.maximum(jp, lo + 1))[:, None])
+            to_up = col_a[jp - 1] * _exp(col_mu, (np.minimum(jp, hi) - lo - 1)[:, None])
+            x, y = pair * (col_lead * to_down)[:, None, :], pair * (col_lead * to_up)[:, None, :]
+            # each product takes the terms and their absolute values at once
+            x = np.concatenate((x, np.abs(x)), axis=1) @ down
+            y = np.concatenate((y, np.abs(y)), axis=1) @ up
+            below = np.arange(lo + 1, hi + 1) <= jp[:, None, None]
+            alt[..., lo:hi] = np.where(below, x[:, : i.size], y[:, : i.size])
+            alt_size[..., lo:hi] = np.where(below, x[:, i.size :], y[:, i.size :])
         better = alt_size * np.abs(value) < size * np.abs(alt)
         out[start : start + step] = np.where(better, alt, value)
     return out

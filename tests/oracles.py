@@ -8,7 +8,8 @@ the biorthogonal basis builds the determinant route of
 joint_pdf_special_start_dets (test_correlation), loop_erase and
 walk_weight drive the walk enumeration that checks Fomin's identity and the
 loop-erased weights (test_graph_fomin), and discrete_green reads one entry
-of the lattice Green function (test_lattice_validation).
+of the lattice Green function and elementwise_green_block evaluates its two
+mode sums term by term (test_lattice_validation).
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from lebp.errors import DomainError
-from lebp.lattice_validation import _green_block
+from lebp.lattice_validation import _green_block, _modes
 from lebp.numerics import det_lu
 from lebp.rect_kernels import RectConfig, fomin_inner_det, hat_h, weyl_point
 
@@ -180,3 +181,39 @@ def discrete_green(strip, a, b):
     """Expected visits to b of the walk from a before absorption; symmetric."""
     strip.index(b)
     return float(_green_block(strip, [a], [b[0]])[0, 0, b[1] - 1])
+
+
+def _mode_terms(table, m, p, pp, q, qp):
+    """Terms k = 1..n (last axis) of the Green's function between sites
+    (q, p) and (q', p') of a grid with n interior points across and m along:
+    modes[p, k] modes[p', k] g_k(q, q') with the one-dimensional Green
+    function g_k(q, q') = 4 sinh(mu q<) sinh(mu (m+1-q>)) /
+    (sinh mu sinh(mu (m+1))), in exponential form so that long grids never
+    form a large sinh.  table is _modes(n)."""
+    modes, mu = table
+    lo = np.minimum(q, qp)[..., None]
+    hi = np.maximum(q, qp)[..., None]
+    g = (
+        4.0
+        * np.exp(-mu * (hi - lo + 1))
+        * (np.expm1(-2.0 * mu * lo) * np.expm1(-2.0 * mu * (m + 1 - hi)))
+        / (np.expm1(-2.0 * mu) * np.expm1(-2.0 * mu * (m + 1)))
+    )
+    return modes[p - 1] * modes[pp - 1] * g
+
+
+def elementwise_green_block(strip, sources, columns):
+    """_green_block's two mode sums as full term tensors, sources by targets
+    by modes, one closed-form term per entry, with the same per-entry choice
+    of the sum whose sum|terms| / |sum| is smaller: the reference for the
+    production matrix products."""
+    src = np.array(sources, dtype=int).reshape(-1, 2)
+    i = np.asarray(columns, dtype=int)[None, :, None]
+    j = np.arange(1, strip.rows + 1)
+    ip, jp = src[:, 0, None, None], src[:, 1, None, None]
+    rows_first = _mode_terms(_modes(strip.rows), strip.cols, j, jp, i, ip)
+    value, size = rows_first.sum(axis=-1), np.abs(rows_first).sum(axis=-1)
+    cols_first = _mode_terms(_modes(strip.cols), strip.rows, i, ip, j, jp)
+    alt, alt_size = cols_first.sum(axis=-1), np.abs(cols_first).sum(axis=-1)
+    better = alt_size * np.abs(value) < size * np.abs(alt)
+    return np.where(better, alt, value)

@@ -6,8 +6,10 @@ passing runs) and then asserts the outcome.
 """
 
 import importlib
+import math
 import time
 
+import numpy as np
 import pytest
 
 from lebp import validation
@@ -187,3 +189,47 @@ def test_mass_records_are_converged_at_their_order(monkeypatch, key, larger, nam
     for name in names:
         assert now[name] <= 2e-15, name
         assert abs(now[name] - before[name]) <= 4e-15, name
+
+
+def test_frozen_samples_are_the_seeded_draws():
+    # each table is what numpy's default_rng draws with the seed, ranges and
+    # order written next to it, float for float
+    rng = np.random.default_rng(7)
+    semigroup = []
+    while len(semigroup) < 10:
+        length = rng.uniform(1.5, 3.0)
+        x_mid = rng.uniform(0.4, length - 0.4)
+        x = rng.uniform(0.1, x_mid - 0.1)
+        th, rho, phi = rng.uniform(0.1, math.pi - 0.1, 3)
+        semigroup.append((length, x_mid, x, th, rho, phi))
+    rng = np.random.default_rng(5)
+    dual = []
+    for _ in range(20):
+        x_prime = rng.uniform(0.2, 2.0)
+        x = x_prime + rng.uniform(0.1, 1.5)
+        th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
+        dual.append((int(rng.integers(1, 6)), x, th, x_prime, tp))
+    rng = np.random.default_rng(3)
+    scaling = []
+    for _ in range(10):
+        u, up = rng.uniform(-2.0, 3.0, 2)
+        if abs(u - up) < 0.05:
+            continue
+        a, ap = rng.uniform(0.0, 5.0, 2)
+        scaling.append((u, a, up, ap))
+    rng = np.random.default_rng(11)
+    conformal = []
+    for _ in range(50):
+        x = rng.uniform(0.05, 2.0)
+        th, phi = rng.uniform(0.05, math.pi - 0.05, 2)
+        conformal.append((x, th, phi))
+    for drawn, frozen in [
+        (semigroup, validation._SEMIGROUP_SAMPLE),
+        (dual, validation._KERNEL_DUAL_SAMPLE),
+        (scaling, validation._SCALING_SAMPLE),
+        (conformal, validation._CONFORMAL_SAMPLE),
+    ]:
+        assert len(frozen) == len(drawn)
+        for want, got in zip(drawn, frozen):
+            assert all(type(v) in (int, float) for v in got)
+            assert tuple(float(v).hex() for v in want) == tuple(float(v).hex() for v in got)

@@ -584,12 +584,11 @@ def test_limit_kernel_matches_quadrature():
 def test_scaling_check_quadrature_matches_scipy():
     # the numpy panel quadrature behind check_scaling_limit against scipy's
     # adaptive quadrature on the check's own sample
-    from lebp.validation import QUADRATURE_ORDERS, _limit_kernel_quadrature, _scaling_sample
+    from lebp.validation import QUADRATURE_ORDERS, _SCALING_SAMPLE, _limit_kernel_quadrature
 
     rule = gauss_legendre(QUADRATURE_ORDERS["limit_panel"], 0.0, 1.0)
-    sample = _scaling_sample()
-    assert len(sample) == 10
-    for u, a, up, ap in sample:
+    assert len(_SCALING_SAMPLE) == 10
+    for u, a, up, ap in _SCALING_SAMPLE:
         c = u - up
 
         def f(s):
@@ -606,8 +605,8 @@ def test_scaling_check_tail_bound_covers_doubled_range():
     from lebp.validation import (
         LIMIT_TAIL,
         QUADRATURE_ORDERS,
+        _SCALING_SAMPLE,
         _limit_kernel_quadrature,
-        _scaling_sample,
         check_scaling_limit,
     )
 
@@ -615,7 +614,7 @@ def test_scaling_check_tail_bound_covers_doubled_range():
     printed = check_scaling_limit()[1].detail
     bound = float(printed.rsplit("tail bound ", 1)[1])
     assert 0.0 < bound <= LIMIT_TAIL
-    infinite = [p for p in _scaling_sample() if p[0] > p[2]]
+    infinite = [p for p in _SCALING_SAMPLE if p[0] > p[2]]
     assert infinite
     for u, a, up, ap in infinite:
         c = u - up

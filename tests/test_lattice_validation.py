@@ -18,10 +18,10 @@ from lebp.lattice_validation import (
     ordered_minor_sum,
 )
 from lebp import lattice_validation, numerics
-from lebp.lattice_validation import _green_block
+from lebp.lattice_validation import ROW_BLOCK, _green_block, _modes
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
-from oracles import discrete_green
+from oracles import discrete_green, elementwise_green_block
 
 
 def mode_sum_exit(strip, a):
@@ -159,6 +159,53 @@ def test_green_block_evaluates_each_mode_table_once(monkeypatch):
     blocked = _green_block(strip, sources, [2, strip.cols])
     assert sorted(calls) == [strip.rows, strip.cols]
     assert np.array_equal(blocked, whole)
+
+
+def boundary_sources(strip):
+    """The four corners, the four edge midpoints and the centre."""
+    c, r = strip.cols, strip.rows
+    mc, mr = (c + 1) // 2, (r + 1) // 2
+    return [(1, 1), (c, 1), (1, r), (c, r), (mc, 1), (mc, r), (1, mr), (c, mr), (mc, mr)]
+
+
+def worst_relative_gap(strip, sources, columns):
+    """Largest relative gap between _green_block and the elementwise term
+    tensors of the oracle, over every source, column and row; the oracle
+    runs one column at a time to keep its tensors small."""
+    got = _green_block(strip, sources, columns)
+    worst = 0.0
+    for c, col in enumerate(columns):
+        ref = elementwise_green_block(strip, sources, [col])[:, 0]
+        worst = max(worst, float(np.max(np.abs(got[:, c] - ref) / ref)))
+    return worst
+
+
+@pytest.mark.parametrize("rows, cols", [(9, 13), (31, 15), (63, 63), (127, 127)])
+def test_green_block_matches_elementwise_terms(rows, cols):
+    # the matrix products against one closed-form term per entry, with the
+    # same choice of form; measured worst gaps 6.3e-16, 8.7e-16, 2.8e-15
+    # and 2.6e-15, the rounding of sums whose terms partly cancel
+    strip = LatticeStrip(rows, cols)
+    gap = worst_relative_gap(strip, boundary_sources(strip), range(1, cols + 1))
+    assert gap <= 4e-15
+
+
+def test_tall_strip_green_block_stays_finite():
+    # unreferenced, the columns-first factor e^{mu j} of the top mode
+    # overflows from about 400 rows; the target-row blocks keep every
+    # factor below e^{mu ROW_BLOCK}
+    strip = LatticeStrip(600, 7)
+    mu_top = _modes(strip.cols)[1][-1]
+    with pytest.raises(OverflowError):
+        math.exp(mu_top * strip.rows)
+    assert strip.rows > 2 * ROW_BLOCK
+    sources = [(1, 1), (4, ROW_BLOCK), (7, ROW_BLOCK + 1), (4, 2 * ROW_BLOCK + 1), (7, 600)]
+    got = _green_block(strip, sources, range(1, strip.cols + 1))
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    # entries fall to 1e-102 across the 600 rows; the oracle's
+    # exp(-mu (hi - lo + 1)) rounds its argument, about mu |j - j'| units in
+    # the last place (measured worst gap 1.5e-14)
+    assert worst_relative_gap(strip, sources, [1, 4, 7]) <= 5e-14
 
 
 def test_decomposition_matches_mpmath_mode_sum():

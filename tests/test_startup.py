@@ -1,10 +1,10 @@
 """Start-up imports: the CLI and every subcommand, the lattice solves and
 the validation quadrature included, load numpy and the standard library
-only; scipy is a test oracle.  numpy's lazily imported numpy.ma stays
-unloaded too.  `import lebp` loads no submodule, and each subcommand loads
-only the lebp modules it runs.  Each check runs in a fresh interpreter,
-because the test process itself may already hold scipy and every lebp
-module."""
+only; scipy is a test oracle.  numpy's lazily imported numpy.ma and
+numpy.random stay unloaded too.  `import lebp` loads no submodule, and each
+subcommand loads only the lebp modules it runs.  Each check runs in a fresh
+interpreter, because the test process itself may already hold scipy and
+every lebp module."""
 
 import ast
 import json
@@ -32,7 +32,10 @@ for args in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()):
         code = lebp.cli.main(args)
     seen[" ".join(args)] = {
-        "code": code, "scipy": scipy_modules(), "numpy.ma": "numpy.ma" in sys.modules
+        "code": code,
+        "scipy": scipy_modules(),
+        "numpy.ma": "numpy.ma" in sys.modules,
+        "numpy.random": "numpy.random" in sys.modules,
     }
 print(json.dumps(seen))
 """
@@ -76,6 +79,10 @@ def _probe(runs):
     return json.loads(_run(_PROBE, json.dumps(runs)))
 
 
+# what every run leaves loaded, cumulatively over the probe's runs
+_CLEAN = {"code": 0, "scipy": [], "numpy.ma": False, "numpy.random": False}
+
+
 def test_cli_and_series_routes_import_no_scipy():
     seen = _probe(
         [
@@ -92,21 +99,20 @@ def test_cli_and_series_routes_import_no_scipy():
     )
     assert seen.pop("import") == []
     for name, run in seen.items():
-        assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
+        assert run == _CLEAN, name
 
 
 def test_lattice_and_quadrature_checks_import_no_scipy():
     seen = _probe(
         [
             ["lattice-validate", "--levels", "15"],
-            ["validate", "--suite", "lattice"],
-            ["validate", "--suite", "limits"],
+            ["validate", "--suite", "all"],
         ]
     )
     assert seen.pop("import") == []
-    assert len(seen) == 3
+    assert len(seen) == 2
     for name, run in seen.items():
-        assert run == {"code": 0, "scipy": [], "numpy.ma": False}, name
+        assert run == _CLEAN, name
 
 
 _CLI = ["cli", "errors"]
