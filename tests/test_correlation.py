@@ -583,7 +583,9 @@ def test_limit_kernel_matches_quadrature():
 
 def test_scaling_check_quadrature_matches_scipy():
     # the numpy panel quadrature behind check_scaling_limit against scipy's
-    # adaptive quadrature on the check's own sample
+    # adaptive quadrature on the check's own sample.  Over (1, inf) the product
+    # sin(a s) sin(a' s) is (cos((a - a')s) - cos((a + a')s)) / 2, and each
+    # e^{-cs} cos(w s) goes to QUADPACK's Fourier-integral routine (QAWF)
     from lebp.validation import QUADRATURE_ORDERS, _SCALING_SAMPLE, _limit_kernel_quadrature
 
     rule = gauss_legendre(QUADRATURE_ORDERS["limit_panel"], 0.0, 1.0)
@@ -594,10 +596,17 @@ def test_scaling_check_quadrature_matches_scipy():
         def f(s):
             return math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s)
 
+        def tail(w):
+            if w == 0.0:
+                return math.exp(-c) / c
+            return quad(
+                lambda s: math.exp(-c * s), 1.0, np.inf, weight="cos", wvar=w, epsabs=1e-14
+            )[0]
+
         if c < 0:
             ref = 2.0 / math.pi * quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
         else:
-            ref = -2.0 / math.pi * quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+            ref = -(tail(abs(a - ap)) - tail(a + ap)) / math.pi
         assert abs(_limit_kernel_quadrature(u, a, up, ap, rule)[0] - ref) < 1e-13
 
 
