@@ -168,7 +168,7 @@ def _series_terms(x, L, target, at_least):
     steps by n0 // 8; more than N_MAX terms raise TruncationError with the
     tail at N_MAX."""
     if x > 0.0 and L - x < MIN_GAP:
-        raise PrecisionError(f"gap {L - x:.3g} below policy min_gap {MIN_GAP:.3g}")
+        raise PrecisionError(f"gap {L - x:.3g} below MIN_GAP {MIN_GAP:.3g}")
     if not target > 0.0:
         raise PrecisionError("kernel coefficients underflow; the value is out of range")
     c, p, gap = _majorant(x, L)

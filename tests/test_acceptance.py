@@ -191,45 +191,31 @@ def test_mass_records_are_converged_at_their_order(monkeypatch, key, larger, nam
         assert abs(now[name] - before[name]) <= 4e-15, name
 
 
-def test_frozen_samples_are_the_seeded_draws():
-    # each table is what numpy's default_rng draws with the seed, ranges and
-    # order written next to it, float for float
-    rng = np.random.default_rng(7)
-    semigroup = []
-    while len(semigroup) < 10:
-        length = rng.uniform(1.5, 3.0)
-        x_mid = rng.uniform(0.4, length - 0.4)
-        x = rng.uniform(0.1, x_mid - 0.1)
-        th, rho, phi = rng.uniform(0.1, math.pi - 0.1, 3)
-        semigroup.append((length, x_mid, x, th, rho, phi))
-    rng = np.random.default_rng(5)
-    dual = []
-    for _ in range(20):
-        x_prime = rng.uniform(0.2, 2.0)
-        x = x_prime + rng.uniform(0.1, 1.5)
-        th, tp = rng.uniform(0.05, math.pi - 0.05, 2)
-        dual.append((int(rng.integers(1, 6)), x, th, x_prime, tp))
-    rng = np.random.default_rng(3)
-    scaling = []
-    for _ in range(10):
-        u, up = rng.uniform(-2.0, 3.0, 2)
-        if abs(u - up) < 0.05:
-            continue
-        a, ap = rng.uniform(0.0, 5.0, 2)
-        scaling.append((u, a, up, ap))
-    rng = np.random.default_rng(11)
-    conformal = []
-    for _ in range(50):
-        x = rng.uniform(0.05, 2.0)
-        th, phi = rng.uniform(0.05, math.pi - 0.05, 2)
-        conformal.append((x, th, phi))
-    for drawn, frozen in [
-        (semigroup, validation._SEMIGROUP_SAMPLE),
-        (dual, validation._KERNEL_DUAL_SAMPLE),
-        (scaling, validation._SCALING_SAMPLE),
-        (conformal, validation._CONFORMAL_SAMPLE),
-    ]:
-        assert len(frozen) == len(drawn)
-        for want, got in zip(drawn, frozen):
-            assert all(type(v) in (int, float) for v in got)
-            assert tuple(float(v).hex() for v in want) == tuple(float(v).hex() for v in got)
+def test_samples_follow_the_stated_rule():
+    # the R_d points each sampled check maps onto its stated ranges; the
+    # first point's t_1 is 1/g - 1/2, with g^(d+1) = g + 1
+    for d in (3, 4, 5, 6):
+        g = 1.0 / (next(validation._rd_points(d))[0] + 0.5)
+        assert g ** (d + 1) == pytest.approx(g + 1.0, rel=1e-14)
+
+    def angles(pad, *values):
+        return all(pad < v < math.pi - pad for v in values)
+
+    semigroup = list(validation._semigroup_sample())
+    assert len(semigroup) == 10
+    for length, x_mid, x, *rest in semigroup:
+        assert 1.5 < length < 3.0 and 0.4 < x_mid < length - 0.4 and 0.1 < x < x_mid - 0.1
+        assert angles(0.1, *rest)
+    dual = list(validation._kernel_dual_sample())
+    assert len(dual) == 20 and sorted({p[0] for p in dual}) == [1, 2, 3, 4, 5]
+    for _, x, th, x_prime, tp in dual:
+        assert 0.2 < x_prime < 2.0 and 0.1 < x - x_prime < 1.5 and angles(0.05, th, tp)
+    scaling = validation._scaling_sample()
+    assert len(scaling) == 10 and any(u > up for u, _, up, _ in scaling)
+    for u, a, up, ap in scaling:
+        assert -2.0 < min(u, up) and max(u, up) < 3.0 and abs(u - up) >= 0.05
+        assert 0.0 < min(a, ap) and max(a, ap) < 5.0
+    conformal = list(validation._conformal_sample())
+    assert len(conformal) == 50
+    for x, th, phi in conformal:
+        assert 0.05 < x < 2.0 and angles(0.05, th, phi)

@@ -691,7 +691,7 @@ def test_usage_errors_name_the_precondition():
     cases = [
         (["kernel", "--domain", "strip", "--N", "2", "--theta", "1", "--thetap", "1"], "--x"),
         (["two-point", "--N", "2", "--r", "2", "--theta", "1", "--rp", "2.000001",
-          "--thetap", "1.5"], "min_gap"),
+          "--thetap", "1.5"], "MIN_GAP"),
         (["pdf", "--theta", "1.0,2.0", "--L", "3"], "midpoint start"),
         (["density", "--N", "0", "--r", "2", "--theta", "1"], "at least 1"),
         (["joint-pdf", "--cuts", "0.4,0.9", "--theta", "1.0,2.0"], "per cut"),

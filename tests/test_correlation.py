@@ -127,7 +127,7 @@ def test_kernel_position_broadcast_matches_scalar_calls():
 def test_kernel_position_preconditions_hold_elementwise(monkeypatch):
     with pytest.raises(DomainError, match="cut positions must be positive"):
         kernel_strip(2, np.array([0.5, 0.0]), 1.0, 1.0, 1.0)
-    with pytest.raises(PrecisionError, match="below policy min_gap"):
+    with pytest.raises(PrecisionError, match="below MIN_GAP"):
         kernel_strip(2, np.array([0.5, 1.0 + 1e-5]), 1.0, 1.0, 1.0)
     with pytest.raises(DomainError, match="radius must exceed 1"):
         kernel_semicircle(2, np.array([2.0, 1.0]), 1.0, 2.0, 1.0)
@@ -560,6 +560,30 @@ def test_limit_kernel_frozen_values():
         assert math.isclose(limit_kernel(u, a, up, ap), ref, rel_tol=1e-13)
 
 
+def _scipy_limit_kernel(u, a, up, ap):
+    """The limit kernel's defining integral by scipy's adaptive quadrature:
+    over (0, 1) for u < u'; over (1, inf) for u > u', where sin(a s) sin(a' s)
+    is (cos((a - a')s) - cos((a + a')s)) / 2 and each e^{-cs} cos(w s) goes to
+    QUADPACK's Fourier-integral routine (QAWF), or to e^{-c}/c at w = 0.  The
+    absolute targets are the tightest that raise no roundoff warning on the
+    tests' points: QAWF's first cycle cannot meet 1e-14 where c is near 0.5
+    and w below 1, nor can a pure relative target on (0, 1) meet 1e-13 at a
+    value of -0.03."""
+    c = u - up
+    if c < 0:
+        return 2.0 / math.pi * quad(
+            lambda s: math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s), 0.0, 1.0,
+            epsabs=1e-14, epsrel=1e-13,
+        )[0]
+
+    def tail(w):
+        if w == 0.0:
+            return math.exp(-c) / c
+        return quad(lambda s: math.exp(-c * s), 1.0, np.inf, weight="cos", wvar=w, epsabs=1e-13)[0]
+
+    return -(tail(abs(a - ap)) - tail(a + ap)) / math.pi
+
+
 def test_limit_kernel_matches_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -567,55 +591,25 @@ def test_limit_kernel_matches_quadrature():
         if abs(u - up) < 0.05:
             continue
         a, ap = rng.uniform(0.0, 5.0, 2)
-        c = u - up
-        if c < 0:
-            ref = 2.0 / math.pi * quad(
-                lambda s: math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s), 0.0, 1.0
-            )[0]
-        else:
-            ref = -2.0 / math.pi * quad(
-                lambda s: math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s),
-                1.0,
-                np.inf,
-            )[0]
-        assert abs(limit_kernel(u, a, up, ap) - ref) < 1e-10
+        assert abs(limit_kernel(u, a, up, ap) - _scipy_limit_kernel(u, a, up, ap)) < 1e-10
 
 
 def test_scaling_check_quadrature_matches_scipy():
     # the numpy panel quadrature behind check_scaling_limit against scipy's
-    # adaptive quadrature on the check's own sample.  Over (1, inf) the product
-    # sin(a s) sin(a' s) is (cos((a - a')s) - cos((a + a')s)) / 2, and each
-    # e^{-cs} cos(w s) goes to QUADPACK's Fourier-integral routine (QAWF)
-    from lebp.validation import QUADRATURE_ORDERS, _SCALING_SAMPLE, _limit_kernel_quadrature
+    # adaptive quadrature on the check's own sample
+    from lebp.validation import QUADRATURE_ORDERS, _limit_kernel_quadrature, _scaling_sample
 
     rule = gauss_legendre(QUADRATURE_ORDERS["limit_panel"], 0.0, 1.0)
-    assert len(_SCALING_SAMPLE) == 10
-    for u, a, up, ap in _SCALING_SAMPLE:
-        c = u - up
-
-        def f(s):
-            return math.exp(-c * s) * math.sin(a * s) * math.sin(ap * s)
-
-        def tail(w):
-            if w == 0.0:
-                return math.exp(-c) / c
-            return quad(
-                lambda s: math.exp(-c * s), 1.0, np.inf, weight="cos", wvar=w, epsabs=1e-14
-            )[0]
-
-        if c < 0:
-            ref = 2.0 / math.pi * quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
-        else:
-            ref = -(tail(abs(a - ap)) - tail(a + ap)) / math.pi
-        assert abs(_limit_kernel_quadrature(u, a, up, ap, rule)[0] - ref) < 1e-13
+    for point in _scaling_sample():
+        assert abs(_limit_kernel_quadrature(*point, rule)[0] - _scipy_limit_kernel(*point)) < 1e-13
 
 
 def test_scaling_check_tail_bound_covers_doubled_range():
     from lebp.validation import (
         LIMIT_TAIL,
         QUADRATURE_ORDERS,
-        _SCALING_SAMPLE,
         _limit_kernel_quadrature,
+        _scaling_sample,
         check_scaling_limit,
     )
 
@@ -623,7 +617,7 @@ def test_scaling_check_tail_bound_covers_doubled_range():
     printed = check_scaling_limit()[1].detail
     bound = float(printed.rsplit("tail bound ", 1)[1])
     assert 0.0 < bound <= LIMIT_TAIL
-    infinite = [p for p in _SCALING_SAMPLE if p[0] > p[2]]
+    infinite = [p for p in _scaling_sample() if p[0] > p[2]]
     assert infinite
     for u, a, up, ap in infinite:
         c = u - up

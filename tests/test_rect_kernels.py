@@ -254,7 +254,7 @@ def test_one_gap_precondition_for_every_interior_series():
             call()
         messages.add(str(exc.value))
     assert len(messages) == 1
-    assert "min_gap" in messages.pop()
+    assert "below MIN_GAP" in messages.pop()
 
 
 def test_kernels_are_positive_inside():
