@@ -63,6 +63,8 @@ class Network:
         self._int_index = {v: i for i, v in enumerate(interior)}
         self._bnd_index = {v: i for i, v in enumerate(boundary)}
 
+        # one step matrix over all vertices, boundary out-edges included
+        p = np.zeros((vertex_count, vertex_count))
         seen = set()
         out = {v: [] for v in range(vertex_count)}
         for tail, head, weight in edges:
@@ -75,13 +77,8 @@ class Network:
                 raise DomainError(f"duplicate edge ({tail}, {head})")
             seen.add((tail, head))
             out[tail].append((head, weight))
+            p[tail, head] = weight
         self.out_edges = {v: tuple(lst) for v, lst in out.items()}
-
-        # one step matrix over all vertices, boundary out-edges included
-        p = np.zeros((vertex_count, vertex_count))
-        for tail, lst in self.out_edges.items():
-            for head, weight in lst:
-                p[tail, head] = weight
         self._p = p
         self._interior_mask = np.zeros(vertex_count)
         self._interior_mask[list(interior)] = 1.0
@@ -451,17 +448,12 @@ def square_grid_network(nx, ny):
         id_of[c] = len(id_of)
     interior = [id_of[c] for c in cells]
     boundary = [id_of[c] for c in ring]
-    interior_set = set(interior)
+    inside = set(cells)
     edges = []
-    for (i, j) in cells:
+    for (i, j) in cells + ring:
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nb = (i + di, j + dj)
-            if nb in id_of:
-                edges.append((id_of[(i, j)], id_of[nb], GRID_STEP_WEIGHT))
-    for (i, j) in ring:
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (i + di, j + dj)
-            if nb in id_of and id_of[nb] in interior_set:
+            if nb in id_of and ((i, j) in inside or nb in inside):
                 edges.append((id_of[(i, j)], id_of[nb], GRID_STEP_WEIGHT))
     net = Network(len(id_of), edges, interior, boundary)
     return net, id_of

@@ -19,7 +19,8 @@ boundary Poisson kernel), or the same with the axes swapped.  Both sums are
 matrix products over the mode axis, and each call evaluates only the
 columns it reads, so an exit distribution through the right edge costs
 O(rows * (rows + cols)) multiply-adds and O(rows + cols) exponentials per
-source, on top of mode and factor tables evaluated once per call.
+source, on top of mode and factor tables evaluated once per call.  Every
+exit row below is read through one function, exit_right(strip, sources).
 
 First-passage distributions across a cut column factor exactly through the
 cut (strong Markov property), which is the discrete, quadrature-free form
@@ -190,15 +191,11 @@ def _green_block(strip, sources, columns):
     return out
 
 
-def _exit_rows(strip, sources):
-    """Right-edge exit probabilities, one row per interior source."""
+def exit_right(strip, sources):
+    """Right-edge exit probabilities from each interior site in `sources`,
+    one row per source over boundary rows 1..rows; each row has the bits of
+    a one-source call."""
     return 0.25 * _green_block(strip, sources, [strip.cols])[:, 0, :]
-
-
-def exit_right(strip, a):
-    """Probabilities that the walk from interior site a exits through the
-    right edge, one entry per boundary row 1..rows."""
-    return _exit_rows(strip, [a])[0]
 
 
 def first_passage_decomposition(strip, cut, starts):
@@ -208,10 +205,11 @@ def first_passage_decomposition(strip, cut, starts):
     Returns (lm, rm, f): lm[q, m] is the probability the walk from boundary
     row starts[q] first reaches column `cut` at row m+1, rm[m, b] the
     probability the walk from (cut, m+1) exits right at boundary row b+1,
-    and f[q, b] the through probability; f = lm @ rm exactly.  Given the
-    first-passage row, a walk's pieces before and after the cut are
-    independent, which is what lets discrete_first_passage_density impose
-    Fomin's condition on each piece separately.
+    and f[q, b] the through probability, all read through exit_right(strip,
+    sources) (lm on the sub-strip of columns 1..cut-1); f = lm @ rm exactly.
+    Given the first-passage row, a walk's pieces before and after the cut
+    are independent, which is what lets discrete_first_passage_density
+    impose Fomin's condition on each piece separately.
     """
     if not (1 <= cut <= strip.cols):
         raise DomainError("cut column must be an interior column")
@@ -219,14 +217,11 @@ def first_passage_decomposition(strip, cut, starts):
     if any(not 1 <= s <= strip.rows for s in starts):
         raise DomainError("start rows must lie on the left edge interior range")
     if cut == 1:
-        lm = np.zeros((len(starts), strip.rows))
-        for q, s in enumerate(starts):
-            lm[q, s - 1] = 0.25
+        lm = 0.25 * np.eye(strip.rows)[np.array(starts, dtype=int) - 1]
     else:
-        sub = LatticeStrip(strip.rows, cut - 1)
-        lm = 0.25 * _exit_rows(sub, [(1, s) for s in starts])
-    rm = _exit_rows(strip, [(cut, m) for m in range(1, strip.rows + 1)])
-    f = 0.25 * _exit_rows(strip, [(1, s) for s in starts])
+        lm = 0.25 * exit_right(LatticeStrip(strip.rows, cut - 1), [(1, s) for s in starts])
+    rm = exit_right(strip, [(cut, m) for m in range(1, strip.rows + 1)])
+    f = 0.25 * exit_right(strip, [(1, s) for s in starts])
     return lm, rm, f
 
 
@@ -316,7 +311,7 @@ def boundary_refinement(levels=(15, 31, 63)):
         strip = LatticeStrip(level, level)
         h = strip.spacing
         j, k = np.array(_sixteenth_indices(level, REFINEMENT_POINTS16)).T
-        scaled = _exit_rows(strip, [(1, r) for r in j])[np.arange(j.size), k - 1] / h**2
+        scaled = exit_right(strip, [(1, r) for r in j])[np.arange(j.size), k - 1] / h**2
         rows.append((h, list(np.abs(scaled - cont))))
     return rows
 

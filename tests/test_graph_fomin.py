@@ -242,6 +242,23 @@ def test_walk_green_stochastic_grid_exits_sum_to_one():
     assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 3), (2, 4)])
+def test_square_grid_edges_step_into_the_interior(nx, ny):
+    # interior cells step to all four neighbours, ring cells only back in;
+    # the step matrix holds exactly the listed out-edges
+    net, id_of = square_grid_network(nx, ny)
+    inside = set(net.interior)
+    for v in net.interior:
+        assert len(net.out_edges[v]) == 4
+    for v in net.boundary:
+        assert len(net.out_edges[v]) == 1
+        assert net.out_edges[v][0][0] in inside
+    pairs = {(t, h) for t, lst in net.out_edges.items() for h, _ in lst}
+    assert all(t in inside or h in inside for t, h in pairs)
+    assert set(zip(*np.nonzero(net._p))) == pairs
+    assert all(net._p[t, h] == w for t, lst in net.out_edges.items() for h, w in lst)
+
+
 def test_walk_weight(path_net):
     assert walk_weight(path_net, (1, 2, 3)) == 0.25
     with pytest.raises(DomainError):

@@ -96,7 +96,7 @@ def mp_mode_green(rows, cols, src, col):
 def test_single_cell_green():
     strip = LatticeStrip(1, 1)
     assert discrete_green(strip, (1, 1), (1, 1)) == 1.0
-    assert np.allclose(exit_right(strip, (1, 1)), [0.25])
+    assert np.allclose(exit_right(strip, [(1, 1)])[0], [0.25])
 
 
 def test_green_symmetry():
@@ -123,8 +123,34 @@ def test_exit_right_matches_mode_sum():
         (LatticeStrip(15, 15), (1, 8)),
         (LatticeStrip(6, 4), (4, 5)),
     ]:
-        got = exit_right(strip, a)
+        got = exit_right(strip, [a])[0]
         assert np.max(np.abs(got - mode_sum_exit(strip, a))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "strip, sources",
+    [
+        (LatticeStrip(600, 7), [(1, 1), (4, ROW_BLOCK), (7, ROW_BLOCK + 1), (4, 600)]),
+        (LatticeStrip(31, 31), [(1, 3), (16, 11), (31, 30), (2, 1)]),
+    ],
+)
+def test_exit_right_rows_keep_their_bits_alone(strip, sources):
+    # one row per source, each bitwise the row of a one-source call,
+    # whichever target-row block the source lies in
+    rows = exit_right(strip, sources)
+    assert rows.shape == (len(sources), strip.rows)
+    for k, a in enumerate(sources):
+        assert np.array_equal(rows[k], exit_right(strip, [a])[0])
+
+
+def test_first_passage_at_cut_one_is_the_first_step():
+    # from the left edge the first step lands on column 1 with weight 1/4
+    strip = LatticeStrip(15, 15)
+    starts = (6, 10, 1)
+    lm, _, _ = first_passage_decomposition(strip, 1, starts)
+    want = np.zeros((len(starts), strip.rows))
+    want[np.arange(len(starts)), np.array(starts) - 1] = 0.25
+    assert np.array_equal(lm, want)
 
 
 def test_green_columns_match_dense_solve():
@@ -138,7 +164,7 @@ def test_green_columns_match_dense_solve():
         got = green_columns(strip, sources)
         assert np.max(np.abs(got - dense) / dense) < 1e-13
         right = 0.25 * dense[(strip.cols - 1) * strip.rows :, 0]
-        assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-13
+        assert np.max(np.abs(exit_right(strip, [a])[0] - right) / right) < 1e-13
 
 
 def test_green_block_evaluates_each_mode_table_once(monkeypatch):
@@ -238,7 +264,7 @@ def test_long_strip_stays_finite_and_matches_dense_solve():
     assert np.max(np.abs(got - dense) / dense) < 1e-12
     for col, a in enumerate(sources):
         right = 0.25 * dense[(strip.cols - 1) * strip.rows :, col]
-        assert np.max(np.abs(exit_right(strip, a) - right) / right) < 1e-12
+        assert np.max(np.abs(exit_right(strip, [a])[0] - right) / right) < 1e-12
 
 
 def test_exit_probabilities_sum_to_one():
@@ -265,7 +291,7 @@ def test_interior_exit_scales_to_poisson_kernel():
         scale = (level + 1) // 16
         a = (4 * scale, 6 * scale)
         k = 10 * scale
-        got = exit_right(strip, a)[k - 1] / h
+        got = exit_right(strip, [a])[0][k - 1] / h
         cont = poisson_rect(cfg, 4 * math.pi / 16, 6 * math.pi / 16, 10 * math.pi / 16)
         errs.append(abs(got - cont.value))
     assert errs[0] > errs[1] > errs[2]
