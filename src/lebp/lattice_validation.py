@@ -15,12 +15,10 @@ h^2 times the edge-to-edge kernel.
 The Green's function of the walk needs no linear solve: separation of
 variables writes it as a finite sine series, sine modes across the strip
 times a discrete sinh ratio along it (the discrete analogue of the
-boundary Poisson kernel), or the same with the axes swapped.  Both sums are
-matrix products over the mode axis, and each call evaluates only the
-columns it reads, so an exit distribution through the right edge costs
-O(rows * (rows + cols)) multiply-adds and O(rows + cols) exponentials per
-source, on top of mode and factor tables evaluated once per call.  Every
-exit row below is read through one function, exit_right(strip, sources).
+boundary Poisson kernel), or the same with the axes swapped.  Every
+quantity below is an exit row through the right edge, so the Green
+function is evaluated only on the exit column, next to that edge, by one
+function, exit_right(strip, sources).
 
 First-passage distributions across a cut column factor exactly through the
 cut (strong Markov property), which is the discrete, quadrature-free form
@@ -30,6 +28,7 @@ these matrices give the discrete nonintersecting first-passage densities.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .passage_densities import ChamberSequence, joint_pdf
 from .rect_kernels import RectConfig, boundary_poisson_rect
 
 
-# target rows per block of _green_block's columns-first products: with
+# target rows per block of exit_right's columns-first products: with
 # mu < 2 asinh 1 no referenced exponential exceeds exp(1.77 * 255) < 1e197
 ROW_BLOCK = 256
 
@@ -71,7 +70,10 @@ class LatticeStrip:
         return self.rows * self.cols
 
     def index(self, site):
-        i, j = site
+        try:
+            i, j = map(operator.index, site)
+        except (TypeError, ValueError):
+            raise DomainError(f"site {site!r} is not a (column, row) pair") from None
         if not (1 <= i <= self.cols and 1 <= j <= self.rows):
             raise DomainError(f"site {site} outside the interior grid")
         return (i - 1) * self.rows + (j - 1)
@@ -111,9 +113,11 @@ def _line_factors(mu, m):
     return 4.0 * np.exp(-mu), den, -np.expm1(-2.0 * mu * q), -np.expm1(-2.0 * mu * (m + 1 - q))
 
 
-def _green_block(strip, sources, columns):
-    """Green's function G(source, (i, j)) for interior sources and every row
-    j of the columns i in `columns`: shape (len(sources), len(columns), rows).
+def exit_right(strip, sources):
+    """Right-edge exit probabilities from each interior site in `sources`,
+    one row per source over boundary rows 1..rows: G(source, (cols, j)) / 4,
+    the Green function at the column next to the right edge.  Each row has
+    the bits of a one-source call.
 
     Separation of variables gives two exact sums: sine modes across the rows
     with the one-dimensional Green function along the columns, and the same
@@ -125,30 +129,27 @@ def _green_block(strip, sources, columns):
 
     Both sums are matrix products over the mode axis, per source, and the
     sums of |terms| are the same products of absolute values.  Rows first:
-    (modes[j'] g_cols(i, i')) @ modes, with g_cols evaluated per column and
-    source.  Columns first, the row factor g_k(lo, hi) = lead a(lo) b(hi)
-    exp(-mu (hi - lo)) of _line_factors (lead = 4 e^{-mu} / den) separates
-    target row j from source row j', so with psi = modes[i] modes[i'] the
-    targets j <= j' take (psi lead b(j') e^{-mu j'}) @ (a(j) e^{mu j}) and
-    those above take (psi lead a(j') e^{mu j'}) @ (b(j) e^{-mu j}).  Every
-    exponential is referenced to an edge of its block of ROW_BLOCK target
-    rows, so no factor exceeds e^{mu (ROW_BLOCK - 1)} whatever the strip's
-    size, and its exponent is formed exactly (_exp).  A source costs
-    O(len(columns) * rows * (rows + cols)) multiply-adds in BLAS and
-    O(len(columns) * rows + cols) exponentials; the two mode tables, the
-    factor tables and the target blocks' factors are evaluated once per
-    call and shared by every source block, and each source's entries have
-    the bits they get alone.
+    (modes[j'] g_cols(i', cols)) @ modes.  Columns first, the row factor
+    g_k(lo, hi) = lead a(lo) b(hi) exp(-mu (hi - lo)) of _line_factors
+    (lead = 4 e^{-mu} / den) separates target row j from source row j', so
+    with psi = modes[cols] modes[i'] the targets j <= j' take
+    (psi lead b(j') e^{-mu j'}) @ (a(j) e^{mu j}) and those above take
+    (psi lead a(j') e^{mu j'}) @ (b(j) e^{-mu j}).  Every exponential is
+    referenced to an edge of its block of ROW_BLOCK target rows, so no factor
+    exceeds e^{mu (ROW_BLOCK - 1)} whatever the strip's size, and its
+    exponent is formed exactly (_exp).  A source costs O(rows * (rows +
+    cols)) multiply-adds in BLAS and O(rows + cols) exponentials; the two
+    mode tables, the factor tables and the target blocks' factors are
+    evaluated once per call and shared by every source block.
     """
     for site in sources:
         strip.index(site)
     src = np.array(sources, dtype=int).reshape(-1, 2)
-    i = np.asarray(columns, dtype=int)
-    rows = strip.rows
+    rows, cols = strip.rows, strip.cols
     row_modes, row_mu = _modes(rows)
-    col_modes, col_mu = _modes(strip.cols)
+    col_modes, col_mu = _modes(cols)
     abs_row_modes = np.abs(row_modes)
-    row_num, row_den, row_a, row_b = _line_factors(row_mu, strip.cols)
+    row_num, row_den, row_a, row_b = _line_factors(row_mu, cols)
     col_num, col_den, col_a, col_b = _line_factors(col_mu, rows)
     col_lead = col_num / col_den
     # per block of target rows r0..r1: the target factors of the j <= j'
@@ -160,42 +161,37 @@ def _green_block(strip, sources, columns):
         down = (col_a[lo:hi] * _exp(col_mu, t - hi)).T
         up = (col_b[lo:hi] * _exp(col_mu, lo + 1 - t)).T
         spans.append((lo, hi, down, up))
-    out = np.empty((len(src), i.size, rows))
-    # per source and column: about 12 arrays across the rows (the rows-first
-    # factors, terms and sums, the columns-first sums and the selection)
-    # and 6 across the columns (the mode pairs and the scaled products)
-    step = block_rows(i.size * (12 * rows + 6 * strip.cols))
+    out = np.empty((len(src), rows))
+    # per source: about 12 arrays across the rows (the rows-first factors,
+    # terms and sums, the columns-first sums and the selection) and 6 across
+    # the columns (the mode pairs and the scaled products)
+    step = block_rows(12 * rows + 6 * cols)
     for start in range(0, len(src), step):
         ip, jp = src[start : start + step].T
-        near, far = np.minimum(i, ip[:, None]), np.maximum(i, ip[:, None])
-        g = row_num * _exp(row_mu, (near - far)[..., None])
-        g = g * (row_a[near - 1] * row_b[far - 1]) / row_den
-        terms = row_modes[jp - 1, None, :] * g
-        # the row modes are symmetric, so terms @ row_modes sums over k
-        value, size = terms @ row_modes, np.abs(terms) @ abs_row_modes
-        pair = col_modes[i - 1] * col_modes[ip - 1, None, :]
+        g = row_num * _exp(row_mu, (ip - cols)[:, None])
+        g = g * (row_a[ip - 1] * row_b[cols - 1]) / row_den
+        # one (1, modes) @ (modes, rows) product per source, so that a row's
+        # bits do not depend on its block; the row modes are symmetric, so
+        # terms @ row_modes sums over k
+        terms = (row_modes[jp - 1] * g)[:, None, :]
+        value = (terms @ row_modes)[:, 0]
+        size = (np.abs(terms) @ abs_row_modes)[:, 0]
+        pair = col_modes[cols - 1] * col_modes[ip - 1]
         alt, alt_size = np.empty_like(value), np.empty_like(value)
         for lo, hi, down, up in spans:
             # source factors, clipped to the block where their targets lie
             to_down = col_b[jp - 1] * _exp(col_mu, (hi - np.maximum(jp, lo + 1))[:, None])
             to_up = col_a[jp - 1] * _exp(col_mu, (np.minimum(jp, hi) - lo - 1)[:, None])
-            x, y = pair * (col_lead * to_down)[:, None, :], pair * (col_lead * to_up)[:, None, :]
+            x, y = pair * (col_lead * to_down), pair * (col_lead * to_up)
             # each product takes the terms and their absolute values at once
-            x = np.concatenate((x, np.abs(x)), axis=1) @ down
-            y = np.concatenate((y, np.abs(y)), axis=1) @ up
-            below = np.arange(lo + 1, hi + 1) <= jp[:, None, None]
-            alt[..., lo:hi] = np.where(below, x[:, : i.size], y[:, : i.size])
-            alt_size[..., lo:hi] = np.where(below, x[:, i.size :], y[:, i.size :])
+            x = np.stack((x, np.abs(x)), axis=1) @ down
+            y = np.stack((y, np.abs(y)), axis=1) @ up
+            below = np.arange(lo + 1, hi + 1) <= jp[:, None]
+            alt[:, lo:hi] = np.where(below, x[:, 0], y[:, 0])
+            alt_size[:, lo:hi] = np.where(below, x[:, 1], y[:, 1])
         better = alt_size * np.abs(value) < size * np.abs(alt)
-        out[start : start + step] = np.where(better, alt, value)
+        out[start : start + step] = 0.25 * np.where(better, alt, value)
     return out
-
-
-def exit_right(strip, sources):
-    """Right-edge exit probabilities from each interior site in `sources`,
-    one row per source over boundary rows 1..rows; each row has the bits of
-    a one-source call."""
-    return 0.25 * _green_block(strip, sources, [strip.cols])[:, 0, :]
 
 
 def first_passage_decomposition(strip, cut, starts):
@@ -206,7 +202,8 @@ def first_passage_decomposition(strip, cut, starts):
     row starts[q] first reaches column `cut` at row m+1, rm[m, b] the
     probability the walk from (cut, m+1) exits right at boundary row b+1,
     and f[q, b] the through probability, all read through exit_right(strip,
-    sources) (lm on the sub-strip of columns 1..cut-1); f = lm @ rm exactly.
+    sources): lm on the sub-strip of columns 1..cut-1, rm and f in one call
+    on the whole strip; f = lm @ rm exactly.
     Given the first-passage row, a walk's pieces before and after the cut
     are independent, which is what lets discrete_first_passage_density
     impose Fomin's condition on each piece separately.
@@ -220,9 +217,9 @@ def first_passage_decomposition(strip, cut, starts):
         lm = 0.25 * np.eye(strip.rows)[np.array(starts, dtype=int) - 1]
     else:
         lm = 0.25 * exit_right(LatticeStrip(strip.rows, cut - 1), [(1, s) for s in starts])
-    rm = exit_right(strip, [(cut, m) for m in range(1, strip.rows + 1)])
-    f = 0.25 * exit_right(strip, [(1, s) for s in starts])
-    return lm, rm, f
+    cut_sites = [(cut, m) for m in range(1, strip.rows + 1)]
+    right = exit_right(strip, cut_sites + [(1, s) for s in starts])
+    return lm, right[: strip.rows], 0.25 * right[strip.rows :]
 
 
 def discrete_first_passage_density(strip, n_paths, cut, starts, ends=None):

@@ -7,9 +7,10 @@ The helpers below the continuum closed forms serve single test modules:
 the biorthogonal basis builds the determinant route of
 joint_pdf_special_start_dets (test_correlation), loop_erase and
 walk_weight drive the walk enumeration that checks Fomin's identity and the
-loop-erased weights (test_graph_fomin), and discrete_green reads one entry
-of the lattice Green function and elementwise_green_block evaluates its two
-mode sums term by term (test_lattice_validation).
+loop-erased weights (test_graph_fomin), and elementwise_green_block
+evaluates the two mode sums of the lattice Green function term by term, the
+reference for the exit rows of lattice_validation.exit_right
+(test_lattice_validation).
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from lebp.errors import DomainError
-from lebp.lattice_validation import _green_block, _modes
+from lebp.lattice_validation import _modes
 from lebp.numerics import det_lu
 from lebp.rect_kernels import RectConfig, fomin_inner_det, hat_h, weyl_point
 
@@ -177,12 +178,6 @@ def walk_weight(net, walk):
 # --- lattice Green function (test_lattice_validation) -------------------------
 
 
-def discrete_green(strip, a, b):
-    """Expected visits to b of the walk from a before absorption; symmetric."""
-    strip.index(b)
-    return float(_green_block(strip, [a], [b[0]])[0, 0, b[1] - 1])
-
-
 def _mode_terms(table, m, p, pp, q, qp):
     """Terms k = 1..n (last axis) of the Green's function between sites
     (q, p) and (q', p') of a grid with n interior points across and m along:
@@ -203,10 +198,12 @@ def _mode_terms(table, m, p, pp, q, qp):
 
 
 def elementwise_green_block(strip, sources, columns):
-    """_green_block's two mode sums as full term tensors, sources by targets
-    by modes, one closed-form term per entry, with the same per-entry choice
-    of the sum whose sum|terms| / |sum| is smaller: the reference for the
-    production matrix products."""
+    """The Green function G(source, (i, j)) for every row j of the columns i
+    in `columns`, shape (sources, columns, rows): exit_right's two mode sums
+    as full term tensors, sources by targets by modes, one closed-form term
+    per entry, with the same per-entry choice of the sum whose
+    sum|terms| / |sum| is smaller.  On the column next to the right edge it
+    is the reference for exit_right's matrix products."""
     src = np.array(sources, dtype=int).reshape(-1, 2)
     i = np.asarray(columns, dtype=int)[None, :, None]
     j = np.arange(1, strip.rows + 1)

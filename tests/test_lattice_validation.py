@@ -18,10 +18,10 @@ from lebp.lattice_validation import (
     ordered_minor_sum,
 )
 from lebp import lattice_validation, numerics
-from lebp.lattice_validation import ROW_BLOCK, _green_block, _modes
+from lebp.lattice_validation import ROW_BLOCK, _modes
 from lebp.passage_densities import ChamberSequence, joint_pdf
 from lebp.rect_kernels import RectConfig, poisson_rect
-from oracles import discrete_green, elementwise_green_block
+from oracles import elementwise_green_block
 
 
 def mode_sum_exit(strip, a):
@@ -37,13 +37,6 @@ def mode_sum_exit(strip, a):
     modes = np.sin(np.outer(n, k * h))
     coefs = 2.0 / (rows + 1) * np.sin(n * j * h) * np.sinh(mu * i) / np.sinh(mu * (cols + 1))
     return coefs @ modes
-
-
-def green_columns(strip, sources):
-    """Green's function columns G(source, .) of the production mode sums,
-    one column per interior source."""
-    block = _green_block(strip, sources, range(1, strip.cols + 1))
-    return block.reshape(len(sources), strip.size).T
 
 
 def dense_green_columns(strip, sources):
@@ -94,27 +87,27 @@ def mp_mode_green(rows, cols, src, col):
 
 
 def test_single_cell_green():
+    # one cell: G = 1 at the only site, and the walk leaves right with 1/4
     strip = LatticeStrip(1, 1)
-    assert discrete_green(strip, (1, 1), (1, 1)) == 1.0
-    assert np.allclose(exit_right(strip, [(1, 1)])[0], [0.25])
+    assert np.array_equal(exit_right(strip, [(1, 1)]), [[0.25]])
 
 
 def test_green_symmetry():
+    # reciprocity on the exit column: G((cols, a), (cols, b)) is symmetric
     strip = LatticeStrip(7, 9)
     rng = np.random.default_rng(0)
     for _ in range(8):
-        a = (int(rng.integers(1, 10)), int(rng.integers(1, 8)))
-        b = (int(rng.integers(1, 10)), int(rng.integers(1, 8)))
-        assert discrete_green(strip, a, b) == pytest.approx(
-            discrete_green(strip, b, a), abs=1e-14
+        a, b = (int(r) for r in rng.integers(1, strip.rows + 1, size=2))
+        assert exit_right(strip, [(strip.cols, a)])[0][b - 1] == pytest.approx(
+            exit_right(strip, [(strip.cols, b)])[0][a - 1], abs=1e-14
         )
 
 
 def test_green_positive_and_diagonal_dominant():
     strip = LatticeStrip(5, 6)
-    g = green_columns(strip, [(3, 3)])[:, 0]
+    g = exit_right(strip, [(strip.cols, 3)])[0]
     assert np.all(g > 0.0)
-    assert g[strip.index((3, 3))] == g.max()
+    assert g[3 - 1] == g.max()
 
 
 def test_exit_right_matches_mode_sum():
@@ -153,26 +146,30 @@ def test_first_passage_at_cut_one_is_the_first_step():
     assert np.array_equal(lm, want)
 
 
-def test_green_columns_match_dense_solve():
+def dense_exit_rows(strip, sources):
+    """Right-edge exit rows from the dense solve: a quarter of each source's
+    Green function on the column next to the right edge."""
+    dense = dense_green_columns(strip, sources)
+    return 0.25 * dense[(strip.cols - 1) * strip.rows :].T
+
+
+def test_exit_rows_match_dense_solve():
     for strip, a in [
         (LatticeStrip(9, 13), (3, 4)),
         (LatticeStrip(15, 15), (1, 8)),
         (LatticeStrip(6, 4), (4, 5)),
     ]:
         sources = [a, (strip.cols, 1), (1, strip.rows)]
-        dense = dense_green_columns(strip, sources)
-        got = green_columns(strip, sources)
-        assert np.max(np.abs(got - dense) / dense) < 1e-13
-        right = 0.25 * dense[(strip.cols - 1) * strip.rows :, 0]
-        assert np.max(np.abs(exit_right(strip, [a])[0] - right) / right) < 1e-13
+        right = dense_exit_rows(strip, sources)
+        assert np.max(np.abs(exit_right(strip, sources) - right) / right) < 1e-13
 
 
-def test_green_block_evaluates_each_mode_table_once(monkeypatch):
+def test_exit_right_evaluates_each_mode_table_once(monkeypatch):
     # one source per block here: every block shares the call's two tables,
     # and the blocks give the bits of the one-block call
     strip = LatticeStrip(9, 13)
     sources = [(3, 4), (strip.cols, 1), (1, strip.rows), (7, 5)]
-    whole = _green_block(strip, sources, [2, strip.cols])
+    whole = exit_right(strip, sources)
     calls = []
 
     def counted(n):
@@ -182,7 +179,7 @@ def test_green_block_evaluates_each_mode_table_once(monkeypatch):
     original = lattice_validation._modes
     monkeypatch.setattr(lattice_validation, "_modes", counted)
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
-    blocked = _green_block(strip, sources, [2, strip.cols])
+    blocked = exit_right(strip, sources)
     assert sorted(calls) == [strip.rows, strip.cols]
     assert np.array_equal(blocked, whole)
 
@@ -194,29 +191,24 @@ def boundary_sources(strip):
     return [(1, 1), (c, 1), (1, r), (c, r), (mc, 1), (mc, r), (1, mr), (c, mr), (mc, mr)]
 
 
-def worst_relative_gap(strip, sources, columns):
-    """Largest relative gap between _green_block and the elementwise term
-    tensors of the oracle, over every source, column and row; the oracle
-    runs one column at a time to keep its tensors small."""
-    got = _green_block(strip, sources, columns)
-    worst = 0.0
-    for c, col in enumerate(columns):
-        ref = elementwise_green_block(strip, sources, [col])[:, 0]
-        worst = max(worst, float(np.max(np.abs(got[:, c] - ref) / ref)))
-    return worst
+def worst_relative_gap(strip, sources):
+    """Largest relative gap between exit_right and the elementwise term
+    tensors of the oracle on the exit column, over every source and row."""
+    got = exit_right(strip, sources)
+    ref = 0.25 * elementwise_green_block(strip, sources, [strip.cols])[:, 0]
+    return float(np.max(np.abs(got - ref) / ref))
 
 
 @pytest.mark.parametrize("rows, cols", [(9, 13), (31, 15), (63, 63), (127, 127)])
-def test_green_block_matches_elementwise_terms(rows, cols):
+def test_exit_rows_match_elementwise_terms(rows, cols):
     # the matrix products against one closed-form term per entry, with the
-    # same choice of form; measured worst gaps 6.3e-16, 8.7e-16, 2.8e-15
-    # and 2.6e-15, the rounding of sums whose terms partly cancel
+    # same choice of form; measured worst gaps 4.3e-16, 7.6e-16, 6.6e-16
+    # and 7.6e-16, the rounding of sums whose terms partly cancel
     strip = LatticeStrip(rows, cols)
-    gap = worst_relative_gap(strip, boundary_sources(strip), range(1, cols + 1))
-    assert gap <= 4e-15
+    assert worst_relative_gap(strip, boundary_sources(strip)) <= 4e-15
 
 
-def test_tall_strip_green_block_stays_finite():
+def test_tall_strip_exit_rows_stay_finite():
     # unreferenced, the columns-first factor e^{mu j} of the top mode
     # overflows from about 400 rows; the target-row blocks keep every
     # factor below e^{mu ROW_BLOCK}
@@ -226,12 +218,12 @@ def test_tall_strip_green_block_stays_finite():
         math.exp(mu_top * strip.rows)
     assert strip.rows > 2 * ROW_BLOCK
     sources = [(1, 1), (4, ROW_BLOCK), (7, ROW_BLOCK + 1), (4, 2 * ROW_BLOCK + 1), (7, 600)]
-    got = _green_block(strip, sources, range(1, strip.cols + 1))
+    got = exit_right(strip, sources)
     assert np.all(np.isfinite(got)) and np.all(got > 0.0)
     # entries fall to 1e-102 across the 600 rows; the oracle's
     # exp(-mu (hi - lo + 1)) rounds its argument, about mu |j - j'| units in
-    # the last place (measured worst gap 1.5e-14)
-    assert worst_relative_gap(strip, sources, [1, 4, 7]) <= 5e-14
+    # the last place (measured worst gap 1.4e-14)
+    assert worst_relative_gap(strip, sources) <= 5e-14
 
 
 def test_decomposition_matches_mpmath_mode_sum():
@@ -258,25 +250,24 @@ def test_long_strip_stays_finite_and_matches_dense_solve():
     with pytest.raises(OverflowError):
         math.sinh(2.0 * math.asinh(math.sin(3 * strip.spacing / 2)) * (strip.cols + 1))
     sources = [(1, 2), (250, 1), (499, 3)]
-    got = green_columns(strip, sources)
+    got = exit_right(strip, sources)
     assert np.all(np.isfinite(got)) and np.all(got > 0.0)
-    dense = dense_green_columns(strip, sources)
-    assert np.max(np.abs(got - dense) / dense) < 1e-12
-    for col, a in enumerate(sources):
-        right = 0.25 * dense[(strip.cols - 1) * strip.rows :, col]
-        assert np.max(np.abs(exit_right(strip, [a])[0] - right) / right) < 1e-12
+    right = dense_exit_rows(strip, sources)
+    assert np.max(np.abs(got - right) / right) < 1e-12
 
 
 def test_exit_probabilities_sum_to_one():
-    # exits through all four edges exhaust the walk
+    # exits through all four edges exhaust the walk; each edge is the right
+    # edge of the strip mirrored or transposed so that it lies on the right
     strip = LatticeStrip(8, 11)
-    a = (4, 5)
-    g = green_columns(strip, [a])[:, 0].reshape(strip.cols, strip.rows)
-    total = 0.25 * (
-        g[0, :].sum()      # left edge
-        + g[-1, :].sum()   # right edge
-        + g[:, 0].sum()    # bottom edge
-        + g[:, -1].sum()   # top edge
+    rows, cols = strip.rows, strip.cols
+    i, j = 4, 5
+    turned = LatticeStrip(cols, rows)
+    total = (
+        exit_right(strip, [(i, j)]).sum()                 # right edge
+        + exit_right(strip, [(cols + 1 - i, j)]).sum()    # left edge
+        + exit_right(turned, [(j, i)]).sum()              # top edge
+        + exit_right(turned, [(rows + 1 - j, i)]).sum()   # bottom edge
     )
     assert total == pytest.approx(1.0, abs=1e-13)
 
@@ -307,7 +298,17 @@ def test_strip_geometry_and_validation():
     with pytest.raises(DomainError):
         strip.index((1, 16))
     with pytest.raises(DomainError):
-        discrete_green(strip, (1, 0), (1, 1))
+        exit_right(strip, [(1, 0)])
+
+
+def test_exit_right_names_malformed_sources():
+    strip = LatticeStrip(5, 5)
+    for sources in [(3, 4), [(1, 2), (3,)], [(1.5, 2)]]:
+        with pytest.raises(DomainError, match=r"not a \(column, row\) pair"):
+            exit_right(strip, sources)
+    with pytest.raises(DomainError, match=r"site \(0, 2\) outside the interior grid"):
+        exit_right(strip, [(0, 2)])
+    assert exit_right(strip, []).shape == (0, strip.rows)
 
 
 def test_ordered_minor_sum_against_brute_force():
@@ -350,6 +351,17 @@ def test_cut_decomposition_is_exact():
         assert np.max(np.abs(lm @ rm - f)) < 1e-15
 
 
+def test_decomposition_reads_rm_and_f_in_one_call():
+    # one exit_right call on the whole strip gives rm and f the bits of
+    # their separate calls
+    strip = LatticeStrip(31, 31)
+    starts = (3, 11, 30)
+    for cut in (2, 16):
+        _, rm, f = first_passage_decomposition(strip, cut, starts)
+        assert np.array_equal(rm, exit_right(strip, [(cut, m) for m in range(1, 32)]))
+        assert np.array_equal(f, 0.25 * exit_right(strip, [(1, s) for s in starts]))
+
+
 def test_first_passage_single_path_dual_method():
     # the absorbing sub-strip route against the Green-matrix decomposition
     # G(a, s) = sum_{s'} P(first hit cut at s') G(s', s)
@@ -357,7 +369,7 @@ def test_first_passage_single_path_dual_method():
     cut, start = 8, 6
     lm, _, _ = first_passage_decomposition(strip, cut, (start,))
     cut_sites = [(cut, m) for m in range(1, strip.rows + 1)]
-    g = green_columns(strip, cut_sites)
+    g = dense_green_columns(strip, cut_sites)
     gss = g[[strip.index(s) for s in cut_sites], :]
     ga = g[strip.index((1, start)), :]
     hit = np.linalg.solve(gss.T, ga)
