@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
+from . import rect_kernels
 from .errors import DomainError
 from .numerics import TailBoundedValue, det_lu
-from .rect_kernels import _TWO_OVER_PI, SERIES_TOL, RectConfig, _series_terms, _sine_series
+from .rect_kernels import _TWO_OVER_PI, RectConfig, _series_terms, _sine_series
 from .rect_kernels import inner_coeffs, poisson_rect
 
 
@@ -55,7 +56,7 @@ def kernel_strip(n_paths, x, theta, x_prime, theta_prime):
         if u <= v:
             coeffs.flat[i] = inner_coeffs(np.arange(1, n_paths + 1), v, u)
         else:
-            tail, bound.flat[i] = _series_terms(v, u, SERIES_TOL, n_paths)
+            tail, bound.flat[i] = _series_terms(v, u, rect_kernels.SERIES_TOL, n_paths)
             tail[:n_paths] = 0.0
             coeffs.flat[i], sign.flat[i] = tail, -1.0
     value = sign * _sine_series(coeffs, theta, theta_prime)

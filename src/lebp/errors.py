@@ -11,7 +11,7 @@ class PrecisionError(ValueError):
 
 
 class TruncationError(RuntimeError):
-    """A series or enumeration could not certify the requested tolerance.
+    """A truncated series could not certify the requested tolerance.
 
     The ``achieved`` attribute carries the best certified bound at the point
     of failure, so callers can decide whether the partial result is usable.

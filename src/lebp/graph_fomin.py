@@ -37,31 +37,30 @@ class Network:
         (they matter for walks that *start* on the boundary); walks are
         absorbed when they *reach* a boundary vertex.
     interior, boundary : iterables of vertex ids
-        Disjoint, together covering all vertices.
+        Together they list each vertex exactly once.
 
     The interior-to-interior weight matrix Q must be strictly sub-critical.
     Construction solves for the walk matrix once and certifies rho(Q) < 1 in
     rounded arithmetic: w, the interior row sums of the computed walk matrix,
     must be positive with (I - Q) w >= s > 0, s = w - Qw - gamma (w + Qw).
     A singular system or a failed test raises DomainError.  rho_bound is the
-    Collatz-Wielandt bound max (w - s) / w of the same vector.
+    Collatz-Wielandt bound max (w - s) / w of the same vector, and the same
+    w and s bound the walk matrix's entrywise error (walk_error), also
+    computed at construction.
     """
 
     def __init__(self, vertex_count, edges, interior, boundary):
         vertex_count = int(vertex_count)
         if vertex_count < 1:
             raise DomainError("need at least one vertex")
-        interior = tuple(sorted(int(v) for v in interior))
-        boundary = tuple(sorted(int(v) for v in boundary))
-        if set(interior) & set(boundary):
-            raise DomainError("interior and boundary sets overlap")
-        if set(interior) | set(boundary) != set(range(vertex_count)):
-            raise DomainError("interior and boundary must partition the vertex set")
+        interior = sorted(int(v) for v in interior)
+        boundary = sorted(int(v) for v in boundary)
+        if sorted(interior + boundary) != list(range(vertex_count)):
+            raise DomainError("interior and boundary must list each vertex exactly once")
         self.vertex_count = vertex_count
-        self.interior = interior
-        self.boundary = boundary
-        self._int_index = {v: i for i, v in enumerate(interior)}
-        self._bnd_index = {v: i for i, v in enumerate(boundary)}
+        self.interior = tuple(interior)
+        self.boundary = tuple(boundary)
+        self._interior_set = frozenset(interior)
 
         # one step matrix over all vertices, boundary out-edges included
         p = np.zeros((vertex_count, vertex_count))
@@ -81,20 +80,20 @@ class Network:
         self.out_edges = {v: tuple(lst) for v, lst in out.items()}
         self._p = p
         self._interior_mask = np.zeros(vertex_count)
-        self._interior_mask[list(interior)] = 1.0
+        self._interior_mask[interior] = 1.0
         eye = np.eye(vertex_count)
+        k = eye - p * self._interior_mask
         try:
-            walk = eye + np.linalg.solve(eye - p * self._interior_mask, p)
+            walk = eye + np.linalg.solve(k, p)
         except np.linalg.LinAlgError:
             raise DomainError(
                 "interior weight matrix is not strictly sub-critical (I - Q is singular)"
             ) from None
         walk.setflags(write=False)
         self._walk = walk
-        self._walk_err = None
 
         # a positive w with (I - Q) w >= s > 0, checked in rounded arithmetic,
-        # gives rho(Q) <= max (w - s) / w < 1; walk_error reuses w and s
+        # gives rho(Q) <= max (w - s) / w < 1
         idx = np.ix_(interior, interior)
         w = walk[idx].sum(axis=1)
         qw = p[idx] @ w
@@ -104,11 +103,22 @@ class Network:
                 "interior weight matrix is not strictly sub-critical "
                 "(no positive w with (I - Q) w > 0 in rounded arithmetic)"
             )
-        self._w, self._s = w, s
         self.rho_bound = float(np.max((w - s) / w, initial=0.0))
 
+        # the entrywise error of the walk matrix, through the same w and s
+        y = walk - eye
+        gam = rounding_gamma(vertex_count + 3)
+        resid = np.abs(p - k @ y) + gam * (np.abs(p) + np.abs(k) @ np.abs(y))
+        err = resid * (1.0 + gam)
+        if interior:
+            c = np.max(resid[interior] / s[:, None], axis=0) * (1.0 + gam)
+            err[interior] = np.outer(w, c)
+            err[boundary] += np.outer(p[np.ix_(boundary, interior)] @ w, c)
+        err.setflags(write=False)
+        self._walk_err = err
+
     def is_interior(self, v):
-        return v in self._int_index
+        return v in self._interior_set
 
     def walk_matrix(self):
         """W = I + P (I - D P)^{-1} over all vertices, solved at construction.
@@ -121,7 +131,7 @@ class Network:
 
     def walk_error(self):
         """Entrywise certified bound on |walk_matrix() - W|, W the exact walk
-        matrix; computed on the first call and kept with the network.
+        matrix; computed at construction.
 
         With K = I - P D, the exact W is I + K^{-1} P, so the computed W^
         misses it by K^{-1} R for the residual R = P - K (W^ - I).  K^{-1} is
@@ -136,20 +146,6 @@ class Network:
         by the residual computed in floating point plus that computation's
         own rounding.
         """
-        if self._walk_err is None:
-            eye = np.eye(self.vertex_count)
-            k = eye - self._p * self._interior_mask
-            y = self._walk - eye
-            gam = rounding_gamma(self.vertex_count + 3)
-            resid = np.abs(self._p - k @ y) + gam * (np.abs(self._p) + np.abs(k) @ np.abs(y))
-            err = resid * (1.0 + gam)
-            interior, boundary = list(self.interior), list(self.boundary)
-            if interior:
-                c = np.max(resid[interior] / self._s[:, None], axis=0) * (1.0 + gam)
-                err[interior] = np.outer(self._w, c)
-                err[boundary] += np.outer(self._p[np.ix_(boundary, interior)] @ self._w, c)
-            err.setflags(write=False)
-            self._walk_err = err
         return self._walk_err
 
 
@@ -172,7 +168,7 @@ class BoundaryTuple:
 
     def validate(self, net):
         for v in self.a + self.b:
-            if v not in net._bnd_index:
+            if not 0 <= v < net.vertex_count or net.is_interior(v):
                 raise DomainError(f"vertex {v} is not a boundary vertex")
 
     @property
@@ -226,7 +222,7 @@ def _self_avoiding_paths(net, a, b, avoid, budget, handle):
     path = []
     blocked = set(avoid)
     out_edges = net.out_edges
-    is_interior = net._int_index.__contains__
+    is_interior = net._interior_set.__contains__
 
     def rec(v, weight):
         for head, w in out_edges.get(v, ()):

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rect_kernels
 from .errors import DomainError, PrecisionError, TruncationError
 from .numerics import PFAFFIAN_COPIES, graded_pfaffian, pfaffian, sine_multiples, stacked
-from .rect_kernels import _TWO_OVER_PI, SERIES_TOL, _coeffs, _kernel_det, _majorant, _majorant_tail
+from .rect_kernels import _TWO_OVER_PI, _coeffs, _kernel_det, _majorant, _majorant_tail
 from .rect_kernels import _series_terms, angle_tuples, boundary_coeffs, hat_h, weyl_point
 
 
@@ -148,7 +149,7 @@ def _norm_series(x, L, n):
     factor = n**n * math.pi**n / (math.factorial(n) * math.factorial(n - 1))
     factor *= _majorant_tail(*_majorant(x, L), 0) ** (n - 1)
     try:
-        coefs, tail = _series_terms(x, L, min(SERIES_TOL, lead * 1e-15) / factor, n)
+        coefs, tail = _series_terms(x, L, min(rect_kernels.SERIES_TOL, lead * 1e-15) / factor, n)
     except TruncationError as exc:
         raise TruncationError(f"norm {exc}", factor * exc.achieved) from None
     return coefs, factor * tail

@@ -674,11 +674,13 @@ def test_validate_failure_sets_exit_code(monkeypatch):
 
 
 def test_suite_choices_are_the_validation_suites():
-    from lebp import validation
+    from lebp import cli, validation
 
     (sub,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
     (suite,) = [a for a in sub.choices["validate"]._actions if a.dest == "suite"]
     assert list(suite.choices) == sorted(validation.SUITES) + ["all"]
+    # the parser's copy, kept so that building it does not import validation
+    assert cli._SUITE_NAMES == tuple(sorted(validation.SUITES))
 
 
 def test_unknown_suite_is_rejected():

@@ -275,6 +275,17 @@ def test_network_rejects_overlapping_sets():
         Network(2, [], interior=[0, 1], boundary=[1])
 
 
+def test_network_rejects_repeated_vertex(tmp_path):
+    # interior 1 listed twice; the sets are disjoint and cover 0 .. 2
+    edges = [(0, 1, 0.5), (1, 2, 0.5)]
+    with pytest.raises(DomainError, match="exactly once"):
+        Network(3, edges, interior=[1, 1], boundary=[0, 2])
+    p = tmp_path / "net.txt"
+    p.write_text("interior: 1 1\nboundary: 0 2\n0 1 0.5\n1 2 0.5\n")
+    with pytest.raises(DomainError, match="exactly once"):
+        load_network(p)
+
+
 def test_network_rejects_incomplete_cover():
     with pytest.raises(DomainError):
         Network(3, [], interior=[0], boundary=[1])
@@ -504,8 +515,9 @@ def test_boundary_tuple_validation(path_net):
         BoundaryTuple((0, 4), (4,))  # length mismatch
     bt = BoundaryTuple((0,), (4,))
     bt.validate(path_net)
-    with pytest.raises(DomainError):
-        BoundaryTuple((0,), (1,)).validate(path_net)  # 1 is interior
+    for v in (1, 5, -1):  # interior, then out of range on both sides
+        with pytest.raises(DomainError, match=f"vertex {v} is not a boundary vertex"):
+            BoundaryTuple((0,), (v,)).validate(path_net)
 
 
 def test_fomin_det_single_pair_is_walk_green(path_net):

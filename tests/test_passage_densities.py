@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lebp.errors import DomainError, PrecisionError, TruncationError
-from lebp import passage_densities, rect_kernels
+from lebp import rect_kernels
 from lebp.numerics import gauss_legendre
 from lebp.passage_densities import (
     ChamberSequence,
@@ -180,7 +180,7 @@ def test_norm_series_tail_bound_is_honest(monkeypatch):
     # bound the budget error reports.
     def at_targets(target, n_max, *args):
         with monkeypatch.context() as m:
-            m.setattr(passage_densities, "SERIES_TOL", target)
+            m.setattr(rect_kernels, "SERIES_TOL", target)
             m.setattr(rect_kernels, "N_MAX", n_max)
             return _norm_series(*args)
 
@@ -197,7 +197,7 @@ def test_norm_series_tail_bound_is_honest(monkeypatch):
         assert abs(_chamber_norm(coefs, theta) - exact) <= bound
         for m_max in range(n, coefs.size // 2 + 1, 2):
             with pytest.raises(TruncationError) as exc:
-                at_targets(passage_densities.SERIES_TOL, m_max, x, L, n)
+                at_targets(rect_kernels.SERIES_TOL, m_max, x, L, n)
             assert abs(_chamber_norm(full[:m_max], theta) - exact) <= exc.value.achieved
 
 
@@ -209,7 +209,7 @@ def test_norm_series_reads_the_target_in_force(monkeypatch):
     x, L, theta = 0.8, 2.0, [0.9, 2.1]
     norm_inner(RectConfig(L), x, theta)
     default, _ = _norm_series(x, L, len(theta))
-    monkeypatch.setattr(passage_densities, "SERIES_TOL", 1e-22)
+    monkeypatch.setattr(rect_kernels, "SERIES_TOL", 1e-22)
     tight, _ = _norm_series(x, L, len(theta))
     assert tight.size > default.size
 

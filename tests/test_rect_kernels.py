@@ -205,6 +205,13 @@ def test_tail_bound_is_honest(monkeypatch):
     got = loose(boundary_poisson_rect, 0.9, 2.0)
     tight = boundary_poisson_rect(cfg, 0.9, 2.0)
     assert abs(got.value - tight.value) <= got.bound
+    # the strip kernel's tail branch reads the same target when it runs
+    with monkeypatch.context() as m:
+        m.setattr(rect_kernels, "SERIES_TOL", 1e-5)
+        got = kernel_strip(3, 1.5, 1.0, 1.0, 2.0)
+    tight = kernel_strip(3, 1.5, 1.0, 1.0, 2.0)
+    assert got.bound > 1e-12  # measured 6.3e-6, against a gap of 5.3e-7
+    assert abs(got.value - tight.value) <= got.bound
 
 
 @pytest.mark.parametrize(
