@@ -9,9 +9,12 @@ Conventions
 -----------
 * Output is CSV with a mandatory header row; floats are printed with 17
   significant digits so they round-trip exactly.  Handlers return
-  columns and one writer formats every CSV; no field holds a comma, a
-  quote or a newline, so none needs quoting.  ``validate`` emits a JSON
-  report instead.
+  columns, a grid handler its axes too, and one writer formats every CSV.
+  A grid's text is assembled a block of rows at a time (the rows that
+  share every coordinate but the last): each axis value and each entry of
+  a per-pair bound is formatted once, and every full-grid column goes
+  through one "%.17g" pass.  No field holds a comma, a quote or a newline,
+  so none needs quoting.  ``validate`` emits a JSON report instead.
 * Angle-valued flags accept rational multiples of pi ("pi/2", "3pi/4",
   "2*pi/3") as well as plain decimals; grid-valued flags accept either a
   single literal or "start:stop:count".  A literal with a zero
@@ -29,7 +32,9 @@ Conventions
   exactly what the per-point library call returns.
 * Each handler imports the library modules it runs when it runs, and
   ``json`` is imported only to write or read a report or a manifest, so
-  building the parser loads no compute module.
+  building the parser loads no compute module.  A run builds the parser
+  of its own subcommand only; ``--help`` and a bad or missing subcommand
+  get the full parser, and both print the same usage line.
 * Every series is truncated at the library's fixed targets
   (``rect_kernels.SERIES_TOL``, ``N_MAX``, ``MIN_GAP``); no flag sets them.
 """
@@ -137,61 +142,99 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _write_csv(stream, header, columns):
-    """Write the header line, then one line per row of `columns`.
+def _write_csv(stream, header, columns, axes=()):
+    """Write the header line, then one line per row.
 
-    A column is a numeric array, or a sequence whose cells are numbers or
-    preformatted strings (coordinates, integer fields, flags, names, an
+    Without `axes`, a column is a numeric array, or a sequence whose cells
+    are numbers or preformatted strings (integer fields, flags, names, an
     empty cell); _fmt formats every numeric cell of a sequence.  The rows
     are one %-line template, "%.17g" per array column and "%s" per sequence
-    column, repeated once per row and applied to every cell at once;
+    column, repeated once per row and applied to every cell at once.
+
+    With `axes`, the rows are the product grid of the axes, last axis
+    fastest, and they print each point's coordinates before `columns`,
+    numeric arrays that broadcast over the grid (see _grid_template).
+
     '%.17g' % v prints the bytes of _fmt(v), -0, inf and nan included.  No
-    field can hold a comma, a quote or a newline, so no field needs
-    RFC-4180 quoting.
+    field can hold a comma, a quote or a newline, so no field needs RFC-4180
+    quoting.
     """
-    template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-    cells = [
-        c.ravel().tolist()
-        if isinstance(c, np.ndarray)
-        else [v if isinstance(v, str) else _fmt(v) for v in c]
-        for c in columns
-    ]
-    rows = min(map(len, cells), default=0)
-    text = (template * rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
+    if axes:
+        template, cells = _grid_template(columns, axes)
+    else:
+        template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns)
+        cells = [
+            c.ravel().tolist()
+            if isinstance(c, np.ndarray)
+            else [v if isinstance(v, str) else _fmt(v) for v in c]
+            for c in columns
+        ]
+        template = (template + "\n") * min(map(len, cells), default=0)
+    text = template % tuple(itertools.chain.from_iterable(zip(*cells)))
     stream.write(",".join(header) + "\n" + text)
+
+
+def _grid_template(columns, axes):
+    """The %-template of the rows over the product grid of `axes`, last axis
+    fastest, and the cell lists that fill its "%.17g" fields in one pass.
+
+    Each axis value, and each entry of a column smaller than the grid (a
+    per-pair bound), is formatted once and written into the template; a
+    column that fills the grid is a "%.17g" field.  A block is the rows that
+    share every coordinate but the last.  They differ only from the last
+    coordinate through the last column that varies along the last axis
+    alone, so a block is its own head and tail joined around per-row
+    middles that every block shares.  A column inside that span that varies
+    along an outer axis becomes a "%.17g" field too.
+    """
+    shape = tuple(map(len, axes))
+    k = len(shape)
+    columns = [np.reshape(c, (1,) * (k - np.ndim(c)) + np.shape(c)) for c in columns]
+    ends = [","] * (k + len(columns) - 1) + ["\n"]
+    # one past the last segment (coordinate or column) that varies along the last axis alone
+    stop = max((k + n + 1 for n, c in enumerate(columns) if c.size == c.shape[-1] > 1), default=k)
+    segments, cells = [], []
+    for a, axis in enumerate(axes):
+        text = np.array([_fmt(t) + ends[a] for t in axis.tolist()], dtype=object)
+        segments.append(text.reshape((1,) * a + (-1,) + (1,) * (k - a - 1)))
+    for n, c in enumerate(columns, start=k):
+        outer = c.size > c.shape[-1]
+        if c.shape == shape or outer and (c.shape[-1] > 1 or n < stop):
+            cells.append(np.broadcast_to(c, shape).ravel().tolist())
+            segments.append(np.array("%.17g" + ends[n], dtype=object))
+        else:
+            text = [_fmt(v) + ends[n] for v in c.ravel().tolist()]
+            segments.append(np.array(text, dtype=object).reshape(c.shape))
+
+    def joined(parts, over):
+        out = np.full(over, "", dtype=object)
+        for part in parts:
+            out = out + part
+        return out.ravel().tolist()
+
+    block = shape[:-1] + (1,)
+    heads = joined(segments[: k - 1], block)
+    tails = joined(segments[stop:], block)
+    middles = joined(segments[k - 1 : stop], (1,) * (k - 1) + shape[-1:])
+    template = "".join(h + (t + h).join(middles) + t for h, t in zip(heads, tails) if middles)
+    return template, cells
 
 
 # --- subcommand handlers -------------------------------------------------------------
 #
-# A CSV handler returns (header, columns), or (header, columns, exit_code);
-# main() hands them to _write_csv.
+# A CSV handler returns (header, columns), (header, columns, axes) for a
+# product grid, or (header, columns, axes, exit_code); main() hands the first
+# three to _write_csv.
 
 
 def _names(prefix, count):
     return [f"{prefix}_{j + 1}" for j in range(count)]
 
 
-def _coordinates(*axes):
-    """One preformatted column over the product grid of `axes`, last axis
-    fastest: each cell joins a point's coordinates with commas.  Each axis
-    value is formatted once."""
-    return [",".join(p) for p in itertools.product(*([_fmt(t) for t in a] for a in axes))]
-
-
-def _spread(column, shape):
-    """A numeric column laid out over `shape`: the array itself if it fills
-    the shape, else each of its entries formatted once and repeated over
-    the rows it broadcasts to (a per-pair bound over a pair grid)."""
-    if column.shape == shape:
-        return column
-    cells = np.array([_fmt(v) for v in column.ravel().tolist()], dtype=object)
-    return np.broadcast_to(cells.reshape(column.shape), shape).ravel().tolist()
-
-
 def _pair_grid(ns, names, evaluate):
-    """Header and columns over the grid flags `names` (first, theta, second,
-    theta_p), in that order: the four coordinates, the value and its tail
-    bound.
+    """Header, columns and axes over the grid flags `names` (first, theta,
+    second, theta_p), in that order: the four coordinates, the value and its
+    tail bound.
 
     evaluate(u, theta, v, theta_p) returns a TailBoundedValue; it is called
     once, broadcast over the whole first x theta x second x theta_p grid.
@@ -200,8 +243,7 @@ def _pair_grid(ns, names, evaluate):
     value, bound = evaluate(
         first[:, None, None, None], theta[:, None, None], second[:, None], theta_p
     )
-    columns = [_coordinates(first, theta, second, theta_p), value, _spread(bound, value.shape)]
-    return [*names, "value", "tail_bound"], columns
+    return [*names, "value", "tail_bound"], [value, bound], (first, theta, second, theta_p)
 
 
 def _cartesian(radii, thetas):
@@ -232,7 +274,7 @@ def _cmd_density(ns):
     radii = parse_grid(ns.r, "--r")
     thetas = parse_grid(ns.theta, "--theta")
     value = density_semicircle(n_paths, radii[:, None], thetas)
-    return ["r", "theta", "value"], [_coordinates(radii, thetas), value]
+    return ["r", "theta", "value"], [value], (radii, thetas)
 
 
 def _cmd_two_point(ns):
@@ -312,7 +354,7 @@ def _cmd_fomin_check(ns):
     within = diff <= bound
     header = ["size", "paths", "max_len", "determinant", "enumeration", "tail_bound"]
     fields = [str(size), str(n_paths), str(max_len), det, brute, bound, diff, str(int(within))]
-    return [*header, "abs_diff", "within_bound"], [[v] for v in fields], 0 if within else 1
+    return [*header, "abs_diff", "within_bound"], [[v] for v in fields], (), 0 if within else 1
 
 
 def _cmd_crossing(ns):
@@ -400,113 +442,102 @@ def _cmd_validate(ns):
 
 # --- parser / manifest ---------------------------------------------------------------
 
-_HANDLERS = {
-    "kernel": _cmd_kernel,
-    "density": _cmd_density,
-    "two-point": _cmd_two_point,
-    "pdf": _cmd_pdf,
-    "joint-pdf": _cmd_joint_pdf,
-    "fomin-check": _cmd_fomin_check,
-    "crossing-exponent": _cmd_crossing,
-    "lattice-validate": _cmd_lattice_validate,
-    "figure": _cmd_figure,
-    "validate": _cmd_validate,
+# the --phi help of pdf and joint-pdf
+_PHI_HELP = "comma tuple of start angles (default: the midpoint start, entering from x = -inf)"
+_L_HELP = "rectangle length (default: infinite strip)"
+
+# every subcommand: its handler, its help line and its own arguments, as
+# (flag, add_argument keywords) in help order; --output and --save-manifest
+# follow them in every subcommand
+_SUBCOMMANDS = {
+    "kernel": (_cmd_kernel, "correlation kernel on a parameter grid", (
+        ("--domain", dict(choices=("strip", "semicircle"), required=True)),
+        ("--N", dict(required=True, help="number of paths")),
+        ("--x", dict(default=None, help="strip cut (grid)")),
+        ("--xp", dict(default=None, help="strip second cut (grid)")),
+        ("--r", dict(default=None, help="semicircle radius (grid)")),
+        ("--rp", dict(default=None, help="semicircle second radius (grid)")),
+        ("--theta", dict(required=True, help="first angle (grid)")),
+        ("--thetap", dict(required=True, help="second angle (grid)")),
+    )),
+    "density": (_cmd_density, "arc density on a grid", (
+        ("--N", dict(required=True, help="number of paths")),
+        ("--r", dict(required=True, help="radius (grid)")),
+        ("--theta", dict(required=True, help="angle (grid)")),
+    )),
+    "two-point": (_cmd_two_point, "two-point correlation on a grid", (
+        ("--N", dict(required=True, help="number of paths")),
+        ("--r", dict(required=True, help="first radius (grid)")),
+        ("--theta", dict(required=True, help="first angle (grid)")),
+        ("--rp", dict(required=True, help="second radius (grid)")),
+        ("--thetap", dict(required=True, help="second angle (grid)")),
+    )),
+    "pdf": (_cmd_pdf, "first-passage density at one cut", (
+        ("--x", dict(default=None, help="cut position")),
+        ("--theta", dict(required=True, help="comma tuple of passage angles")),
+        ("--phi", dict(default=None, help=_PHI_HELP)),
+        ("--L", dict(default=None, help=_L_HELP)),
+    )),
+    "joint-pdf": (_cmd_joint_pdf, "joint passage density across several cuts", (
+        ("--cuts", dict(required=True, help="comma tuple of cut positions")),
+        ("--theta", dict(required=True, help="angle tuples, one per cut, '/'-separated")),
+        ("--phi", dict(default=None, help=_PHI_HELP)),
+        ("--L", dict(default=None, help=_L_HELP)),
+    )),
+    "fomin-check": (_cmd_fomin_check, "walk determinant vs brute-force enumeration", (
+        ("--size", dict(default="3", help="interior grid size")),
+        ("--paths", dict(default="2", help="number of paths")),
+        ("--max-len", dict(
+            dest="max_len",
+            default="14",
+            help="ignored: the enumeration is exact; still checked and printed",
+        )),
+    )),
+    "crossing-exponent": (_cmd_crossing, "fit the nonintersection decay exponent", (
+        ("--paths", dict(default="2", help="number of paths")),
+        ("--lengths", dict(default="6,8,10,12", help="comma tuple of rectangle lengths")),
+        ("--phi", dict(default=None, help="comma tuple of start angles")),
+        ("--rho", dict(default=None, help="comma tuple of end angles")),
+        ("--cap", dict(default="8", help="ignored: the truncation is certified")),
+    )),
+    "lattice-validate": (_cmd_lattice_validate, "lattice refinement table", (
+        ("--levels", dict(default="15,31,63", help="comma tuple of strip heights")),
+    )),
+    "figure": (_cmd_figure, "emit the data set behind one figure", (
+        ("--id", dict(required=True, choices=("7", "8", "9", "10"))),
+    )),
+    "validate": (_cmd_validate, "run a validation suite", (
+        ("--suite", dict(required=True, choices=(*_SUITE_NAMES, "all"))),
+    )),
 }
 
 
-def _add_common(parser):
-    parser.add_argument("--output", default=None, help="CSV/JSON file (default: stdout)")
-    parser.add_argument(
-        "--save-manifest", dest="save_manifest", default=None, help="record the run as JSON"
-    )
+def build_parser(name=None):
+    """The lebp parser: with every subcommand, or with `name`'s alone.
 
-
-# the --phi help of pdf and joint-pdf
-_PHI_HELP = "comma tuple of start angles (default: the midpoint start, entering from x = -inf)"
-
-
-def build_parser():
+    Both print the same usage line, so any error after a valid subcommand
+    reads the same.  A bad or missing subcommand needs the full parser: its
+    error names the argument "subcommand", where the one-subcommand parser's
+    would name it by that usage line's list of choices.
+    """
     parser = argparse.ArgumentParser(
         prog="lebp",
         description="Nonintersecting loop-erased paths: kernels, densities, validation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("kernel", help="correlation kernel on a parameter grid")
-    p.add_argument("--domain", choices=("strip", "semicircle"), required=True)
-    p.add_argument("--N", required=True, help="number of paths")
-    p.add_argument("--x", default=None, help="strip cut (grid)")
-    p.add_argument("--xp", default=None, help="strip second cut (grid)")
-    p.add_argument("--r", default=None, help="semicircle radius (grid)")
-    p.add_argument("--rp", default=None, help="semicircle second radius (grid)")
-    p.add_argument("--theta", required=True, help="first angle (grid)")
-    p.add_argument("--thetap", required=True, help="second angle (grid)")
-    _add_common(p)
-
-    p = sub.add_parser("density", help="arc density on a grid")
-    p.add_argument("--N", required=True, help="number of paths")
-    p.add_argument("--r", required=True, help="radius (grid)")
-    p.add_argument("--theta", required=True, help="angle (grid)")
-    _add_common(p)
-
-    p = sub.add_parser("two-point", help="two-point correlation on a grid")
-    p.add_argument("--N", required=True, help="number of paths")
-    p.add_argument("--r", required=True, help="first radius (grid)")
-    p.add_argument("--theta", required=True, help="first angle (grid)")
-    p.add_argument("--rp", required=True, help="second radius (grid)")
-    p.add_argument("--thetap", required=True, help="second angle (grid)")
-    _add_common(p)
-
-    p = sub.add_parser("pdf", help="first-passage density at one cut")
-    p.add_argument("--x", default=None, help="cut position")
-    p.add_argument("--theta", required=True, help="comma tuple of passage angles")
-    p.add_argument("--phi", default=None, help=_PHI_HELP)
-    p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
-    _add_common(p)
-
-    p = sub.add_parser("joint-pdf", help="joint passage density across several cuts")
-    p.add_argument("--cuts", required=True, help="comma tuple of cut positions")
-    p.add_argument("--theta", required=True, help="angle tuples, one per cut, '/'-separated")
-    p.add_argument("--phi", default=None, help=_PHI_HELP)
-    p.add_argument("--L", default=None, help="rectangle length (default: infinite strip)")
-    _add_common(p)
-
-    p = sub.add_parser("fomin-check", help="walk determinant vs brute-force enumeration")
-    p.add_argument("--size", default="3", help="interior grid size")
-    p.add_argument("--paths", default="2", help="number of paths")
-    p.add_argument(
-        "--max-len",
-        dest="max_len",
-        default="14",
-        help="ignored: the enumeration is exact; still checked and printed",
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, metavar=None if name is None else choices
     )
-    _add_common(p)
-
-    p = sub.add_parser("crossing-exponent", help="fit the nonintersection decay exponent")
-    p.add_argument("--paths", default="2", help="number of paths")
-    p.add_argument("--lengths", default="6,8,10,12", help="comma tuple of rectangle lengths")
-    p.add_argument("--phi", default=None, help="comma tuple of start angles")
-    p.add_argument("--rho", default=None, help="comma tuple of end angles")
-    p.add_argument("--cap", default="8", help="ignored: the truncation is certified")
-    _add_common(p)
-
-    p = sub.add_parser("lattice-validate", help="lattice refinement table")
-    p.add_argument("--levels", default="15,31,63", help="comma tuple of strip heights")
-    _add_common(p)
-
-    p = sub.add_parser("figure", help="emit the data set behind one figure")
-    p.add_argument("--id", required=True, choices=("7", "8", "9", "10"))
-    _add_common(p)
-
-    p = sub.add_parser("validate", help="run a validation suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=(*_SUITE_NAMES, "all"),
-    )
-    _add_common(p)
-
+    for sub_name in _SUBCOMMANDS if name is None else (name,):
+        _, help_text, arguments = _SUBCOMMANDS[sub_name]
+        p = sub.add_parser(sub_name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--output", default=None, help="CSV/JSON file (default: stdout)")
+        p.add_argument(
+            "--save-manifest", dest="save_manifest", default=None, help="record the run as JSON"
+        )
     return parser
 
 
@@ -547,7 +578,7 @@ def _replay(path, output_override):
     if not isinstance(arguments, dict):
         raise UsageError(f"manifest {path}: the record and its arguments must be JSON objects")
     sub_name = payload.get("subcommand")
-    if not isinstance(sub_name, str) or sub_name not in _HANDLERS:
+    if not isinstance(sub_name, str) or sub_name not in _SUBCOMMANDS:
         raise UsageError(f"manifest {path} names unknown subcommand {sub_name!r}")
     argv = [sub_name]
     for key, value in arguments.items():
@@ -567,14 +598,15 @@ def main(argv=None):
             replay.add_argument("--output", default=None)
             rns = replay.parse_args(argv[1:])
             return _replay(rns.manifest, rns.output)
-        ns = build_parser().parse_args(argv)
-        result = _HANDLERS[ns.subcommand](ns)
+        # a run builds its own subcommand's parser only
+        ns = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
+        result = _SUBCOMMANDS[ns.subcommand][0](ns)
         if isinstance(result[0], str):  # validate: JSON text and exit code
             text, code = result
         else:
             buffer = io.StringIO()
-            _write_csv(buffer, result[0], result[1])
-            text, code = buffer.getvalue(), result[2] if len(result) > 2 else 0
+            _write_csv(buffer, *result[:3])
+            text, code = buffer.getvalue(), result[3] if len(result) > 3 else 0
         # every file is written before stdout, so a run that cannot write
         # one prints nothing
         files = [] if ns.output is None else [(ns.output, text)]

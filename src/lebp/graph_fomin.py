@@ -17,7 +17,6 @@ network the minors telescope into one minor of I - Q.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,22 +148,22 @@ class Network:
         return self._walk_err
 
 
-@dataclass(frozen=True)
 class BoundaryTuple:
-    """Start tuple A and target tuple B of pairwise distinct boundary vertices."""
+    """Start tuple A and target tuple B of pairwise distinct boundary
+    vertices, stored as tuples of ints.  Their count and distinctness are
+    checked here; validate(net) checks them against a network."""
 
-    a: tuple
-    b: tuple
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a = tuple(int(v) for v in self.a)
-        b = tuple(int(v) for v in self.b)
+    def __init__(self, a, b):
+        a = tuple(int(v) for v in a)
+        b = tuple(int(v) for v in b)
         if len(a) != len(b) or not a:
             raise DomainError("A and B must be nonempty tuples of equal length")
         if len(set(a) | set(b)) != 2 * len(a):
             raise DomainError("the 2N boundary vertices must be pairwise distinct")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.a = a
+        self.b = b
 
     def validate(self, net):
         for v in self.a + self.b:

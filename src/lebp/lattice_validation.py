@@ -29,7 +29,6 @@ these matrices give the discrete nonintersecting first-passage densities.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +43,19 @@ from .rect_kernels import RectConfig, boundary_poisson_rect
 ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
 class LatticeStrip:
     """Interior grid of a strip of height pi: `rows` interior rows of
     spacing h = pi/(rows+1) and `cols` interior columns of the same spacing.
+    Both counts are checked once, here.
     """
 
-    rows: int
-    cols: int
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows, cols):
+        if rows < 1 or cols < 1:
             raise DomainError("need at least one interior row and column")
+        self.rows = rows
+        self.cols = cols
 
     @property
     def spacing(self):

@@ -16,7 +16,6 @@ rect_kernels._series_terms.
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,22 +75,23 @@ def stacked(f, stack, width, core=1):
     return _unstack(out, batch)
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for integration over an interval (default (0, pi))."""
+    """Nodes and weights for integration over an interval (default (0, pi)).
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    Both are stored as float arrays, checked once, here: matching, 1-d and
+    nonempty, with strictly increasing nodes."""
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+    __slots__ = ("nodes", "weights")
+
+    def __init__(self, nodes, weights):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise DomainError("nodes and weights must be matching 1-d arrays")
         if np.any(np.diff(nodes) <= 0.0):
             raise DomainError("nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        self.nodes = nodes
+        self.weights = weights
 
     @property
     def order(self):

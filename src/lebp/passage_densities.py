@@ -31,7 +31,6 @@ so that exponentially small norms keep their relative accuracy.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +41,19 @@ from .rect_kernels import _TWO_OVER_PI, _coeffs, _kernel_det, _majorant, _majora
 from .rect_kernels import _series_terms, angle_tuples, boundary_coeffs, hat_h, weyl_point
 
 
-@dataclass(frozen=True)
 class ChamberSequence:
-    """Ordered cut positions 0 < x_1 < ... < x_M."""
+    """Ordered cut positions 0 < x_1 < ... < x_M, stored as a tuple of
+    floats and checked once, here."""
 
-    cuts: tuple
+    __slots__ = ("cuts",)
 
-    def __post_init__(self):
-        cuts = tuple(float(x) for x in self.cuts)
+    def __init__(self, cuts):
+        cuts = tuple(float(x) for x in cuts)
         if not cuts:
             raise DomainError("need at least one cut")
         if cuts[0] <= 0.0 or any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise DomainError("cuts must be strictly increasing and positive")
-        object.__setattr__(self, "cuts", cuts)
+        self.cuts = cuts
 
     @property
     def m(self):

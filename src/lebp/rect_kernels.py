@@ -16,7 +16,6 @@ decay against the product of diagonal kernel values.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +33,17 @@ N_MAX = 100_000
 MIN_GAP = 1e-3
 
 
-@dataclass(frozen=True)
 class RectConfig:
-    """Rectangle (0, L) x (0, pi); paths run from the left edge to the right."""
+    """Rectangle (0, L) x (0, pi); paths run from the left edge to the right.
 
-    L: float
+    L is checked once, here; nothing assigns it afterwards."""
 
-    def __post_init__(self):
-        if not (self.L > 0.0 and math.isfinite(self.L)):
+    __slots__ = ("L",)
+
+    def __init__(self, L):
+        if not (L > 0.0 and math.isfinite(L)):
             raise DomainError("rectangle length L must be positive and finite")
+        self.L = L
 
 
 def weyl_point(angles):
@@ -306,12 +307,22 @@ CROSSING_CASES = {
 def crossing_exponent_fit(phi, rho, lengths):
     """Crossing ratios at each rectangle length and the decay exponent
     -d log(ratio)/dL of their least-squares line; returns (ratios, slope).
-    A line needs at least two distinct lengths."""
+    A line needs at least two distinct lengths.
+
+    Every ratio is positive, so a computed ratio that is not (rounding of
+    the numerator swamps the diagonal product at short lengths) raises
+    PrecisionError naming the first such length."""
     lengths = np.asarray(lengths, dtype=float)
     # min < max rather than np.unique, which imports numpy.ma on float input
     if not (lengths.size and lengths.min() < lengths.max()):
         raise DomainError("need at least two distinct rectangle lengths to fit a slope")
     ratios = np.array([crossing_ratio(RectConfig(float(L)), phi, rho) for L in lengths])
+    for L, q in zip(lengths.tolist(), ratios.tolist()):
+        if not q > 0.0:
+            raise PrecisionError(
+                f"crossing ratio {q:.6g} at length {L:g} is not positive: rounding swamps"
+                " the diagonal product"
+            )
     slope = -float(np.polyfit(lengths, np.log(ratios), 1)[0])
     return ratios, slope
 

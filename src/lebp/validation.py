@@ -21,7 +21,6 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,13 +64,13 @@ QUADRATURE_ORDERS = {
 LIMIT_TAIL = 1e-15
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """One measured quantity next to the tolerance it must meet.
 
     `elapsed` is the wall time in seconds of the computation the check
     times for this quantity.  Where the check does not time it, run_check
     sets it to the wall time of the whole check function that produced it.
+    _asdict() gives the report's keys, in field order.
     """
 
     name: str
@@ -479,8 +478,7 @@ def check_lattice_refinement():
 # --- records and suites -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One validate record, declared once.
 
     `check` measures it; `tolerance` is None where the check computes it;
@@ -595,5 +593,5 @@ def suite_report(name):
     return {
         "suite": name,
         "passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
     }

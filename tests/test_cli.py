@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from lebp import numerics
 from lebp.cli import (
-    _HANDLERS,
+    _SUBCOMMANDS,
     UsageError,
     _fmt,
     _write_csv,
@@ -673,6 +674,59 @@ def test_validate_failure_sets_exit_code(monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def _readme_examples():
+    """The argv of every `lebp <subcommand>` line of the README, continued
+    lines joined and comments dropped."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("lebp ")]
+
+
+_README_ARGV = [args for args in _readme_examples() if args[0] != "--manifest"]
+
+
+def test_readme_shows_every_subcommand():
+    assert {args[0] for args in _README_ARGV} == set(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("args", _README_ARGV, ids=" ".join)
+def test_one_subcommand_parser_reads_what_the_full_parser_reads(args):
+    assert build_parser(args[0]).parse_args(args) == build_parser().parse_args(args)
+
+
+def _outcome(call):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_PARSER_MESSAGES = [
+    (["--help"], "{kernel,density,two-point,pdf,joint-pdf,fomin-check,"),
+    (["kernel", "--help"], "usage: lebp kernel [-h] --domain {strip,semicircle}"),
+    (["kernl"], "argument subcommand: invalid choice: 'kernl'"),
+    (["pdf"], "lebp pdf: error: the following arguments are required: --theta"),
+    (["pdf", "--theta", "0.5", "--bogus", "1"], "{kernel,density,two-point,pdf,joint-pdf,"),
+    (["validate", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+    (["figure", "--id", "11"], "argument --id: invalid choice: '11'"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, fragment", _PARSER_MESSAGES, ids=[" ".join(a) for a, _ in _PARSER_MESSAGES]
+)
+def test_help_usage_and_errors_are_the_full_parsers(args, fragment):
+    # main builds one subcommand's parser where it can; what it prints, and
+    # its exit code, are what the full parser gives
+    code, out, err = _outcome(lambda: main(args))
+    assert (code, out, err) == _outcome(lambda: build_parser().parse_args(args))
+    assert code == (0 if "--help" in args else 2)
+    assert fragment in out + err
+
+
 def test_suite_choices_are_the_validation_suites():
     from lebp import cli, validation
 
@@ -731,6 +785,8 @@ def test_usage_errors_name_the_precondition():
         (["joint-pdf", "--cuts", "1,250", "--theta", "0.6,1.2,1.9,2.6/0.6,1.2,1.9,2.6",
           "--phi", "0.5,1.1,1.8,2.5"], "coefficients underflow"),
         (["crossing-exponent", "--lengths", "800,900"], "coefficients underflow"),
+        (["crossing-exponent", "--paths", "2", "--phi", "0.3,2.8", "--rho", "2.7,2.9",
+          "--lengths", "0.01,0.02"], "at length 0.01 is not positive"),
         (["kernel", "--domain", "strip", "--N", "20", "--x", "0.1", "--xp", "40",
           "--theta", "1", "--thetap", "2"], "sinh ratio overflows"),
         (["two-point", "--N", "3", "--r", "1.0000001", "--theta", "1", "--rp", "1e300",
@@ -819,7 +875,7 @@ def test_csv_output_needs_no_quoting_and_output_file_matches_stdout(args, tmp_pa
 
 
 def test_csv_writer_subcommands_are_covered():
-    assert {a[0] for a in _CSV_ARGV} == set(_HANDLERS) - {"validate"}
+    assert {a[0] for a in _CSV_ARGV} == set(_SUBCOMMANDS) - {"validate"}
 
 
 def _per_cell(header, columns):
@@ -854,6 +910,66 @@ def test_csv_writer_bytes_equal_per_cell_formatting():
     out = io.StringIO()
     _write_csv(out, ["a", "b", "c"], empty)
     assert out.getvalue() == _per_cell(["a", "b", "c"], empty) == "a,b,c\n"
+
+
+_EDGE = [-0.0, math.inf, math.nan, 5e-324, -math.inf, 0.1]
+
+
+def _grid_case(shape, *column_shapes):
+    """Axes of `shape` and columns of `column_shapes`, seeded values with the
+    edge values -0, inf, nan and 5e-324 among them."""
+    rng = np.random.default_rng(len(shape) + sum(map(sum, column_shapes)))
+    axes = [np.sort(rng.uniform(0.0, 3.0, n)) for n in shape]
+    axes[0][:2] = [-0.0, 5e-324][: shape[0]]
+    columns = []
+    for s in column_shapes:
+        column = rng.standard_normal(s) * 10.0 ** rng.integers(-300, 300, s)
+        column.flat[: len(_EDGE)] = _EDGE[: column.size]
+        columns.append(column)
+    return axes, columns
+
+
+@pytest.mark.parametrize(
+    "shape, column_shapes",
+    [
+        # the kernel grid: a full value and a per-pair bound
+        ((3, 4, 2, 5), [(3, 4, 2, 5), (3, 1, 2, 1)]),
+        # two-point: a full bound
+        ((2, 3, 2, 4), [(2, 3, 2, 4), (2, 3, 2, 4)]),
+        # single-point axes
+        ((1, 1, 1, 1), [(1, 1, 1, 1), (1, 1, 1, 1)]),
+        ((1, 1, 1, 1), [(1, 1, 1, 1), ()]),
+        # a last axis of length 1
+        ((3, 2, 2, 1), [(3, 2, 2, 1), (3, 1, 2, 1)]),
+        ((4, 1), [(4, 1)]),
+        # a bound that varies along the last axis alone
+        ((3, 2, 1, 6), [(3, 2, 1, 6), (1, 1, 1, 6)]),
+        ((2, 2, 2, 5), [(2, 2, 2, 5), (5,)]),
+        # varying along the last axis and an outer one, short of the grid
+        ((3, 2, 2, 5), [(3, 2, 2, 5), (3, 1, 1, 5)]),
+        # a per-pair column before one that varies along the last axis alone
+        ((3, 2, 2, 5), [(3, 1, 2, 1), (3, 2, 2, 5), (1, 1, 1, 5), (3, 1, 1, 1)]),
+        # the density grid, and one axis
+        ((5, 7), [(5, 7)]),
+        ((9,), [(9,), (1,)]),
+        # no rows
+        ((2, 0), [(2, 0), (2, 1)]),
+        ((0, 3), [(0, 3)]),
+    ],
+)
+def test_csv_writer_grid_bytes_equal_per_cell_formatting(shape, column_shapes):
+    # a grid prints each point's formatted coordinates, last axis fastest,
+    # then every column broadcast over the grid
+    axes, columns = _grid_case(shape, *column_shapes)
+    header = [f"a{j}" for j in range(len(axes))] + [f"c{j}" for j in range(len(columns))]
+    coordinates = [
+        ",".join(p) for p in itertools.product(*([_fmt(t) for t in a] for a in axes))
+    ]
+    expected = _per_cell(header, [coordinates, *(np.broadcast_to(c, shape) for c in columns)])
+    out = io.StringIO()
+    _write_csv(out, header, columns, axes)
+    assert out.getvalue() == expected
+    assert out.getvalue().count("\n") == 1 + math.prod(shape)
 
 
 @pytest.mark.parametrize(

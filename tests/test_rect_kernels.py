@@ -659,6 +659,16 @@ def test_crossing_ratio_matches_mpmath_oracle(phi, rho):
         assert abs(got - want) <= 1e-13 * abs(want), (length, got, want)
 
 
+def test_crossing_exponent_fit_refuses_a_non_positive_ratio():
+    # the far-apart diagonal pair phi_1 = 0.3, rho_1 = 2.7 leaves the diagonal
+    # product far below the numerator's rounding at short lengths: the
+    # computed ratios are -1.89 at L = 0.02 and -7.90 at L = 0.01, and every
+    # true ratio is positive.  The first such length is named, before the
+    # fit takes a logarithm.
+    with pytest.raises(PrecisionError, match="at length 0.02 is not positive"):
+        crossing_exponent_fit((0.3, 2.8), (2.7, 2.9), (0.2, 0.02, 0.01))
+
+
 @pytest.mark.parametrize("lengths", [(6.0,), (6.0, 6.0), (8.0, 8.0, 8.0)])
 def test_crossing_exponent_fit_needs_two_distinct_lengths(lengths):
     # one repeated length has no slope; polyfit would warn and return one anyway

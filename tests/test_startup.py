@@ -58,7 +58,7 @@ if args:
         except SystemExit as exc:
             code = exc.code
 loaded = sorted(m[len("lebp."):] for m in sys.modules if m.startswith("lebp."))
-print(repr((code, loaded, "json" in sys.modules)))
+print(repr((code, loaded, "json" in sys.modules, "dataclasses" in sys.modules)))
 """
 
 
@@ -151,11 +151,15 @@ _EVERY = sorted(_CLI + ["correlation", "graph_fomin", "lattice_validation", "num
 )
 def test_each_run_loads_only_the_modules_it_runs(args, modules):
     # None: `import lebp` alone; []: `import lebp.cli` alone.  Only validate
-    # writes JSON, so every other run leaves json unloaded.
-    code, loaded, json_loaded = ast.literal_eval(_run(_MODULES_PROBE, repr(args)))
+    # writes JSON, so every other run leaves json unloaded.  No lebp class is
+    # a dataclass, so no run loads dataclasses.
+    code, loaded, json_loaded, dataclasses_loaded = ast.literal_eval(
+        _run(_MODULES_PROBE, repr(args))
+    )
     assert code in (None, 0)
     assert loaded == modules
     assert json_loaded == (args is not None and args[:1] == ["validate"])
+    assert not dataclasses_loaded
 
 
 def test_every_public_name_resolves():
